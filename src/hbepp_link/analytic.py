@@ -220,7 +220,7 @@ def outcome_probabilities(
     # grows with that factor as g -> 1 (it stays below 1e-12 for g <= 0.9).
     squeeze = 1.0 - source.g * source.g
     tol = max(_NORMALIZATION_TOL, 32.0 * sys.float_info.epsilon / squeeze**2)
-    if abs(table.total() - 1.0) > tol:
+    if not abs(table.total() - 1.0) <= tol:  # a NaN sum fails too
         raise ProbabilityConsistencyError(
             f"pattern probabilities sum to {table.total()!r}, expected 1"
         )

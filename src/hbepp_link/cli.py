@@ -24,6 +24,8 @@ import numpy as np
 from .analytic import outcome_probabilities
 from .config import (
     COHERENCE_TIME_S,
+    SWEEP_UNITS,
+    SWEEP_VARIABLES,
     ConfigError,
     ScenarioConfig,
     parse_config,
@@ -37,16 +39,8 @@ from .postprocess import PostprocessingModel, chsh
 
 SUBCOMMANDS = ("probs", "chsh", "keyrate", "optimize", "sweep", "oracle-check")
 
-_SWEEP_UNITS = {
-    "g": "-",
-    "mu": "pairs/mode",
-    "theta1_deg": "deg",
-    "tau1": "-",
-    "tau2": "-",
-    "loss1_db": "dB",
-    "loss2_db": "dB",
-    "dark_count": "-",
-}
+#: Sweep variables of ``chsh`` and ``keyrate``; the first is the default.
+_SOURCE_VARIABLES = ("g", "mu")
 
 #: Grid for the analytic-vs-brute-force comparison.
 _ORACLE_GRID_G = (0.1, 0.4, 0.7)
@@ -84,6 +78,10 @@ def _rate_scale(cfg: ScenarioConfig) -> float:
     return 1.0 / COHERENCE_TIME_S if cfg.per_second else 1.0
 
 
+def _column(variable: str) -> str:
+    return f"{variable}[{SWEEP_UNITS[variable]}]"
+
+
 def _channel_preamble(channel: ChannelParams) -> list[str]:
     return [
         f"tau1 = {_fmt(channel.tau1)}",
@@ -113,8 +111,10 @@ def _run_probs(cfg: ScenarioConfig) -> str:
         items.append(("sum[-]", _fmt(sum(table.values()))))
         return _kv_block("click-pattern probabilities", items)
 
-    var, start, stop, steps = cfg.sweep_or("theta1_deg", 0.0, 180.0, 61)
-    header = [f"{var}[{_SWEEP_UNITS[var]}]"] + [
+    var, start, stop, steps = cfg.sweep_or(
+        ("theta1_deg", *SWEEP_VARIABLES), 0.0, 180.0, 61
+    )
+    header = [_column(var)] + [
         f"P_{p.bits()}[-]" for p in CANONICAL_PATTERNS
     ]
     rows = []
@@ -136,14 +136,10 @@ def _run_probs(cfg: ScenarioConfig) -> str:
 def _run_chsh(cfg: ScenarioConfig) -> str:
     # Bell-test scans default to dark-count-free detectors; an explicitly
     # configured detector.dark_count still wins.
-    dark = cfg.dark_count if cfg.is_explicit("detector.dark_count") else 0.0
-    channel = cfg.channel_params(dark_count=dark)
-    var, start, stop, steps = cfg.sweep_or("g", 0.05, 0.9, 50)
-    if var not in ("g", "mu"):
-        raise ConfigError(f"chsh sweeps the source only (g or mu), got {var!r}")
+    channel = cfg.channel_params(default_dark_count=0.0)
+    var, start, stop, steps = cfg.sweep_or(_SOURCE_VARIABLES, 0.05, 0.9, 50)
     header = [
-        "g[-]",
-        "mu[pairs/mode]",
+        *map(_column, _SOURCE_VARIABLES),
         "S_squash[-]",
         "S_discard[-]",
     ]
@@ -167,12 +163,9 @@ def _run_keyrate(cfg: ScenarioConfig) -> str:
     channel = cfg.channel_params()
     scale = _rate_scale(cfg)
     unit = _rate_unit(cfg)
-    var, start, stop, steps = cfg.sweep_or("g", 0.05, 0.9, 50)
-    if var not in ("g", "mu"):
-        raise ConfigError(f"keyrate sweeps the source only (g or mu), got {var!r}")
+    var, start, stop, steps = cfg.sweep_or(_SOURCE_VARIABLES, 0.05, 0.9, 50)
     header = [
-        "g[-]",
-        "mu[pairs/mode]",
+        *map(_column, _SOURCE_VARIABLES),
         "qber[-]",
         f"rsift[{unit}]",
         f"rsec[{unit}]",
@@ -219,11 +212,7 @@ def _run_optimize(cfg: ScenarioConfig) -> str:
 
 
 def _run_sweep(cfg: ScenarioConfig) -> str:
-    if cfg.sweep_variable not in (None, "loss2_db"):
-        raise ConfigError(
-            f"sweep varies Bob's loss only (loss2_db), got {cfg.sweep_variable!r}"
-        )
-    _, start, stop, steps = cfg.sweep_or("loss2_db", 20.0, 45.0, 26)
+    var, start, stop, steps = cfg.sweep_or(("loss2_db",), 20.0, 45.0, 26)
     channel_base = cfg.channel_params()
     mu_fixed = cfg.source_params().mean_photon_number()
     result = passive_performance(
@@ -232,7 +221,7 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
     scale = _rate_scale(cfg)
     unit = _rate_unit(cfg)
     header = [
-        "loss2_db[dB]",
+        _column(var),
         f"rsec_fixed[{unit}]",
         "mu_opt[pairs/mode]",
         f"rsec_opt[{unit}]",

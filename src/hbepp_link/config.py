@@ -1,10 +1,13 @@
 """Scenario configuration: key-value text format, defaults, validation.
 
 The format is one ``key = value`` assignment per line; blank lines and
-``#`` comments are ignored. Unknown keys, duplicate keys, out-of-range
-values, and conflicting alternatives (``source.g`` vs ``source.mu``, and
-per arm ``channel.tauN`` vs ``channel.lossN_db``) are rejected at parse
-time with the offending key named.
+``#`` comments are ignored. Every key is described once, in ``_KEYS``:
+parsing, range checks, serialization order, the alternatives rule
+(``source.g`` vs ``source.mu``, and per arm ``channel.tauN`` vs
+``channel.lossN_db``) and the sweep variables all derive from that table.
+Unknown keys, duplicate keys, non-finite or out-of-range values,
+conflicting alternatives and incomplete sweeps are rejected at parse time;
+each error message starts with the offending key.
 
 Defaults describe the reference satellite downlink experiment: source
 brightness 0.037 pairs per temporal mode, 1.6 dB receiver loss on Alice's
@@ -16,9 +19,18 @@ coherence time also sets the per-second display conversion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
-from .params import ChannelParams, MeasurementAngles, SourceParams, gain_from_mean_photon, transmittance_from_db
+from .params import (
+    ChannelParams,
+    MeasurementAngles,
+    SourceParams,
+    db_from_transmittance,
+    gain_from_mean_photon,
+    transmittance_from_db,
+)
 from .postprocess import PostprocessingModel
 
 # Reference-experiment metadata (display only; not configurable).
@@ -33,45 +45,129 @@ DEFAULT_LOSS2_DB = 20.0
 DEFAULT_DARK_COUNT = 6.25e-7
 DEFAULT_N_MAX = 40
 
-SWEEP_VARIABLES = (
-    "g",
-    "mu",
-    "theta1_deg",
-    "tau1",
-    "tau2",
-    "loss1_db",
-    "loss2_db",
-    "dark_count",
-)
-
-_KEY_ORDER = (
-    "source.g",
-    "source.mu",
-    "channel.tau1",
-    "channel.loss1_db",
-    "channel.tau2",
-    "channel.loss2_db",
-    "detector.dark_count",
-    "angles.theta1_deg",
-    "angles.theta2_deg",
-    "model",
-    "oracle.n_max",
-    "output.per_second",
-    "sweep.variable",
-    "sweep.start",
-    "sweep.stop",
-    "sweep.steps",
-)
-
-_CONFLICTS = (
-    ("source.g", "source.mu"),
-    ("channel.tau1", "channel.loss1_db"),
-    ("channel.tau2", "channel.loss2_db"),
-)
-
 
 class ConfigError(ValueError):
     """A scenario configuration could not be parsed or validated."""
+
+
+#: ``parse(key, text)`` converts one value or raises ConfigError naming ``key``.
+Parser = Callable[[str, str], object]
+
+
+def _number(convert: type, interval: str, derived: Callable | None = None) -> Parser:
+    """Parser of an ``int`` or ``float`` in ``interval``, e.g. ``"[0, 1)"``.
+
+    NaN lies in no interval and an open infinite end excludes that
+    infinity, so only finite numbers pass. ``derived``, if given, maps the
+    value to the physical quantity it stands for and raises ValueError
+    when rounding puts that quantity out of range.
+    """
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above_lo = operator.le if interval[0] == "[" else operator.lt
+    below_hi = operator.le if interval[-1] == "]" else operator.lt
+    noun = "an integer" if convert is int else "a finite number"
+
+    def parse(key: str, text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (above_lo(lo, value) and below_hi(value, hi)):
+            raise ConfigError(f"{key}: expected {noun} in {interval}, got {text!r}")
+        if derived is not None:
+            try:
+                derived(value)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        return value
+
+    return parse
+
+
+def _one_of(key: str, text: str, options: tuple[str, ...]) -> str:
+    if text not in options:
+        raise ConfigError(f"{key}: expected one of {', '.join(options)}, got {text!r}")
+    return text
+
+
+def _model(key: str, text: str) -> PostprocessingModel:
+    return PostprocessingModel(_one_of(key, text, tuple(m.value for m in PostprocessingModel)))
+
+
+def _sweep_variable(key: str, text: str) -> str:
+    return _one_of(key, text, SWEEP_VARIABLES)
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _boolean(key: str, text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ConfigError(f"{key}: expected true/false, got {text!r}") from None
+
+
+def _check_transmittance(loss_db: float) -> None:
+    # Losses beyond ~3200 dB underflow to tau = 0, which no channel accepts.
+    db_from_transmittance(transmittance_from_db(loss_db))
+
+
+class _Key(NamedTuple):
+    """One config key and the ``ScenarioConfig`` field it sets.
+
+    Keys sharing a ``group`` are alternatives: at most one may be set. A
+    key with a CSV ``unit`` is sweepable, as the sweep variable ``field``.
+    """
+
+    key: str
+    field: str
+    parse: Parser
+    group: str | None = None
+    unit: str | None = None
+
+
+_REAL = _number(float, "(-inf, inf)")
+_LOSS = _number(float, "[0, inf)", _check_transmittance)
+_TAU = _number(float, "(0, 1]")
+
+#: Every config key, in ``to_text`` order; the sweep keys come last, as
+#: variable, start, stop, steps.
+_KEYS = (
+    _Key("source.g", "g", _number(float, "[0, 1)"), "source", "-"),
+    _Key(
+        "source.mu", "mu", _number(float, "[0, inf)", SourceParams.from_mean_photon_number),
+        "source", "pairs/mode",
+    ),
+    _Key("channel.tau1", "tau1", _TAU, "arm1", "-"),
+    _Key("channel.loss1_db", "loss1_db", _LOSS, "arm1", "dB"),
+    _Key("channel.tau2", "tau2", _TAU, "arm2", "-"),
+    _Key("channel.loss2_db", "loss2_db", _LOSS, "arm2", "dB"),
+    _Key("detector.dark_count", "dark_count", _number(float, "[0, 1)"), unit="-"),
+    _Key("angles.theta1_deg", "theta1_deg", _REAL, unit="deg"),
+    _Key("angles.theta2_deg", "theta2_deg", _REAL),
+    _Key("model", "model", _model),
+    _Key("oracle.n_max", "n_max", _number(int, "[0, inf)")),
+    _Key("output.per_second", "per_second", _boolean),
+    _Key("sweep.variable", "sweep_variable", _sweep_variable),
+    _Key("sweep.start", "sweep_start", _REAL),
+    _Key("sweep.stop", "sweep_stop", _REAL),
+    _Key("sweep.steps", "sweep_steps", _number(int, "[1, inf)")),
+)
+
+_BY_KEY = {spec.key: spec for spec in _KEYS}
+_SWEPT = {spec.field: spec for spec in _KEYS if spec.unit is not None}
+_ALTERNATIVES = {
+    spec.group: tuple(other for other in _KEYS if other.group == spec.group)
+    for spec in _KEYS
+    if spec.group is not None
+}
+_SWEEP_KEYS = tuple(spec for spec in _KEYS if spec.field.startswith("sweep_"))
+_VARIABLE, _START, _STOP = _SWEEP_KEYS[:3]
+
+#: CSV unit of each sweep variable, in ``_KEYS`` order.
+SWEEP_UNITS = {variable: spec.unit for variable, spec in _SWEPT.items()}
+SWEEP_VARIABLES = tuple(SWEEP_UNITS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +180,7 @@ class ScenarioConfig:
     loss1_db: float | None = None
     tau2: float | None = None
     loss2_db: float | None = None
-    dark_count: float = DEFAULT_DARK_COUNT
+    dark_count: float | None = None
     theta1_deg: float = 0.0
     theta2_deg: float = 0.0
     model: PostprocessingModel = PostprocessingModel.SQUASH
@@ -96,16 +192,15 @@ class ScenarioConfig:
     sweep_steps: int | None = None
     explicit: frozenset[str] = field(default_factory=frozenset)
 
-    def is_explicit(self, key: str) -> bool:
-        return key in self.explicit
-
     def source_params(self) -> SourceParams:
         if self.g is not None:
             return SourceParams(self.g)
         mu = self.mu if self.mu is not None else DEFAULT_MU
         return SourceParams(gain_from_mean_photon(mu))
 
-    def channel_params(self, dark_count: float | None = None) -> ChannelParams:
+    def channel_params(self, default_dark_count: float = DEFAULT_DARK_COUNT) -> ChannelParams:
+        """Channel of the scenario; ``default_dark_count`` applies when
+        ``detector.dark_count`` is not set."""
         if self.tau1 is not None:
             tau1 = self.tau1
         else:
@@ -118,7 +213,7 @@ class ScenarioConfig:
             tau2 = transmittance_from_db(
                 self.loss2_db if self.loss2_db is not None else DEFAULT_LOSS2_DB
             )
-        dark = self.dark_count if dark_count is None else dark_count
+        dark = self.dark_count if self.dark_count is not None else default_dark_count
         return ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark)
 
     def angles(self) -> MeasurementAngles:
@@ -127,17 +222,20 @@ class ScenarioConfig:
         )
 
     def sweep_or(
-        self, variable: str, start: float, stop: float, steps: int
+        self, variables: tuple[str, ...], start: float, stop: float, steps: int
     ) -> tuple[str, float, float, int]:
-        """Configured sweep, or the given subcommand default."""
-        if self.sweep_variable is not None:
-            return (
-                self.sweep_variable,
-                self.sweep_start if self.sweep_start is not None else start,
-                self.sweep_stop if self.sweep_stop is not None else stop,
-                self.sweep_steps if self.sweep_steps is not None else steps,
+        """Configured sweep, or the default sweep of ``variables[0]``.
+
+        A configured sweep variable outside ``variables`` is rejected.
+        """
+        if self.sweep_variable is None:
+            return variables[0], start, stop, steps
+        if self.sweep_variable not in variables:
+            raise ConfigError(
+                f"{_VARIABLE.key}: expected {' or '.join(variables)} for this "
+                f"subcommand, got {self.sweep_variable!r}"
             )
-        return variable, start, stop, steps
+        return self.sweep_variable, self.sweep_start, self.sweep_stop, self.sweep_steps
 
     def to_text(self) -> str:
         """Canonical serialization of the explicitly set keys.
@@ -145,64 +243,20 @@ class ScenarioConfig:
         ``parse_config(cfg.to_text())`` reproduces ``cfg`` exactly, so the
         round trip is idempotent; defaults stay implicit.
         """
-        lines = []
-        for key in _KEY_ORDER:
-            if key not in self.explicit:
-                continue
-            value = self._raw_value(key)
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, PostprocessingModel):
-                text = value.value
-            elif isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
-            lines.append(f"{key} = {text}")
+        lines = [
+            f"{spec.key} = {_format(getattr(self, spec.field))}"
+            for spec in _KEYS
+            if spec.key in self.explicit
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def _raw_value(self, key: str):
-        return {
-            "source.g": self.g,
-            "source.mu": self.mu,
-            "channel.tau1": self.tau1,
-            "channel.loss1_db": self.loss1_db,
-            "channel.tau2": self.tau2,
-            "channel.loss2_db": self.loss2_db,
-            "detector.dark_count": self.dark_count,
-            "angles.theta1_deg": self.theta1_deg,
-            "angles.theta2_deg": self.theta2_deg,
-            "model": self.model,
-            "oracle.n_max": self.n_max,
-            "output.per_second": self.per_second,
-            "sweep.variable": self.sweep_variable,
-            "sweep.start": self.sweep_start,
-            "sweep.stop": self.sweep_stop,
-            "sweep.steps": self.sweep_steps,
-        }[key]
 
-
-def _parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-
-
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-
-
-def _parse_bool(key: str, text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+def _format(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, PostprocessingModel):
+        return value.value
+    return str(value)  # str of a float is its shortest round-trip repr
 
 
 def _assignments(text: str, origin: str) -> list[tuple[str, str]]:
@@ -224,109 +278,57 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
     Overrides replace values from the text but are subject to the same
     validation, including the mutual-exclusion rules.
     """
-    pairs = _assignments(text, "config")
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key}")
-        seen.add(key)
+    texts: dict[str, str] = {}
+    for key, value in _assignments(text, "config"):
+        if key in texts:
+            raise ConfigError(f"{key}: duplicate key")
+        texts[key] = value
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        pairs = [(k, v) for k, v in pairs if k != key]  # override wins
-        pairs.append((key, value))
+        key = key.strip()
+        texts.pop(key, None)  # override wins
+        texts[key] = value.strip()
 
-    values: dict[str, object] = {}
-    for key, text_value in pairs:
-        if key not in _KEY_ORDER:
-            raise ConfigError(f"unknown key {key}")
-        values[key] = _convert(key, text_value)
-
-    for first, second in _CONFLICTS:
-        if first in values and second in values:
-            raise ConfigError(f"{first} and {second} are mutually exclusive")
-
-    cfg = ScenarioConfig(
-        g=values.get("source.g"),
-        mu=values.get("source.mu"),
-        tau1=values.get("channel.tau1"),
-        loss1_db=values.get("channel.loss1_db"),
-        tau2=values.get("channel.tau2"),
-        loss2_db=values.get("channel.loss2_db"),
-        dark_count=values.get("detector.dark_count", DEFAULT_DARK_COUNT),
-        theta1_deg=values.get("angles.theta1_deg", 0.0),
-        theta2_deg=values.get("angles.theta2_deg", 0.0),
-        model=values.get("model", PostprocessingModel.SQUASH),
-        n_max=values.get("oracle.n_max", DEFAULT_N_MAX),
-        per_second=values.get("output.per_second", False),
-        sweep_variable=values.get("sweep.variable"),
-        sweep_start=values.get("sweep.start"),
-        sweep_stop=values.get("sweep.stop"),
-        sweep_steps=values.get("sweep.steps"),
+    values = {}
+    for key, value in texts.items():
+        if key not in _BY_KEY:
+            raise ConfigError(f"{key}: unknown key")
+        values[key] = _BY_KEY[key].parse(key, value)
+    for group in _ALTERNATIVES.values():
+        given = [spec.key for spec in group if spec.key in values]
+        if len(given) > 1:
+            raise ConfigError(f"{' and '.join(given)} are mutually exclusive")
+    _check_sweep(values, texts)
+    return ScenarioConfig(
+        **{_BY_KEY[key].field: value for key, value in values.items()},
         explicit=frozenset(values),
     )
-    _validate(cfg)
-    return cfg
 
 
-def _convert(key: str, text: str):
-    if key == "model":
-        if text not in ("squash", "discard"):
-            raise ConfigError(f"model: expected squash or discard, got {text!r}")
-        return PostprocessingModel(text)
-    if key == "sweep.variable":
-        if text not in SWEEP_VARIABLES:
-            raise ConfigError(
-                f"sweep.variable: expected one of {', '.join(SWEEP_VARIABLES)}, "
-                f"got {text!r}"
-            )
-        return text
-    if key == "output.per_second":
-        return _parse_bool(key, text)
-    if key in ("oracle.n_max", "sweep.steps"):
-        return _parse_int(key, text)
-    return _parse_float(key, text)
-
-
-def _validate(cfg: ScenarioConfig) -> None:
-    try:
-        cfg.source_params()
-    except ValueError as exc:
-        key = "source.g" if cfg.g is not None else "source.mu"
-        raise ConfigError(f"{key}: {exc}") from None
-    try:
-        cfg.channel_params()
-    except ValueError as exc:
-        raise ConfigError(f"channel/detector: {exc}") from None
-    if cfg.n_max < 0:
-        raise ConfigError(f"oracle.n_max: must be >= 0, got {cfg.n_max}")
-    if cfg.sweep_steps is not None and cfg.sweep_steps < 1:
-        raise ConfigError(f"sweep.steps: must be >= 1, got {cfg.sweep_steps}")
-    if cfg.sweep_variable is not None:
-        if cfg.sweep_start is None or cfg.sweep_stop is None or cfg.sweep_steps is None:
-            raise ConfigError(
-                "sweep.variable requires sweep.start, sweep.stop, and sweep.steps"
-            )
+def _check_sweep(values: dict[str, object], texts: dict[str, str]) -> None:
+    """The sweep keys come all together or not at all, and both ends of the
+    range must be valid values of the swept key."""
+    given = [spec.key for spec in _SWEEP_KEYS if spec.key in values]
+    if not given:
+        return
+    missing = [spec.key for spec in _SWEEP_KEYS if spec.key not in values]
+    if missing:
+        raise ConfigError(f"{given[0]}: requires {', '.join(missing)}")
+    swept = _SWEPT[values[_VARIABLE.key]]
+    for end in (_START, _STOP):
+        swept.parse(f"{end.key} ({swept.key})", texts[end.key])
 
 
 def with_source_value(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
-    """Copy of ``cfg`` with one sweep variable replaced by ``value``."""
-    if variable == "g":
-        return replace(cfg, g=value, mu=None)
-    if variable == "mu":
-        return replace(cfg, mu=value, g=None)
-    if variable == "theta1_deg":
-        return replace(cfg, theta1_deg=value)
-    if variable == "tau1":
-        return replace(cfg, tau1=value, loss1_db=None)
-    if variable == "tau2":
-        return replace(cfg, tau2=value, loss2_db=None)
-    if variable == "loss1_db":
-        return replace(cfg, loss1_db=value, tau1=None)
-    if variable == "loss2_db":
-        return replace(cfg, loss2_db=value, tau2=None)
-    if variable == "dark_count":
-        return replace(cfg, dark_count=value)
-    raise ConfigError(f"unknown sweep variable {variable!r}")
+    """Copy of ``cfg`` with one sweep variable set to ``value``; the
+    variable's alternative, if any, is cleared."""
+    if variable not in _SWEPT:
+        raise ConfigError(f"unknown sweep variable {variable!r}")
+    spec = _SWEPT[variable]
+    cleared = _ALTERNATIVES.get(spec.group, ())
+    changes = {other.field: None for other in cleared}
+    changes[spec.field] = value
+    explicit = cfg.explicit.difference(other.key for other in cleared) | {spec.key}
+    return replace(cfg, **changes, explicit=explicit)

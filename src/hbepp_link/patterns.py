@@ -69,10 +69,10 @@ def pattern_index(pattern: ClickPattern) -> int:
 class ProbabilityTable:
     """Probabilities of the 16 click patterns, in canonical order.
 
-    Raw values are kept as computed; the constructor rejects entries outside
-    [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE]. Values are clamped to
-    [0, 1] only at output boundaries (``as_dict``/``clamped``), so tests can
-    still inspect sub-rounding negatives.
+    Raw values are kept as computed; the constructor rejects NaN and every
+    entry outside [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE]. Values are
+    clamped to [0, 1] only at output boundaries (``as_dict``/``clamped``), so
+    tests can still inspect sub-rounding negatives.
     """
 
     values: tuple[float, ...]
@@ -81,7 +81,7 @@ class ProbabilityTable:
         if len(self.values) != 16:
             raise ValueError(f"expected 16 entries, got {len(self.values)}")
         for p, v in zip(CANONICAL_PATTERNS, self.values):
-            if v < -NEGATIVE_TOLERANCE or v > 1.0 + NEGATIVE_TOLERANCE:
+            if not (-NEGATIVE_TOLERANCE <= v <= 1.0 + NEGATIVE_TOLERANCE):
                 raise ProbabilityConsistencyError(
                     f"P[{p.label()}] = {v!r} outside [0, 1] beyond rounding"
                 )

@@ -255,10 +255,15 @@ class TestOracleAgreement:
 
 
 class TestProbabilityTable:
-    def test_rejects_large_negative(self):
+    @pytest.mark.parametrize(
+        "entries",
+        [{0: 1.0 + 1e-6, 1: -1e-6}, {0: 1.0, 1: math.nan}],
+        ids=["beyond_rounding", "nan"],
+    )
+    def test_rejects_large_negative(self, entries):
         values = [0.0] * 16
-        values[0] = 1.0 + 1e-6
-        values[1] = -1e-6
+        for index, value in entries.items():
+            values[index] = value
         with pytest.raises(ProbabilityConsistencyError):
             ProbabilityTable(tuple(values))
 

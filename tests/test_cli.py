@@ -154,6 +154,27 @@ class TestErrorsAndIO:
         assert code == 2 and out == ""
         assert "source.g" in err
 
+    @pytest.mark.parametrize(
+        "key, settings",
+        [
+            ("angles.theta1_deg", ["angles.theta1_deg=nan"]),
+            ("angles.theta1_deg", ["angles.theta1_deg=inf"]),
+            ("channel.loss2_db", ["channel.loss2_db=inf"]),
+            ("channel.loss1_db", ["channel.loss1_db=-1"]),
+            ("source.mu", ["source.mu=1e17"]),  # g rounds to 1
+            ("sweep.start", ["sweep.variable=tau2", "sweep.start=nan",
+                             "sweep.stop=0.5", "sweep.steps=3"]),
+            ("sweep.start", ["sweep.variable=tau2", "sweep.start=0",
+                             "sweep.stop=0.5", "sweep.steps=3"]),
+            ("sweep.steps", ["sweep.steps=3"]),
+        ],
+    )
+    def test_rejection_starts_with_key(self, capsys, key, settings):
+        argv = [arg for setting in settings for arg in ("--set", setting)]
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"hbepp-link: error: {key}")
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "probs", "--config", "/nonexistent/path.cfg")
         assert code == 2 and "error" in err

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hbepp_link.config import (
@@ -6,6 +8,8 @@ from hbepp_link.config import (
     DEFAULT_DARK_COUNT,
     DEFAULT_LOSS1_DB,
     DEFAULT_MU,
+    SWEEP_VARIABLES,
+    _KEYS,
     parse_config,
     with_source_value,
 )
@@ -92,6 +96,39 @@ class TestOverrides:
             parse_config("", overrides=["source.g:0.3"])
 
 
+#: One valid value of every key; sweep keys also need the rest of a sweep.
+ONE_VALUE = {
+    "source.g": "0.3",
+    "source.mu": "0.1",
+    "channel.tau1": "0.7",
+    "channel.loss1_db": "1.6",
+    "channel.tau2": "1",
+    "channel.loss2_db": "33",
+    "detector.dark_count": "0",
+    "angles.theta1_deg": "-22.5",
+    "angles.theta2_deg": "1e-3",
+    "model": "discard",
+    "oracle.n_max": "30",
+    "output.per_second": "yes",
+    "sweep.variable": "g",
+    "sweep.start": "0.05",
+    "sweep.stop": "0.15",
+    "sweep.steps": "3",
+}
+BASE_SWEEP = {
+    "sweep.variable": "mu",
+    "sweep.start": "0.01",
+    "sweep.stop": "0.2",
+    "sweep.steps": "5",
+}
+
+
+def one_key_text(key):
+    assigned = dict(BASE_SWEEP) if key in BASE_SWEEP else {}
+    assigned[key] = ONE_VALUE[key]
+    return "".join(f"{k} = {v}\n" for k, v in assigned.items())
+
+
 class TestRoundTrip:
     CASES = [
         "",
@@ -103,22 +140,38 @@ class TestRoundTrip:
             "sweep.variable = loss2_db\nsweep.start = 20.0\nsweep.stop = 45.0\n"
             "sweep.steps = 26\n"
         ),
-    ]
+    ] + [pytest.param(one_key_text(spec.key), id=spec.key) for spec in _KEYS]
 
     @pytest.mark.parametrize("text", CASES)
     def test_serialize_parse_is_idempotent(self, text):
         cfg = parse_config(text)
         serialized = cfg.to_text()
+        assert {line.split(" = ")[0] for line in serialized.splitlines()} == cfg.explicit
         reparsed = parse_config(serialized)
         assert reparsed == cfg
         assert reparsed.to_text() == serialized
 
 
-def test_sweep_point_substitution():
-    cfg = parse_config("source.mu = 0.1\n")
-    point = with_source_value(cfg, "g", 0.5)
-    assert point.source_params().g == 0.5
-    point = with_source_value(cfg, "loss2_db", 33.0)
-    assert point.channel_params().loss2_db() == pytest.approx(33.0, abs=1e-12)
-    point = with_source_value(cfg, "theta1_deg", 90.0)
-    assert point.theta1_deg == 90.0
+#: Value swept into each variable and how the scenario exposes its effect.
+SWEEP_POINTS = {
+    "g": (0.5, lambda cfg: cfg.source_params().g),
+    "mu": (0.2, lambda cfg: cfg.source_params().mean_photon_number()),
+    "tau1": (0.3, lambda cfg: cfg.channel_params().tau1),
+    "loss1_db": (3.0, lambda cfg: cfg.channel_params().loss1_db()),
+    "tau2": (0.01, lambda cfg: cfg.channel_params().tau2),
+    "loss2_db": (33.0, lambda cfg: cfg.channel_params().loss2_db()),
+    "dark_count": (1e-4, lambda cfg: cfg.channel_params().dark_count),
+    "theta1_deg": (90.0, lambda cfg: math.degrees(cfg.angles().theta1)),
+}
+
+
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_sweep_point_substitution(variable):
+    # The base sets the alternatives that take precedence (g over mu, tau
+    # over loss), so sweeping mu or a loss only works if they are cleared.
+    cfg = parse_config("source.g = 0.3\nchannel.tau1 = 0.5\nchannel.tau2 = 0.2\n")
+    value, effective = SWEEP_POINTS[variable]
+    point = with_source_value(cfg, variable, value)
+    assert getattr(point, variable) == value
+    assert effective(point) == pytest.approx(value, abs=1e-12)
+    assert parse_config(point.to_text()) == point
