@@ -147,6 +147,10 @@ class TestOracleCheck:
         assert deviation < 1e-9
         assert deviation <= bound + 1e-10
 
+    def test_large_truncation(self, capsys):
+        deviation, bound = self._run(capsys, "--set", "oracle.n_max=100")
+        assert deviation <= bound + 1e-10
+
 
 class TestErrorsAndIO:
     def test_bad_config_exits_nonzero(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hbepp_link import (
+    CANONICAL_PATTERNS,
     ChannelParams,
     ClickPattern,
     JointPhotonDistribution,
@@ -13,7 +14,9 @@ from hbepp_link import (
     apply_loss,
     build_state,
     click_probabilities,
+    fock,
     oracle_probabilities,
+    outcome_probabilities,
     photon_number_distribution,
     rotate_modes,
     truncation_error_bound,
@@ -22,6 +25,79 @@ from hbepp_link import (
 
 def pat(bits: str) -> ClickPattern:
     return ClickPattern(*(c == "1" for c in bits))
+
+
+ANGLES = (0.0, 0.4, math.pi / 4, 0.83, math.pi / 2, 2.9)
+
+
+# --- independent references: the factorial rotation and the dense pipeline
+
+
+def reference_rotation_block(n: int, theta: float) -> np.ndarray:
+    """Polarization rotation on n photons by binomial expansion of
+    aH+ = cos(t) a+ - sin(t) a-,  aV+ = sin(t) a+ + cos(t) a-;
+    entry [k, h] maps (H, V) occupation (h, n-h) to (+, -) occupation (k, n-k).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    out = np.zeros((n + 1, n + 1))
+    for h in range(n + 1):
+        v = n - h
+        p1 = np.array([math.comb(h, i) * c**i * (-s) ** (h - i) for i in range(h + 1)])
+        p2 = np.array([math.comb(v, j) * s**j * c ** (v - j) for j in range(v + 1)])
+        coeffs = np.convolve(p1, p2)  # index k = photons in the + mode
+        norm_h = math.factorial(h) * math.factorial(v)
+        for k in range(n + 1):
+            out[k, h] = coeffs[k] * math.sqrt(
+                math.factorial(k) * math.factorial(n - k) / norm_h
+            )
+    return out
+
+
+def reference_thinning(n_max: int, tau: float) -> np.ndarray:
+    t = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            t[n, k] = math.comb(n, k) * tau**k * (1.0 - tau) ** (n - k)
+    return t
+
+
+def reference_apply_loss(probs: np.ndarray, tau1: float, tau2: float) -> np.ndarray:
+    """Dense (a+, a-, b+, b-) occupations thinned mode by mode."""
+    n_max = probs.shape[0] - 1
+    t1 = reference_thinning(n_max, tau1)
+    t2 = reference_thinning(n_max, tau2)
+    # contracting axis 0 four times cycles the axes back into place
+    for t in (t1, t1, t2, t2):
+        probs = np.tensordot(probs, t, axes=([0], [0]))
+    return probs
+
+
+def reference_readout(probs: np.ndarray, dark_count: float) -> tuple[float, ...]:
+    readout = np.zeros((probs.shape[0], 2))  # columns: (no click, click)
+    readout[0] = (1.0 - dark_count, dark_count)
+    readout[1:, 1] = 1.0
+    for _ in range(4):
+        probs = np.tensordot(probs, readout, axes=([0], [0]))
+    return tuple(
+        float(probs[int(p.a_plus), int(p.a_minus), int(p.b_plus), int(p.b_minus)])
+        for p in CANONICAL_PATTERNS
+    )
+
+
+def reference_scatter(state: TruncatedPairState) -> np.ndarray:
+    """Squared amplitudes on the dense four-mode occupation grid."""
+    probs = np.zeros((state.n_max + 1,) * 4)
+    for n, block in enumerate(state.blocks):
+        for i in range(n + 1):
+            for j in range(n + 1):
+                probs[i, n - i, j, n - j] += block[i, j] ** 2
+    return probs
+
+
+def dense(dist: JointPhotonDistribution) -> np.ndarray:
+    """The detector-side occupations of a dense 4-axis distribution."""
+    a, b = dist.alice, dist.bob
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", dist.probs, a, a, b, b)
 
 
 class TestBuildState:
@@ -50,6 +126,12 @@ class TestBuildState:
             1.0 - truncation_error_bound(g, n_max), abs=1e-12
         )
 
+    def test_no_overflow_at_large_truncation(self):
+        # the factorials of the binomial expansion cancel exactly
+        state = build_state(0.7, 200)
+        assert state.blocks[200][0, 200] == pytest.approx(0.51 * 0.7**200, rel=1e-13)
+        assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_state(1.0, 5)
@@ -60,6 +142,19 @@ class TestBuildState:
 
 
 class TestRotateModes:
+    @pytest.mark.parametrize("theta", ANGLES)
+    def test_blocks_match_factorial_reference(self, theta):
+        for n in range(21):
+            assert np.max(
+                np.abs(fock._rotation_block(n, theta) - reference_rotation_block(n, theta))
+            ) <= 1e-13
+
+    @pytest.mark.parametrize("theta", ANGLES)
+    def test_blocks_orthogonal(self, theta):
+        for n in range(101):
+            block = fock._rotation_block(n, theta)
+            assert np.max(np.abs(block @ block.T - np.eye(n + 1))) <= 1e-13
+
     def test_zero_angles_identity(self):
         state = build_state(0.5, 8)
         rotated = rotate_modes(state, 0.0, 0.0)
@@ -99,30 +194,45 @@ class TestRotateModes:
 
 class TestDistributionAndLoss:
     def test_pair_number_symmetry_before_loss(self):
+        # the source emits pairs, so the squared amplitudes live on the
+        # support (n, i, j), where Alice and Bob both hold n photons
         state = rotate_modes(build_state(0.6, 12), 0.3, 1.1)
         dist = photon_number_distribution(state)
-        assert dist.pair_number_asymmetry() == pytest.approx(0.0, abs=1e-15)
+        assert dist.probs.shape == (13, 13, 13)
+        for n, block in enumerate(state.blocks):
+            assert np.array_equal(dist.probs[n, : n + 1, : n + 1], block * block)
+            assert not dist.probs[n, n + 1 :].any()
+            assert not dist.probs[n, :, n + 1 :].any()
         assert dist.total() == pytest.approx(state.norm_squared(), abs=1e-12)
 
     def test_unit_transmittance_identity(self):
         dist = photon_number_distribution(build_state(0.5, 10))
         lossy = apply_loss(dist, 1.0, 1.0)
-        assert np.allclose(dist.probs, lossy.probs, atol=1e-15)
+        assert lossy.probs is dist.probs
+        assert np.array_equal(lossy.alice, np.eye(11))
+        assert np.array_equal(lossy.bob, np.eye(11))
 
     def test_single_photon_bernoulli(self):
         probs = np.zeros((2, 2, 2, 2))
         probs[1, 0, 0, 0] = 1.0
-        lossy = apply_loss(JointPhotonDistribution(probs), 0.3, 0.9)
-        assert lossy.probs[1, 0, 0, 0] == pytest.approx(0.3, abs=1e-15)
-        assert lossy.probs[0, 0, 0, 0] == pytest.approx(0.7, abs=1e-15)
+        lossy = dense(apply_loss(JointPhotonDistribution(probs), 0.3, 0.9))
+        assert lossy[1, 0, 0, 0] == pytest.approx(0.3, abs=1e-15)
+        assert lossy[0, 0, 0, 0] == pytest.approx(0.7, abs=1e-15)
 
     def test_two_photon_binomial(self):
         probs = np.zeros((3, 3, 3, 3))
         probs[0, 0, 2, 0] = 1.0
-        lossy = apply_loss(JointPhotonDistribution(probs), 0.8, 0.5)
-        assert lossy.probs[0, 0, 2, 0] == pytest.approx(0.25, abs=1e-15)
-        assert lossy.probs[0, 0, 1, 0] == pytest.approx(0.5, abs=1e-15)
-        assert lossy.probs[0, 0, 0, 0] == pytest.approx(0.25, abs=1e-15)
+        lossy = dense(apply_loss(JointPhotonDistribution(probs), 0.8, 0.5))
+        assert lossy[0, 0, 2, 0] == pytest.approx(0.25, abs=1e-15)
+        assert lossy[0, 0, 1, 0] == pytest.approx(0.5, abs=1e-15)
+        assert lossy[0, 0, 0, 0] == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3, 6])
+    def test_successive_losses_compose(self, n_max):
+        dist = JointPhotonDistribution(np.ones((n_max + 1,) * 4))
+        dist = apply_loss(apply_loss(dist, 0.6, 0.9), 0.5, 1.0)
+        assert np.allclose(dist.alice, reference_thinning(n_max, 0.3), rtol=0, atol=1e-15)
+        assert np.allclose(dist.bob, reference_thinning(n_max, 0.9), rtol=0, atol=1e-15)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(5)
@@ -166,6 +276,51 @@ class TestClickProbabilities:
     def test_invalid_dark_count(self):
         with pytest.raises(ValueError):
             click_probabilities(self._vacuum_distribution(), 1.0)
+
+
+class TestAgainstDensePipeline:
+    """Kernels composed into the readout against thinning the dense grid."""
+
+    CHANNELS = [(0.3, 0.8, 0.0), (0.7, 0.05, 1e-3), (1.0, 0.4, 1e-3), (1.0, 1.0, 0.1)]
+
+    @pytest.mark.parametrize("tau1,tau2,dark", CHANNELS)
+    @pytest.mark.parametrize("n_max", [0, 2, 6])
+    def test_random_dense_distributions(self, n_max, tau1, tau2, dark):
+        rng = np.random.default_rng(n_max)
+        probs = rng.uniform(size=(n_max + 1,) * 4)
+        probs /= probs.sum()  # mostly not pair-symmetric
+        table = click_probabilities(
+            apply_loss(JointPhotonDistribution(probs), tau1, tau2), dark
+        )
+        expected = reference_readout(reference_apply_loss(probs, tau1, tau2), dark)
+        assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-15
+
+    @pytest.mark.parametrize("tau1,tau2,dark", CHANNELS)
+    @pytest.mark.parametrize("n_max", [1, 6])
+    def test_pair_support_matches_dense_grid(self, n_max, tau1, tau2, dark):
+        # random amplitudes: the source state is symmetric under swapping
+        # both parties' modes at once and would hide a swapped mode
+        rng = np.random.default_rng(n_max)
+        blocks = [rng.normal(size=(n + 1, n + 1)) for n in range(n_max + 1)]
+        norm = math.sqrt(sum(np.sum(b * b) for b in blocks))
+        state = TruncatedPairState(tuple(b / norm for b in blocks))
+        table = click_probabilities(
+            apply_loss(photon_number_distribution(state), tau1, tau2), dark
+        )
+        dense_probs = reference_scatter(state)
+        expected = reference_readout(reference_apply_loss(dense_probs, tau1, tau2), dark)
+        assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-15
+
+
+class TestLargeTruncation:
+    def test_n_max_100_matches_closed_form(self):
+        source = SourceParams(0.7)
+        channel = ChannelParams(tau1=0.7, tau2=0.01, dark_count=1e-3)
+        angles = MeasurementAngles(math.radians(40.1), 0.0)
+        brute = oracle_probabilities(source, channel, angles, n_max=100)
+        analytic = outcome_probabilities(source, channel, angles)
+        deviation = max(abs(a - b) for a, b in zip(analytic.values, brute.values))
+        assert deviation <= truncation_error_bound(0.7, 100) + 1e-10
 
 
 class TestTruncationErrorBound:
