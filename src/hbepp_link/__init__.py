@@ -5,7 +5,6 @@ threshold detectors."""
 from .analytic import (
     QCoefficients,
     outcome_probabilities,
-    outcome_probabilities_subtractive,
     q_function,
     vacuum_set_probability,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "optimize_gain",
     "oracle_probabilities",
     "outcome_probabilities",
-    "outcome_probabilities_subtractive",
     "passive_performance",
     "pattern_index",
     "photon_number_distribution",

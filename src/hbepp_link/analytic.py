@@ -226,29 +226,3 @@ def outcome_probabilities(
         )
     return table
 
-
-def outcome_probabilities_subtractive(
-    source: SourceParams,
-    channel: ChannelParams,
-    angles: MeasurementAngles,
-) -> ProbabilityTable:
-    """All 16 pattern probabilities as explicit linear combinations.
-
-    Builds the table in canonical order: each pattern's own vacuum-subset
-    term minus every previously computed pattern whose click set is a
-    strict subset. Kept as an independent evaluation strategy to
-    cross-check :func:`outcome_probabilities`.
-    """
-    vac = _vacuum_probabilities_by_mask(source, channel, angles)
-    by_click_mask: dict[int, float] = {}
-    values = []
-    for pattern in CANONICAL_PATTERNS:
-        click_mask = sum(bit << i for i, bit in enumerate(pattern))
-        silent_mask = 15 ^ click_mask
-        p = vac[silent_mask]
-        for prev_mask, prev_p in by_click_mask.items():
-            if prev_mask & ~click_mask == 0:  # strict subset (never equal)
-                p -= prev_p
-        by_click_mask[click_mask] = p
-        values.append(p)
-    return ProbabilityTable(tuple(values))

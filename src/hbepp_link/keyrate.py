@@ -36,6 +36,11 @@ from .postprocess import PostprocessingModel, coincidences
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Gains scanned by ``optimize_gain``, and the bracket width at which its
+#: golden-section refinement stops.
+G_BRACKET = (1e-3, 0.95)
+G_TOL = 1e-6
+
 
 def binary_entropy(eps: float) -> float:
     """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0."""
@@ -120,22 +125,14 @@ class OptimizationResult:
         return self.g_opt is not None
 
 
-def optimize_gain(
-    channel: ChannelParams,
-    g_bounds: tuple[float, float] = (1e-3, 0.95),
-    grid_points: int = 256,
-    g_tol: float = 1e-6,
-) -> OptimizationResult:
+def optimize_gain(channel: ChannelParams, grid_points: int = 256) -> OptimizationResult:
     """Gain maximizing the secure rate for a given channel.
 
-    A coarse grid scan brackets the maximum (the secure-rate curve is
-    smooth but not provably unimodal, so the scan guards against missing
-    side lobes); golden-section refinement then narrows the bracket below
-    ``g_tol``.
+    A coarse grid scan of ``G_BRACKET`` brackets the maximum (the
+    secure-rate curve is smooth but not provably unimodal, so the scan
+    guards against missing side lobes); golden-section refinement then
+    narrows the bracket below ``G_TOL``.
     """
-    g_lo, g_hi = g_bounds
-    if not 0.0 < g_lo < g_hi < 1.0:
-        raise ValueError(f"need 0 < g_lo < g_hi < 1, got {g_bounds}")
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
 
@@ -143,20 +140,11 @@ def optimize_gain(
         eps, r_sift = qber_and_sift(SourceParams(g), channel)
         return secure_rate(eps, r_sift)
 
-    if g_hi - g_lo < 10.0 * g_tol:
-        best = max((g_lo, g_hi), key=rate)
-        value = rate(best)
-        if value == 0.0:
-            return OptimizationResult(None, None, 0.0, 0, (g_lo, g_hi))
-        return OptimizationResult(
-            best, SourceParams(best).mean_photon_number(), value, 0, (g_lo, g_hi)
-        )
-
-    grid = np.linspace(g_lo, g_hi, grid_points)
+    grid = np.linspace(*G_BRACKET, grid_points)
     values = [rate(g) for g in grid]
     best_idx = int(np.argmax(values))
     if values[best_idx] == 0.0:
-        return OptimizationResult(None, None, 0.0, 0, (g_lo, g_hi))
+        return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
 
     a = grid[max(0, best_idx - 1)]
     b = grid[min(grid_points - 1, best_idx + 1)]
@@ -165,7 +153,7 @@ def optimize_gain(
     d = a + _GOLDEN * (b - a)
     fc, fd = rate(c), rate(d)
     iterations = 0
-    while b - a > g_tol:
+    while b - a > G_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -207,7 +195,6 @@ def passive_performance(
     mu_fixed: float,
     channel_base: ChannelParams,
     l2_range_db: Sequence[float],
-    g_bounds: tuple[float, float] = (1e-3, 0.95),
 ) -> PassivePerformanceSweep:
     """Secure-rate ratio of a fixed-brightness source to the per-loss optimum.
 
@@ -226,7 +213,7 @@ def passive_performance(
             tau2=transmittance_from_db(loss2_db),
             dark_count=channel_base.dark_count,
         )
-        opt = optimize_gain(channel, g_bounds=g_bounds)
+        opt = optimize_gain(channel)
         eps, r_sift = qber_and_sift(source_fixed, channel)
         fixed_rate = secure_rate(eps, r_sift)
         if opt.secure_rate_at_opt > 0.0:

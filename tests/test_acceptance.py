@@ -24,7 +24,6 @@ from hbepp_link import (
     optimize_gain,
     oracle_probabilities,
     outcome_probabilities,
-    outcome_probabilities_subtractive,
     passive_performance,
     photon_number_distribution,
     qber_and_sift,
@@ -34,6 +33,8 @@ from hbepp_link import (
     transmittance_from_db,
     truncation_error_bound,
 )
+
+from subtractive import outcome_probabilities_subtractive
 
 FIG3_CHANNEL = ChannelParams(tau1=0.7, tau2=0.01)
 REFERENCE_TAU1 = transmittance_from_db(1.6)

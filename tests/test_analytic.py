@@ -14,11 +14,12 @@ from hbepp_link import (
     SourceParams,
     oracle_probabilities,
     outcome_probabilities,
-    outcome_probabilities_subtractive,
     q_function,
     truncation_error_bound,
     vacuum_set_probability,
 )
+
+from subtractive import outcome_probabilities_subtractive
 
 ALL_SILENT = (True, True, True, True)
 NONE_SILENT = (False, False, False, False)

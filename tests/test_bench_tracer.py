@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hbepp_link import ChannelParams, MeasurementAngles, SourceParams, fock
+from hbepp_link import ChannelParams, MeasurementAngles, SourceParams, fock, keyrate
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -41,3 +41,15 @@ def test_oracle_stages_are_traced(spans):
         tracer.uninstall()
     traced = {span[0] for span in tracer.spans}
     assert set(spans.FOCK_STAGES.values()) <= traced
+
+
+def test_optimize_note_reads_the_call(spans):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = keyrate.optimize_gain(ChannelParams(tau1=0.7, tau2=0.01))
+    finally:
+        tracer.uninstall()
+    [index] = [i for i, span in enumerate(tracer.spans) if span[0] == "keyrate.optimize_gain"]
+    assert result.found
+    assert tracer.notes[index] == (256, result.iterations, True)

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import pytest
 
@@ -189,8 +191,13 @@ class TestErrorsAndIO:
 
     def test_out_file_written_atomically(self, tmp_path, capsys):
         target = tmp_path / "probs.txt"
-        code, out, _ = run(capsys, "probs", "--out", str(target))
+        umask = os.umask(0o027)
+        try:
+            code, out, _ = run(capsys, "probs", "--out", str(target))
+        finally:
+            os.umask(umask)
         assert code == 0 and out == ""
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640  # as open() would create it
         assert target.read_text().startswith("result = click-pattern probabilities")
         assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
 

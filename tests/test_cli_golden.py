@@ -1,0 +1,70 @@
+"""CLI stdout pinned byte for byte.
+
+Each case's expected stdout is stored in ``tests/data/cli/<case>.txt``. A
+change that alters CLI output on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and names the change in CHANGES.md.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from hbepp_link.cli import main
+
+DATA = Path(__file__).resolve().parent / "data" / "cli"
+
+
+def _sets(*settings):
+    return [arg for setting in settings for arg in ("--set", setting)]
+
+
+#: Case name -> argv. Every subcommand on the empty config (``sweep`` cut to
+#: two losses to stay fast), plus README's angle-sweep and discard examples.
+CASES = {
+    "probs": ["probs"],
+    "chsh": ["chsh"],
+    "keyrate": ["keyrate"],
+    "optimize": ["optimize"],
+    "sweep": ["sweep", *_sets(
+        "sweep.variable=loss2_db", "sweep.start=20", "sweep.stop=45", "sweep.steps=2",
+    )],
+    "oracle-check": ["oracle-check"],
+    "probs-angle-sweep": ["probs", *_sets(
+        "source.g=0.6", "channel.tau1=0.7", "channel.tau2=0.3", "detector.dark_count=0",
+        "sweep.variable=theta1_deg", "sweep.start=0", "sweep.stop=180", "sweep.steps=61",
+    )],
+    "chsh-discard": ["chsh", *_sets(
+        "channel.tau1=0.7", "channel.loss2_db=20", "sweep.variable=g",
+        "sweep.start=0.05", "sweep.stop=0.995", "sweep.steps=60",
+    )],
+}
+
+
+def _stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(case):
+    code, out, err = _stdout(CASES[case])
+    assert code == 0 and err == ""
+    assert out.encode() == (DATA / f"{case}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, argv in CASES.items():
+        code, out, err = _stdout(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}: {err}")
+        (DATA / f"{name}.txt").write_bytes(out.encode())
+        print(f"wrote {DATA / name}.txt")

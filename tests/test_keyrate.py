@@ -18,6 +18,7 @@ from hbepp_link import (
     secure_rate,
     transmittance_from_db,
 )
+from hbepp_link.keyrate import G_BRACKET
 
 #: Reference downlink: 1.6 dB on Alice's arm, dark counts per detector per mode.
 REFERENCE_TAU1 = transmittance_from_db(1.6)
@@ -179,11 +180,12 @@ class TestOptimizeGain:
         assert all(values[i + 1] >= values[i] for i in range(peak))
         assert all(values[i + 1] <= values[i] for i in range(peak, len(values) - 1))
 
-    def test_degenerate_bracket_returns_endpoint(self):
-        channel = reference_channel(25.0)
-        result = optimize_gain(channel, g_bounds=(0.3, 0.3 + 1e-9))
-        assert result.found
-        assert result.g_opt in (0.3, 0.3 + 1e-9)
+    def test_refinement_starts_between_neighbouring_scan_points(self):
+        result = optimize_gain(reference_channel(25.0))
+        lo, hi = result.bracket
+        assert G_BRACKET[0] <= lo < result.g_opt < hi <= G_BRACKET[1]
+        step = (G_BRACKET[1] - G_BRACKET[0]) / 255
+        assert hi - lo == pytest.approx(2 * step, rel=1e-9)
 
     def test_all_zero_rate_is_flagged(self):
         # dark counts dominate: every coincidence is noise, no secure rate
@@ -192,10 +194,9 @@ class TestOptimizeGain:
         assert not result.found
         assert result.g_opt is None and result.mu_opt is None
         assert result.secure_rate_at_opt == 0.0
+        assert result.bracket == G_BRACKET
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            optimize_gain(reference_channel(20.0), g_bounds=(0.5, 0.4))
         with pytest.raises(ValueError):
             optimize_gain(reference_channel(20.0), grid_points=100)
 
