@@ -27,7 +27,7 @@ from .config import (
     parse_config, with_source_value,
 )
 from .fock import oracle_probabilities, truncation_error_bound
-from .keyrate import key_rate_report, optimize_gain, passive_performance
+from .keyrate import optimize_gain, passive_performance, qber_and_sift, secure_rate
 from .params import ChannelParams, MeasurementAngles, SourceParams
 from .patterns import CANONICAL_PATTERNS
 from .postprocess import PostprocessingModel, chsh
@@ -147,13 +147,13 @@ def _run_keyrate(cfg: ScenarioConfig) -> str:
     rows = []
     for _, point in _sweep(cfg, sweep):
         source = point.source_params()
-        report = key_rate_report(source, channel, cfg.model)
+        qber, r_sift = qber_and_sift(source, channel, cfg.model)
         rows.append([
             source.g,
             source.mean_photon_number(),
-            report.qber,
-            report.sifted_rate * scale,
-            report.secure_rate * scale,
+            qber,
+            r_sift * scale,
+            secure_rate(qber, r_sift) * scale,
         ])
     preamble = ["hbepp-link keyrate", f"model = {cfg.model.value}", *_channel_lines(channel)]
     return _csv_output(preamble, header, rows)

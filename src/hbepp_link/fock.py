@@ -77,13 +77,9 @@ class TruncatedPairState:
 class JointPhotonDistribution:
     """Photon-number distribution of the four detector modes (a+, a-, b+, b-).
 
-    ``probs`` is the mass as emitted, in one of two layouts:
-
-    * 3 axes, the pair support: ``probs[n, i, j]`` is the probability of i
-      photons in a+ and n - i in a-, j in b+ and n - j in b- (zero for
-      i > n or j > n). This is what the source produces.
-    * 4 axes, dense: ``probs[i, j, k, l]`` is the probability of i photons
-      in a+, j in a-, k in b+, l in b-. For small hand-built distributions.
+    ``probs`` is the mass as emitted, on the pair support: ``probs[n, i, j]``
+    is the probability of i photons in a+ and n - i in a-, j in b+ and
+    n - j in b- (zero for i > n or j > n).
 
     ``alice[m, k]`` (``bob[m, k]``) is the probability that m photons emitted
     into one of Alice's (Bob's) modes are k photons at its detector, the
@@ -95,8 +91,8 @@ class JointPhotonDistribution:
     bob: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.probs.ndim not in (3, 4):
-            raise ValueError(f"probs must have 3 or 4 axes, got {self.probs.ndim}")
+        if self.probs.ndim != 3:
+            raise ValueError(f"probs must have 3 axes, got {self.probs.ndim}")
         identity = np.eye(self.probs.shape[0])
         for name in ("alice", "bob"):
             if getattr(self, name) is None:
@@ -250,11 +246,6 @@ def _read_out(dist: JointPhotonDistribution, per_mode: np.ndarray) -> np.ndarray
     """
     alice = dist.alice @ per_mode
     bob = dist.bob @ per_mode
-    # contracted pairwise: one five-operand sum rounds about 5x worse
-    if dist.probs.ndim == 4:
-        return np.einsum(
-            "ijkl,ia,jb,kc,ld->abcd", dist.probs, alice, alice, bob, bob, optimize=True
-        )
     return np.einsum(
         "nij,niab,njcd->abcd",
         dist.probs,

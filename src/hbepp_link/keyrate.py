@@ -77,39 +77,6 @@ def secure_rate(eps: float, r_sift: float) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class KeyRateReport:
-    qber: float
-    sifted_rate: float
-    secure_rate: float
-    g_used: float
-    mu_used: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.qber <= 1.0:
-            raise ValueError(f"qber must be in [0, 1], got {self.qber}")
-        if not 0.0 <= self.secure_rate <= self.sifted_rate <= 1.0:
-            raise ValueError(
-                "rates must satisfy 0 <= secure <= sifted <= 1, got "
-                f"secure={self.secure_rate}, sifted={self.sifted_rate}"
-            )
-
-
-def key_rate_report(
-    source: SourceParams,
-    channel: ChannelParams,
-    model: PostprocessingModel = PostprocessingModel.SQUASH,
-) -> KeyRateReport:
-    eps, r_sift = qber_and_sift(source, channel, model)
-    return KeyRateReport(
-        qber=eps,
-        sifted_rate=r_sift,
-        secure_rate=secure_rate(eps, r_sift),
-        g_used=source.g,
-        mu_used=source.mean_photon_number(),
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class OptimizationResult:
     """Outcome of the gain search; ``g_opt`` is None when the secure rate
     vanished over the whole bracket."""

@@ -93,12 +93,6 @@ class ChannelParams:
             dark_count=dark_count,
         )
 
-    def loss1_db(self) -> float:
-        return db_from_transmittance(self.tau1)
-
-    def loss2_db(self) -> float:
-        return db_from_transmittance(self.tau2)
-
 
 @dataclass(frozen=True, slots=True)
 class MeasurementAngles:

@@ -11,7 +11,7 @@ fixed so that serialized tables are stable and diff-able.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 #: Tolerance separating floating-point rounding from genuine bugs.
 NEGATIVE_TOLERANCE = 1e-12
@@ -60,19 +60,14 @@ CANONICAL_PATTERNS: tuple[ClickPattern, ...] = tuple(
 _PATTERN_INDEX = {p: i for i, p in enumerate(CANONICAL_PATTERNS)}
 
 
-def pattern_index(pattern: ClickPattern) -> int:
-    """Position of ``pattern`` in the canonical ordering."""
-    return _PATTERN_INDEX[pattern]
-
-
 @dataclass(frozen=True, slots=True)
 class ProbabilityTable:
     """Probabilities of the 16 click patterns, in canonical order.
 
     Raw values are kept as computed; the constructor rejects NaN and every
     entry outside [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE]. Values are
-    clamped to [0, 1] only at output boundaries (``as_dict``/``clamped``), so
-    tests can still inspect sub-rounding negatives.
+    clamped to [0, 1] only by ``clamped``, at output boundaries, so callers
+    can still inspect sub-rounding negatives.
     """
 
     values: tuple[float, ...]
@@ -86,15 +81,8 @@ class ProbabilityTable:
                     f"P[{p.label()}] = {v!r} outside [0, 1] beyond rounding"
                 )
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[ClickPattern, float]) -> "ProbabilityTable":
-        return cls(tuple(mapping[p] for p in CANONICAL_PATTERNS))
-
     def __getitem__(self, pattern: ClickPattern) -> float:
         return self.values[_PATTERN_INDEX[pattern]]
-
-    def __iter__(self) -> Iterator[tuple[ClickPattern, float]]:
-        return iter(zip(CANONICAL_PATTERNS, self.values))
 
     def total(self) -> float:
         return sum(self.values)
@@ -104,10 +92,3 @@ class ProbabilityTable:
         return ProbabilityTable(
             tuple(min(1.0, max(0.0, v)) for v in self.values)
         )
-
-    def as_dict(self) -> dict[ClickPattern, float]:
-        """Clamped mapping view, for serialization."""
-        return {
-            p: min(1.0, max(0.0, v))
-            for p, v in zip(CANONICAL_PATTERNS, self.values)
-        }

@@ -7,14 +7,9 @@ pattern's own vacuum-subset term minus every previously computed pattern
 whose click set is a strict subset.
 """
 
-from hbepp_link import (
-    CANONICAL_PATTERNS,
-    ChannelParams,
-    MeasurementAngles,
-    ProbabilityTable,
-    SourceParams,
-    vacuum_set_probability,
-)
+from hbepp_link import ChannelParams, MeasurementAngles, ProbabilityTable, SourceParams
+from hbepp_link.analytic import vacuum_set_probability
+from hbepp_link.patterns import CANONICAL_PATTERNS
 
 
 def outcome_probabilities_subtractive(

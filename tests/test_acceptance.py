@@ -8,31 +8,29 @@ import numpy as np
 import pytest
 
 from hbepp_link import (
-    CANONICAL_PATTERNS,
     ChannelParams,
-    ClickPattern,
     MeasurementAngles,
     PostprocessingModel,
     SourceParams,
     TSIRELSON_BOUND,
-    apply_loss,
-    build_state,
     chsh,
-    click_probabilities,
-    coincidences,
-    correlation,
     optimize_gain,
     oracle_probabilities,
     outcome_probabilities,
-    passive_performance,
-    photon_number_distribution,
     qber_and_sift,
-    rotate_modes,
-    secure_rate,
-    squash_coincidences,
-    transmittance_from_db,
     truncation_error_bound,
 )
+from hbepp_link.fock import (
+    apply_loss,
+    build_state,
+    click_probabilities,
+    photon_number_distribution,
+    rotate_modes,
+)
+from hbepp_link.keyrate import passive_performance, secure_rate
+from hbepp_link.params import transmittance_from_db
+from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
+from hbepp_link.postprocess import correlation, squash_coincidences
 
 from subtractive import outcome_probabilities_subtractive
 

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from hbepp_link import (
-    CANONICAL_PATTERNS,
     ChannelParams,
-    ClickPattern,
     MeasurementAngles,
-    ProbabilityConsistencyError,
     ProbabilityTable,
-    QCoefficients,
     SourceParams,
     oracle_probabilities,
     outcome_probabilities,
-    q_function,
     truncation_error_bound,
-    vacuum_set_probability,
+)
+from hbepp_link.analytic import QCoefficients, q_function, vacuum_set_probability
+from hbepp_link.patterns import (
+    CANONICAL_PATTERNS,
+    ClickPattern,
+    ProbabilityConsistencyError,
 )
 
 from subtractive import outcome_probabilities_subtractive
@@ -274,5 +274,5 @@ class TestProbabilityTable:
         values[1] = -5e-13
         table = ProbabilityTable(tuple(values))
         assert table[pat("1000")] == -5e-13  # raw preserved
-        assert table.as_dict()[pat("1000")] == 0.0
+        assert table.clamped()[pat("1000")] == 0.0
         assert min(table.clamped().values) == 0.0

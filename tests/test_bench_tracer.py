@@ -1,18 +1,31 @@
-"""The benchmark's tracer finds the functions it wraps by name.
+"""The benchmark finds what it calls and wraps by name.
 
-``bench/spans.py`` lists them in ``TRACED``; a renamed or removed function
-would otherwise surface only when the benchmark itself runs.
+``bench/spans.py`` lists the traced functions in ``TRACED``, and the
+workloads and the self-test look names up on the package root as
+``hb.<name>``; a renamed or unexported name would otherwise surface only
+when the benchmark itself runs.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+import hbepp_link
 from hbepp_link import ChannelParams, MeasurementAngles, SourceParams, fock, keyrate
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH / "spans.py"
+
+#: The names README's "Library use" imports, then those ``bench/`` binds.
+ROOT_NAMES = {
+    "ChannelParams", "MeasurementAngles", "PostprocessingModel", "SourceParams",
+    "chsh", "optimize_gain", "outcome_probabilities", "qber_and_sift",
+    "oracle_probabilities", "truncation_error_bound", "TSIRELSON_BOUND",
+    "ProbabilityTable",
+}
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +41,43 @@ def test_traced_names_exist(spans):
         module = importlib.import_module(f"hbepp_link.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"hbepp_link.{layer}.{name}"
+
+
+def test_root_exports_exactly_the_documented_names():
+    assert sorted(hbepp_link.__all__) == sorted(ROOT_NAMES)
+    for name in hbepp_link.__all__:
+        assert hasattr(hbepp_link, name), name
+
+
+def bench_lookups() -> set[str]:
+    """Dotted paths the workloads and the self-test resolve from ``hb``.
+
+    Covers attribute chains (``hb.config.parse_config``) and the
+    ``(module, "name")`` pairs the self-test patches.
+    """
+    paths = set()
+    for script in ("workloads.py", "selftest.py"):
+        text = (BENCH / script).read_text()
+        paths.update(re.findall(r"\bhb((?:\.\w+)+)", text))
+        patched = re.findall(r"\bhb((?:\.\w+)*),\s*\"(\w+)\"", text)
+        paths.update(f"{module}.{name}" for module, name in patched)
+    return {p.lstrip(".") for p in paths}
+
+
+def test_bench_lookups_resolve_on_the_root():
+    # the submodules bench/run.py imports before handing the package out
+    run_text = (BENCH / "run.py").read_text()
+    for module in re.findall(r"^\s*import (hbepp_link\.\w+)$", run_text, re.M):
+        importlib.import_module(module)
+    lookups = bench_lookups()
+    # the patterns above still match what the scripts write
+    expected = {"outcome_probabilities", "cli.run_subcommand", "patterns.NEGATIVE_TOLERANCE"}
+    assert expected <= lookups
+    for path in sorted(lookups):
+        target = hbepp_link
+        for attr in path.split("."):
+            assert hasattr(target, attr), f"hb.{path}"
+            target = getattr(target, attr)
 
 
 def test_oracle_stages_are_traced(spans):

@@ -13,6 +13,7 @@ from hbepp_link.config import (
     parse_config,
     with_source_value,
 )
+from hbepp_link.params import db_from_transmittance
 from hbepp_link.postprocess import PostprocessingModel
 
 
@@ -23,7 +24,9 @@ class TestDefaults:
         channel = cfg.channel_params()
         assert source.mean_photon_number() == pytest.approx(DEFAULT_MU, abs=1e-12)
         assert source.g == pytest.approx(0.188891094837145, abs=1e-14)
-        assert channel.loss1_db() == pytest.approx(DEFAULT_LOSS1_DB, abs=1e-12)
+        assert db_from_transmittance(channel.tau1) == pytest.approx(
+            DEFAULT_LOSS1_DB, abs=1e-12
+        )
         assert channel.dark_count == DEFAULT_DARK_COUNT
         assert cfg.model is PostprocessingModel.SQUASH
         assert cfg.n_max == 40
@@ -157,9 +160,9 @@ SWEEP_POINTS = {
     "g": (0.5, lambda cfg: cfg.source_params().g),
     "mu": (0.2, lambda cfg: cfg.source_params().mean_photon_number()),
     "tau1": (0.3, lambda cfg: cfg.channel_params().tau1),
-    "loss1_db": (3.0, lambda cfg: cfg.channel_params().loss1_db()),
+    "loss1_db": (3.0, lambda cfg: db_from_transmittance(cfg.channel_params().tau1)),
     "tau2": (0.01, lambda cfg: cfg.channel_params().tau2),
-    "loss2_db": (33.0, lambda cfg: cfg.channel_params().loss2_db()),
+    "loss2_db": (33.0, lambda cfg: db_from_transmittance(cfg.channel_params().tau2)),
     "dark_count": (1e-4, lambda cfg: cfg.channel_params().dark_count),
     "theta1_deg": (90.0, lambda cfg: math.degrees(cfg.angles().theta1)),
 }

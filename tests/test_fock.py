@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from hbepp_link import (
-    CANONICAL_PATTERNS,
     ChannelParams,
-    ClickPattern,
-    JointPhotonDistribution,
     MeasurementAngles,
     SourceParams,
+    fock,
+    oracle_probabilities,
+    outcome_probabilities,
+    truncation_error_bound,
+)
+from hbepp_link.fock import (
+    JointPhotonDistribution,
     TruncatedPairState,
     apply_loss,
     build_state,
     click_probabilities,
-    fock,
-    oracle_probabilities,
-    outcome_probabilities,
     photon_number_distribution,
     rotate_modes,
-    truncation_error_bound,
 )
+from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
 
 
 def pat(bits: str) -> ClickPattern:
@@ -84,20 +85,14 @@ def reference_readout(probs: np.ndarray, dark_count: float) -> tuple[float, ...]
     )
 
 
-def reference_scatter(state: TruncatedPairState) -> np.ndarray:
-    """Squared amplitudes on the dense four-mode occupation grid."""
-    probs = np.zeros((state.n_max + 1,) * 4)
-    for n, block in enumerate(state.blocks):
+def reference_scatter(masses: list[np.ndarray]) -> np.ndarray:
+    """Per-pair-number masses ``masses[n][i, j]`` on the dense four-mode grid."""
+    probs = np.zeros((len(masses),) * 4)
+    for n, block in enumerate(masses):
         for i in range(n + 1):
             for j in range(n + 1):
-                probs[i, n - i, j, n - j] += block[i, j] ** 2
+                probs[i, n - i, j, n - j] += block[i, j]
     return probs
-
-
-def dense(dist: JointPhotonDistribution) -> np.ndarray:
-    """The detector-side occupations of a dense 4-axis distribution."""
-    a, b = dist.alice, dist.bob
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", dist.probs, a, a, b, b)
 
 
 class TestBuildState:
@@ -213,23 +208,17 @@ class TestDistributionAndLoss:
         assert np.array_equal(lossy.bob, np.eye(11))
 
     def test_single_photon_bernoulli(self):
-        probs = np.zeros((2, 2, 2, 2))
-        probs[1, 0, 0, 0] = 1.0
-        lossy = dense(apply_loss(JointPhotonDistribution(probs), 0.3, 0.9))
-        assert lossy[1, 0, 0, 0] == pytest.approx(0.3, abs=1e-15)
-        assert lossy[0, 0, 0, 0] == pytest.approx(0.7, abs=1e-15)
+        # kernel row m: where m photons emitted into one mode end up
+        lossy = apply_loss(JointPhotonDistribution(np.zeros((2, 2, 2))), 0.3, 0.9)
+        assert np.allclose(lossy.alice[1], (0.7, 0.3), rtol=0, atol=1e-15)
 
     def test_two_photon_binomial(self):
-        probs = np.zeros((3, 3, 3, 3))
-        probs[0, 0, 2, 0] = 1.0
-        lossy = dense(apply_loss(JointPhotonDistribution(probs), 0.8, 0.5))
-        assert lossy[0, 0, 2, 0] == pytest.approx(0.25, abs=1e-15)
-        assert lossy[0, 0, 1, 0] == pytest.approx(0.5, abs=1e-15)
-        assert lossy[0, 0, 0, 0] == pytest.approx(0.25, abs=1e-15)
+        lossy = apply_loss(JointPhotonDistribution(np.zeros((3, 3, 3))), 0.8, 0.5)
+        assert np.allclose(lossy.bob[2], (0.25, 0.5, 0.25), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n_max", [0, 1, 3, 6])
     def test_successive_losses_compose(self, n_max):
-        dist = JointPhotonDistribution(np.ones((n_max + 1,) * 4))
+        dist = JointPhotonDistribution(np.ones((n_max + 1,) * 3))
         dist = apply_loss(apply_loss(dist, 0.6, 0.9), 0.5, 1.0)
         assert np.allclose(dist.alice, reference_thinning(n_max, 0.3), rtol=0, atol=1e-15)
         assert np.allclose(dist.bob, reference_thinning(n_max, 0.9), rtol=0, atol=1e-15)
@@ -253,9 +242,7 @@ class TestDistributionAndLoss:
 
 class TestClickProbabilities:
     def _vacuum_distribution(self):
-        probs = np.zeros((1, 1, 1, 1))
-        probs[0, 0, 0, 0] = 1.0
-        return JointPhotonDistribution(probs)
+        return JointPhotonDistribution(np.ones((1, 1, 1)))
 
     def test_vacuum_without_dark_counts(self):
         table = click_probabilities(self._vacuum_distribution(), 0.0)
@@ -286,13 +273,16 @@ class TestAgainstDensePipeline:
     @pytest.mark.parametrize("tau1,tau2,dark", CHANNELS)
     @pytest.mark.parametrize("n_max", [0, 2, 6])
     def test_random_dense_distributions(self, n_max, tau1, tau2, dark):
+        # random masses, not squared amplitudes, on the (n, i, j) support
         rng = np.random.default_rng(n_max)
-        probs = rng.uniform(size=(n_max + 1,) * 4)
-        probs /= probs.sum()  # mostly not pair-symmetric
+        n, i, j = np.indices((n_max + 1,) * 3)
+        probs = np.where((i <= n) & (j <= n), rng.uniform(size=n.shape), 0.0)
+        probs /= probs.sum()
         table = click_probabilities(
             apply_loss(JointPhotonDistribution(probs), tau1, tau2), dark
         )
-        expected = reference_readout(reference_apply_loss(probs, tau1, tau2), dark)
+        dense_probs = reference_scatter([probs[n, : n + 1, : n + 1] for n in range(n_max + 1)])
+        expected = reference_readout(reference_apply_loss(dense_probs, tau1, tau2), dark)
         assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-15
 
     @pytest.mark.parametrize("tau1,tau2,dark", CHANNELS)
@@ -307,7 +297,7 @@ class TestAgainstDensePipeline:
         table = click_probabilities(
             apply_loss(photon_number_distribution(state), tau1, tau2), dark
         )
-        dense_probs = reference_scatter(state)
+        dense_probs = reference_scatter([b * b for b in state.blocks])
         expected = reference_readout(reference_apply_loss(dense_probs, tau1, tau2), dark)
         assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-15
 

@@ -8,17 +8,18 @@ from hbepp_link import (
     MeasurementAngles,
     PostprocessingModel,
     SourceParams,
-    binary_entropy,
-    coincidences,
-    key_rate_report,
     optimize_gain,
     oracle_probabilities,
-    passive_performance,
     qber_and_sift,
-    secure_rate,
-    transmittance_from_db,
 )
-from hbepp_link.keyrate import G_BRACKET
+from hbepp_link.keyrate import (
+    G_BRACKET,
+    binary_entropy,
+    passive_performance,
+    secure_rate,
+)
+from hbepp_link.params import transmittance_from_db
+from hbepp_link.postprocess import coincidences
 
 #: Reference downlink: 1.6 dB on Alice's arm, dark counts per detector per mode.
 REFERENCE_TAU1 = transmittance_from_db(1.6)
@@ -147,11 +148,6 @@ class TestSecureRate:
             eps = rng.uniform(0.0, 1.0)
             r_sift = rng.uniform(0.0, 1.0)
             assert 0.0 <= secure_rate(eps, r_sift) <= r_sift
-
-    def test_report_invariants(self):
-        report = key_rate_report(SourceParams(0.3), reference_channel(20.0))
-        assert 0.0 <= report.secure_rate <= report.sifted_rate
-        assert report.mu_used == pytest.approx(0.09 / 0.91, abs=1e-12)
 
 
 class TestOptimizeGain:

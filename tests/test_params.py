@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hbepp_link import (
-    ChannelParams,
-    MeasurementAngles,
-    SourceParams,
+from hbepp_link import ChannelParams, MeasurementAngles, SourceParams
+from hbepp_link.params import (
     db_from_transmittance,
     gain_from_mean_photon,
     transmittance_from_db,
@@ -91,8 +89,8 @@ class TestChannelParams:
         channel = ChannelParams.from_db_losses(1.6, 20.0, dark_count=6.25e-7)
         assert channel.tau1 == pytest.approx(0.6918309709189365, abs=1e-15)
         assert channel.tau2 == pytest.approx(0.01, abs=1e-15)
-        assert channel.loss1_db() == pytest.approx(1.6, abs=1e-12)
-        assert channel.loss2_db() == pytest.approx(20.0, abs=1e-12)
+        assert db_from_transmittance(channel.tau1) == pytest.approx(1.6, abs=1e-12)
+        assert db_from_transmittance(channel.tau2) == pytest.approx(20.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from hbepp_link import (
-    CANONICAL_PATTERNS,
     ChannelParams,
-    ClickPattern,
-    CoincidenceCounts,
     MeasurementAngles,
     PostprocessingModel,
     ProbabilityTable,
     SourceParams,
     TSIRELSON_BOUND,
     chsh,
-    correlation,
-    discard_coincidences,
     oracle_probabilities,
     outcome_probabilities,
+)
+from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
+from hbepp_link.postprocess import (
+    CoincidenceCounts,
+    correlation,
+    discard_coincidences,
     squash_coincidences,
 )
 
@@ -35,7 +36,7 @@ def table_with(entries: dict[str, float]) -> ProbabilityTable:
         mapping[pat(bits)] = value
         total += value
     mapping[pat("0000")] += 1.0 - total  # keep the table normalized
-    return ProbabilityTable.from_mapping(mapping)
+    return ProbabilityTable(tuple(mapping[p] for p in CANONICAL_PATTERNS))
 
 
 class TestSquash:
