@@ -147,7 +147,8 @@ _KEYS = (
     _Key("angles.theta1_deg", "theta1_deg", _REAL, unit="deg"),
     _Key("angles.theta2_deg", "theta2_deg", _REAL),
     _Key("model", "model", _model),
-    _Key("oracle.n_max", "n_max", _number(int, "[0, inf)")),
+    # the oracle holds O(n_max^3) floats and diagonalizes one generator per n
+    _Key("oracle.n_max", "n_max", _number(int, "[0, 200]")),
     _Key("output.per_second", "per_second", _boolean),
     _Key("sweep.variable", "sweep_variable", _sweep_variable),
     _Key("sweep.start", "sweep_start", _REAL),

@@ -15,15 +15,20 @@ that matter are therefore consumed by the basis rotation, and tracking
 |amplitude|^2 afterwards is exact, not an approximation.
 
 State layout: the source emits equal photon numbers into Alice's and Bob's
-arms, so the amplitude array is stored per pair number n as an
-(n+1) x (n+1) block over (Alice photons in the ``+`` mode, Bob photons in
-the ``+`` mode). Squaring keeps that support: the photon-number distribution
-is an (n, i, j) array of O(n_max^3) entries, never the dense (n_max+1)^4
-grid over the four mode occupations. Loss and readout act on each detector
-mode independently, so each is a Markov kernel over one mode's photon
-number. Loss composes its binomial matrix into Alice's and Bob's kernels,
-and the readout composes the threshold matrix into them and contracts the
-result with the support mass, so the thinned distribution is never stored.
+arms, so the amplitudes are stored per pair number n as an (n+1) x (n+1)
+block, one axis per party. The axes are coordinates in the real Schur
+basis Q_n of the rotation generator on n photons, not Fock occupations. A
+basis rotation turns independent planes of that basis, so rotating is
+2 x 2 mixing of paired rows and of paired columns, and the only matrix
+products are the two per block that return to Fock amplitudes,
+Q_n X_n Q_n^T, before squaring. Squaring keeps the pair support: the
+photon-number distribution is an (n, i, j) array of O(n_max^3) entries,
+never the dense (n_max+1)^4 grid over the four mode occupations. Loss and
+readout act on each detector mode independently, so each is a Markov
+kernel over one mode's photon number. Loss composes its binomial matrix
+into Alice's and Bob's kernels, and the readout composes the threshold
+matrix into them and contracts the result with the support mass, so the
+thinned distribution is never stored.
 """
 
 from __future__ import annotations
@@ -53,14 +58,78 @@ def truncation_error_bound(g: float, n_max: int) -> float:
     return (n_max + 2) * x ** (n_max + 1) - (n_max + 1) * x ** (n_max + 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur basis of the polarization rotation on n photons.
+
+    In the basis (k, n-k) of the two analysis modes the rotation is
+    exp(theta A), where the generator A = a+^dag a- - a-^dag a+ is
+    tridiagonal with sqrt((k+1)(n-k)) below the diagonal and its negative
+    above. With P = diag(i^k), A = i P^-1 J P for the real symmetric J with
+    sqrt((k+1)(n-k)) on both off-diagonals. J is twice the x component of
+    a spin n/2, so its eigenvalues are the integers n, n-2, ..., -n. For a
+    unit eigenvector v of J with eigenvalue lambda > 0, P^-1 v is an
+    eigenvector of A with eigenvalue i lambda. Its real part x holds the
+    even entries of v times (-1)^(k/2), its imaginary part y the odd ones
+    times -(-1)^((k-1)/2), and each has norm 1/sqrt(2). So A x = -lambda y
+    and A y = lambda x, and exp(theta A) maps the coordinates (u, w) of
+    u x + w y to (c u + s w, c w - s u), with c, s the cosine and sine of
+    theta lambda: the rotation turns each plane (x, y) by its own angle.
+
+    Returns the orthogonal Q = sqrt(2) [x_1 .. x_p, y_1 .. y_p], with the
+    null vector of J (even entries only, times (-1)^(k/2)) as the last
+    column when n is even, and the integer rates lambda_1 .. lambda_p of
+    its p = (n+1) // 2 planes. Cached by n alone: one entry per photon
+    number up to the largest truncation used.
+    """
+    off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))
+    values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    planes = (n + 1) // 2
+    k = np.arange(n + 1)[:, None]
+    sign = np.where(k % 4 < 2, 1.0, -1.0)  # (-1)^(k // 2)
+    even = k % 2 == 0
+    turning = vectors[:, n + 1 - planes :] * (math.sqrt(2.0) * sign)
+    columns = [np.where(even, turning, 0.0), np.where(even, 0.0, -turning)]
+    if n % 2 == 0:
+        columns.append(vectors[:, planes : planes + 1] * sign)
+    q = np.hstack(columns)
+    rates = np.rint(values[n + 1 - planes :]).astype(np.intp)
+    for array in (q, rates):
+        array.flags.writeable = False
+    return q, rates
+
+
+@functools.lru_cache(maxsize=None)
+def _source_block(n: int) -> np.ndarray:
+    """The n-pair block of the source at unit weight, in the Schur basis.
+
+    The n-pair component is the n-th power of the antisymmetric pair
+    creation operator (a1H+ a2V+ - a1V+ a2H+) applied to vacuum, normalized
+    by n! sqrt(n+1). Expanding the power binomially, term m carries
+    C(n, m) (-1)^(n-m) and raises the (1H, 1V, 2H, 2V) occupations to
+    (m, n-m, n-m, m), which contributes sqrt(m!^2 (n-m)!^2) on vacuum.
+    Since C(n, m) m! (n-m)! / n! = 1 exactly, the Fock block B holds
+    (-1)^(n-m) at (m, n-m), with no factorial evaluated. Returns
+    Q_n^T B Q_n, cached by n alone.
+    """
+    q = _schur_basis(n)[0]
+    m = np.arange(n + 1)[:, None]
+    # row m of B Q is (-1)^(n-m) times row n-m of Q
+    block = q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])
+    block.flags.writeable = False
+    return block
+
+
 @dataclass(frozen=True, slots=True)
 class TruncatedPairState:
     """Amplitudes of the (rotated) pair state, blocked by pair number.
 
-    ``blocks[n][i, j]`` is the amplitude of i photons in Alice's first mode
-    (n - i in her second) and j photons in Bob's first mode (n - j in his
-    second). Before rotation the first modes are the H polarizations; after
-    rotation they are the ``+`` analysis modes.
+    ``blocks[n][r, c]`` is the coefficient of column r of Q_n on Alice's
+    side and column c of Q_n on Bob's (see ``_schur_basis``). In the Fock
+    basis, ``fock_block(n)[i, j]`` is the amplitude of i photons in Alice's
+    first mode (n - i in her second) and j photons in Bob's first mode
+    (n - j in his second). Before rotation the first modes are the H
+    polarizations; after rotation they are the ``+`` analysis modes.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -71,6 +140,11 @@ class TruncatedPairState:
 
     def norm_squared(self) -> float:
         return float(sum(np.sum(b * b) for b in self.blocks))
+
+    def fock_block(self, n: int) -> np.ndarray:
+        """Fock amplitudes of pair number n: Q_n blocks[n] Q_n^T."""
+        q = _schur_basis(n)[0]
+        return q @ self.blocks[n] @ q.T
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,68 +183,59 @@ class JointPhotonDistribution:
 def build_state(g: float, n_max: int) -> TruncatedPairState:
     """Pair-source state truncated at ``n_max`` pairs, in the H/V bases.
 
-    The n-pair component is the n-th power of the antisymmetric pair
-    creation operator (a1H+ a2V+ - a1V+ a2H+) applied to vacuum, normalized
-    by n! sqrt(n+1) and weighted by (1-g^2) sqrt(n+1) g^n. Expanding the
-    power binomially, term m carries C(n, m) (-1)^(n-m) and raises the
-    (1H, 1V, 2H, 2V) occupations to (m, n-m, n-m, m), which contributes
-    sqrt(m!^2 (n-m)!^2) on vacuum. Since C(n, m) m! (n-m)! / n! = 1 exactly,
-    the amplitude is (1-g^2) g^n (-1)^(n-m), with no factorial evaluated.
+    Block n is the unit source block of ``_source_block``, weighted by
+    (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1).
     """
     if not 0.0 <= g < 1.0:
         raise ValueError(f"nonlinear gain must be in [0, 1), got {g}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
-    blocks = []
-    for n, weight in enumerate(weights):
-        m = np.arange(n + 1)
-        block = np.zeros((n + 1, n + 1))
-        # occupations: 1H=m, 1V=n-m (Alice), 2H=n-m, 2V=m (Bob)
-        block[m, n - m] = weight * (-1.0) ** (n - m)
-        blocks.append(block)
-    return TruncatedPairState(tuple(blocks))
+    return TruncatedPairState(
+        tuple(weight * _source_block(n) for n, weight in enumerate(weights))
+    )
+
+
+def _offset(n: int) -> int:
+    """Start of block n in the flat layout: the sum of (m+1)^2 over m < n."""
+    return n * (n + 1) * (2 * n + 1) // 6
 
 
 @functools.lru_cache(maxsize=None)
-def _rotation_eigenbasis(n: int) -> tuple[np.ndarray, ...]:
-    """Angle-independent parts of the rotation on n photons.
+def _plane_tables(size: int) -> tuple[np.ndarray, ...]:
+    """Gather tables that turn the planes of all ``size`` blocks at once.
 
-    In the basis (k, n-k) of the two analysis modes the rotation is
-    exp(theta A), where the generator A = a+^dag a- - a-^dag a+ is
-    tridiagonal with sqrt((k+1)(n-k)) below the diagonal and its negative
-    above. With P = diag(i^k), A = i P^-1 J P for the real symmetric J with
-    sqrt((k+1)(n-k)) on both off-diagonals. For J = V diag(lambda) V^T,
-
-        exp(theta A) = P^-1 V diag(exp(i theta lambda)) V^T P,
-
-    so R[k, h] = Re(i^(h-k) (C + iS)[k, h]) with the real products
-    C = V diag(cos(theta lambda)) V^T and S = V diag(sin(theta lambda)) V^T.
-    Returns V, lambda, and Re and Im of i^(h-k). Cached by n alone:
-    one entry per photon number up to the largest truncation used.
+    The blocks lie end to end, row-major, in one flat array. For each flat
+    entry, ``row_rate`` indexes its row's turn in the tables cos(rate theta)
+    and sin(rate theta) for rates 0 .. size-1, each followed by its copy
+    with the sine negated: x rows read +sin, y rows -sin (offset by
+    ``size``), and a null row rate 0. ``row_partner`` is the flat index of
+    the same column in the other row of the plane (the entry itself on a
+    null row). ``col_rate`` and ``col_partner`` do the same for columns.
+    Cached by the truncation alone.
     """
-    off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))
-    values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    offset = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
-    power = np.array([1.0, 1.0j, -1.0, -1.0j])[offset % 4]
-    cached = (vectors, values, power.real, power.imag)
-    for array in cached:
+    tables: tuple[list, ...] = ([], [], [], [])
+    for n in range(size):
+        rates = _schur_basis(n)[1]
+        planes = len(rates)
+        line_rate = np.zeros(n + 1, dtype=np.intp)
+        line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
+        other = np.arange(n + 1)  # the other line of the same plane
+        other[:planes] += planes
+        other[planes : 2 * planes] -= planes
+        row, col = np.indices((n + 1, n + 1))
+        entries = (
+            line_rate[row],
+            _offset(n) + (n + 1) * other[row] + col,
+            line_rate[col],
+            _offset(n) + (n + 1) * row + other[col],
+        )
+        for table, entry in zip(tables, entries):
+            table.append(entry.ravel())
+    flat = tuple(np.concatenate(table) for table in tables)
+    for array in flat:
         array.flags.writeable = False
-    return cached
-
-
-def _rotation_block(n: int, theta: float) -> np.ndarray:
-    """Fock-basis matrix of the polarization rotation on n photons.
-
-    Entry [k, h] is the amplitude for occupation (h, n-h) of the (H, V)
-    modes to appear as occupation (k, n-k) of the (+, -) analysis modes,
-    under aH+ = cos(t) a+ - sin(t) a-,  aV+ = sin(t) a+ + cos(t) a-.
-    """
-    vectors, values, re, im = _rotation_eigenbasis(n)
-    phase = theta * values
-    c = (vectors * np.cos(phase)) @ vectors.T
-    s = (vectors * np.sin(phase)) @ vectors.T
-    return re * c - im * s
+    return flat
 
 
 def rotate_modes(
@@ -178,23 +243,40 @@ def rotate_modes(
 ) -> TruncatedPairState:
     """Re-express the state in analysis bases rotated by theta1 and theta2.
 
-    Acts within each pair-number block (the rotation conserves photon
-    number per party) and preserves the norm.
+    In the Schur basis the rotation turns each plane of Alice's rows by
+    theta1 times its rate and each plane of Bob's columns by theta2 times
+    its rate, which mixes paired rows and paired columns 2 x 2; one cosine
+    and one sine per angle and rate serve every pair number. Acts within
+    each pair-number block (the rotation conserves photon number per
+    party) and preserves the norm.
     """
-    rotated = []
-    for n, block in enumerate(state.blocks):
-        m1 = _rotation_block(n, theta1)
-        m2 = _rotation_block(n, theta2)
-        rotated.append(m1 @ block @ m2.T)
-    return TruncatedPairState(tuple(rotated))
+    size = state.n_max + 1
+    row_rate, row_partner, col_rate, col_partner = _plane_tables(size)
+    flat = np.concatenate([block.ravel() for block in state.blocks])
+    for theta, rate, partner in (
+        (theta1, row_rate, row_partner),
+        (theta2, col_rate, col_partner),
+    ):
+        phase = theta * np.arange(size)
+        cos, sin = np.cos(phase), np.sin(phase)
+        flat = (
+            np.concatenate((cos, cos))[rate] * flat
+            + np.concatenate((sin, -sin))[rate] * flat[partner]
+        )
+    return TruncatedPairState(
+        tuple(
+            flat[_offset(n) : _offset(n + 1)].reshape(n + 1, n + 1)
+            for n in range(size)
+        )
+    )
 
 
 def photon_number_distribution(state: TruncatedPairState) -> JointPhotonDistribution:
-    """Squared amplitudes on the pair support (n, i, j)."""
+    """Squared Fock amplitudes on the pair support (n, i, j)."""
     size = state.n_max + 1
     probs = np.zeros((size, size, size))
-    for n, block in enumerate(state.blocks):
-        probs[n, : n + 1, : n + 1] = block * block
+    for n in range(size):
+        np.square(state.fock_block(n), out=probs[n, : n + 1, : n + 1])
     return JointPhotonDistribution(probs)
 
 
@@ -231,11 +313,17 @@ def apply_loss(
 
 
 def _both_modes(kernel: np.ndarray) -> np.ndarray:
-    """P[n, i, x, y] = kernel[i, x] kernel[n-i, y]: i and n-i photons emitted."""
-    n = np.arange(kernel.shape[0])
+    """P[n, i, K x + y] = kernel[i, x] kernel[n-i, y]: i and n-i photons emitted.
+
+    K is the number of outcomes per mode (the columns of ``kernel``); the
+    entries with i > n read an appended zero row of the kernel.
+    """
+    size, outcomes = kernel.shape
+    n = np.arange(size)
     rest = n[:, None] - n[None, :]
-    pair = kernel[None, :, :, None] * kernel[np.maximum(rest, 0)][:, :, None, :]
-    return np.where((rest >= 0)[:, :, None, None], pair, 0.0)
+    padded = np.vstack((kernel, np.zeros((1, outcomes))))
+    pair = kernel[None, :, :, None] * padded[np.where(rest >= 0, rest, size)][:, :, None, :]
+    return pair.reshape(size, size, outcomes * outcomes)
 
 
 def _read_out(dist: JointPhotonDistribution, per_mode: np.ndarray) -> np.ndarray:
@@ -244,15 +332,13 @@ def _read_out(dist: JointPhotonDistribution, per_mode: np.ndarray) -> np.ndarray
     Returns an array indexed by one outcome x per mode, in (a+, a-, b+, b-)
     order.
     """
-    alice = dist.alice @ per_mode
-    bob = dist.bob @ per_mode
-    return np.einsum(
-        "nij,niab,njcd->abcd",
-        dist.probs,
-        _both_modes(alice),
-        _both_modes(bob),
-        optimize=["einsum_path", (0, 1), (0, 1)],  # fixed order, no path search
-    )
+    outcomes = per_mode.shape[1]
+    alice = _both_modes(dist.alice @ per_mode)
+    bob = _both_modes(dist.bob @ per_mode)
+    # sum over Alice's i for each (n, j), then over n and j in one product
+    per_bob = np.matmul(dist.probs.transpose(0, 2, 1), alice)
+    table = per_bob.reshape(-1, outcomes * outcomes).T @ bob.reshape(-1, outcomes * outcomes)
+    return table.reshape((outcomes,) * 4)
 
 
 def click_probabilities(

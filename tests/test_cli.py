@@ -187,6 +187,8 @@ class TestErrorsAndIO:
             ("sweep.start", ["sweep.variable=tau2", "sweep.start=0",
                              "sweep.stop=0.5", "sweep.steps=3"]),
             ("sweep.steps", ["sweep.steps=3"]),
+            ("oracle.n_max", ["oracle.n_max=201"]),
+            ("oracle.n_max", ["oracle.n_max=1000000000"]),
         ],
     )
     def test_rejection_starts_with_key(self, capsys, key, settings):

@@ -65,6 +65,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel"):
             parse_config("channel.tau2 = 0.0\n")
 
+    def test_truncation_bounded(self):
+        # parsed only: the oracle is never run at these sizes here
+        assert parse_config("oracle.n_max = 200\n").n_max == 200
+        with pytest.raises(ConfigError, match=r"oracle.n_max: .* \[0, 200\], got '201'"):
+            parse_config("oracle.n_max = 201\n")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("source.g = 0.1\nnonsense\n")

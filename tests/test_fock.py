@@ -54,6 +54,47 @@ def reference_rotation_block(n: int, theta: float) -> np.ndarray:
     return out
 
 
+def reference_eigenbasis_block(n: int, theta: float) -> np.ndarray:
+    """The same rotation from the eigendecomposition of J, as the oracle
+    computed it before the Schur basis: with P = diag(i^k) and
+    J = V diag(lambda) V^T, exp(theta A) = P^-1 V diag(exp(i theta lambda)) V^T P,
+    so entry [k, h] is Re(i^(h-k) (C + iS)[k, h]) for the real products
+    C = V diag(cos(theta lambda)) V^T and S = V diag(sin(theta lambda)) V^T.
+    """
+    off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))
+    values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    offset = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
+    power = np.array([1.0, 1.0j, -1.0, -1.0j])[offset % 4]
+    c = (vectors * np.cos(theta * values)) @ vectors.T
+    s = (vectors * np.sin(theta * values)) @ vectors.T
+    return power.real * c - power.imag * s
+
+
+def reference_source_block(g: float, n: int) -> np.ndarray:
+    """Fock amplitudes (1-g^2) g^n (-1)^(n-m) at (m, n-m) of the n-pair block."""
+    block = np.zeros((n + 1, n + 1))
+    m = np.arange(n + 1)
+    block[m, n - m] = (1.0 - g * g) * g**n * (-1.0) ** (n - m)
+    return block
+
+
+def schur_state(fock_blocks) -> TruncatedPairState:
+    """A state given by its Fock-basis blocks, in the Schur basis Q_n."""
+    return TruncatedPairState(
+        tuple(
+            fock._schur_basis(n)[0].T @ block @ fock._schur_basis(n)[0]
+            for n, block in enumerate(fock_blocks)
+        )
+    )
+
+
+def rotated_fock_blocks(size: int, theta1: float, theta2: float) -> list[np.ndarray]:
+    """R1 I R2^T = R1 R2^T per block: the identity rotated by rotate_modes."""
+    state = schur_state([np.eye(n + 1) for n in range(size)])
+    rotated = rotate_modes(state, theta1, theta2)
+    return [rotated.fock_block(n) for n in range(size)]
+
+
 def reference_thinning(n_max: int, tau: float) -> np.ndarray:
     t = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
@@ -95,16 +136,55 @@ def reference_scatter(masses: list[np.ndarray]) -> np.ndarray:
     return probs
 
 
+def reference_eigenbasis_oracle(g, tau1, tau2, dark, theta1, theta2, n_max):
+    """The whole oracle as computed before the Schur basis: Fock blocks
+    rotated by R1 B R2^T with the eigendecomposition blocks, squared onto
+    the support, and read out by one einsum over per-mode kernels.
+    """
+    size = n_max + 1
+    probs = np.zeros((size,) * 3)
+    for n in range(size):
+        block = reference_source_block(g, n)
+        rotated = (
+            reference_eigenbasis_block(n, theta1)
+            @ block
+            @ reference_eigenbasis_block(n, theta2).T
+        )
+        probs[n, : n + 1, : n + 1] = rotated * rotated
+    readout = np.zeros((size, 2))  # columns: (no click, click)
+    readout[0] = (1.0 - dark, dark)
+    readout[1:, 1] = 1.0
+
+    def both_modes(kernel):
+        n = np.arange(size)
+        rest = n[:, None] - n[None, :]
+        pair = kernel[None, :, :, None] * kernel[np.maximum(rest, 0)][:, :, None, :]
+        return np.where((rest >= 0)[:, :, None, None], pair, 0.0)
+
+    t = np.einsum(
+        "nij,niab,njcd->abcd",
+        probs,
+        both_modes(reference_thinning(n_max, tau1) @ readout),
+        both_modes(reference_thinning(n_max, tau2) @ readout),
+        optimize=["einsum_path", (0, 1), (0, 1)],
+    )
+    return tuple(
+        float(t[int(p.a_plus), int(p.a_minus), int(p.b_plus), int(p.b_minus)])
+        for p in CANONICAL_PATTERNS
+    )
+
+
 class TestBuildState:
     def test_vacuum_source(self):
         state = build_state(0.0, 5)
-        assert state.blocks[0][0, 0] == pytest.approx(1.0, abs=1e-15)
-        for block in state.blocks[1:]:
+        assert state.fock_block(0)[0, 0] == pytest.approx(1.0, abs=1e-15)
+        for n, block in enumerate(state.blocks[1:], start=1):
             assert np.all(block == 0.0)
+            assert np.all(state.fock_block(n) == 0.0)
 
     def test_vacuum_amplitude(self):
         state = build_state(0.6, 0)
-        assert state.blocks[0][0, 0] == pytest.approx(0.64, abs=1e-15)
+        assert state.fock_block(0)[0, 0] == pytest.approx(0.64, abs=1e-15)
 
     def test_single_pair_block_is_the_singlet(self):
         # n = 1 term: (a1H+ a2V+ - a1V+ a2H+)|0>, weighted by (1-g^2) g
@@ -112,7 +192,7 @@ class TestBuildState:
         state = build_state(g, 3)
         w = (1.0 - g * g) * g
         expected = np.array([[0.0, -w], [w, 0.0]])
-        assert np.allclose(state.blocks[1], expected, atol=1e-15)
+        assert np.allclose(state.fock_block(1), expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("g,n_max", [(0.3, 5), (0.6, 12), (0.8, 30)])
     def test_norm_complements_truncation_tail(self, g, n_max):
@@ -124,8 +204,14 @@ class TestBuildState:
     def test_no_overflow_at_large_truncation(self):
         # the factorials of the binomial expansion cancel exactly
         state = build_state(0.7, 200)
-        assert state.blocks[200][0, 200] == pytest.approx(0.51 * 0.7**200, rel=1e-13)
+        assert state.fock_block(200)[0, 200] == pytest.approx(0.51 * 0.7**200, rel=1e-13)
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+    def test_fock_blocks_match_factorial_free_amplitudes(self):
+        state = build_state(0.55, 30)
+        for n in range(31):
+            expected = reference_source_block(0.55, n)
+            assert np.max(np.abs(state.fock_block(n) - expected)) <= 1e-15
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -139,16 +225,39 @@ class TestBuildState:
 class TestRotateModes:
     @pytest.mark.parametrize("theta", ANGLES)
     def test_blocks_match_factorial_reference(self, theta):
+        # pins the direction of the turn, which no click table can: the
+        # tables are even in the relative angle
+        alice = rotated_fock_blocks(21, theta, 0.0)  # R(theta)
+        bob = rotated_fock_blocks(21, 0.0, theta)  # R(theta)^T
         for n in range(21):
-            assert np.max(
-                np.abs(fock._rotation_block(n, theta) - reference_rotation_block(n, theta))
-            ) <= 1e-13
+            reference = reference_rotation_block(n, theta)
+            assert np.max(np.abs(alice[n] - reference)) <= 1e-13
+            assert np.max(np.abs(bob[n] - reference.T)) <= 1e-13
 
     @pytest.mark.parametrize("theta", ANGLES)
     def test_blocks_orthogonal(self, theta):
-        for n in range(101):
-            block = fock._rotation_block(n, theta)
+        for n, block in enumerate(rotated_fock_blocks(101, theta, 0.0)):
             assert np.max(np.abs(block @ block.T - np.eye(n + 1))) <= 1e-13
+
+    def test_schur_basis_orthogonal(self):
+        for n in range(101):
+            q = fock._schur_basis(n)[0]
+            assert np.max(np.abs(q @ q.T - np.eye(n + 1))) <= 1e-13
+
+    def test_random_states_match_reference_blocks(self):
+        # states that are not the source, turned by unrelated angles
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            fock_blocks = [rng.normal(size=(n + 1, n + 1)) for n in range(13)]
+            theta1, theta2 = rng.uniform(-math.pi, math.pi, size=2)
+            rotated = rotate_modes(schur_state(fock_blocks), theta1, theta2)
+            for n, block in enumerate(fock_blocks):
+                expected = (
+                    reference_rotation_block(n, theta1)
+                    @ block
+                    @ reference_rotation_block(n, theta2).T
+                )
+                assert np.max(np.abs(rotated.fock_block(n) - expected)) <= 1e-13
 
     def test_zero_angles_identity(self):
         state = build_state(0.5, 8)
@@ -167,14 +276,15 @@ class TestRotateModes:
 
     def test_single_photon_quarter_turn(self):
         # one H photon on Alice's side moves entirely into her minus mode
-        blocks = (np.zeros((1, 1)), np.array([[0.0, 0.0], [1.0, 0.0]]))
-        state = TruncatedPairState(blocks)
+        state = schur_state((np.zeros((1, 1)), np.array([[0.0, 0.0], [1.0, 0.0]])))
         rotated = rotate_modes(state, math.pi / 2, 0.0)
-        block = rotated.blocks[1]
+        block = rotated.fock_block(1)
         assert abs(block[0, 0]) == pytest.approx(1.0, abs=1e-15)  # a+ empty, a- full
         assert block[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_common_rotation_leaves_clicks_unchanged(self):
+        # the source is invariant under one rotation of both parties; the
+        # pipeline does not know that and turns both sides in full
         source = SourceParams(0.4)
         channel = ChannelParams(tau1=0.8, tau2=0.2)
         base = oracle_probabilities(
@@ -183,8 +293,17 @@ class TestRotateModes:
         shifted = oracle_probabilities(
             source, channel, MeasurementAngles(0.5 + 0.9, 0.9), n_max=25
         )
+        unrotated = oracle_probabilities(
+            source, channel, MeasurementAngles(0.0, 0.0), n_max=25
+        )
         for a, b in zip(base.values, shifted.values):
-            assert a == pytest.approx(b, abs=1e-10)
+            assert a == pytest.approx(b, abs=1e-14)
+        assert max(abs(a - b) for a, b in zip(base.values, unrotated.values)) > 1e-3
+        state = build_state(0.4, 25)
+        turned = rotate_modes(state, 0.5 + 0.9, 0.9)
+        reference = rotate_modes(state, 0.5, 0.0)
+        for n in range(26):
+            assert np.max(np.abs(turned.fock_block(n) - reference.fock_block(n))) <= 1e-14
 
 
 class TestDistributionAndLoss:
@@ -194,7 +313,8 @@ class TestDistributionAndLoss:
         state = rotate_modes(build_state(0.6, 12), 0.3, 1.1)
         dist = photon_number_distribution(state)
         assert dist.probs.shape == (13, 13, 13)
-        for n, block in enumerate(state.blocks):
+        for n in range(13):
+            block = state.fock_block(n)
             assert np.array_equal(dist.probs[n, : n + 1, : n + 1], block * block)
             assert not dist.probs[n, n + 1 :].any()
             assert not dist.probs[n, :, n + 1 :].any()
@@ -293,13 +413,36 @@ class TestAgainstDensePipeline:
         rng = np.random.default_rng(n_max)
         blocks = [rng.normal(size=(n + 1, n + 1)) for n in range(n_max + 1)]
         norm = math.sqrt(sum(np.sum(b * b) for b in blocks))
-        state = TruncatedPairState(tuple(b / norm for b in blocks))
+        state = schur_state([b / norm for b in blocks])
         table = click_probabilities(
             apply_loss(photon_number_distribution(state), tau1, tau2), dark
         )
-        dense_probs = reference_scatter([b * b for b in state.blocks])
+        dense_probs = reference_scatter(
+            [state.fock_block(n) ** 2 for n in range(n_max + 1)]
+        )
         expected = reference_readout(reference_apply_loss(dense_probs, tau1, tau2), dark)
         assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-15
+
+
+class TestAgainstEigenbasisPipeline:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 6, 40])
+    def test_oracle_matches_eigenbasis_pipeline(self, n_max):
+        rng = np.random.default_rng(100 + n_max)
+        for _ in range(8):
+            g = rng.uniform(0.0, 0.7)
+            tau1, tau2 = rng.uniform(0.01, 1.0, size=2)
+            dark = rng.choice((0.0, 1e-3))
+            theta1, theta2 = rng.uniform(-math.pi, math.pi, size=2)
+            table = oracle_probabilities(
+                SourceParams(g),
+                ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark),
+                MeasurementAngles(theta1, theta2),
+                n_max=n_max,
+            )
+            expected = reference_eigenbasis_oracle(
+                g, tau1, tau2, dark, theta1, theta2, n_max
+            )
+            assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-14
 
 
 class TestLargeTruncation:
