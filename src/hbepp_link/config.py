@@ -153,7 +153,8 @@ _KEYS = (
     _Key("sweep.variable", "sweep_variable", _sweep_variable),
     _Key("sweep.start", "sweep_start", _REAL),
     _Key("sweep.stop", "sweep_stop", _REAL),
-    _Key("sweep.steps", "sweep_steps", _number(int, "[1, inf)")),
+    # the sweep grid is built as one list before its first point runs
+    _Key("sweep.steps", "sweep_steps", _number(int, "[1, 10000]")),
 )
 
 _BY_KEY = {spec.key: spec for spec in _KEYS}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .analytic import outcome_probabilities
 from .params import ChannelParams, MeasurementAngles, SourceParams
-from .patterns import ClickPattern, ProbabilityTable
+from .patterns import CANONICAL_PATTERNS, ProbabilityTable
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -47,44 +47,50 @@ class CoincidenceCounts:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
-def _pat(a_plus: int, a_minus: int, b_plus: int, b_minus: int) -> ClickPattern:
-    return ClickPattern(bool(a_plus), bool(a_minus), bool(b_plus), bool(b_minus))
+#: Weight a double click on one side gives each of that side's outcomes.
+_DOUBLE_CLICK_WEIGHT = {PostprocessingModel.SQUASH: 0.5, PostprocessingModel.DISCARD: 0.0}
 
 
-def squash_coincidences(table: ProbabilityTable) -> CoincidenceCounts:
-    """Fold double clicks in with equal weight on both outcomes."""
-    cells = {}
-    for sa in (1, -1):
-        for sb in (1, -1):
-            a = (1, 0) if sa > 0 else (0, 1)
-            b = (1, 0) if sb > 0 else (0, 1)
-            cells[sa, sb] = (
-                table[_pat(*a, *b)]
-                + 0.5 * table[_pat(1, 1, *b)]
-                + 0.5 * table[_pat(*a, 1, 1)]
-                + 0.25 * table[_pat(1, 1, 1, 1)]
+def _side_weight(plus: bool, minus: bool, outcome_plus: bool, double: float) -> float:
+    """Weight of one side's clicks on its ``+`` or ``-`` outcome."""
+    if plus and minus:
+        return double
+    return float(plus if outcome_plus else minus)
+
+
+#: Per model, the (canonical index, weight) terms of the cells ++, +-, -+,
+#: --, nonzero weights only, in canonical order.
+_FOLDS = {
+    model: tuple(
+        tuple(
+            (index, weight)
+            for index, p in enumerate(CANONICAL_PATTERNS)
+            if (
+                weight := _side_weight(p.a_plus, p.a_minus, sa, double)
+                * _side_weight(p.b_plus, p.b_minus, sb, double)
             )
-    return CoincidenceCounts(
-        n_pp=cells[1, 1], n_pm=cells[1, -1], n_mp=cells[-1, 1], n_mm=cells[-1, -1]
+        )
+        for sa in (True, False)
+        for sb in (True, False)
     )
-
-
-def discard_coincidences(table: ProbabilityTable) -> CoincidenceCounts:
-    """Keep only exact two-fold coincidences; drop all multi-click events."""
-    return CoincidenceCounts(
-        n_pp=table[_pat(1, 0, 1, 0)],
-        n_pm=table[_pat(1, 0, 0, 1)],
-        n_mp=table[_pat(0, 1, 1, 0)],
-        n_mm=table[_pat(0, 1, 0, 1)],
-    )
+    for model, double in _DOUBLE_CLICK_WEIGHT.items()
+}
 
 
 def coincidences(
     table: ProbabilityTable, model: PostprocessingModel
 ) -> CoincidenceCounts:
-    if model is PostprocessingModel.SQUASH:
-        return squash_coincidences(table)
-    return discard_coincidences(table)
+    """Fold the 16 click patterns into the four binary outcome pairs."""
+    values = table.values
+    cells = []
+    for cell in _FOLDS[model]:
+        # a plain left-to-right loop: builtin sum() compensates float
+        # rounding on Python >= 3.12; -0.0 is the exact additive identity
+        total = -0.0
+        for index, weight in cell:
+            total += weight * values[index]
+        cells.append(total)
+    return CoincidenceCounts(*cells)
 
 
 def correlation(counts: CoincidenceCounts) -> float:

@@ -30,7 +30,7 @@ from hbepp_link.fock import (
 from hbepp_link.keyrate import passive_performance, secure_rate
 from hbepp_link.params import transmittance_from_db
 from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
-from hbepp_link.postprocess import correlation, squash_coincidences
+from hbepp_link.postprocess import coincidences, correlation
 
 from subtractive import outcome_probabilities_subtractive
 
@@ -131,7 +131,7 @@ def test_criterion_3_singlet_limit():
         table = outcome_probabilities(
             source, FIG3_CHANNEL, MeasurementAngles(theta, 0.0)
         )
-        value = correlation(squash_coincidences(table))
+        value = correlation(coincidences(table, PostprocessingModel.SQUASH))
         worst_corr = max(worst_corr, abs(value + math.cos(2 * theta)))
     s_gap = max(
         abs(chsh(source, FIG3_CHANNEL, model) - TSIRELSON_BOUND)

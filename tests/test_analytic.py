@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from hbepp_link import (
     outcome_probabilities,
     truncation_error_bound,
 )
-from hbepp_link.analytic import QCoefficients, q_function, vacuum_set_probability
+from hbepp_link.analytic import vacuum_set_probability
 from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
     ClickPattern,
     ProbabilityConsistencyError,
 )
 
+from exact import vacuum_set_probability_exact
 from subtractive import outcome_probabilities_subtractive
 
 ALL_SILENT = (True, True, True, True)
@@ -42,61 +45,7 @@ def random_params(rng, g_max=0.9, dark_choices=(0.0,)):
     )
 
 
-class TestQFunction:
-    def test_vacuum_source_collapses_to_one(self):
-        coeffs = QCoefficients.for_silent_modes((True, False, True, False), 0.7, 0.3)
-        for theta in (0.0, 0.4, 1.2):
-            assert q_function(coeffs, 0.0, 0.7, 0.3, theta) == pytest.approx(
-                1.0, abs=1e-15
-            )
-
-    def test_all_silent_closed_form(self):
-        # all coefficients 1: Q = 1 / (1 - G)^2, frozen at g=0.6, tau=(0.7, 0.3)
-        coeffs = QCoefficients.for_silent_modes(ALL_SILENT, 0.7, 0.3)
-        value = q_function(coeffs, 0.6, 0.7, 0.3, 0.9)
-        big_g = 0.36 * 0.3 * 0.7
-        assert value == pytest.approx(1.0 / (1.0 - big_g) ** 2, abs=1e-14)
-        assert value == pytest.approx(1.1702539788167179, abs=1e-13)
-
-    def test_all_marginalized_is_theta_free(self):
-        # Q equals 1/(1-g^2)^2 regardless of theta: total probability identity
-        g = 0.55
-        coeffs = QCoefficients.for_silent_modes(NONE_SILENT, 0.8, 0.25)
-        for theta in np.linspace(0.0, math.pi, 9):
-            assert q_function(coeffs, g, 0.8, 0.25, theta) == pytest.approx(
-                1.0 / (1.0 - g * g) ** 2, abs=1e-12
-            )
-
-    def test_invalid_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            q_function(QCoefficients(0.5, 1.0, 1.0, 1.0), 0.3, 0.7, 0.3, 0.0)
-
-    def test_invalid_gain_rejected(self):
-        coeffs = QCoefficients.for_silent_modes(ALL_SILENT, 0.7, 0.3)
-        with pytest.raises(ValueError):
-            q_function(coeffs, 1.0, 0.7, 0.3, 0.0)
-
-    def test_lossless_boundary_matches_clamped_channel(self):
-        # tau = 1 makes marginalized coefficients vanish; the evaluated limit
-        # must agree with clamping tau just inside the boundary
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            silent = tuple(rng.random(4) < 0.5)
-            g = rng.uniform(0.0, 0.9)
-            theta = rng.uniform(0.0, math.pi)
-            tau2 = rng.uniform(0.01, 1.0 - 1e-9)
-            exact = q_function(
-                QCoefficients.for_silent_modes(silent, 1.0, tau2), g, 1.0, tau2, theta
-            )
-            clamped_tau = 1.0 - 1e-12
-            clamped = q_function(
-                QCoefficients.for_silent_modes(silent, clamped_tau, tau2),
-                g,
-                clamped_tau,
-                tau2,
-                theta,
-            )
-            assert exact == pytest.approx(clamped, rel=1e-9)
+SUBSETS = [tuple(bool(mask >> i & 1) for i in range(4)) for mask in range(16)]
 
 
 class TestVacuumSetProbability:
@@ -124,6 +73,99 @@ class TestVacuumSetProbability:
         assert vacuum_set_probability(
             ALL_SILENT, source, channel, angles
         ) == pytest.approx(0.0625, abs=1e-15)
+
+    def test_vacuum_source_collapses_to_dark_miss(self):
+        # g = 0: no photons, so V(S) is the dark-count miss (1-d)^|S| exactly
+        for dark in (0.0, 1e-3, 0.5):
+            channel = ChannelParams(tau1=0.7, tau2=0.3, dark_count=dark)
+            for theta in (0.0, 0.4, 1.2):
+                angles = MeasurementAngles(theta, 0.0)
+                for silent in SUBSETS:
+                    value = vacuum_set_probability(
+                        silent, SourceParams(0.0), channel, angles
+                    )
+                    assert value == (1.0 - dark) ** sum(silent)
+
+    def test_all_silent_closed_form(self):
+        # all modes silent: V = (1-g^2)^2 (1-d)^4 / (1-G)^2 with
+        # G = g^2 (1-tau1)(1-tau2) for every theta; frozen at g=0.6,
+        # tau=(0.7, 0.3), d=0
+        source = SourceParams(0.6)
+        channel = ChannelParams(tau1=0.7, tau2=0.3, dark_count=1e-3)
+        big_g = 0.36 * 0.3 * 0.7
+        closed = 0.64**2 * (1.0 - 1e-3) ** 4 / (1.0 - big_g) ** 2
+        for theta in np.linspace(0.0, math.pi, 9):
+            value = vacuum_set_probability(
+                ALL_SILENT, source, channel, MeasurementAngles(theta, 0.0)
+            )
+            assert value == pytest.approx(closed, rel=1e-15)
+        dark_free = ChannelParams(tau1=0.7, tau2=0.3)
+        value = vacuum_set_probability(
+            ALL_SILENT, source, dark_free, MeasurementAngles(0.9, 0.0)
+        )
+        assert value == pytest.approx(0.4793360297233277, rel=1e-15)
+
+    def test_all_marginalized_is_theta_free(self):
+        # nothing required silent: V is the total probability, 1 for every
+        # theta, gain, loss and dark-count rate
+        for g in (0.0, 0.55, 0.9, 0.999):
+            source = SourceParams(g)
+            channel = ChannelParams(tau1=0.8, tau2=0.25, dark_count=1e-2)
+            for theta in np.linspace(0.0, math.pi, 9):
+                angles = MeasurementAngles(theta, 0.0)
+                value = vacuum_set_probability(NONE_SILENT, source, channel, angles)
+                assert value == pytest.approx(1.0, abs=1e-15)
+
+    def test_lossless_boundary_matches_clamped_channel(self):
+        # tau = 1 needs no special case: every subset term there agrees with
+        # tau just inside the boundary
+        rng = np.random.default_rng(7)
+        clamped_tau = 1.0 - 1e-12
+        for _ in range(20):
+            source = SourceParams(rng.uniform(0.0, 0.9))
+            angles = MeasurementAngles(rng.uniform(0.0, math.pi), 0.0)
+            tau = rng.uniform(0.01, 1.0 - 1e-9)
+            dark = float(rng.choice([0.0, 1e-3]))
+            for taus, clamped in (
+                ((1.0, tau), (clamped_tau, tau)),
+                ((tau, 1.0), (tau, clamped_tau)),
+                ((1.0, 1.0), (clamped_tau, clamped_tau)),
+            ):
+                exact = ChannelParams(*taus, dark_count=dark)
+                inside = ChannelParams(*clamped, dark_count=dark)
+                for silent in SUBSETS:
+                    assert vacuum_set_probability(
+                        silent, source, exact, angles
+                    ) == pytest.approx(
+                        vacuum_set_probability(silent, source, inside, angles),
+                        rel=1e-9,
+                    )
+
+    def test_wrong_flag_count_rejected(self):
+        source, channel = SourceParams(0.3), ChannelParams(tau1=0.7, tau2=0.3)
+        angles = MeasurementAngles(0.0, 0.0)
+        for silent in ((True,) * 3, (True,) * 5):
+            with pytest.raises(ValueError, match="expected 4 mode flags"):
+                vacuum_set_probability(silent, source, channel, angles)
+
+    @pytest.mark.parametrize("g", [0.0, 0.1, 0.5, 0.9])
+    def test_matches_exact_arithmetic(self, g):
+        # every subset term to 2e-15 relative of the same formula evaluated
+        # in exact rational arithmetic, lossless and deep-loss arms included
+        worst = 0.0
+        for tau1, tau2, theta, dark in itertools.product(
+            (1.0, 0.7, 10**-0.16),
+            (1.0, 0.3, 1e-2, 10**-4.5, 1e-8),
+            (0.0, math.pi / 8, math.pi / 4, math.pi / 2),
+            (0.0, 1e-3),
+        ):
+            channel = ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark)
+            angles = MeasurementAngles(theta, 0.0)
+            for silent in SUBSETS:
+                exact = vacuum_set_probability_exact(silent, g, tau1, tau2, theta, dark)
+                value = vacuum_set_probability(silent, SourceParams(g), channel, angles)
+                worst = max(worst, abs(float((Fraction(value) - exact) / exact)))
+        assert worst <= 2e-15
 
 
 class TestOutcomeProbabilities:

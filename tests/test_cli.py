@@ -105,16 +105,23 @@ class TestOptimizeAndSweep:
         )
         assert 0.05 <= float(lines["mu_opt"]) <= 0.2
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known defect: at 90 dB without dark counts the same-sign "
-        "coincidences round to about -1e-16, the QBER comes out as -0.0072 and "
-        "binary_entropy rejects it, so a valid config exits 2",
-    )
     def test_deep_loss_without_dark_counts(self, capsys):
         code, _, err = run(
             capsys, "optimize", "--set", "channel.loss2_db=90",
+            "--set", "detector.dark_count=0",
+        )
+        assert code == 0, err
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: at 67.5 dB without dark counts the same-sign "
+        "coincidences round to slightly below 0, the QBER comes out as "
+        "-0.00045 and binary_entropy rejects it, so a valid config exits 2",
+    )
+    def test_deep_loss_without_dark_counts_67_5_db(self, capsys):
+        code, _, err = run(
+            capsys, "optimize", "--set", "channel.loss2_db=67.5",
             "--set", "detector.dark_count=0",
         )
         assert code == 0, err
@@ -189,6 +196,10 @@ class TestErrorsAndIO:
             ("sweep.steps", ["sweep.steps=3"]),
             ("oracle.n_max", ["oracle.n_max=201"]),
             ("oracle.n_max", ["oracle.n_max=1000000000"]),
+            ("sweep.steps", ["sweep.variable=loss2_db", "sweep.start=20",
+                             "sweep.stop=45", "sweep.steps=10001"]),
+            ("sweep.steps", ["sweep.variable=loss2_db", "sweep.start=20",
+                             "sweep.stop=45", "sweep.steps=1e9"]),
         ],
     )
     def test_rejection_starts_with_key(self, capsys, key, settings):

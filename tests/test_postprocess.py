@@ -17,12 +17,13 @@ from hbepp_link import (
 from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
 from hbepp_link.postprocess import (
     CoincidenceCounts,
+    coincidences,
     correlation,
-    discard_coincidences,
-    squash_coincidences,
 )
 
 REFERENCE_CHANNEL = ChannelParams(tau1=0.7, tau2=0.01)
+SQUASH = PostprocessingModel.SQUASH
+DISCARD = PostprocessingModel.DISCARD
 
 
 def pat(bits: str) -> ClickPattern:
@@ -41,17 +42,17 @@ def table_with(entries: dict[str, float]) -> ProbabilityTable:
 
 class TestSquash:
     def test_single_coincidence_passes_through(self):
-        counts = squash_coincidences(table_with({"1010": 0.2}))
+        counts = coincidences(table_with({"1010": 0.2}), SQUASH)
         assert counts.n_pp == pytest.approx(0.2, abs=1e-15)
         assert counts.n_pm == counts.n_mp == counts.n_mm == 0.0
 
     def test_quad_click_splits_evenly(self):
-        counts = squash_coincidences(table_with({"1111": 1.0}))
+        counts = coincidences(table_with({"1111": 1.0}), SQUASH)
         for cell in (counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm):
             assert cell == pytest.approx(0.25, abs=1e-15)
 
     def test_one_sided_double_splits_in_half(self):
-        counts = squash_coincidences(table_with({"1101": 0.4}))
+        counts = coincidences(table_with({"1101": 0.4}), SQUASH)
         assert counts.n_pm == pytest.approx(0.2, abs=1e-15)
         assert counts.n_mm == pytest.approx(0.2, abs=1e-15)
         assert counts.n_pp == counts.n_mp == 0.0
@@ -73,18 +74,18 @@ class TestSquash:
             )
             angles = MeasurementAngles(rng.uniform(0.0, math.pi), 0.0)
             table = outcome_probabilities(source, channel, angles)
-            counts = squash_coincidences(table)
+            counts = coincidences(table, SQUASH)
             expected = sum(table[p] for p in both_sides)
             assert counts.total() == pytest.approx(expected, abs=1e-12)
 
 
 class TestDiscard:
     def test_quad_click_dropped(self):
-        counts = discard_coincidences(table_with({"1111": 1.0}))
+        counts = coincidences(table_with({"1111": 1.0}), DISCARD)
         assert counts.total() == 0.0
 
     def test_single_coincidence_kept(self):
-        counts = discard_coincidences(table_with({"0110": 0.3}))
+        counts = coincidences(table_with({"0110": 0.3}), DISCARD)
         assert counts.n_mp == pytest.approx(0.3, abs=1e-15)
         assert counts.n_pp == counts.n_pm == counts.n_mm == 0.0
 
@@ -108,8 +109,8 @@ class TestCorrelation:
             )
             angles = MeasurementAngles(rng.uniform(0.0, math.pi), 0.0)
             table = outcome_probabilities(source, channel, angles)
-            for convert in (squash_coincidences, discard_coincidences):
-                assert abs(correlation(convert(table))) <= 1.0 + 1e-12
+            for model in PostprocessingModel:
+                assert abs(correlation(coincidences(table, model))) <= 1.0 + 1e-12
 
     def test_singlet_correlation_curve(self):
         # weak source: E(theta) = -cos(2 theta), checked against brute force
@@ -118,7 +119,7 @@ class TestCorrelation:
             table = oracle_probabilities(
                 source, REFERENCE_CHANNEL, MeasurementAngles(theta, 0.0), n_max=2
             )
-            value = correlation(squash_coincidences(table))
+            value = correlation(coincidences(table, SQUASH))
             assert value == pytest.approx(-math.cos(2 * theta), abs=1e-3)
 
 
