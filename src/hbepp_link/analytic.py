@@ -38,8 +38,15 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .params import ChannelParams, MeasurementAngles, SourceParams
-from .patterns import CANONICAL_PATTERNS, ProbabilityConsistencyError, ProbabilityTable
+from .patterns import (
+    CANONICAL_PATTERNS,
+    NEGATIVE_TOLERANCE,
+    ProbabilityConsistencyError,
+    ProbabilityTable,
+)
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -58,13 +65,24 @@ def vacuum_set_probability(
     """
     if len(silent) != 4:
         raise ValueError(f"expected 4 mode flags, got {len(silent)}")
+    dark_miss = (1.0 - channel.dark_count) ** sum(bool(s) for s in silent)
+    return _vacuum_term(
+        silent, source.g, channel.tau1, channel.tau2, angles.relative(), dark_miss
+    )
+
+
+def _vacuum_term(silent, g, tau1, tau2, theta: float, dark_miss):
+    """V(S) from plain numbers, ``dark_miss`` being (1-d)^|S|.
+
+    Arithmetic only, so ``g``, ``tau1``, ``tau2`` and ``dark_miss`` may be
+    numpy arrays that broadcast together; each element is then the float
+    the scalar call gives, bit for bit.
+    """
     # t = 1 - z: tau on silent modes, 0 on marginalized ones
-    taus = (channel.tau1, channel.tau1, channel.tau2, channel.tau2)
+    taus = (tau1, tau1, tau2, tau2)
     t1, t2, t3, t4 = (tau if s else 0.0 for s, tau in zip(silent, taus))
-    g = source.g
     x = g * g
     squeeze = (1.0 - g) * (1.0 + g)
-    theta = angles.relative()
     cos, sin = math.cos(theta), math.sin(theta)
     c2, s2 = cos * cos, sin * sin
     # det = f1 f2 - q^2 z3 z4 with f1 = 1 - x z3 (s2 z1 + c2 z2) and
@@ -74,7 +92,6 @@ def vacuum_set_probability(
     f2 = squeeze + x * (t4 + (1.0 - t4) * (c2 * t1 + s2 * t2))
     q = x * cos * sin * (t1 - t2)
     det = f1 * f2 - q * q * (1.0 - t3) * (1.0 - t4)
-    dark_miss = (1.0 - channel.dark_count) ** sum(bool(s) for s in silent)
     return squeeze * squeeze * dark_miss / det
 
 
@@ -89,18 +106,14 @@ def _vacuum_probabilities_by_mask(
     return out
 
 
-def outcome_probabilities(
-    source: SourceParams,
-    channel: ChannelParams,
-    angles: MeasurementAngles,
-) -> ProbabilityTable:
-    """All 16 click-pattern probabilities via inclusion-exclusion.
+def _inclusion_exclusion(vac) -> list:
+    """The 16 pattern probabilities, in canonical order, from the V of every
+    silence bitmask; the V may be floats or arrays of one shape.
 
     For a pattern with click set C and silent set S,
-    P = sum over subsets T of C of (-1)^|T| V(S union T). This is the
-    production path; it is exact for any dark-count rate.
+    P = sum over subsets T of C of (-1)^|T| V(S union T), summed in
+    ascending order of the subset mask.
     """
-    vac = _vacuum_probabilities_by_mask(source, channel, angles)
     values = []
     for pattern in CANONICAL_PATTERNS:
         silent_mask = sum((not bit) << i for i, bit in enumerate(pattern))
@@ -111,7 +124,20 @@ def outcome_probabilities(
             sign = -1.0 if bin(sub).count("1") % 2 else 1.0
             p += sign * vac[silent_mask | extra]
         values.append(p)
-    table = ProbabilityTable(tuple(values))
+    return values
+
+
+def outcome_probabilities(
+    source: SourceParams,
+    channel: ChannelParams,
+    angles: MeasurementAngles,
+) -> ProbabilityTable:
+    """All 16 click-pattern probabilities via inclusion-exclusion over the
+    vacuum-subset terms. This is the production path; it is exact for any
+    dark-count rate.
+    """
+    vac = _vacuum_probabilities_by_mask(source, channel, angles)
+    table = ProbabilityTable(tuple(_inclusion_exclusion(vac)))
     # Bug-catching gate, not the accuracy claim: the sharpest subset terms
     # are of order 1/(1-g^2)^2 before reweighting, so rounding in the sum
     # grows with that factor as g -> 1 (it stays below 1e-12 for g <= 0.9).
@@ -123,3 +149,34 @@ def outcome_probabilities(
         )
     return table
 
+
+def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> np.ndarray:
+    """``outcome_probabilities`` over arrays, as a (16, ...) array.
+
+    ``g``, ``tau1``, ``tau2`` and ``dark_count`` broadcast together to the
+    trailing shape; ``theta`` is the one relative angle. Each column equals
+    the scalar table's values bit for bit: the same V(S) expression, the
+    same summation order, and (1-d)^|S| from Python's own ``pow`` (numpy's
+    ``**`` can round differently). The range and normalization checks are
+    the caller's; ``needs_scalar_check`` flags the columns to re-run.
+    """
+    dark = np.asarray(dark_count, dtype=float)
+    vac = []
+    for mask in range(16):
+        silent = tuple(bool(mask >> i & 1) for i in range(4))
+        dark_miss = np.reshape(
+            [(1.0 - d) ** sum(silent) for d in dark.ravel().tolist()], dark.shape
+        )
+        vac.append(_vacuum_term(silent, g, tau1, tau2, theta, dark_miss))
+    return np.stack(np.broadcast_arrays(*_inclusion_exclusion(vac)))
+
+
+def needs_scalar_check(table: np.ndarray) -> np.ndarray:
+    """Columns of an ``outcome_probability_array`` that might fail a check
+    of ``outcome_probabilities``: an entry out of range or NaN, or a sum
+    off by more than half the smallest normalization tolerance (the other
+    half covers the order of summation)."""
+    bound = NEGATIVE_TOLERANCE
+    in_range = ((table >= -bound) & (table <= 1.0 + bound)).all(axis=0)
+    normalized = abs(table.sum(axis=0) - 1.0) <= 0.5 * _NORMALIZATION_TOL
+    return ~(in_range & normalized)

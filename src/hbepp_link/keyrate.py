@@ -25,21 +25,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import outcome_probabilities
+from .analytic import (
+    needs_scalar_check,
+    outcome_probabilities,
+    outcome_probability_array,
+)
 from .params import (
     ChannelParams,
     MeasurementAngles,
     SourceParams,
     transmittance_from_db,
 )
-from .postprocess import PostprocessingModel, coincidences
+from .postprocess import PostprocessingModel, coincidences, fold
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Gains scanned by ``optimize_gain``, and the bracket width at which its
-#: golden-section refinement stops.
+#: Gains scanned by ``optimize_gain``, their default number, and the
+#: bracket width at which its golden-section refinement stops.
 G_BRACKET = (1e-3, 0.95)
+_GRID_POINTS = 256
 G_TOL = 1e-6
+
+#: Gains per array call at most, in whole channels: a call holds some 50
+#: temporaries of this many floats, so its peak memory stays near 0.4 MB.
+_ROWS_PER_CALL = 1024
 
 
 def binary_entropy(eps: float) -> float:
@@ -92,52 +101,104 @@ class OptimizationResult:
         return self.g_opt is not None
 
 
-def optimize_gain(channel: ChannelParams, grid_points: int = 256) -> OptimizationResult:
+def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarray:
+    """``secure_rate(*qber_and_sift(SourceParams(g[i, ...]), channels[i]))``
+    at every element of ``g``, whose first axis runs over ``channels``.
+
+    Every element equals the scalar chain's value bit for bit (squash
+    model): the same table, fold and summation order, and the scalar
+    ``binary_entropy``. Elements that might fail one of the chain's checks
+    are re-run through it in row-major order, so the first that fails
+    raises the scalar's own exception.
+    """
+    lanes_per_call = max(1, _ROWS_PER_CALL * len(channels) // max(1, g.size))
+    if len(channels) > lanes_per_call:
+        return np.concatenate([
+            _secure_rates(g[i:i + lanes_per_call], channels[i:i + lanes_per_call])
+            for i in range(0, len(channels), lanes_per_call)
+        ])
+    shape = (len(channels),) + (1,) * (g.ndim - 1)
+    tau1, tau2, dark = (
+        np.reshape([getattr(c, key) for c in channels], shape)
+        for key in ("tau1", "tau2", "dark_count")
+    )
+    table = outcome_probability_array(g, tau1, tau2, dark, 0.0)
+    n_pp, n_pm, n_mp, n_mm = fold(table, PostprocessingModel.SQUASH)
+    total = n_pp + n_pm + n_mp + n_mm
+    empty = total == 0.0
+    eps = np.where(empty, 0.0, (n_pp + n_mm) / np.where(empty, 1.0, total))
+    r_sift = np.where(empty, 0.0, 0.5 * total)
+    in_range = (r_sift >= 0.0) & (eps >= 0.0) & (eps <= 1.0)
+    suspect = needs_scalar_check(table) | ~in_range
+    for index in zip(*np.nonzero(suspect)):
+        secure_rate(*qber_and_sift(SourceParams(g[index]), channels[index[0]]))
+    entropy = np.reshape([binary_entropy(e) for e in eps.ravel().tolist()], eps.shape)
+    rate = r_sift * (1.0 - 2.0 * entropy)
+    return np.where(rate > 0.0, rate, 0.0)
+
+
+def _optimize_lockstep(
+    channels: Sequence[ChannelParams], grid_points: int
+) -> list[OptimizationResult]:
+    """``optimize_gain`` for every channel, each search step one array call.
+
+    The grid scans of all channels are one call. The golden-section
+    searches then advance in lockstep, one call per iteration over the
+    searches still open, and every search takes exactly the steps a
+    one-channel search takes, so its result is the same bit for bit.
+    """
+    grid = np.linspace(*G_BRACKET, grid_points)
+    lanes = len(channels)
+    scan = _secure_rates(np.broadcast_to(grid, (lanes, grid_points)), channels)
+    best = scan.argmax(axis=1)
+    found = np.flatnonzero(scan[np.arange(lanes), best] != 0.0)
+    live = [channels[i] for i in found]
+    a = grid[np.maximum(best[found] - 1, 0)]
+    b = grid[np.minimum(best[found] + 1, grid_points - 1)]
+    brackets = list(zip(a.tolist(), b.tolist()))
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = _secure_rates(np.stack([c, d], axis=1), live).T.copy()
+    iterations = np.zeros(len(live), dtype=int)
+    while (open_ := np.flatnonzero(b - a > G_TOL)).size:
+        left = fc[open_] > fd[open_]
+        lo, hi = open_[left], open_[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
+        probe = np.where(left, c[open_], d[open_])
+        rates = _secure_rates(probe, [live[i] for i in open_])
+        fc[lo], fd[hi] = rates[left], rates[~left]
+        iterations[open_] += 1
+    g_opt = 0.5 * (a + b)
+    rate_opt = _secure_rates(g_opt, live)
+    results = [OptimizationResult(None, None, 0.0, 0, G_BRACKET)] * lanes
+    for k, lane in enumerate(found):
+        results[lane] = OptimizationResult(
+            g_opt=g_opt[k],
+            mu_opt=SourceParams(g_opt[k]).mean_photon_number(),
+            secure_rate_at_opt=rate_opt[k],
+            iterations=int(iterations[k]),
+            bracket=brackets[k],
+        )
+    return results
+
+
+def optimize_gain(
+    channel: ChannelParams, grid_points: int = _GRID_POINTS
+) -> OptimizationResult:
     """Gain maximizing the secure rate for a given channel.
 
     A coarse grid scan of ``G_BRACKET`` brackets the maximum (the
     secure-rate curve is smooth but not provably unimodal, so the scan
     guards against missing side lobes); golden-section refinement then
-    narrows the bracket below ``G_TOL``.
+    narrows the bracket below ``G_TOL``. The scan is one array call, and
+    the search is the one-channel case of ``passive_performance``'s.
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
-
-    def rate(g: float) -> float:
-        eps, r_sift = qber_and_sift(SourceParams(g), channel)
-        return secure_rate(eps, r_sift)
-
-    grid = np.linspace(*G_BRACKET, grid_points)
-    values = [rate(g) for g in grid]
-    best_idx = int(np.argmax(values))
-    if values[best_idx] == 0.0:
-        return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
-
-    a = grid[max(0, best_idx - 1)]
-    b = grid[min(grid_points - 1, best_idx + 1)]
-    bracket = (float(a), float(b))
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = rate(c), rate(d)
-    iterations = 0
-    while b - a > G_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = rate(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = rate(d)
-        iterations += 1
-    g_opt = 0.5 * (a + b)
-    return OptimizationResult(
-        g_opt=g_opt,
-        mu_opt=SourceParams(g_opt).mean_photon_number(),
-        secure_rate_at_opt=rate(g_opt),
-        iterations=iterations,
-        bracket=bracket,
-    )
+    return _optimize_lockstep([channel], grid_points)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,22 +228,25 @@ def passive_performance(
 
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
-    ``l2_range_db``.
+    ``l2_range_db``. The optimizations of all losses run as one lockstep
+    search, and the fixed-brightness rates as one more array call.
     """
     if mu_fixed <= 0.0:
         raise ValueError(f"mu_fixed must be > 0, got {mu_fixed}")
     source_fixed = SourceParams.from_mean_photon_number(mu_fixed)
-    points = []
-    ratios = []
-    for loss2_db in l2_range_db:
-        channel = ChannelParams(
+    channels = [
+        ChannelParams(
             tau1=channel_base.tau1,
             tau2=transmittance_from_db(loss2_db),
             dark_count=channel_base.dark_count,
         )
-        opt = optimize_gain(channel)
-        eps, r_sift = qber_and_sift(source_fixed, channel)
-        fixed_rate = secure_rate(eps, r_sift)
+        for loss2_db in l2_range_db
+    ]
+    optima = _optimize_lockstep(channels, _GRID_POINTS)
+    fixed_rates = _secure_rates(np.full(len(channels), source_fixed.g), channels)
+    points = []
+    ratios = []
+    for loss2_db, opt, fixed_rate in zip(l2_range_db, optima, fixed_rates.tolist()):
         if opt.secure_rate_at_opt > 0.0:
             ratio = fixed_rate / opt.secure_rate_at_opt
             ratios.append(ratio)

@@ -77,11 +77,9 @@ _FOLDS = {
 }
 
 
-def coincidences(
-    table: ProbabilityTable, model: PostprocessingModel
-) -> CoincidenceCounts:
-    """Fold the 16 click patterns into the four binary outcome pairs."""
-    values = table.values
+def fold(values, model: PostprocessingModel) -> list:
+    """The cells ++, +-, -+, -- from the 16 pattern probabilities in
+    canonical order; the values may be floats or arrays of one shape."""
     cells = []
     for cell in _FOLDS[model]:
         # a plain left-to-right loop: builtin sum() compensates float
@@ -90,7 +88,14 @@ def coincidences(
         for index, weight in cell:
             total += weight * values[index]
         cells.append(total)
-    return CoincidenceCounts(*cells)
+    return cells
+
+
+def coincidences(
+    table: ProbabilityTable, model: PostprocessingModel
+) -> CoincidenceCounts:
+    """Fold the 16 click patterns into the four binary outcome pairs."""
+    return CoincidenceCounts(*fold(table.values, model))
 
 
 def correlation(counts: CoincidenceCounts) -> float:

@@ -1,0 +1,110 @@
+"""Reference gain search for the key-rate tests: the per-gain scan and the
+golden-section loop, one scalar ``secure_rate(*qber_and_sift(...))`` call per
+gain, as ``keyrate`` ran them before they became array calls.
+
+The package's search must return the same floats, bit for bit, and raise
+the same exceptions.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Sequence
+
+import numpy as np
+
+from hbepp_link.keyrate import (
+    _GOLDEN,
+    G_BRACKET,
+    G_TOL,
+    OptimizationResult,
+    PassivePerformanceSweep,
+    PassivePoint,
+    qber_and_sift,
+    secure_rate,
+)
+from hbepp_link.params import ChannelParams, SourceParams, transmittance_from_db
+
+
+@functools.cache
+def optimize_gain(channel: ChannelParams, grid_points: int = 256) -> OptimizationResult:
+    """One channel's scan and golden-section refinement, gain by gain."""
+    if grid_points < 200:
+        raise ValueError(f"grid_points must be >= 200, got {grid_points}")
+
+    def rate(g: float) -> float:
+        eps, r_sift = qber_and_sift(SourceParams(g), channel)
+        return secure_rate(eps, r_sift)
+
+    grid = np.linspace(*G_BRACKET, grid_points)
+    values = [rate(g) for g in grid]
+    best_idx = int(np.argmax(values))
+    if values[best_idx] == 0.0:
+        return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+
+    a = grid[max(0, best_idx - 1)]
+    b = grid[min(grid_points - 1, best_idx + 1)]
+    bracket = (float(a), float(b))
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = rate(c), rate(d)
+    iterations = 0
+    while b - a > G_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = rate(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = rate(d)
+        iterations += 1
+    g_opt = 0.5 * (a + b)
+    return OptimizationResult(
+        g_opt=g_opt,
+        mu_opt=SourceParams(g_opt).mean_photon_number(),
+        secure_rate_at_opt=rate(g_opt),
+        iterations=iterations,
+        bracket=bracket,
+    )
+
+
+def passive_performance(
+    mu_fixed: float,
+    channel_base: ChannelParams,
+    l2_range_db: Sequence[float],
+) -> PassivePerformanceSweep:
+    """One reference search and one fixed-brightness rate per loss, in turn."""
+    if mu_fixed <= 0.0:
+        raise ValueError(f"mu_fixed must be > 0, got {mu_fixed}")
+    source_fixed = SourceParams.from_mean_photon_number(mu_fixed)
+    points = []
+    ratios = []
+    for loss2_db in l2_range_db:
+        channel = ChannelParams(
+            tau1=channel_base.tau1,
+            tau2=transmittance_from_db(loss2_db),
+            dark_count=channel_base.dark_count,
+        )
+        opt = optimize_gain(channel)
+        eps, r_sift = qber_and_sift(source_fixed, channel)
+        fixed_rate = secure_rate(eps, r_sift)
+        if opt.secure_rate_at_opt > 0.0:
+            ratio = fixed_rate / opt.secure_rate_at_opt
+            ratios.append(ratio)
+        else:
+            ratio = None
+        points.append(
+            PassivePoint(
+                loss2_db=float(loss2_db),
+                secure_rate_fixed=fixed_rate,
+                secure_rate_optimal=opt.secure_rate_at_opt,
+                mu_opt=opt.mu_opt,
+                ratio=ratio,
+            )
+        )
+    return PassivePerformanceSweep(
+        mu_fixed=mu_fixed,
+        points=tuple(points),
+        min_ratio=min(ratios) if ratios else None,
+    )

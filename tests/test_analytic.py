@@ -14,7 +14,11 @@ from hbepp_link import (
     outcome_probabilities,
     truncation_error_bound,
 )
-from hbepp_link.analytic import vacuum_set_probability
+from hbepp_link.analytic import (
+    needs_scalar_check,
+    outcome_probability_array,
+    vacuum_set_probability,
+)
 from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
     ClickPattern,
@@ -318,3 +322,45 @@ class TestProbabilityTable:
         assert table[pat("1000")] == -5e-13  # raw preserved
         assert table.clamped()[pat("1000")] == 0.0
         assert min(table.clamped().values) == 0.0
+
+
+class TestOutcomeProbabilityArray:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 2.0])
+    def test_columns_equal_scalar_tables_bit_for_bit(self, theta):
+        rng = np.random.default_rng(29)
+        g = rng.uniform(0.0, 0.95, 64)
+        tau1 = rng.uniform(1e-6, 1.0, 64)
+        tau2 = rng.uniform(1e-6, 1.0, 64)
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], 64)
+        table = outcome_probability_array(g, tau1, tau2, dark, theta)
+        assert table.shape == (16, 64)
+        for k in range(64):
+            scalar = outcome_probabilities(
+                SourceParams(g[k]),
+                ChannelParams(tau1=tau1[k], tau2=tau2[k], dark_count=float(dark[k])),
+                MeasurementAngles(theta, 0.0),
+            )
+            assert [v.hex() for v in table[:, k].tolist()] == [
+                float(v).hex() for v in scalar.values
+            ]
+
+    def test_channel_axes_broadcast_against_gains(self):
+        g = np.linspace(0.01, 0.9, 5)
+        taus = np.array([[0.9], [0.01]])
+        table = outcome_probability_array(g, taus, taus[::-1], np.array([[0.0], [1e-5]]), 0.0)
+        assert table.shape == (16, 2, 5)
+        scalar = outcome_probabilities(
+            SourceParams(g[3]), ChannelParams(0.01, 0.9, 1e-5), MeasurementAngles(0.0, 0.0)
+        )
+        assert table[:, 1, 3].tolist() == list(scalar.values)
+
+    def test_flags_columns_the_scalar_checks_could_reject(self):
+        good = outcome_probabilities(
+            SourceParams(0.3), ChannelParams(0.5, 0.2, 1e-4), MeasurementAngles(0.1, 0.0)
+        ).values
+        table = np.array([good] * 5).T
+        table[1, 1] = -1e-11  # beyond the rounding allowance
+        table[2, 2] = math.nan
+        table[0, 3] += 0.6e-12  # more than half the smallest gate tolerance off
+        table[0, 4] += 0.4e-12  # within it
+        assert needs_scalar_check(table).tolist() == [False, True, True, True, False]

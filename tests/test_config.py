@@ -140,14 +140,15 @@ def one_key_text(key):
 
 class TestRoundTrip:
     CASES = [
-        "",
-        "source.g = 0.3\n",
-        (
+        pytest.param("", id="empty"),
+        pytest.param("source.g = 0.3\n", id="gain-only"),
+        pytest.param(
             "source.mu = 0.1\nchannel.loss1_db = 1.6\nchannel.tau2 = 0.01\n"
             "detector.dark_count = 6.25e-07\nangles.theta1_deg = 22.5\n"
             "model = discard\noracle.n_max = 30\noutput.per_second = true\n"
             "sweep.variable = loss2_db\nsweep.start = 20.0\nsweep.stop = 45.0\n"
-            "sweep.steps = 26\n"
+            "sweep.steps = 26\n",
+            id="every-key",
         ),
     ] + [pytest.param(one_key_text(spec.key), id=spec.key) for spec in _KEYS]
 
