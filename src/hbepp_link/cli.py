@@ -179,6 +179,9 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
     var, start, stop, steps = cfg.sweep_or(("loss2_db",), 20.0, 45.0, 26)
     channel = cfg.channel_params()
     mu_fixed = cfg.source_params().mean_photon_number()
+    if mu_fixed <= 0.0:
+        key, value = cfg.source_setting()
+        raise ConfigError(f"{key}: sweep needs a source brightness above 0, got {value!r}")
     result = passive_performance(mu_fixed, channel, np.linspace(start, stop, steps).tolist())
     scale, unit = _rate(cfg)
     header = [

@@ -200,6 +200,12 @@ class ScenarioConfig:
         mu = self.mu if self.mu is not None else DEFAULT_MU
         return SourceParams(gain_from_mean_photon(mu))
 
+    def source_setting(self) -> tuple[str, float | None]:
+        """(key, value) of the setting that fixes the source brightness:
+        ``source.g`` when it is set, else ``source.mu`` (None if unset)."""
+        spec = _SWEPT["g" if self.g is not None else "mu"]
+        return spec.key, getattr(self, spec.field)
+
     def channel_params(self, default_dark_count: float = DEFAULT_DARK_COUNT) -> ChannelParams:
         """Channel of the scenario; ``default_dark_count`` applies when
         ``detector.dark_count`` is not set."""

@@ -25,18 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    needs_scalar_check,
-    outcome_probabilities,
-    outcome_probability_array,
-)
-from .params import (
-    ChannelParams,
-    MeasurementAngles,
-    SourceParams,
-    transmittance_from_db,
-)
-from .postprocess import PostprocessingModel, coincidences, fold
+from .analytic import outcome_probability_array
+from .params import ChannelParams, SourceParams, transmittance_from_db
+from .postprocess import PostprocessingModel, fold
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,6 +51,21 @@ def binary_entropy(eps: float) -> float:
     return -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
 
 
+def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
+    """(QBER, sifted rate) at matched bases: the table folded into its four
+    cells, eps = (n_pp + n_mm) / total and R_sift = total / 2, with (0, 0)
+    where no coincidences survive post-processing. Inputs as for
+    ``outcome_probability_array``: floats, or arrays that broadcast together.
+    """
+    n_pp, n_pm, n_mp, n_mm = fold(
+        outcome_probability_array(g, tau1, tau2, dark_count, 0.0), model
+    )
+    total = n_pp + n_pm + n_mp + n_mm
+    # where total == 0 the numerator is scaled to 0 and the divisor raised to 1
+    eps = (total != 0.0) * (n_pp + n_mm) / (total + (total == 0.0))
+    return eps, 0.5 * total
+
+
 def qber_and_sift(
     source: SourceParams,
     channel: ChannelParams,
@@ -69,17 +75,22 @@ def qber_and_sift(
 
     Returns (0, 0) when no coincidences survive post-processing.
     """
-    table = outcome_probabilities(source, channel, MeasurementAngles(0.0, 0.0))
-    counts = coincidences(table, model)
-    total = counts.total()
-    if total == 0.0:
-        return 0.0, 0.0
-    eps = (counts.n_pp + counts.n_mm) / total
-    return eps, 0.5 * total
+    return _qber_and_sift(
+        source.g, channel.tau1, channel.tau2, channel.dark_count, model
+    )
 
 
-def secure_rate(eps: float, r_sift: float) -> float:
-    """Secure rate from QBER and sifted rate, clamped at zero."""
+def secure_rate(eps, r_sift):
+    """Secure rate from QBER and sifted rate, clamped at zero.
+
+    Floats, or arrays of one shape taken element by element in row-major
+    order, so the first element that fails a check raises. The entropy is
+    Python's ``math.log2`` per element, since ``np.log2`` rounds
+    differently on about one input in 1,000.
+    """
+    if isinstance(eps, np.ndarray):
+        pairs = zip(eps.ravel().tolist(), r_sift.ravel().tolist())
+        return np.reshape([secure_rate(e, r) for e, r in pairs], eps.shape)
     if r_sift < 0.0:
         raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
     return max(0.0, r_sift * (1.0 - 2.0 * binary_entropy(eps)))
@@ -103,14 +114,8 @@ class OptimizationResult:
 
 def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarray:
     """``secure_rate(*qber_and_sift(SourceParams(g[i, ...]), channels[i]))``
-    at every element of ``g``, whose first axis runs over ``channels``.
-
-    Every element equals the scalar chain's value bit for bit (squash
-    model): the same table, fold and summation order, and the scalar
-    ``binary_entropy``. Elements that might fail one of the chain's checks
-    are re-run through it in row-major order, so the first that fails
-    raises the scalar's own exception.
-    """
+    at every element of ``g``, whose first axis runs over ``channels``:
+    the same chain on arrays, squash model."""
     lanes_per_call = max(1, _ROWS_PER_CALL * len(channels) // max(1, g.size))
     if len(channels) > lanes_per_call:
         return np.concatenate([
@@ -122,19 +127,7 @@ def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarra
         np.reshape([getattr(c, key) for c in channels], shape)
         for key in ("tau1", "tau2", "dark_count")
     )
-    table = outcome_probability_array(g, tau1, tau2, dark, 0.0)
-    n_pp, n_pm, n_mp, n_mm = fold(table, PostprocessingModel.SQUASH)
-    total = n_pp + n_pm + n_mp + n_mm
-    empty = total == 0.0
-    eps = np.where(empty, 0.0, (n_pp + n_mm) / np.where(empty, 1.0, total))
-    r_sift = np.where(empty, 0.0, 0.5 * total)
-    in_range = (r_sift >= 0.0) & (eps >= 0.0) & (eps <= 1.0)
-    suspect = needs_scalar_check(table) | ~in_range
-    for index in zip(*np.nonzero(suspect)):
-        secure_rate(*qber_and_sift(SourceParams(g[index]), channels[index[0]]))
-    entropy = np.reshape([binary_entropy(e) for e in eps.ravel().tolist()], eps.shape)
-    rate = r_sift * (1.0 - 2.0 * entropy)
-    return np.where(rate > 0.0, rate, 0.0)
+    return secure_rate(*_qber_and_sift(g, tau1, tau2, dark, PostprocessingModel.SQUASH))
 
 
 def _optimize_lockstep(

@@ -1,5 +1,6 @@
 """Exact rational evaluation of the vacuum-subset formula, used as a
-reference for ``analytic.vacuum_set_probability``.
+reference for ``analytic.vacuum_terms``, the V(S) of the one chain that
+computes every table, for one point and for arrays alike.
 
 Every float input is converted to a ``Fraction`` without rounding, so the
 result is the exact value of
@@ -11,6 +12,8 @@ for those inputs, with M built from the floats cos(theta) and sin(theta).
 
 import math
 from fractions import Fraction
+
+from hbepp_link.patterns import CANONICAL_PATTERNS
 
 
 def vacuum_set_probability_exact(
@@ -28,3 +31,27 @@ def vacuum_set_probability_exact(
     a = [[(i == j) - x * rot[i][j] * z[2 + j] for j in range(2)] for i in range(2)]
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     return (1 - x) ** 2 * (1 - Fraction(dark_count)) ** sum(map(bool, silent)) / det
+
+
+def outcome_probabilities_exact(
+    g: float, tau1: float, tau2: float, theta: float, dark_count: float
+) -> list[Fraction]:
+    """The 16 pattern probabilities in canonical order, exactly: for click
+    set C and silent set S, P = sum over subsets T of C of
+    (-1)^|T| V(S union T)."""
+    vac = [
+        vacuum_set_probability_exact(
+            [bool(mask >> i & 1) for i in range(4)], g, tau1, tau2, theta, dark_count
+        )
+        for mask in range(16)
+    ]
+    values = []
+    for pattern in CANONICAL_PATTERNS:
+        clicks = [i for i, bit in enumerate(pattern) if bit]
+        silent_mask = 15 ^ sum(1 << i for i in clicks)
+        p = Fraction(0)
+        for sub in range(1 << len(clicks)):
+            extra = sum(1 << clicks[j] for j in range(len(clicks)) if sub >> j & 1)
+            p += (-1) ** bin(sub).count("1") * vac[silent_mask | extra]
+        values.append(p)
+    return values

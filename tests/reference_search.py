@@ -1,6 +1,7 @@
 """Reference gain search for the key-rate tests: the per-gain scan and the
-golden-section loop, one scalar ``secure_rate(*qber_and_sift(...))`` call per
-gain, as ``keyrate`` ran them before they became array calls.
+golden-section loop, one ``secure_rate(*qber_and_sift(...))`` call of the
+reference chain (``tests/reference_chain.py``) per gain, as ``keyrate`` ran
+them before they became array calls.
 
 The package's search must return the same floats, bit for bit, and raise
 the same exceptions.
@@ -20,10 +21,9 @@ from hbepp_link.keyrate import (
     OptimizationResult,
     PassivePerformanceSweep,
     PassivePoint,
-    qber_and_sift,
-    secure_rate,
 )
 from hbepp_link.params import ChannelParams, SourceParams, transmittance_from_db
+from reference_chain import qber_and_sift, secure_rate
 
 
 @functools.cache

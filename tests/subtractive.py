@@ -8,7 +8,7 @@ whose click set is a strict subset.
 """
 
 from hbepp_link import ChannelParams, MeasurementAngles, ProbabilityTable, SourceParams
-from hbepp_link.analytic import vacuum_set_probability
+from hbepp_link.analytic import vacuum_terms
 from hbepp_link.patterns import CANONICAL_PATTERNS
 
 
@@ -18,12 +18,9 @@ def outcome_probabilities_subtractive(
     angles: MeasurementAngles,
 ) -> ProbabilityTable:
     """All 16 pattern probabilities as explicit linear combinations."""
-    vac = [
-        vacuum_set_probability(
-            tuple(bool(mask >> i & 1) for i in range(4)), source, channel, angles
-        )
-        for mask in range(16)
-    ]
+    vac = vacuum_terms(
+        source.g, channel.tau1, channel.tau2, channel.dark_count, angles.relative()
+    )
     by_click_mask: dict[int, float] = {}
     values = []
     for pattern in CANONICAL_PATTERNS:

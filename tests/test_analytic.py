@@ -14,22 +14,22 @@ from hbepp_link import (
     outcome_probabilities,
     truncation_error_bound,
 )
-from hbepp_link.analytic import (
-    needs_scalar_check,
-    outcome_probability_array,
-    vacuum_set_probability,
-)
+from hbepp_link import analytic
+from hbepp_link.analytic import outcome_probability_array, vacuum_terms
+from hbepp_link.params import transmittance_from_db
 from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
     ClickPattern,
     ProbabilityConsistencyError,
 )
 
-from exact import vacuum_set_probability_exact
+import reference_chain
+from exact import outcome_probabilities_exact, vacuum_set_probability_exact
+from pair_form import pair_form_table
 from subtractive import outcome_probabilities_subtractive
 
-ALL_SILENT = (True, True, True, True)
-NONE_SILENT = (False, False, False, False)
+ALL_SILENT = 15  # silence bitmasks: bit i set when mode i is silent
+NONE_SILENT = 0
 
 
 def pat(bits: str) -> ClickPattern:
@@ -52,12 +52,21 @@ def random_params(rng, g_max=0.9, dark_choices=(0.0,)):
 SUBSETS = [tuple(bool(mask >> i & 1) for i in range(4)) for mask in range(16)]
 
 
+def vac(source, channel, angles) -> list:
+    """The 16 V(S) of one point, indexed by silence bitmask."""
+    return vacuum_terms(
+        source.g, channel.tau1, channel.tau2, channel.dark_count, angles.relative()
+    )
+
+
 class TestVacuumSetProbability:
+    """``vacuum_terms``: V(S) for every silence subset S."""
+
     def test_full_set_closed_form(self):
         source = SourceParams(0.6)
         channel = ChannelParams(tau1=0.7, tau2=0.3)
         angles = MeasurementAngles(0.0, 0.0)
-        value = vacuum_set_probability(ALL_SILENT, source, channel, angles)
+        value = vac(source, channel, angles)[ALL_SILENT]
         # frozen from (1-g^2)^2 / (1-G)^2
         assert value == pytest.approx(0.4793360297233277, abs=1e-14)
 
@@ -65,18 +74,14 @@ class TestVacuumSetProbability:
         source = SourceParams(0.44)
         channel = ChannelParams(tau1=0.9, tau2=0.2, dark_count=1e-2)
         angles = MeasurementAngles(0.3, 0.0)
-        assert vacuum_set_probability(
-            NONE_SILENT, source, channel, angles
-        ) == pytest.approx(1.0, abs=1e-13)
+        assert vac(source, channel, angles)[NONE_SILENT] == pytest.approx(1.0, abs=1e-13)
 
     def test_vacuum_source_with_dark_counts(self):
         # four independent dark-count misses
         source = SourceParams(0.0)
         channel = ChannelParams(tau1=0.5, tau2=0.5, dark_count=0.5)
         angles = MeasurementAngles(0.0, 0.0)
-        assert vacuum_set_probability(
-            ALL_SILENT, source, channel, angles
-        ) == pytest.approx(0.0625, abs=1e-15)
+        assert vac(source, channel, angles)[ALL_SILENT] == pytest.approx(0.0625, abs=1e-15)
 
     def test_vacuum_source_collapses_to_dark_miss(self):
         # g = 0: no photons, so V(S) is the dark-count miss (1-d)^|S| exactly
@@ -84,10 +89,8 @@ class TestVacuumSetProbability:
             channel = ChannelParams(tau1=0.7, tau2=0.3, dark_count=dark)
             for theta in (0.0, 0.4, 1.2):
                 angles = MeasurementAngles(theta, 0.0)
-                for silent in SUBSETS:
-                    value = vacuum_set_probability(
-                        silent, SourceParams(0.0), channel, angles
-                    )
+                values = vac(SourceParams(0.0), channel, angles)
+                for value, silent in zip(values, SUBSETS):
                     assert value == (1.0 - dark) ** sum(silent)
 
     def test_all_silent_closed_form(self):
@@ -99,14 +102,10 @@ class TestVacuumSetProbability:
         big_g = 0.36 * 0.3 * 0.7
         closed = 0.64**2 * (1.0 - 1e-3) ** 4 / (1.0 - big_g) ** 2
         for theta in np.linspace(0.0, math.pi, 9):
-            value = vacuum_set_probability(
-                ALL_SILENT, source, channel, MeasurementAngles(theta, 0.0)
-            )
+            value = vac(source, channel, MeasurementAngles(theta, 0.0))[ALL_SILENT]
             assert value == pytest.approx(closed, rel=1e-15)
         dark_free = ChannelParams(tau1=0.7, tau2=0.3)
-        value = vacuum_set_probability(
-            ALL_SILENT, source, dark_free, MeasurementAngles(0.9, 0.0)
-        )
+        value = vac(source, dark_free, MeasurementAngles(0.9, 0.0))[ALL_SILENT]
         assert value == pytest.approx(0.4793360297233277, rel=1e-15)
 
     def test_all_marginalized_is_theta_free(self):
@@ -117,7 +116,7 @@ class TestVacuumSetProbability:
             channel = ChannelParams(tau1=0.8, tau2=0.25, dark_count=1e-2)
             for theta in np.linspace(0.0, math.pi, 9):
                 angles = MeasurementAngles(theta, 0.0)
-                value = vacuum_set_probability(NONE_SILENT, source, channel, angles)
+                value = vac(source, channel, angles)[NONE_SILENT]
                 assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_lossless_boundary_matches_clamped_channel(self):
@@ -135,22 +134,10 @@ class TestVacuumSetProbability:
                 ((tau, 1.0), (tau, clamped_tau)),
                 ((1.0, 1.0), (clamped_tau, clamped_tau)),
             ):
-                exact = ChannelParams(*taus, dark_count=dark)
-                inside = ChannelParams(*clamped, dark_count=dark)
-                for silent in SUBSETS:
-                    assert vacuum_set_probability(
-                        silent, source, exact, angles
-                    ) == pytest.approx(
-                        vacuum_set_probability(silent, source, inside, angles),
-                        rel=1e-9,
-                    )
-
-    def test_wrong_flag_count_rejected(self):
-        source, channel = SourceParams(0.3), ChannelParams(tau1=0.7, tau2=0.3)
-        angles = MeasurementAngles(0.0, 0.0)
-        for silent in ((True,) * 3, (True,) * 5):
-            with pytest.raises(ValueError, match="expected 4 mode flags"):
-                vacuum_set_probability(silent, source, channel, angles)
+                exact = vac(source, ChannelParams(*taus, dark_count=dark), angles)
+                inside = vac(source, ChannelParams(*clamped, dark_count=dark), angles)
+                for a, b in zip(exact, inside):
+                    assert a == pytest.approx(b, rel=1e-9)
 
     @pytest.mark.parametrize("g", [0.0, 0.1, 0.5, 0.9])
     def test_matches_exact_arithmetic(self, g):
@@ -165,11 +152,24 @@ class TestVacuumSetProbability:
         ):
             channel = ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark)
             angles = MeasurementAngles(theta, 0.0)
-            for silent in SUBSETS:
+            for silent, value in zip(SUBSETS, vac(SourceParams(g), channel, angles)):
                 exact = vacuum_set_probability_exact(silent, g, tau1, tau2, theta, dark)
-                value = vacuum_set_probability(silent, SourceParams(g), channel, angles)
                 worst = max(worst, abs(float((Fraction(value) - exact) / exact)))
         assert worst <= 2e-15
+
+    def test_arrays_equal_one_point_terms_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        g = rng.uniform(0.0, 0.95, 16)
+        tau1 = rng.uniform(1e-6, 1.0, 16)
+        tau2 = rng.uniform(1e-6, 1.0, 16)
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], 16)
+        terms = np.array(vacuum_terms(g, tau1, tau2, dark, 0.7))
+        for k in range(16):
+            point = vacuum_terms(
+                g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item(), 0.7
+            )
+            assert [type(v) for v in point] == [float] * 16
+            assert terms[:, k].tolist() == point
 
 
 class TestOutcomeProbabilities:
@@ -327,40 +327,130 @@ class TestProbabilityTable:
 class TestOutcomeProbabilityArray:
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 2.0])
     def test_columns_equal_scalar_tables_bit_for_bit(self, theta):
+        # every column is the reference chain's one-point table, and so is
+        # the package's one-point call, in Python floats
         rng = np.random.default_rng(29)
         g = rng.uniform(0.0, 0.95, 64)
         tau1 = rng.uniform(1e-6, 1.0, 64)
         tau2 = rng.uniform(1e-6, 1.0, 64)
         dark = rng.choice([0.0, 6.25e-7, 1e-3], 64)
-        table = outcome_probability_array(g, tau1, tau2, dark, theta)
+        table = np.array(outcome_probability_array(g, tau1, tau2, dark, theta))
         assert table.shape == (16, 64)
         for k in range(64):
-            scalar = outcome_probabilities(
-                SourceParams(g[k]),
-                ChannelParams(tau1=tau1[k], tau2=tau2[k], dark_count=float(dark[k])),
+            point = (
+                SourceParams(g[k].item()),
+                ChannelParams(tau1=tau1[k].item(), tau2=tau2[k].item(),
+                              dark_count=dark[k].item()),
                 MeasurementAngles(theta, 0.0),
             )
-            assert [v.hex() for v in table[:, k].tolist()] == [
-                float(v).hex() for v in scalar.values
-            ]
+            reference = [v.hex() for v in reference_chain.outcome_probabilities(*point).values]
+            assert [v.hex() for v in table[:, k].tolist()] == reference
+            assert [v.hex() for v in outcome_probabilities(*point).values] == reference
 
     def test_channel_axes_broadcast_against_gains(self):
         g = np.linspace(0.01, 0.9, 5)
         taus = np.array([[0.9], [0.01]])
-        table = outcome_probability_array(g, taus, taus[::-1], np.array([[0.0], [1e-5]]), 0.0)
+        table = np.array(
+            outcome_probability_array(g, taus, taus[::-1], np.array([[0.0], [1e-5]]), 0.0)
+        )
         assert table.shape == (16, 2, 5)
         scalar = outcome_probabilities(
             SourceParams(g[3]), ChannelParams(0.01, 0.9, 1e-5), MeasurementAngles(0.0, 0.0)
         )
         assert table[:, 1, 3].tolist() == list(scalar.values)
+        # each input on its own axis: the subset terms differ in shape
+        table = np.array(outcome_probability_array(
+            g[:, None, None], taus, np.array([0.5, 0.2, 0.01]), 1e-5, 0.3
+        ))
+        assert table.shape == (16, 5, 2, 3)
+        scalar = outcome_probabilities(
+            SourceParams(g[4]), ChannelParams(0.01, 0.2, 1e-5), MeasurementAngles(0.3, 0.0)
+        )
+        assert table[:, 4, 1, 1].tolist() == list(scalar.values)
 
-    def test_flags_columns_the_scalar_checks_could_reject(self):
-        good = outcome_probabilities(
+    @pytest.mark.parametrize(
+        "gains, message",
+        [
+            ([0.3, math.nan, 1.5], r"P\[vac\] = nan outside"),
+            ([0.3, 1.5, math.nan], r"P\[vac\] = 5\.6153\d* outside"),
+        ],
+        ids=["nan-first", "out-of-range-first"],
+    )
+    def test_gate_raises_the_first_failing_column(self, gains, message):
+        with pytest.raises(ProbabilityConsistencyError, match=message):
+            outcome_probability_array(np.array(gains), 0.7, 0.3, 0.0, 0.1)
+
+    def test_gate_checks_range_then_sum_per_column(self, monkeypatch):
+        # Columns built from one good table: an entry just past the rounding
+        # allowance, a NaN, a sum 2e-12 off, and a sum 0.4e-12 off (inside
+        # the 1e-12 gate). The first failing column raises the one-point
+        # message; with it repaired, the next one does.
+        good = list(outcome_probabilities(
             SourceParams(0.3), ChannelParams(0.5, 0.2, 1e-4), MeasurementAngles(0.1, 0.0)
-        ).values
-        table = np.array([good] * 5).T
-        table[1, 1] = -1e-11  # beyond the rounding allowance
-        table[2, 2] = math.nan
-        table[0, 3] += 0.6e-12  # more than half the smallest gate tolerance off
-        table[0, 4] += 0.4e-12  # within it
-        assert needs_scalar_check(table).tolist() == [False, True, True, True, False]
+        ).values)
+        columns = np.array([good] * 5).T
+        columns[1, 1] = -1.1e-12
+        columns[2, 2] = math.nan
+        columns[0, 3] += 2e-12
+        columns[0, 4] += 0.4e-12
+        monkeypatch.setattr(analytic, "_inclusion_exclusion", lambda vac: list(columns))
+        g = np.full(5, 0.3)
+        for k, message in (
+            (1, r"P\[A\+\] = -1\.1e-12 outside"),
+            (2, r"P\[A-\] = nan outside"),
+            (3, r"pattern probabilities sum to 1\.000000000002\d*, expected 1"),
+        ):
+            with pytest.raises(ProbabilityConsistencyError, match=message):
+                outcome_probability_array(g, 0.5, 0.2, 1e-4, 0.1)
+            columns[:, k] = good
+        assert np.array(outcome_probability_array(g, 0.5, 0.2, 1e-4, 0.1)).shape == (16, 5)
+
+
+#: Item-3 grid at theta = 0: every nonzero entry to 1e-9 relative.
+DEEP_GAINS = (0.05, 0.1, 0.3, 0.5, 0.9)
+DEEP_LOSS1_DB = (0.0, 1.6, 3.0)
+DEEP_LOSS2_DB = tuple(float(loss) for loss in range(0, 81, 5))
+DEEP_DARK = (0.0, 6.25e-7, 1e-3)
+
+
+class TestPairFormReference:
+    """``tests/pair_form.py``: the theta = 0 table as two independent pairs,
+    the reference for every table entry at deep loss."""
+
+    def test_products_are_the_exact_inclusion_exclusion(self):
+        # as Fractions the pair products equal the exact inclusion-exclusion
+        # over the exact V(S); as floats they keep every entry to a few ulps
+        worst = 0.0
+        for g, loss1, loss2, dark in itertools.product(
+            (0.05, 0.5, 0.9), (0.0, 1.6), (0.0, 30.0, 80.0), (0.0, 1e-3)
+        ):
+            point = (g, transmittance_from_db(loss1), transmittance_from_db(loss2), dark)
+            exact = outcome_probabilities_exact(*point[:3], 0.0, dark)
+            assert pair_form_table(*map(Fraction, point)) == exact
+            for value, reference in zip(pair_form_table(*point), exact):
+                if reference:
+                    worst = max(worst, abs(float((Fraction(value) - reference) / reference)))
+        assert worst <= 2e-15
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect (ROADMAP item 3): inclusion-exclusion cancels "
+        "small entries at deep loss; the worst relative error is 5.7e-4 up "
+        "to 30 dB and 1.9e6 at 80 dB",
+    )
+    def test_every_entry_within_1e_9_relative_to_80_db(self):
+        inputs = np.broadcast_arrays(
+            np.reshape(DEEP_GAINS, (-1, 1, 1, 1)),
+            np.reshape([transmittance_from_db(x) for x in DEEP_LOSS1_DB], (-1, 1, 1)),
+            np.reshape([transmittance_from_db(x) for x in DEEP_LOSS2_DB], (-1, 1)),
+            np.array(DEEP_DARK),
+        )
+        table = np.array(outcome_probability_array(*inputs, 0.0))
+        worst = 0.0
+        for index in np.ndindex(inputs[0].shape):
+            exact = pair_form_table(*(Fraction(v[index].item()) for v in inputs))
+            for value, reference in zip(table[(slice(None), *index)].tolist(), exact):
+                if reference:
+                    worst = max(worst, abs(float((Fraction(value) - reference) / reference)))
+        assert worst <= 1e-9

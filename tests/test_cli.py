@@ -200,6 +200,8 @@ class TestErrorsAndIO:
                              "sweep.stop=45", "sweep.steps=10001"]),
             ("sweep.steps", ["sweep.variable=loss2_db", "sweep.start=20",
                              "sweep.stop=45", "sweep.steps=1e9"]),
+            ("source.g", ["source.g=0"]),  # the sweep needs a brightness > 0
+            ("source.mu", ["source.mu=0"]),
         ],
     )
     def test_rejection_starts_with_key(self, capsys, key, settings):

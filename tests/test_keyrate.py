@@ -8,6 +8,7 @@ from hbepp_link import (
     MeasurementAngles,
     PostprocessingModel,
     SourceParams,
+    chsh,
     optimize_gain,
     oracle_probabilities,
     qber_and_sift,
@@ -22,6 +23,7 @@ from hbepp_link.keyrate import (
 from hbepp_link.params import transmittance_from_db
 from hbepp_link.postprocess import coincidences
 
+import reference_chain
 import reference_search
 
 #: Reference downlink: 1.6 dB on Alice's arm, dark counts per detector per mode.
@@ -251,10 +253,51 @@ def exact_sweep(sweep):
 LOSS2_DB = (0.0, 10.0, 20.0, 30.0, 45.0, 60.0)
 
 
+def outcome(call, *args):
+    """``call(*args)`` with every float as ``float.hex``, or its exception's
+    type and message."""
+    try:
+        return exact(call(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneChainMatchesReference:
+    """The one-point calls on the shared chain against the reference chain
+    in ``tests/reference_chain.py``: equal floats, bit for bit, and equal
+    exceptions."""
+
+    def test_qber_both_models_and_chsh_on_a_random_grid(self):
+        rng = np.random.default_rng(37)
+        for _ in range(150):
+            source = SourceParams(float(rng.choice([rng.uniform(0.0, 0.95), 1e-4, 0.0])))
+            channel = ChannelParams(
+                tau1=float(10.0 ** -rng.uniform(0.0, 1.0)),
+                tau2=float(10.0 ** -rng.uniform(0.0, 8.0)),
+                dark_count=float(rng.choice([0.0, 6.25e-7, 1e-3])),
+            )
+            for model in PostprocessingModel:
+                args = (source, channel, model)
+                assert outcome(qber_and_sift, *args) == outcome(
+                    reference_chain.qber_and_sift, *args
+                ), args
+                assert outcome(chsh, *args) == outcome(reference_chain.chsh, *args), args
+            eps, r_sift = reference_chain.qber_and_sift(source, channel)
+            assert outcome(secure_rate, eps, r_sift) == outcome(
+                reference_chain.secure_rate, eps, r_sift
+            )
+
+    def test_one_point_calls_stay_python_floats(self):
+        source, channel = SourceParams(0.3), reference_channel(20.0)
+        for model in PostprocessingModel:
+            assert [type(v) for v in qber_and_sift(source, channel, model)] == [float, float]
+        assert type(secure_rate(*qber_and_sift(source, channel))) is float
+
+
 class TestSecureRateArray:
     def test_rows_equal_scalar_chain_bit_for_bit(self):
-        # the scan grid of nine channels: every element is one scalar
-        # secure_rate(*qber_and_sift(...)) call, down to the last bit
+        # the scan grid of nine channels: every element is the reference
+        # chain's secure_rate(*qber_and_sift(...)), down to the last bit
         grid = np.linspace(*G_BRACKET, 256)
         channels = [
             ChannelParams.from_db_losses(1.6, loss2_db, dark)
@@ -263,8 +306,24 @@ class TestSecureRateArray:
         ]
         rates = keyrate._secure_rates(np.broadcast_to(grid, (9, 256)), channels)
         for channel, row in zip(channels, rates.tolist()):
-            scalar = [secure_rate(*qber_and_sift(SourceParams(g), channel)) for g in grid]
+            scalar = [
+                reference_chain.secure_rate(
+                    *reference_chain.qber_and_sift(SourceParams(g), channel)
+                )
+                for g in grid
+            ]
             assert [r.hex() for r in row] == [float(r).hex() for r in scalar]
+
+    def test_first_failing_element_raises(self):
+        # elements are checked in row-major order: the first negative
+        # sifted rate or error rate outside [0, 1] raises its own message
+        eps = np.array([[0.1, 0.2], [-0.5, 1.5]])
+        with pytest.raises(ValueError, match=r"error rate must be in \[0, 1\], got -0\.5"):
+            secure_rate(eps, np.full((2, 2), 0.3))
+        with pytest.raises(ValueError, match=r"sifted rate must be >= 0, got -1e-09"):
+            secure_rate(eps, np.array([[0.3, 0.3], [-1e-9, 0.3]]))
+        rates = secure_rate(eps[:1], np.array([[0.3, 0.0]]))
+        assert rates.tolist() == [[secure_rate(0.1, 0.3), 0.0]]
 
 
 class TestLockstepSearchMatchesReference:
