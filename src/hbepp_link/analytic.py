@@ -46,6 +46,7 @@ from .patterns import (
     NEGATIVE_TOLERANCE,
     ProbabilityConsistencyError,
     ProbabilityTable,
+    left_to_right_sum,
 )
 
 _NORMALIZATION_TOL = 1e-12
@@ -119,9 +120,7 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
     ``ProbabilityConsistencyError`` a one-point call at it would raise.
     """
     values = _inclusion_exclusion(vacuum_terms(g, tau1, tau2, dark_count, theta))
-    total = 0.0
-    for value in values:  # left to right: sum() compensates on Python >= 3.12
-        total = total + value
+    total = left_to_right_sum(values)
     # Bug-catching gate, not the accuracy claim: the sharpest subset terms
     # are of order 1/(1-g^2)^2 before reweighting, so rounding in the sum
     # grows with that factor as g -> 1 (it stays below 1e-12 for g <= 0.9).

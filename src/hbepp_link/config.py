@@ -12,8 +12,7 @@ each error message starts with the offending key.
 Defaults describe the reference satellite downlink experiment: source
 brightness 0.037 pairs per temporal mode, 1.6 dB receiver loss on Alice's
 arm, 20 dB on Bob's, dark-count probability 6.25e-7 per detector per mode.
-Wavelength, coincidence window, and coherence time are fixed metadata; the
-coherence time also sets the per-second display conversion.
+The coherence time is fixed; it sets the per-second display conversion.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from .params import (
 )
 from .postprocess import PostprocessingModel
 
-# Reference-experiment metadata (display only; not configurable).
-WAVELENGTH_NM = 810.0
-COINCIDENCE_WINDOW_NS = 2.0
+# Reference-experiment coherence time (display only; not configurable).
 COHERENCE_TIME_NS = 6.25
 COHERENCE_TIME_S = COHERENCE_TIME_NS * 1e-9
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import outcome_probability_array
 from .params import ChannelParams, SourceParams, transmittance_from_db
-from .postprocess import PostprocessingModel, fold
+from .postprocess import PostprocessingModel, fold, share
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,13 +57,9 @@ def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
     where no coincidences survive post-processing. Inputs as for
     ``outcome_probability_array``: floats, or arrays that broadcast together.
     """
-    n_pp, n_pm, n_mp, n_mm = fold(
-        outcome_probability_array(g, tau1, tau2, dark_count, 0.0), model
-    )
-    total = n_pp + n_pm + n_mp + n_mm
-    # where total == 0 the numerator is scaled to 0 and the divisor raised to 1
-    eps = (total != 0.0) * (n_pp + n_mm) / (total + (total == 0.0))
-    return eps, 0.5 * total
+    counts = fold(outcome_probability_array(g, tau1, tau2, dark_count, 0.0), model)
+    total = counts.total()
+    return share(counts.n_pp + counts.n_mm, total), 0.5 * total
 
 
 def qber_and_sift(

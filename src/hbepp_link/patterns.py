@@ -17,6 +17,20 @@ from typing import NamedTuple
 NEGATIVE_TOLERANCE = 1e-12
 
 
+def left_to_right_sum(terms):
+    """The terms added in order, floats or arrays that broadcast together.
+
+    Builtin ``sum()`` compensates float rounding on Python >= 3.12, so its
+    last bit depends on the interpreter. The sum starts from the first term,
+    which is that term plus -0.0, the exact additive identity, bit for bit.
+    """
+    terms = iter(terms)
+    total = next(terms, -0.0)
+    for term in terms:
+        total = total + term  # not +=: a later term may be wider
+    return total
+
+
 class ProbabilityConsistencyError(ValueError):
     """A probability fell outside [0, 1] by more than rounding allows."""
 
@@ -85,7 +99,7 @@ class ProbabilityTable:
         return self.values[_PATTERN_INDEX[pattern]]
 
     def total(self) -> float:
-        return sum(self.values)
+        return left_to_right_sum(self.values)
 
     def clamped(self) -> "ProbabilityTable":
         """Copy with every entry clamped into [0, 1]."""

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .analytic import outcome_probabilities
-from .params import ChannelParams, MeasurementAngles, SourceParams
-from .patterns import CANONICAL_PATTERNS, ProbabilityTable
+from .analytic import outcome_probability_array
+from .params import ChannelParams, SourceParams
+from .patterns import CANONICAL_PATTERNS, ProbabilityTable, left_to_right_sum
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -34,9 +34,9 @@ class PostprocessingModel(enum.Enum):
     DISCARD = "discard"
 
 
-@dataclass(frozen=True, slots=True)
-class CoincidenceCounts:
-    """Per-temporal-mode rates of the four binary outcome pairs."""
+class CoincidenceCounts(NamedTuple):
+    """Per-temporal-mode rates of the four binary outcome pairs; floats, or
+    arrays of one shape."""
 
     n_pp: float
     n_pm: float
@@ -45,6 +45,13 @@ class CoincidenceCounts:
 
     def total(self) -> float:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
+
+
+def share(numerator, total):
+    """numerator / total, and 0 where the total is 0 (no coincidences
+    survive); floats, or arrays that broadcast together."""
+    # where total == 0 the numerator is scaled to 0 and the divisor raised to 1
+    return (total != 0.0) * numerator / (total + (total == 0.0))
 
 
 #: Weight a double click on one side gives each of that side's outcomes.
@@ -77,33 +84,25 @@ _FOLDS = {
 }
 
 
-def fold(values, model: PostprocessingModel) -> list:
+def fold(values, model: PostprocessingModel) -> CoincidenceCounts:
     """The cells ++, +-, -+, -- from the 16 pattern probabilities in
     canonical order; the values may be floats or arrays of one shape."""
-    cells = []
-    for cell in _FOLDS[model]:
-        # a plain left-to-right loop: builtin sum() compensates float
-        # rounding on Python >= 3.12; -0.0 is the exact additive identity
-        total = -0.0
-        for index, weight in cell:
-            total += weight * values[index]
-        cells.append(total)
-    return cells
+    return CoincidenceCounts(*(
+        left_to_right_sum(weight * values[index] for index, weight in cell)
+        for cell in _FOLDS[model]
+    ))
 
 
 def coincidences(
     table: ProbabilityTable, model: PostprocessingModel
 ) -> CoincidenceCounts:
     """Fold the 16 click patterns into the four binary outcome pairs."""
-    return CoincidenceCounts(*fold(table.values, model))
+    return fold(table.values, model)
 
 
 def correlation(counts: CoincidenceCounts) -> float:
     """Outcome correlation E in [-1, 1]; 0 when no coincidences occur."""
-    total = counts.total()
-    if total == 0.0:
-        return 0.0
-    return (counts.n_pp - counts.n_pm - counts.n_mp + counts.n_mm) / total
+    return share(counts.n_pp - counts.n_pm - counts.n_mp + counts.n_mm, counts.total())
 
 
 def chsh(
@@ -114,17 +113,14 @@ def chsh(
     """CHSH value S at the standard settings (0, 45; 22.5, 67.5 degrees).
 
     Each correlation depends only on the relative analyzer angle, so the
-    four terms are evaluated at their angle differences.
+    four terms fold the chain's table at their angle differences.
     """
     a1, a2 = ALICE_CHSH_ANGLES
     b1, b2 = BOB_CHSH_ANGLES
 
-    def corr(theta_a: float, theta_b: float) -> float:
-        table = outcome_probabilities(
-            source, channel, MeasurementAngles(theta_a, theta_b)
-        )
-        return correlation(coincidences(table, model))
+    def corr(theta: float) -> float:
+        return correlation(fold(outcome_probability_array(
+            source.g, channel.tau1, channel.tau2, channel.dark_count, theta
+        ), model))
 
-    return abs(
-        corr(a1, b1) - corr(a1, b2) + corr(a2, b1) + corr(a2, b2)
-    )
+    return abs(corr(a1 - b1) - corr(a1 - b2) + corr(a2 - b1) + corr(a2 - b2))

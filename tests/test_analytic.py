@@ -21,6 +21,7 @@ from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
     ClickPattern,
     ProbabilityConsistencyError,
+    left_to_right_sum,
 )
 
 import reference_chain
@@ -322,6 +323,14 @@ class TestProbabilityTable:
         assert table[pat("1000")] == -5e-13  # raw preserved
         assert table.clamped()[pat("1000")] == 0.0
         assert min(table.clamped().values) == 0.0
+
+    def test_total_adds_left_to_right_on_every_interpreter(self):
+        # builtin sum() compensates rounding on Python >= 3.12 and gives
+        # 1.0000000000000002 here; the canonical-order sum is 1.0 everywhere
+        values = (1.0, 1e-16, 1e-16) + (0.0,) * 13
+        assert (1.0 + 1e-16) + 1e-16 == 1.0
+        assert ProbabilityTable(values).total() == 1.0
+        assert left_to_right_sum(values) == 1.0
 
 
 class TestOutcomeProbabilityArray:

@@ -81,10 +81,12 @@ class TestQberAndSift:
         assert r_sift > 0.0
 
     def test_no_coincidences_returns_zero(self):
-        eps, r_sift = qber_and_sift(
-            SourceParams(0.0), ChannelParams(tau1=0.7, tau2=0.01)
-        )
-        assert (eps, r_sift) == (0.0, 0.0)
+        # g = 0 without dark counts, both models
+        for model in PostprocessingModel:
+            eps, r_sift = qber_and_sift(
+                SourceParams(0.0), ChannelParams(tau1=0.7, tau2=0.01), model
+            )
+            assert (eps, r_sift) == (0.0, 0.0)
 
     def test_monotone_in_gain(self):
         channel = ChannelParams(tau1=0.7, tau2=0.01)

@@ -14,11 +14,14 @@ from hbepp_link import (
     oracle_probabilities,
     outcome_probabilities,
 )
+from hbepp_link.analytic import outcome_probability_array
+from hbepp_link.keyrate import _qber_and_sift, qber_and_sift
 from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
 from hbepp_link.postprocess import (
     CoincidenceCounts,
     coincidences,
     correlation,
+    fold,
 )
 
 REFERENCE_CHANNEL = ChannelParams(tau1=0.7, tau2=0.01)
@@ -90,6 +93,50 @@ class TestDiscard:
         assert counts.n_pp == counts.n_pm == counts.n_mm == 0.0
 
 
+class TestFold:
+    def test_arrays_fold_to_the_counts_of_each_column(self):
+        # one result type for floats and arrays; every field of every column
+        # is the one-point table's count, bit for bit
+        rng = np.random.default_rng(41)
+        g = rng.uniform(0.0, 0.95, 32)
+        tau1 = rng.uniform(1e-3, 1.0, 32)
+        tau2 = rng.uniform(1e-6, 1.0, 32)
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], 32)
+        for theta in (0.0, 0.7):
+            values = outcome_probability_array(g, tau1, tau2, dark, theta)
+            for model in PostprocessingModel:
+                counts = fold(values, model)
+                assert type(counts) is CoincidenceCounts
+                for k in range(32):
+                    table = outcome_probabilities(
+                        SourceParams(g[k].item()),
+                        ChannelParams(tau1[k].item(), tau2[k].item(), dark[k].item()),
+                        MeasurementAngles(theta, 0.0),
+                    )
+                    one = coincidences(table, model)
+                    assert type(one) is CoincidenceCounts
+                    assert [float(cell[k]).hex() for cell in counts] == [
+                        cell.hex() for cell in one
+                    ]
+
+    def test_zero_total_column_reads_zero_and_leaves_the_others(self):
+        # g = 0 without dark counts: nothing clicks in the middle column
+        g = np.array([0.3, 0.0, 0.6])
+        channel = ChannelParams(tau1=0.7, tau2=0.01)
+        hexes = lambda *floats: [float(v).hex() for v in floats]
+        for model in PostprocessingModel:
+            counts = fold(outcome_probability_array(g, 0.7, 0.01, 0.0, 0.4), model)
+            assert counts.total()[1] == 0.0
+            corr = correlation(counts)
+            eps, r_sift = _qber_and_sift(g, 0.7, 0.01, 0.0, model)
+            assert hexes(corr[1], eps[1], r_sift[1]) == hexes(0.0, 0.0, 0.0)
+            for k in (0, 2):
+                source = SourceParams(g[k].item())
+                table = outcome_probabilities(source, channel, MeasurementAngles(0.4, 0.0))
+                assert hexes(corr[k]) == hexes(correlation(coincidences(table, model)))
+                assert hexes(eps[k], r_sift[k]) == hexes(*qber_and_sift(source, channel, model))
+
+
 class TestCorrelation:
     def test_perfect_correlation(self):
         assert correlation(CoincidenceCounts(0.5, 0.0, 0.0, 0.5)) == 1.0
@@ -130,6 +177,12 @@ class TestChsh:
             assert chsh(source, REFERENCE_CHANNEL, model) == pytest.approx(
                 TSIRELSON_BOUND, abs=1e-3
             )
+
+    def test_no_coincidences_give_zero(self):
+        # g = 0 without dark counts: every correlation takes the
+        # zero-coincidence rule
+        for model in PostprocessingModel:
+            assert chsh(SourceParams(0.0), REFERENCE_CHANNEL, model) == 0.0
 
     def test_models_coincide_for_weak_source(self):
         source = SourceParams(1e-4)
