@@ -29,12 +29,12 @@ from .analytic import outcome_probability_array
 from .params import ChannelParams, SourceParams, transmittance_from_db
 from .postprocess import PostprocessingModel, fold, share
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Gains scanned by ``optimize_gain``, their default number, and the
-#: bracket width at which its golden-section refinement stops.
+#: Gains scanned by ``optimize_gain``, their default number, the gains of
+#: each later step across the bracket, and the bracket width at which a
+#: search stops.
 G_BRACKET = (1e-3, 0.95)
 _GRID_POINTS = 256
+_ZOOM_POINTS = 32
 G_TOL = 1e-6
 
 #: Gains per array call at most, in whole channels: a call holds some 50
@@ -95,7 +95,10 @@ def secure_rate(eps, r_sift):
 @dataclass(frozen=True, slots=True)
 class OptimizationResult:
     """Outcome of the gain search; ``g_opt`` is None when the secure rate
-    vanished over the whole bracket."""
+    vanished over the whole bracket. ``g_opt`` is the best gain evaluated
+    and ``secure_rate_at_opt`` its rate; ``iterations`` counts the steps
+    after the scan, and ``bracket`` is the scan's: the best scan gain's two
+    grid neighbours."""
 
     g_opt: float | None
     mu_opt: float | None
@@ -126,52 +129,42 @@ def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarra
     return secure_rate(*_qber_and_sift(g, tau1, tau2, dark, PostprocessingModel.SQUASH))
 
 
+def _narrow(lo, hi, points: int, channels: Sequence[ChannelParams]):
+    """One search step: ``points`` gains across each channel's bracket
+    ``[lo, hi]`` in one array call. Returns the best gain of each row, its
+    rate, and its two grid neighbours as the new bracket."""
+    grid = np.linspace(lo, hi, points, axis=1)
+    rates = _secure_rates(grid, channels)
+    best = rates.argmax(axis=1)
+    rows = np.arange(len(channels))
+    below, above = np.maximum(best - 1, 0), np.minimum(best + 1, points - 1)
+    return grid[rows, best], rates[rows, best], grid[rows, below], grid[rows, above]
+
+
 def _optimize_lockstep(
     channels: Sequence[ChannelParams], grid_points: int
 ) -> list[OptimizationResult]:
-    """``optimize_gain`` for every channel, each search step one array call.
-
-    The grid scans of all channels are one call. The golden-section
-    searches then advance in lockstep, one call per iteration over the
-    searches still open, and every search takes exactly the steps a
-    one-channel search takes, so its result is the same bit for bit.
-    """
-    grid = np.linspace(*G_BRACKET, grid_points)
+    """``optimize_gain`` for every channel, each search step one array call
+    over the searches still open. A lane's steps do not depend on the other
+    lanes, so its result is the one-channel search's bit for bit."""
     lanes = len(channels)
-    scan = _secure_rates(np.broadcast_to(grid, (lanes, grid_points)), channels)
-    best = scan.argmax(axis=1)
-    found = np.flatnonzero(scan[np.arange(lanes), best] != 0.0)
-    live = [channels[i] for i in found]
-    a = grid[np.maximum(best[found] - 1, 0)]
-    b = grid[np.minimum(best[found] + 1, grid_points - 1)]
-    brackets = list(zip(a.tolist(), b.tolist()))
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _secure_rates(np.stack([c, d], axis=1), live).T.copy()
-    iterations = np.zeros(len(live), dtype=int)
-    while (open_ := np.flatnonzero(b - a > G_TOL)).size:
-        left = fc[open_] > fd[open_]
-        lo, hi = open_[left], open_[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
-        probe = np.where(left, c[open_], d[open_])
-        rates = _secure_rates(probe, [live[i] for i in open_])
-        fc[lo], fd[hi] = rates[left], rates[~left]
-        iterations[open_] += 1
-    g_opt = 0.5 * (a + b)
-    rate_opt = _secure_rates(g_opt, live)
-    results = [OptimizationResult(None, None, 0.0, 0, G_BRACKET)] * lanes
-    for k, lane in enumerate(found):
-        results[lane] = OptimizationResult(
-            g_opt=g_opt[k],
-            mu_opt=SourceParams(g_opt[k]).mean_photon_number(),
-            secure_rate_at_opt=rate_opt[k],
-            iterations=int(iterations[k]),
-            bracket=brackets[k],
+    g, rate, lo, hi = _narrow(
+        np.full(lanes, G_BRACKET[0]), np.full(lanes, G_BRACKET[1]), grid_points, channels
+    )
+    brackets = list(zip(lo.tolist(), hi.tolist()))
+    iterations = np.zeros(lanes, dtype=int)
+    while (open_ := np.flatnonzero((rate > 0.0) & (hi - lo > G_TOL))).size:
+        g_step, rate_step, lo[open_], hi[open_] = _narrow(
+            lo[open_], hi[open_], _ZOOM_POINTS, [channels[i] for i in open_]
         )
-    return results
+        better = rate_step > rate[open_]
+        g[open_[better]], rate[open_[better]] = g_step[better], rate_step[better]
+        iterations[open_] += 1
+    return [
+        OptimizationResult(g_opt, SourceParams(g_opt).mean_photon_number(), r, steps, bracket)
+        if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+        for g_opt, r, steps, bracket in zip(g.tolist(), rate.tolist(), iterations.tolist(), brackets)
+    ]
 
 
 def optimize_gain(
@@ -179,11 +172,12 @@ def optimize_gain(
 ) -> OptimizationResult:
     """Gain maximizing the secure rate for a given channel.
 
-    A coarse grid scan of ``G_BRACKET`` brackets the maximum (the
-    secure-rate curve is smooth but not provably unimodal, so the scan
-    guards against missing side lobes); golden-section refinement then
-    narrows the bracket below ``G_TOL``. The scan is one array call, and
-    the search is the one-channel case of ``passive_performance``'s.
+    A scan of ``G_BRACKET`` at ``grid_points`` gains keeps the best gain's
+    two neighbours as the bracket (the secure-rate curve is smooth but not
+    provably unimodal, so the scan guards against missing side lobes). The
+    same step repeats on the bracket at ``_ZOOM_POINTS`` gains until it is
+    narrower than ``G_TOL``, four times after the default scan, one array
+    call each. It is the one-channel case of ``passive_performance``'s.
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")

@@ -3,19 +3,20 @@ golden-section loop, one ``secure_rate(*qber_and_sift(...))`` call of the
 reference chain (``tests/reference_chain.py``) per gain, as ``keyrate`` ran
 them before they became array calls.
 
-The package's search must return the same floats, bit for bit, and raise
-the same exceptions.
+The package's search must scan the same bracket, split found from no-key
+channels the same way, raise the same exceptions, and find a secure rate
+no lower than this search's, up to 1e-10 relative.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from hbepp_link.keyrate import (
-    _GOLDEN,
     G_BRACKET,
     G_TOL,
     OptimizationResult,
@@ -24,6 +25,8 @@ from hbepp_link.keyrate import (
 )
 from hbepp_link.params import ChannelParams, SourceParams, transmittance_from_db
 from reference_chain import qber_and_sift, secure_rate
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @functools.cache

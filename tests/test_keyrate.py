@@ -199,6 +199,31 @@ class TestOptimizeGain:
         assert result.secure_rate_at_opt == 0.0
         assert result.bracket == G_BRACKET
 
+    def test_fields_are_python_floats(self):
+        result = optimize_gain(reference_channel(30.0))
+        fields = (result.g_opt, result.mu_opt, result.secure_rate_at_opt, *result.bracket)
+        assert [type(v) for v in fields] == [float] * 5
+        assert type(result.iterations) is int
+
+    def test_result_is_the_best_gain_evaluated(self, monkeypatch):
+        # At 52.5 dB the rate's rounding noise is large enough that a later
+        # step's best can fall below an earlier step's; the search keeps
+        # the earlier one.
+        evaluated = []
+        secure_rates = keyrate._secure_rates
+
+        def recording(g, channels):
+            rates = secure_rates(g, channels)
+            evaluated.extend(zip(g.ravel().tolist(), rates.ravel().tolist()))
+            return rates
+
+        monkeypatch.setattr(keyrate, "_secure_rates", recording)
+        for loss2_db in (20.0, 45.0, 52.5):
+            evaluated.clear()
+            result = optimize_gain(reference_channel(loss2_db))
+            assert result.secure_rate_at_opt == max(rate for _, rate in evaluated)
+            assert (result.g_opt, result.secure_rate_at_opt) in evaluated
+
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             optimize_gain(reference_channel(20.0), grid_points=100)
@@ -242,14 +267,6 @@ def exact(value):
 def exact_result(result):
     return exact((result.g_opt, result.mu_opt, result.secure_rate_at_opt,
                   result.iterations, result.bracket))
-
-
-def exact_sweep(sweep):
-    points = [
-        (p.loss2_db, p.secure_rate_fixed, p.secure_rate_optimal, p.mu_opt, p.ratio)
-        for p in sweep.points
-    ]
-    return exact((sweep.mu_fixed, sweep.min_ratio, points))
 
 
 LOSS2_DB = (0.0, 10.0, 20.0, 30.0, 45.0, 60.0)
@@ -330,20 +347,39 @@ class TestSecureRateArray:
 
 class TestLockstepSearchMatchesReference:
     """The array search against the gain-by-gain reference search in
-    ``tests/reference_search.py``: equal floats, bit for bit."""
+    ``tests/reference_search.py``: the same scan bracket, found set and
+    exceptions bit for bit, and a secure rate no lower than the reference's
+    golden-section optimum up to 1e-10 relative. Each lane of a lockstep
+    search is the one-channel ``optimize_gain`` bit for bit."""
+
+    @staticmethod
+    def assert_search_contract(result, reference):
+        assert exact((result.found, result.bracket)) == exact(
+            (reference.found, reference.bracket)
+        )
+        if not reference.found:
+            assert exact_result(result) == exact_result(reference)
+            return
+        assert result.secure_rate_at_opt >= reference.secure_rate_at_opt * (1.0 - 1e-10)
+        assert result.bracket[0] <= result.g_opt <= result.bracket[1]
 
     @pytest.mark.parametrize("dark", [0.0, 6.25e-7, 1e-5])
     @pytest.mark.parametrize("loss1_db", [0.0, 1.6, 3.0])
     def test_optimize_gain_and_sweep(self, loss1_db, dark):
+        optima = []
         for loss2_db in LOSS2_DB:
             channel = ChannelParams.from_db_losses(loss1_db, loss2_db, dark)
-            assert exact_result(optimize_gain(channel)) == exact_result(
-                reference_search.optimize_gain(channel)
-            ), loss2_db
+            optima.append(optimize_gain(channel))
+            self.assert_search_contract(optima[-1], reference_search.optimize_gain(channel))
         base = ChannelParams.from_db_losses(loss1_db, 0.0, dark)
-        assert exact_sweep(passive_performance(0.1, base, LOSS2_DB)) == exact_sweep(
-            reference_search.passive_performance(0.1, base, LOSS2_DB)
-        )
+        sweep = passive_performance(0.1, base, LOSS2_DB)
+        reference = reference_search.passive_performance(0.1, base, LOSS2_DB)
+        assert [exact(p.secure_rate_fixed) for p in sweep.points] == [
+            exact(p.secure_rate_fixed) for p in reference.points
+        ]
+        assert [exact((p.secure_rate_optimal, p.mu_opt)) for p in sweep.points] == [
+            exact((opt.secure_rate_at_opt, opt.mu_opt)) for opt in optima
+        ]
 
     def test_found_and_all_zero_lanes_in_one_search(self):
         channels = [
@@ -354,15 +390,15 @@ class TestLockstepSearchMatchesReference:
         results = keyrate._optimize_lockstep(channels, 256)
         assert [r.found for r in results] == [True, False, True]
         for channel, result in zip(channels, results):
-            assert exact_result(result) == exact_result(
-                reference_search.optimize_gain(channel)
-            )
+            assert exact_result(result) == exact_result(optimize_gain(channel))
+            self.assert_search_contract(result, reference_search.optimize_gain(channel))
 
     def test_scan_maximum_at_a_bracket_end(self, monkeypatch):
         # No channel puts the scan maximum on G_BRACKET's ends (the rate
         # rises as g^2 from g = 0 and the multi-pair errors close it well
         # below g = 0.95), so a stand-in rate curve checks the search's
-        # clamping: rising in g where tau2 = 1, falling elsewhere.
+        # clamping: rising in g where tau2 = 1, falling elsewhere. The
+        # maximum is the bracket end itself, and the search returns it.
         def rates(g, channels):
             tau2 = np.reshape([c.tau2 for c in channels], (-1,) + (1,) * (g.ndim - 1))
             return np.where(tau2 == 1.0, g, 1.0 - g)
@@ -376,9 +412,16 @@ class TestLockstepSearchMatchesReference:
         results = keyrate._optimize_lockstep(channels, 256)
         for channel, result in zip(channels, results):
             reference = reference_search.optimize_gain.__wrapped__(channel)
-            assert exact_result(result) == exact_result(reference)
-        assert results[0].bracket[1] == G_BRACKET[1]
-        assert results[1].bracket[0] == G_BRACKET[0]
+            self.assert_search_contract(result, reference)
+        assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
+        assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
+
+    def test_rate_above_golden_section_at_52_5_db(self):
+        # Golden-section lands 2e-5 away in g here; the narrowing steps
+        # end on a gain whose rate is higher.
+        channel = ChannelParams.from_db_losses(1.6, 52.5, 6.25e-7)
+        result = optimize_gain(channel)
+        assert result.secure_rate_at_opt > reference_search.optimize_gain(channel).secure_rate_at_opt
 
     def test_deep_loss_error_matches_reference(self):
         # The deep-loss defect (a same-sign coincidence rounds below 0 and
