@@ -17,20 +17,20 @@ import itertools
 import math
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .analytic import outcome_probabilities
 from .config import (
     COHERENCE_TIME_S, SWEEP_UNITS, SWEEP_VARIABLES, ConfigError, ScenarioConfig,
-    parse_config, with_source_value,
+    parse_config,
 )
 from .fock import oracle_probabilities, truncation_error_bound
-from .keyrate import optimize_gain, passive_performance, qber_and_sift, secure_rate
+from .keyrate import _qber_and_sift, optimize_gain, passive_performance, secure_rate
 from .params import ChannelParams, MeasurementAngles, SourceParams
 from .patterns import CANONICAL_PATTERNS
-from .postprocess import PostprocessingModel, chsh
+from .postprocess import PostprocessingModel, _chsh
 
 #: Sweep variables of ``chsh`` and ``keyrate``; the first is the default.
 _SOURCE_VARIABLES = ("g", "mu")
@@ -78,13 +78,15 @@ def _channel_lines(channel: ChannelParams, keys=("tau1", "tau2", "dark_count")) 
     return [_kv(key, getattr(channel, key)) for key in keys]
 
 
-def _sweep(
-    cfg: ScenarioConfig, sweep: tuple[str, float, float, int]
-) -> Iterator[tuple[float, ScenarioConfig]]:
-    """(value, point config) along a sweep returned by ``cfg.sweep_or``."""
-    var, start, stop, steps = sweep
-    for value in np.linspace(start, stop, steps).tolist():
-        yield value, with_source_value(cfg, var, value)
+def _source_sweep(cfg: ScenarioConfig) -> tuple[np.ndarray, list[list[float]]]:
+    """The gains of a ``chsh`` or ``keyrate`` sweep, and per point the
+    rows' leading cells: its gain and mean photon number."""
+    _, points = cfg.sweep(_SOURCE_VARIABLES, 0.05, 0.9, 50)
+    sources = [point.source_params() for point in points]
+    return (
+        np.array([source.g for source in sources]),
+        [[source.g, source.mean_photon_number()] for source in sources],
+    )
 
 
 def _run_probs(cfg: ScenarioConfig) -> str:
@@ -103,58 +105,47 @@ def _run_probs(cfg: ScenarioConfig) -> str:
         ]
         return _kv_block("click-pattern probabilities", lines)
 
-    sweep = cfg.sweep_or(SWEEP_VARIABLES, 0.0, 180.0, 61)
+    var, points = cfg.sweep(SWEEP_VARIABLES, 0.0, 180.0, 61)
     rows = []
-    for value, point in _sweep(cfg, sweep):
+    for point in points:
         table = outcome_probabilities(
             point.source_params(), point.channel_params(), point.angles()
         ).clamped()
-        rows.append([value, *table.values])
+        rows.append([getattr(point, var), *table.values])
     preamble = [
         "hbepp-link probs",
         _kv("g", source.g),
         *_channel_lines(channel),
         _kv("theta2_deg", cfg.theta2_deg),
     ]
-    return _csv_output(preamble, [_column(sweep[0]), *_PATTERN_COLUMNS], rows)
+    return _csv_output(preamble, [_column(var), *_PATTERN_COLUMNS], rows)
 
 
 def _run_chsh(cfg: ScenarioConfig) -> str:
     # Bell-test scans default to dark-count-free detectors; an explicitly
     # configured detector.dark_count still wins.
     channel = cfg.channel_params(default_dark_count=0.0)
-    sweep = cfg.sweep_or(_SOURCE_VARIABLES, 0.05, 0.9, 50)
+    g, leading = _source_sweep(cfg)
     header = [
         *map(_column, _SOURCE_VARIABLES),
         *(f"S_{model.value}[-]" for model in PostprocessingModel),
     ]
-    rows = []
-    for _, point in _sweep(cfg, sweep):
-        source = point.source_params()
-        rows.append([
-            source.g,
-            source.mean_photon_number(),
-            *(chsh(source, channel, model) for model in PostprocessingModel),
-        ])
+    s_values = [
+        _chsh(g, channel.tau1, channel.tau2, channel.dark_count, model)
+        for model in PostprocessingModel
+    ]
+    rows = [[*lead, *cells] for lead, *cells in zip(leading, *s_values)]
     return _csv_output(["hbepp-link chsh", *_channel_lines(channel)], header, rows)
 
 
 def _run_keyrate(cfg: ScenarioConfig) -> str:
     channel = cfg.channel_params()
     scale, unit = _rate(cfg)
-    sweep = cfg.sweep_or(_SOURCE_VARIABLES, 0.05, 0.9, 50)
+    g, leading = _source_sweep(cfg)
     header = [*map(_column, _SOURCE_VARIABLES), "qber[-]", f"rsift[{unit}]", f"rsec[{unit}]"]
-    rows = []
-    for _, point in _sweep(cfg, sweep):
-        source = point.source_params()
-        qber, r_sift = qber_and_sift(source, channel, cfg.model)
-        rows.append([
-            source.g,
-            source.mean_photon_number(),
-            qber,
-            r_sift * scale,
-            secure_rate(qber, r_sift) * scale,
-        ])
+    qber, r_sift = _qber_and_sift(g, channel.tau1, channel.tau2, channel.dark_count, cfg.model)
+    columns = (qber, r_sift * scale, secure_rate(qber, r_sift) * scale)
+    rows = [[*lead, *cells] for lead, *cells in zip(leading, *columns)]
     preamble = ["hbepp-link keyrate", f"model = {cfg.model.value}", *_channel_lines(channel)]
     return _csv_output(preamble, header, rows)
 
@@ -176,13 +167,13 @@ def _run_optimize(cfg: ScenarioConfig) -> str:
 
 
 def _run_sweep(cfg: ScenarioConfig) -> str:
-    var, start, stop, steps = cfg.sweep_or(("loss2_db",), 20.0, 45.0, 26)
+    var, points = cfg.sweep(("loss2_db",), 20.0, 45.0, 26)
     channel = cfg.channel_params()
     mu_fixed = cfg.source_params().mean_photon_number()
     if mu_fixed <= 0.0:
         key, value = cfg.source_setting()
         raise ConfigError(f"{key}: sweep needs a source brightness above 0, got {value!r}")
-    result = passive_performance(mu_fixed, channel, np.linspace(start, stop, steps).tolist())
+    result = passive_performance(mu_fixed, channel, [point.loss2_db for point in points])
     scale, unit = _rate(cfg)
     header = [
         _column(var),

@@ -22,6 +22,8 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .params import (
     ChannelParams,
     MeasurementAngles,
@@ -226,21 +228,32 @@ class ScenarioConfig:
             math.radians(self.theta1_deg), math.radians(self.theta2_deg)
         )
 
-    def sweep_or(
+    def sweep(
         self, variables: tuple[str, ...], start: float, stop: float, steps: int
-    ) -> tuple[str, float, float, int]:
-        """Configured sweep, or the default sweep of ``variables[0]``.
+    ) -> tuple[str, list[ScenarioConfig]]:
+        """The swept field and the point scenario at each ``np.linspace``
+        value of the configured sweep, or of the default sweep of
+        ``variables[0]`` from ``start`` to ``stop`` in ``steps`` points.
 
-        A configured sweep variable outside ``variables`` is rejected.
+        A configured sweep variable outside ``variables`` is rejected. Each
+        point sets the variable and clears its alternative, if any.
         """
-        if self.sweep_variable is None:
-            return variables[0], start, stop, steps
-        if self.sweep_variable not in variables:
-            raise ConfigError(
-                f"{_VARIABLE.key}: expected {' or '.join(variables)} for this "
-                f"subcommand, got {self.sweep_variable!r}"
-            )
-        return self.sweep_variable, self.sweep_start, self.sweep_stop, self.sweep_steps
+        if self.sweep_variable is not None:
+            if self.sweep_variable not in variables:
+                raise ConfigError(
+                    f"{_VARIABLE.key}: expected {' or '.join(variables)} for this "
+                    f"subcommand, got {self.sweep_variable!r}"
+                )
+            variables = (self.sweep_variable,)
+            start, stop, steps = self.sweep_start, self.sweep_stop, self.sweep_steps
+        spec = _SWEPT[variables[0]]
+        cleared = _ALTERNATIVES.get(spec.group, ())
+        changes = {other.field: None for other in cleared}
+        explicit = self.explicit.difference(other.key for other in cleared) | {spec.key}
+        return spec.field, [
+            replace(self, **{**changes, spec.field: value}, explicit=explicit)
+            for value in np.linspace(start, stop, steps).tolist()
+        ]
 
     def to_text(self) -> str:
         """Canonical serialization of the explicitly set keys.
@@ -324,16 +337,3 @@ def _check_sweep(values: dict[str, object], texts: dict[str, str]) -> None:
     swept = _SWEPT[values[_VARIABLE.key]]
     for end in (_START, _STOP):
         swept.parse(f"{end.key} ({swept.key})", texts[end.key])
-
-
-def with_source_value(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
-    """Copy of ``cfg`` with one sweep variable set to ``value``; the
-    variable's alternative, if any, is cleared."""
-    if variable not in _SWEPT:
-        raise ConfigError(f"unknown sweep variable {variable!r}")
-    spec = _SWEPT[variable]
-    cleared = _ALTERNATIVES.get(spec.group, ())
-    changes = {other.field: None for other in cleared}
-    changes[spec.field] = value
-    explicit = cfg.explicit.difference(other.key for other in cleared) | {spec.key}
-    return replace(cfg, **changes, explicit=explicit)

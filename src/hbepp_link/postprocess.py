@@ -105,22 +105,25 @@ def correlation(counts: CoincidenceCounts) -> float:
     return share(counts.n_pp - counts.n_pm - counts.n_mp + counts.n_mm, counts.total())
 
 
-def chsh(
-    source: SourceParams,
-    channel: ChannelParams,
-    model: PostprocessingModel,
-) -> float:
+def _chsh(g, tau1, tau2, dark_count, model: PostprocessingModel):
     """CHSH value S at the standard settings (0, 45; 22.5, 67.5 degrees).
 
     Each correlation depends only on the relative analyzer angle, so the
-    four terms fold the chain's table at their angle differences.
+    four terms fold the chain's table at their angle differences. Inputs
+    as for ``outcome_probability_array``: floats, or arrays that broadcast
+    together.
     """
     a1, a2 = ALICE_CHSH_ANGLES
     b1, b2 = BOB_CHSH_ANGLES
 
-    def corr(theta: float) -> float:
+    def corr(theta: float):
         return correlation(fold(outcome_probability_array(
-            source.g, channel.tau1, channel.tau2, channel.dark_count, theta
+            g, tau1, tau2, dark_count, theta
         ), model))
 
     return abs(corr(a1 - b1) - corr(a1 - b2) + corr(a2 - b1) + corr(a2 - b2))
+
+
+def chsh(source: SourceParams, channel: ChannelParams, model: PostprocessingModel) -> float:
+    """CHSH value S at the standard settings: the one-point call of ``_chsh``."""
+    return _chsh(source.g, channel.tau1, channel.tau2, channel.dark_count, model)

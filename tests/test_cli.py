@@ -2,10 +2,14 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from hbepp_link.cli import main, run_subcommand
-from hbepp_link.config import ConfigError, parse_config
+from hbepp_link.config import COHERENCE_TIME_S, ConfigError, parse_config
+from hbepp_link.keyrate import qber_and_sift, secure_rate
+from hbepp_link.params import SourceParams
+from hbepp_link.postprocess import PostprocessingModel, chsh
 
 
 def run(capsys, *argv):
@@ -96,6 +100,72 @@ class TestKeyrate:
         assert ratio == pytest.approx(1.0 / 6.25e-9, rel=1e-12)
 
 
+#: A mu sweep at a nonzero dark count, rates per second.
+MU_SWEEP = [
+    "sweep.variable=mu", "sweep.start=0.01", "sweep.stop=0.6", "sweep.steps=9",
+    "channel.loss2_db=30", "detector.dark_count=1e-5", "output.per_second=true",
+]
+
+
+def mu_sweep_rows(name, *settings):
+    """Config of ``MU_SWEEP`` plus ``settings``, and the CLI rows of
+    ``name``, each with the source of its point."""
+    cfg = parse_config("", [*MU_SWEEP, *settings])
+    _, rows = csv_rows(run_subcommand(name, cfg))
+    mus = np.linspace(0.01, 0.6, 9).tolist()
+    assert len(rows) == len(mus)
+    return cfg, [(row, SourceParams.from_mean_photon_number(mu)) for row, mu in zip(rows, mus)]
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+class TestBatchedSweepsMatchOnePointCalls:
+    """``chsh`` and ``keyrate`` evaluate a sweep in one array call per
+    figure; every cell is the one-point library call's float."""
+
+    def test_chsh(self):
+        cfg, rows = mu_sweep_rows("chsh")
+        channel = cfg.channel_params()
+        for row, source in rows:
+            expected = [
+                source.g,
+                source.mean_photon_number(),
+                *(chsh(source, channel, model) for model in PostprocessingModel),
+            ]
+            assert hexes(row) == hexes(expected)
+
+    @pytest.mark.parametrize("model", list(PostprocessingModel), ids=lambda m: m.value)
+    def test_keyrate(self, model):
+        cfg, rows = mu_sweep_rows("keyrate", f"model={model.value}")
+        channel = cfg.channel_params()
+        scale = 1.0 / COHERENCE_TIME_S
+        for row, source in rows:
+            qber, r_sift = qber_and_sift(source, channel, model)
+            expected = [
+                source.g,
+                source.mean_photon_number(),
+                qber,
+                r_sift * scale,
+                secure_rate(qber, r_sift) * scale,
+            ]
+            assert hexes(row) == hexes(expected)
+
+    @pytest.mark.parametrize("name", ["chsh", "keyrate"])
+    def test_rejects_other_variables(self, capsys, name):
+        code, out, err = run(
+            capsys, name, "--set", "sweep.variable=tau1",
+            "--set", "sweep.start=0.1", "--set", "sweep.stop=0.5",
+            "--set", "sweep.steps=3",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "hbepp-link: error: sweep.variable: expected g or mu for this "
+            "subcommand, got 'tau1'\n"
+        )
+
+
 class TestOptimizeAndSweep:
     def test_optimize_block(self, capsys):
         code, out, _ = run(capsys, "optimize", "--set", "channel.loss2_db=30")
@@ -148,6 +218,7 @@ class TestOptimizeAndSweep:
             "--set", "sweep.steps=2",
         )
         assert code == 2
+        assert err.startswith("hbepp-link: error: sweep.variable:")
         assert "loss2_db" in err
 
 

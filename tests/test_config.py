@@ -11,7 +11,6 @@ from hbepp_link.config import (
     SWEEP_VARIABLES,
     _KEYS,
     parse_config,
-    with_source_value,
 )
 from hbepp_link.params import db_from_transmittance
 from hbepp_link.postprocess import PostprocessingModel
@@ -181,7 +180,8 @@ def test_sweep_point_substitution(variable):
     # over loss), so sweeping mu or a loss only works if they are cleared.
     cfg = parse_config("source.g = 0.3\nchannel.tau1 = 0.5\nchannel.tau2 = 0.2\n")
     value, effective = SWEEP_POINTS[variable]
-    point = with_source_value(cfg, variable, value)
+    field, (point,) = cfg.sweep((variable,), value, value, 1)
+    assert field == variable
     assert getattr(point, variable) == value
     assert effective(point) == pytest.approx(value, abs=1e-12)
     assert parse_config(point.to_text()) == point
