@@ -70,21 +70,36 @@ def vacuum_terms(g, tau1, tau2, dark_count, theta: float) -> list:
         dark_miss = [keep**n for n in range(5)]
     x = g * g
     squeeze = (1.0 - g) * (1.0 + g)
+    weight = squeeze * squeeze
+    scaled = [weight * miss for miss in dark_miss]
     cos, sin = math.cos(theta), math.sin(theta)
     c2, s2 = cos * cos, sin * sin
-    taus = (tau1, tau1, tau2, tau2)
-    vac = []
-    for mask in range(16):
+    x_cos_sin = x * cos * sin
+    z_bob = 1.0 - tau2  # z on Bob's silent modes
+    vac = [0.0] * 16
+    for alice in range(4):
         # t = 1 - z: tau on silent modes, 0 on marginalized ones
-        t1, t2, t3, t4 = (tau if mask >> i & 1 else 0.0 for i, tau in enumerate(taus))
+        t1, t2 = (tau1 if alice >> i & 1 else 0.0 for i in range(2))
         # det = f1 f2 - q^2 z3 z4 with f1 = 1 - x z3 (s2 z1 + c2 z2) and
         # f2 = 1 - x z4 (c2 z1 + s2 z2); with c2 + s2 = 1 each f is a sum of
         # nonnegative terms, so nothing cancels in the diagonal factors.
-        f1 = squeeze + x * (t3 + (1.0 - t3) * (s2 * t1 + c2 * t2))
-        f2 = squeeze + x * (t4 + (1.0 - t4) * (c2 * t1 + s2 * t2))
-        q = x * cos * sin * (t1 - t2)
-        det = f1 * f2 - q * q * (1.0 - t3) * (1.0 - t4)
-        vac.append(squeeze * squeeze * dark_miss[mask.bit_count()] / det)
+        # Bob's t3 and t4 are 0 or tau2, so each factor is built once per
+        # Alice state, as (t = 0, t = tau2); at t = 0 the factor
+        # squeeze + x (t + (1 - t) u) is squeeze + x u exactly.
+        u1, u2 = s2 * t1 + c2 * t2, c2 * t1 + s2 * t2
+        f1 = (squeeze + x * u1, squeeze + x * (tau2 + z_bob * u1))
+        f2 = (squeeze + x * u2, squeeze + x * (tau2 + z_bob * u2))
+        if alice in (1, 2):  # q = x cos sin (t1 - t2) is zero where t1 = t2
+            q = x_cos_sin * (t1 - t2)
+            qq = q * q
+            qq_z = qq * z_bob
+            cross = (qq, qq_z, qq_z, qq_z * z_bob)  # q^2 z3 z4 by Bob's state
+        for bob in range(4):
+            det = f1[bob & 1] * f2[bob >> 1]
+            if alice in (1, 2):
+                det = det - cross[bob]
+            mask = alice | bob << 2
+            vac[mask] = scaled[mask.bit_count()] / det
     return vac
 
 
@@ -103,8 +118,9 @@ def _inclusion_exclusion(vac) -> list:
         p = 0.0
         for sub in range(1 << len(clicks)):
             extra = sum(1 << clicks[j] for j in range(len(clicks)) if sub >> j & 1)
-            sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            p = p + sign * vac[silent_mask | extra]  # not +=: a later V may be wider
+            term = vac[silent_mask | extra]
+            # p - V is p + (-1) V bit for bit; not -= or +=: a later V may be wider
+            p = p - term if bin(sub).count("1") % 2 else p + term
         values.append(p)
     return values
 
@@ -128,7 +144,7 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
     residual = abs(total - 1.0)
     squeeze = 1.0 - g * g
     ok = (residual <= _NORMALIZATION_TOL) | (
-        residual <= 32.0 * sys.float_info.epsilon / squeeze**2
+        residual <= 32.0 * sys.float_info.epsilon / (squeeze * squeeze)
     )
     for value in values:
         ok = ok & (value >= -NEGATIVE_TOLERANCE) & (value <= 1.0 + NEGATIVE_TOLERANCE)

@@ -37,8 +37,8 @@ _GRID_POINTS = 256
 _ZOOM_POINTS = 32
 G_TOL = 1e-6
 
-#: Gains per array call at most, in whole channels: a call holds some 50
-#: temporaries of this many floats, so its peak memory stays near 0.4 MB.
+#: Gains per array call at most, in whole channels: a call of 1,024 gains
+#: peaks near 0.28 MB of numpy temporaries (tracemalloc, 4 rows of 256).
 _ROWS_PER_CALL = 1024
 
 
@@ -79,14 +79,28 @@ def qber_and_sift(
 def secure_rate(eps, r_sift):
     """Secure rate from QBER and sifted rate, clamped at zero.
 
-    Floats, or arrays of one shape taken element by element in row-major
-    order, so the first element that fails a check raises. The entropy is
-    Python's ``math.log2`` per element, since ``np.log2`` rounds
-    differently on about one input in 1,000.
+    Floats, or arrays of one shape: each element is the one-point call's
+    float, and the first element in row-major order that fails a check
+    raises the one-point call's error. The entropy takes Python's
+    ``math.log2`` per element with 0 < eps < 1, since ``np.log2`` rounds
+    differently on about one input in 1,000; the rest is the same
+    arithmetic in numpy, and ``np.where`` clamps as ``max(0.0, v)`` does,
+    also at -0.0 and NaN.
     """
     if isinstance(eps, np.ndarray):
-        pairs = zip(eps.ravel().tolist(), r_sift.ravel().tolist())
-        return np.reshape([secure_rate(e, r) for e, r in pairs], eps.shape)
+        failing = (r_sift < 0.0) | ~((eps >= 0.0) & (eps <= 1.0))
+        if failing.any():
+            first = failing.argmax()  # a flat index, in row-major order
+            secure_rate(float(eps.flat[first]), float(r_sift.flat[first]))  # raises
+        interior = (eps > 0.0) & (eps < 1.0)
+        e = eps[interior]
+        rest = 1.0 - e
+        log_e = np.array([math.log2(v) for v in e.tolist()])
+        log_rest = np.array([math.log2(v) for v in rest.tolist()])
+        entropy = np.zeros(eps.shape)
+        entropy[interior] = -e * log_e - rest * log_rest
+        rate = r_sift * (1.0 - 2.0 * entropy)
+        return np.where(rate > 0.0, rate, 0.0)
     if r_sift < 0.0:
         raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
     return max(0.0, r_sift * (1.0 - 2.0 * binary_entropy(eps)))
@@ -129,32 +143,40 @@ def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarra
     return secure_rate(*_qber_and_sift(g, tau1, tau2, dark, PostprocessingModel.SQUASH))
 
 
-def _narrow(lo, hi, points: int, channels: Sequence[ChannelParams]):
+def _narrow(lo, hi, points: int, channels: Sequence[ChannelParams], g_extra=None):
     """One search step: ``points`` gains across each channel's bracket
     ``[lo, hi]`` in one array call. Returns the best gain of each row, its
-    rate, and its two grid neighbours as the new bracket."""
+    rate, and its two grid neighbours as the new bracket. A ``g_extra``
+    gain rides along in the same call as one more column that the argmax
+    leaves out; its rate per row comes last (None without it)."""
     grid = np.linspace(lo, hi, points, axis=1)
+    if g_extra is not None:
+        grid = np.column_stack((grid, np.full(len(channels), g_extra)))
     rates = _secure_rates(grid, channels)
-    best = rates.argmax(axis=1)
+    best = rates[:, :points].argmax(axis=1)
     rows = np.arange(len(channels))
     below, above = np.maximum(best - 1, 0), np.minimum(best + 1, points - 1)
-    return grid[rows, best], rates[rows, best], grid[rows, below], grid[rows, above]
+    extra = None if g_extra is None else rates[:, points]
+    return grid[rows, best], rates[rows, best], grid[rows, below], grid[rows, above], extra
 
 
 def _optimize_lockstep(
-    channels: Sequence[ChannelParams], grid_points: int
-) -> list[OptimizationResult]:
+    channels: Sequence[ChannelParams], grid_points: int, g_extra=None
+) -> tuple[list[OptimizationResult], np.ndarray | None]:
     """``optimize_gain`` for every channel, each search step one array call
     over the searches still open. A lane's steps do not depend on the other
-    lanes, so its result is the one-channel search's bit for bit."""
+    lanes, so its result is the one-channel search's bit for bit. The scan
+    call also evaluates ``g_extra`` on every channel, outside the argmax,
+    and those rates come back next to the results (None without it)."""
     lanes = len(channels)
-    g, rate, lo, hi = _narrow(
-        np.full(lanes, G_BRACKET[0]), np.full(lanes, G_BRACKET[1]), grid_points, channels
+    g, rate, lo, hi, extra_rates = _narrow(
+        np.full(lanes, G_BRACKET[0]), np.full(lanes, G_BRACKET[1]), grid_points,
+        channels, g_extra,
     )
     brackets = list(zip(lo.tolist(), hi.tolist()))
     iterations = np.zeros(lanes, dtype=int)
     while (open_ := np.flatnonzero((rate > 0.0) & (hi - lo > G_TOL))).size:
-        g_step, rate_step, lo[open_], hi[open_] = _narrow(
+        g_step, rate_step, lo[open_], hi[open_], _ = _narrow(
             lo[open_], hi[open_], _ZOOM_POINTS, [channels[i] for i in open_]
         )
         better = rate_step > rate[open_]
@@ -164,7 +186,7 @@ def _optimize_lockstep(
         OptimizationResult(g_opt, SourceParams(g_opt).mean_photon_number(), r, steps, bracket)
         if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)
         for g_opt, r, steps, bracket in zip(g.tolist(), rate.tolist(), iterations.tolist(), brackets)
-    ]
+    ], extra_rates
 
 
 def optimize_gain(
@@ -181,7 +203,7 @@ def optimize_gain(
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
-    return _optimize_lockstep([channel], grid_points)[0]
+    return _optimize_lockstep([channel], grid_points)[0][0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +234,7 @@ def passive_performance(
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
     ``l2_range_db``. The optimizations of all losses run as one lockstep
-    search, and the fixed-brightness rates as one more array call.
+    search, whose scan call also evaluates the fixed brightness.
     """
     if mu_fixed <= 0.0:
         raise ValueError(f"mu_fixed must be > 0, got {mu_fixed}")
@@ -225,8 +247,7 @@ def passive_performance(
         )
         for loss2_db in l2_range_db
     ]
-    optima = _optimize_lockstep(channels, _GRID_POINTS)
-    fixed_rates = _secure_rates(np.full(len(channels), source_fixed.g), channels)
+    optima, fixed_rates = _optimize_lockstep(channels, _GRID_POINTS, source_fixed.g)
     points = []
     ratios = []
     for loss2_db, opt, fixed_rate in zip(l2_range_db, optima, fixed_rates.tolist()):

@@ -159,18 +159,22 @@ class TestVacuumSetProbability:
         assert worst <= 2e-15
 
     def test_arrays_equal_one_point_terms_bit_for_bit(self):
+        # theta = 0 and pi/2 zero the cross term q at every mask, and the
+        # last lane has tau2 = 1, so 1 - t = 0 on Bob's silent modes
         rng = np.random.default_rng(31)
-        g = rng.uniform(0.0, 0.95, 16)
-        tau1 = rng.uniform(1e-6, 1.0, 16)
-        tau2 = rng.uniform(1e-6, 1.0, 16)
-        dark = rng.choice([0.0, 6.25e-7, 1e-3], 16)
-        terms = np.array(vacuum_terms(g, tau1, tau2, dark, 0.7))
-        for k in range(16):
-            point = vacuum_terms(
-                g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item(), 0.7
-            )
-            assert [type(v) for v in point] == [float] * 16
-            assert terms[:, k].tolist() == point
+        g = rng.uniform(0.0, 0.95, 17)
+        tau1 = rng.uniform(1e-6, 1.0, 17)
+        tau2 = rng.uniform(1e-6, 1.0, 17)
+        tau2[-1] = 1.0
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], 17)
+        for theta in (0.0, math.pi / 4, math.pi / 2, 0.7):
+            terms = np.array(vacuum_terms(g, tau1, tau2, dark, theta))
+            for k in range(17):
+                point = vacuum_terms(
+                    g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item(), theta
+                )
+                assert [type(v) for v in point] == [float] * 16
+                assert [v.hex() for v in terms[:, k].tolist()] == [v.hex() for v in point]
 
 
 class TestOutcomeProbabilities:

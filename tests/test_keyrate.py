@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -254,6 +255,26 @@ class TestPassivePerformance:
         with pytest.raises(ValueError):
             passive_performance(0.0, reference_channel(20.0), [20.0])
 
+    def test_fixed_brightness_rides_in_the_scan_call(self, monkeypatch):
+        # one scan call carries the fixed gain as one more column, then four
+        # narrowing steps: no separate call for the fixed-brightness rates
+        calls = []
+        secure_rates = keyrate._secure_rates
+
+        def recording(g, channels):
+            calls.append(g.shape)
+            return secure_rates(g, channels)
+
+        monkeypatch.setattr(keyrate, "_secure_rates", recording)
+        mu, losses = 0.1, [25.0, 40.0]
+        sweep = passive_performance(mu, reference_channel(20.0), losses)
+        assert calls == [(2, 257)] + [(2, 32)] * 4
+        source = SourceParams.from_mean_photon_number(mu)
+        assert [p.secure_rate_fixed.hex() for p in sweep.points] == [
+            secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
+            for loss in losses
+        ]
+
 
 def exact(value):
     """``value`` with every float as ``float.hex``, so == means bit for bit."""
@@ -333,6 +354,21 @@ class TestSecureRateArray:
             ]
             assert [r.hex() for r in row] == [float(r).hex() for r in scalar]
 
+    def test_elements_equal_one_point_calls_bit_for_bit(self):
+        # the entropy's ends, its H2 = 1/2 root, a subnormal and 1 - 1e-16,
+        # against sifted rates of 0, NaN and ordinary values; a clamped
+        # element is +0.0 as the one-point max(0.0, v) gives
+        eps_values = [0.0, 1.0, 0.11002786443836, 5e-324, 1.0 - 1e-16, 0.5, 0.3, 0.05]
+        rate_values = [0.0, math.nan, 0.37, 1e-9]
+        eps, r_sift = np.array(list(itertools.product(eps_values, rate_values))).T
+        rates = secure_rate(eps.reshape(8, 4), r_sift.reshape(8, 4))
+        assert rates.shape == (8, 4)
+        one_point = [secure_rate(e, r) for e, r in zip(eps.tolist(), r_sift.tolist())]
+        assert [r.hex() for r in rates.ravel().tolist()] == [r.hex() for r in one_point]
+        assert one_point.count(0.0) > 8 and all(
+            math.copysign(1.0, r) == 1.0 for r in one_point if r == 0.0
+        )
+
     def test_first_failing_element_raises(self):
         # elements are checked in row-major order: the first negative
         # sifted rate or error rate outside [0, 1] raises its own message
@@ -387,7 +423,7 @@ class TestLockstepSearchMatchesReference:
             ChannelParams(tau1=0.5, tau2=1e-6, dark_count=0.2),
             reference_channel(45.0),
         ]
-        results = keyrate._optimize_lockstep(channels, 256)
+        results, _ = keyrate._optimize_lockstep(channels, 256)
         assert [r.found for r in results] == [True, False, True]
         for channel, result in zip(channels, results):
             assert exact_result(result) == exact_result(optimize_gain(channel))
@@ -409,7 +445,7 @@ class TestLockstepSearchMatchesReference:
             lambda source, channel: (0.0, float(rates(np.array([source.g]), [channel])[0])),
         )
         channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5)]
-        results = keyrate._optimize_lockstep(channels, 256)
+        results, _ = keyrate._optimize_lockstep(channels, 256)
         for channel, result in zip(channels, results):
             reference = reference_search.optimize_gain.__wrapped__(channel)
             self.assert_search_contract(result, reference)
