@@ -29,8 +29,12 @@ formula needs no special case; this is the threshold-detector
 (2018), for two modes per party.
 
 Exact pattern probabilities follow by inclusion-exclusion over vacuum
-subsets. One chain computes them: ``outcome_probability_array`` takes
-floats or numpy arrays, and ``outcome_probabilities`` is its one-point call.
+subsets: ``outcome_probability_array`` takes floats or numpy arrays, and
+``outcome_probabilities`` is its one-point call. At relative angle 0 the
+determinant factorizes into two independent pairs, and ``pair_table``
+writes the table as products of one 2x2 pair table, with no subtraction;
+every key rate reads it. Both tables pass the same range and
+normalization gate.
 """
 
 from __future__ import annotations
@@ -125,17 +129,15 @@ def _inclusion_exclusion(vac) -> list:
     return values
 
 
-def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
-    """The 16 click-pattern probabilities in canonical order, checked.
+def _checked(values: list, g) -> list:
+    """``values``, the 16 pattern probabilities, once they pass the gate.
 
-    Inputs as for ``vacuum_terms``; each entry is a float, or an array of
-    the inputs' broadcast shape. Every entry must lie in
-    [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE] and the entries, summed
-    left to right, must be 1 within the normalization gate. Otherwise the
-    first failing column in row-major order raises the
-    ``ProbabilityConsistencyError`` a one-point call at it would raise.
+    Every entry must lie in [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE]
+    and the entries, summed left to right, must be 1 within the
+    normalization gate. Otherwise the first failing column in row-major
+    order raises the ``ProbabilityConsistencyError`` a one-point call at it
+    would raise.
     """
-    values = _inclusion_exclusion(vacuum_terms(g, tau1, tau2, dark_count, theta))
     total = left_to_right_sum(values)
     # Bug-catching gate, not the accuracy claim: the sharpest subset terms
     # are of order 1/(1-g^2)^2 before reweighting, so rounding in the sum
@@ -157,6 +159,72 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
             "expected 1"
         )
     return values
+
+
+def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
+    """The 16 click-pattern probabilities in canonical order, checked by
+    ``_checked``.
+
+    Inputs as for ``vacuum_terms``; each entry is a float, or an array of
+    the inputs' broadcast shape.
+    """
+    return _checked(
+        _inclusion_exclusion(vacuum_terms(g, tau1, tau2, dark_count, theta)), g
+    )
+
+
+def pair_table(g, tau1, tau2, dark_count) -> list:
+    """The 16 click-pattern probabilities at relative angle 0, in canonical
+    order, checked by ``_checked``: the products of one 2x2 pair table.
+
+    At theta = 0 the rotation is M = [[0, 1], [-1, 0]], so
+    I - g^2 M^T Z_A M Z_B is diag(1 - x z_a- z_b+, 1 - x z_a+ z_b-) with
+    x = g^2: the cross term q is 0 and D = f1 f2. V(S) splits into one
+    factor per pair, (a+, b-) and (a-, b+),
+
+        v(z_a, z_b) = c (1 - d)^n / (1 - x z_a z_b),  c = 1 - g^2,
+
+    with n the pair's silent modes and z = 1 - tau on a silent mode, 1 on a
+    marginalized one. So the two pairs are independent two-mode squeezers,
+    each with tau1 on Alice's side and tau2 on Bob's, and every entry is
+    p(a+, b-) p(a-, b+) of one pair table p. Inclusion-exclusion over one
+    pair's four v, with e = 1 - d, z1 = 1 - tau1, z2 = 1 - tau2,
+    D_a = c + x tau1, D_b = c + x tau2 and D_ab = 1 - x z1 z2
+    = c + x (tau1 + tau2 z1), gives
+
+        p(0, 0) = c e^2 / D_ab
+        p(1, 0) = c e (x tau1 z2 + d D_b) / (D_b D_ab)
+        p(0, 1) = c e (x tau2 z1 + d D_a) / (D_a D_ab)
+        p(1, 1) = [x tau1 tau2 (x D_ab + c) + d c x (tau2 z1 D_b + tau1 z2 D_a)
+                   + d^2 c D_a D_b] / (D_a D_b D_ab)
+
+    where 1 marks a click. No term subtracts two nearly equal quantities,
+    so the floats keep every entry to a few ulps however deep the loss.
+    Arithmetic with integer literals only: ``g``, ``tau1``, ``tau2`` and
+    ``dark_count`` may be floats, numpy arrays that broadcast together, or
+    ``Fraction``s, which give the exact table.
+    """
+    x = g * g
+    c = (1 - g) * (1 + g)
+    d = dark_count
+    e = 1 - d
+    z1, z2 = 1 - tau1, 1 - tau2
+    d_a, d_b = c + x * tau1, c + x * tau2
+    d_ab = c + x * (tau1 + tau2 * z1)
+    pair = {
+        (False, False): c * e * e / d_ab,
+        (True, False): c * e * (x * tau1 * z2 + d * d_b) / (d_b * d_ab),
+        (False, True): c * e * (x * tau2 * z1 + d * d_a) / (d_a * d_ab),
+        (True, True): (
+            x * tau1 * tau2 * (x * d_ab + c)
+            + d * c * x * (tau2 * z1 * d_b + tau1 * z2 * d_a)
+            + d * d * c * d_a * d_b
+        ) / (d_a * d_b * d_ab),
+    }
+    return _checked([
+        pair[p.a_plus, p.b_minus] * pair[p.a_minus, p.b_plus]
+        for p in CANONICAL_PATTERNS
+    ], g)
 
 
 def outcome_probabilities(

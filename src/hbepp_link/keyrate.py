@@ -14,6 +14,11 @@ Conventions (standard BBM92 with a singlet source):
   equal bit/phase error rates: R_sec = R_sift (1 - 2 H2(eps)), clamped at
   zero.
 
+Every rate here is at relative angle 0, so it reads ``analytic.pair_table``:
+the click table as products of one 2x2 pair table, accurate entry by entry
+however deep the loss, with the same range and normalization gate as the
+general table.
+
 All rates are per temporal mode; per-second display is a CLI concern.
 """
 
@@ -25,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import outcome_probability_array
+from .analytic import pair_table
 from .params import ChannelParams, SourceParams, transmittance_from_db
 from .postprocess import PostprocessingModel, fold, share
 
@@ -38,7 +43,7 @@ _ZOOM_POINTS = 32
 G_TOL = 1e-6
 
 #: Gains per array call at most, in whole channels: a call of 1,024 gains
-#: peaks near 0.28 MB of numpy temporaries (tracemalloc, 4 rows of 256).
+#: peaks near 0.25 MB of numpy temporaries (tracemalloc, 4 rows of 256).
 _ROWS_PER_CALL = 1024
 
 
@@ -52,12 +57,12 @@ def binary_entropy(eps: float) -> float:
 
 
 def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
-    """(QBER, sifted rate) at matched bases: the table folded into its four
-    cells, eps = (n_pp + n_mm) / total and R_sift = total / 2, with (0, 0)
-    where no coincidences survive post-processing. Inputs as for
-    ``outcome_probability_array``: floats, or arrays that broadcast together.
+    """(QBER, sifted rate) at matched bases: the pair table folded into its
+    four cells, eps = (n_pp + n_mm) / total and R_sift = total / 2, with
+    (0, 0) where no coincidences survive post-processing. Inputs as for
+    ``pair_table``: floats, or arrays that broadcast together.
     """
-    counts = fold(outcome_probability_array(g, tau1, tau2, dark_count, 0.0), model)
+    counts = fold(pair_table(g, tau1, tau2, dark_count), model)
     total = counts.total()
     return share(counts.n_pp + counts.n_mm, total), 0.5 * total
 
@@ -143,40 +148,33 @@ def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarra
     return secure_rate(*_qber_and_sift(g, tau1, tau2, dark, PostprocessingModel.SQUASH))
 
 
-def _narrow(lo, hi, points: int, channels: Sequence[ChannelParams], g_extra=None):
+def _narrow(lo, hi, points: int, channels: Sequence[ChannelParams]):
     """One search step: ``points`` gains across each channel's bracket
     ``[lo, hi]`` in one array call. Returns the best gain of each row, its
-    rate, and its two grid neighbours as the new bracket. A ``g_extra``
-    gain rides along in the same call as one more column that the argmax
-    leaves out; its rate per row comes last (None without it)."""
+    rate, and its two grid neighbours as the new bracket."""
     grid = np.linspace(lo, hi, points, axis=1)
-    if g_extra is not None:
-        grid = np.column_stack((grid, np.full(len(channels), g_extra)))
     rates = _secure_rates(grid, channels)
-    best = rates[:, :points].argmax(axis=1)
+    best = rates.argmax(axis=1)
     rows = np.arange(len(channels))
     below, above = np.maximum(best - 1, 0), np.minimum(best + 1, points - 1)
-    extra = None if g_extra is None else rates[:, points]
-    return grid[rows, best], rates[rows, best], grid[rows, below], grid[rows, above], extra
+    return grid[rows, best], rates[rows, best], grid[rows, below], grid[rows, above]
 
 
 def _optimize_lockstep(
-    channels: Sequence[ChannelParams], grid_points: int, g_extra=None
-) -> tuple[list[OptimizationResult], np.ndarray | None]:
-    """``optimize_gain`` for every channel, each search step one array call
-    over the searches still open. A lane's steps do not depend on the other
-    lanes, so its result is the one-channel search's bit for bit. The scan
-    call also evaluates ``g_extra`` on every channel, outside the argmax,
-    and those rates come back next to the results (None without it)."""
+    channels: Sequence[ChannelParams], grid_points: int
+) -> list[OptimizationResult]:
+    """``optimize_gain`` for every channel: the scan, then each narrowing
+    step, is one array call over the searches still open. A lane's steps
+    do not depend on the other lanes, so its result is the one-channel
+    search's bit for bit."""
     lanes = len(channels)
-    g, rate, lo, hi, extra_rates = _narrow(
-        np.full(lanes, G_BRACKET[0]), np.full(lanes, G_BRACKET[1]), grid_points,
-        channels, g_extra,
+    g, rate, lo, hi = _narrow(
+        np.full(lanes, G_BRACKET[0]), np.full(lanes, G_BRACKET[1]), grid_points, channels
     )
     brackets = list(zip(lo.tolist(), hi.tolist()))
     iterations = np.zeros(lanes, dtype=int)
     while (open_ := np.flatnonzero((rate > 0.0) & (hi - lo > G_TOL))).size:
-        g_step, rate_step, lo[open_], hi[open_], _ = _narrow(
+        g_step, rate_step, lo[open_], hi[open_] = _narrow(
             lo[open_], hi[open_], _ZOOM_POINTS, [channels[i] for i in open_]
         )
         better = rate_step > rate[open_]
@@ -186,7 +184,7 @@ def _optimize_lockstep(
         OptimizationResult(g_opt, SourceParams(g_opt).mean_photon_number(), r, steps, bracket)
         if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)
         for g_opt, r, steps, bracket in zip(g.tolist(), rate.tolist(), iterations.tolist(), brackets)
-    ], extra_rates
+    ]
 
 
 def optimize_gain(
@@ -203,7 +201,7 @@ def optimize_gain(
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
-    return _optimize_lockstep([channel], grid_points)[0][0]
+    return _optimize_lockstep([channel], grid_points)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,7 +232,8 @@ def passive_performance(
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
     ``l2_range_db``. The optimizations of all losses run as one lockstep
-    search, whose scan call also evaluates the fixed brightness.
+    search, and the fixed-brightness rates of all losses are one more
+    array call.
     """
     if mu_fixed <= 0.0:
         raise ValueError(f"mu_fixed must be > 0, got {mu_fixed}")
@@ -247,7 +246,8 @@ def passive_performance(
         )
         for loss2_db in l2_range_db
     ]
-    optima, fixed_rates = _optimize_lockstep(channels, _GRID_POINTS, source_fixed.g)
+    optima = _optimize_lockstep(channels, _GRID_POINTS)
+    fixed_rates = _secure_rates(np.full((len(channels), 1), source_fixed.g), channels)[:, 0]
     points = []
     ratios = []
     for loss2_db, opt, fixed_rate in zip(l2_range_db, optima, fixed_rates.tolist()):

@@ -1,10 +1,13 @@
 """Reference one-point chain for the tests: the scalar assembly of the
-click-probability table, its checks, the QBER and sifted rate, the secure
-rate and CHSH, one Python float at a time, as the package computed them
-before every table came from ``analytic.outcome_probability_array``.
+click-probability table, its checks, the secure rate and CHSH, one Python
+float at a time, as the package computed them before every table came from
+``analytic.outcome_probability_array``.
 
-The package's one-point calls and every element of its array calls must
-return the same floats, bit for bit, and raise the same exceptions.
+The package's general table, its CHSH and its secure rate, one-point calls
+and every element of array calls alike, must return the same floats, bit
+for bit, and raise the same exceptions. The key rates read
+``analytic.pair_table`` instead, which the tests check against the exact
+reference in ``tests/exact.py``.
 """
 
 from __future__ import annotations
@@ -92,20 +95,6 @@ def outcome_probabilities(
             f"pattern probabilities sum to {total!r}, expected 1"
         )
     return table
-
-
-def qber_and_sift(
-    source: SourceParams,
-    channel: ChannelParams,
-    model: PostprocessingModel = PostprocessingModel.SQUASH,
-) -> tuple[float, float]:
-    """(QBER, sifted rate) at matched bases; (0, 0) without coincidences."""
-    table = outcome_probabilities(source, channel, MeasurementAngles(0.0, 0.0))
-    counts = coincidences(table, model)
-    total = counts.total()
-    if total == 0.0:
-        return 0.0, 0.0
-    return (counts.n_pp + counts.n_mm) / total, 0.5 * total
 
 
 def secure_rate(eps: float, r_sift: float) -> float:

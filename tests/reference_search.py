@@ -1,7 +1,8 @@
 """Reference gain search for the key-rate tests: the per-gain scan and the
-golden-section loop, one ``secure_rate(*qber_and_sift(...))`` call of the
-reference chain (``tests/reference_chain.py``) per gain, as ``keyrate`` ran
-them before they became array calls.
+golden-section loop, one scalar ``secure_rate(*qber_and_sift(...))`` call
+per gain, as ``keyrate`` ran them before they became array calls. Its
+per-gain rate folds ``analytic.pair_table`` at one point, the table the
+package's key rates read.
 
 The package's search must scan the same bracket, split found from no-key
 channels the same way, raise the same exceptions, and find a secure rate
@@ -16,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from hbepp_link.analytic import pair_table
 from hbepp_link.keyrate import (
     G_BRACKET,
     G_TOL,
@@ -24,9 +26,23 @@ from hbepp_link.keyrate import (
     PassivePoint,
 )
 from hbepp_link.params import ChannelParams, SourceParams, transmittance_from_db
-from reference_chain import qber_and_sift, secure_rate
+from hbepp_link.postprocess import PostprocessingModel, fold
+from reference_chain import secure_rate
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def qber_and_sift(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:
+    """(QBER, sifted rate) of the squash-folded pair table; (0, 0) without
+    coincidences."""
+    counts = fold(
+        pair_table(source.g, channel.tau1, channel.tau2, channel.dark_count),
+        PostprocessingModel.SQUASH,
+    )
+    total = counts.total()
+    if total == 0.0:
+        return 0.0, 0.0
+    return (counts.n_pp + counts.n_mm) / total, 0.5 * total
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from hbepp_link import (
     truncation_error_bound,
 )
 from hbepp_link import analytic
-from hbepp_link.analytic import outcome_probability_array, vacuum_terms
+from hbepp_link.analytic import outcome_probability_array, pair_table, vacuum_terms
 from hbepp_link.params import transmittance_from_db
 from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
@@ -26,7 +26,6 @@ from hbepp_link.patterns import (
 
 import reference_chain
 from exact import outcome_probabilities_exact, vacuum_set_probability_exact
-from pair_form import pair_form_table
 from subtractive import outcome_probabilities_subtractive
 
 ALL_SILENT = 15  # silence bitmasks: bit i set when mode i is silent
@@ -427,8 +426,9 @@ DEEP_DARK = (0.0, 6.25e-7, 1e-3)
 
 
 class TestPairFormReference:
-    """``tests/pair_form.py``: the theta = 0 table as two independent pairs,
-    the reference for every table entry at deep loss."""
+    """``analytic.pair_table``: the theta = 0 table as two independent pairs,
+    the table every key rate reads and the reference for every entry of the
+    general table at deep loss."""
 
     def test_products_are_the_exact_inclusion_exclusion(self):
         # as Fractions the pair products equal the exact inclusion-exclusion
@@ -439,11 +439,38 @@ class TestPairFormReference:
         ):
             point = (g, transmittance_from_db(loss1), transmittance_from_db(loss2), dark)
             exact = outcome_probabilities_exact(*point[:3], 0.0, dark)
-            assert pair_form_table(*map(Fraction, point)) == exact
-            for value, reference in zip(pair_form_table(*point), exact):
+            assert pair_table(*map(Fraction, point)) == exact
+            for value, reference in zip(pair_table(*point), exact):
                 if reference:
                     worst = max(worst, abs(float((Fraction(value) - reference) / reference)))
         assert worst <= 2e-15
+
+    def test_arrays_equal_one_point_tables_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        g = rng.uniform(0.0, 0.95, 32)
+        tau1 = rng.uniform(1e-6, 1.0, 32)
+        tau2 = 10.0 ** -rng.uniform(0.0, 12.0, 32)
+        tau2[-1] = 1.0
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], 32)
+        table = np.array(pair_table(g, tau1, tau2, dark))
+        assert table.shape == (16, 32)
+        for k in range(32):
+            point = pair_table(g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item())
+            assert [type(v) for v in point] == [float] * 16
+            assert [v.hex() for v in table[:, k].tolist()] == [v.hex() for v in point]
+
+    @pytest.mark.parametrize(
+        "gains, message",
+        [
+            ([0.3, math.nan, 1.5], r"P\[vac\] = nan outside"),
+            ([0.3, 1.5, math.nan], r"P\[vac\] = 5\.6153\d* outside"),
+        ],
+        ids=["nan-first", "out-of-range-first"],
+    )
+    def test_gate_raises_the_first_failing_column(self, gains, message):
+        # the general table's gate, with the general table's messages
+        with pytest.raises(ProbabilityConsistencyError, match=message):
+            pair_table(np.array(gains), 0.7, 0.3, 0.0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -462,7 +489,7 @@ class TestPairFormReference:
         table = np.array(outcome_probability_array(*inputs, 0.0))
         worst = 0.0
         for index in np.ndindex(inputs[0].shape):
-            exact = pair_form_table(*(Fraction(v[index].item()) for v in inputs))
+            exact = pair_table(*(Fraction(v[index].item()) for v in inputs))
             for value, reference in zip(table[(slice(None), *index)].tolist(), exact):
                 if reference:
                     worst = max(worst, abs(float((Fraction(value) - reference) / reference)))

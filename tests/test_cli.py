@@ -182,16 +182,16 @@ class TestOptimizeAndSweep:
         )
         assert code == 0, err
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known defect: at 67.5 dB without dark counts the same-sign "
-        "coincidences round to slightly below 0, the QBER comes out as "
-        "-0.00045 and binary_entropy rejects it, so a valid config exits 2",
-    )
     def test_deep_loss_without_dark_counts_67_5_db(self, capsys):
         code, _, err = run(
             capsys, "optimize", "--set", "channel.loss2_db=67.5",
+            "--set", "detector.dark_count=0",
+        )
+        assert code == 0, err
+
+    def test_deep_loss_without_dark_counts_120_db(self, capsys):
+        code, _, err = run(
+            capsys, "optimize", "--set", "channel.loss2_db=120",
             "--set", "detector.dark_count=0",
         )
         assert code == 0, err
