@@ -1,9 +1,11 @@
-"""Exact rational evaluation of the vacuum-subset formula, used as a
-reference for ``analytic.vacuum_terms``, the V(S) of the one chain that
-computes every table, for one point and for arrays alike.
+"""Exact rational evaluation of the click table, the reference for every
+entry of ``analytic.outcome_probability_array`` and ``analytic.pair_table``
+and for V(S) on the diagonal of the package's triangular system.
 
-Every float input is converted to a ``Fraction`` without rounding, so the
-result is the exact value of
+It shares no arithmetic with the package: it takes the vacuum-subset
+formula as written and sums inclusion-exclusion over it. Every float input
+is converted to a ``Fraction`` without rounding, so the result is the exact
+value of
 
     V(S) = (1 - g^2)^2 (1 - d)^|S| / det(I - g^2 M^T Z_A M Z_B)
 
@@ -16,21 +18,30 @@ from fractions import Fraction
 from hbepp_link.patterns import CANONICAL_PATTERNS
 
 
-def vacuum_set_probability_exact(
-    silent, g: float, tau1: float, tau2: float, theta: float, dark_count: float
-) -> Fraction:
-    """V(S) for silence flags in (a+, a-, b+, b-) order, in exact arithmetic."""
+def vacuum_terms_exact(
+    g: float, tau1: float, tau2: float, theta: float, dark_count: float
+) -> list[Fraction]:
+    """V(S) for every silence bitmask S (bit i set: mode i of
+    (a+, a-, b+, b-) silent), in exact arithmetic."""
     cos, sin = Fraction(math.cos(theta)), Fraction(math.sin(theta))
     m = ((-sin, cos), (-cos, -sin))
     x = Fraction(g) ** 2
-    taus = (tau1, tau1, tau2, tau2)
-    z = [1 - Fraction(tau) if s else Fraction(1) for s, tau in zip(silent, taus)]
-    # rotated Alice weights M^T Z_A M, then I - x (M^T Z_A M) Z_B
-    rot = [[sum(m[k][i] * z[k] * m[k][j] for k in range(2)) for j in range(2)]
-           for i in range(2)]
-    a = [[(i == j) - x * rot[i][j] * z[2 + j] for j in range(2)] for i in range(2)]
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (1 - x) ** 2 * (1 - Fraction(dark_count)) ** sum(map(bool, silent)) / det
+    keep = 1 - Fraction(dark_count)
+    z_silent = (1 - Fraction(tau1),) * 2 + (1 - Fraction(tau2),) * 2
+    rotated = {}  # M^T Z_A M by Alice's silent modes
+    vac = []
+    for mask in range(16):
+        z = [z_silent[i] if mask >> i & 1 else 1 for i in range(4)]
+        if mask & 3 not in rotated:
+            rotated[mask & 3] = [
+                [sum(m[k][i] * z[k] * m[k][j] for k in range(2)) for j in range(2)]
+                for i in range(2)
+            ]
+        rot = rotated[mask & 3]
+        a = [[(i == j) - x * rot[i][j] * z[2 + j] for j in range(2)] for i in range(2)]
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        vac.append((1 - x) ** 2 * keep ** bin(mask).count("1") / det)
+    return vac
 
 
 def outcome_probabilities_exact(
@@ -39,12 +50,7 @@ def outcome_probabilities_exact(
     """The 16 pattern probabilities in canonical order, exactly: for click
     set C and silent set S, P = sum over subsets T of C of
     (-1)^|T| V(S union T)."""
-    vac = [
-        vacuum_set_probability_exact(
-            [bool(mask >> i & 1) for i in range(4)], g, tau1, tau2, theta, dark_count
-        )
-        for mask in range(16)
-    ]
+    vac = vacuum_terms_exact(g, tau1, tau2, theta, dark_count)
     values = []
     for pattern in CANONICAL_PATTERNS:
         clicks = [i for i, bit in enumerate(pattern) if bit]
@@ -52,6 +58,7 @@ def outcome_probabilities_exact(
         p = Fraction(0)
         for sub in range(1 << len(clicks)):
             extra = sum(1 << clicks[j] for j in range(len(clicks)) if sub >> j & 1)
-            p += (-1) ** bin(sub).count("1") * vac[silent_mask | extra]
+            term = vac[silent_mask | extra]
+            p = p - term if bin(sub).count("1") % 2 else p + term
         values.append(p)
     return values

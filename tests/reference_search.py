@@ -2,7 +2,8 @@
 golden-section loop, one scalar ``secure_rate(*qber_and_sift(...))`` call
 per gain, as ``keyrate`` ran them before they became array calls. Its
 per-gain rate folds ``analytic.pair_table`` at one point, the table the
-package's key rates read.
+package's key rates read, and ``secure_rate`` is the scalar rate the
+package's array rate must equal, element by element, bit for bit.
 
 The package's search must scan the same bracket, split found from no-key
 channels the same way, raise the same exceptions, and find a secure rate
@@ -24,12 +25,19 @@ from hbepp_link.keyrate import (
     OptimizationResult,
     PassivePerformanceSweep,
     PassivePoint,
+    binary_entropy,
 )
 from hbepp_link.params import ChannelParams, SourceParams, transmittance_from_db
 from hbepp_link.postprocess import PostprocessingModel, fold
-from reference_chain import secure_rate
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def secure_rate(eps: float, r_sift: float) -> float:
+    """R_sift (1 - 2 H2(eps)), clamped at zero."""
+    if r_sift < 0.0:
+        raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
+    return max(0.0, r_sift * (1.0 - 2.0 * binary_entropy(eps)))
 
 
 def qber_and_sift(source: SourceParams, channel: ChannelParams) -> tuple[float, float]:

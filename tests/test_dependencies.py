@@ -6,10 +6,17 @@ CI installs only numpy and pytest. Exact references (such as
 arbitrary-precision package, so an import of one of those would pass
 locally and fail in CI.
 
-The brute-force oracle (``fock.py``) and the exact reference
-(``tests/exact.py``) check the closed form, so they import from the
-package only ``params`` (the oracle) and ``patterns``, never ``analytic``
-or a module that imports it.
+The brute-force oracle (``fock.py``), the exact reference
+(``tests/exact.py``) and the second evaluation strategy
+(``tests/subtractive.py``) check the closed form, so they import from the
+package only ``params`` and ``patterns``, never ``analytic`` or a module
+that imports it.
+
+The closed form and what folds it (``analytic``, ``keyrate`` and
+``postprocess``) print the same bytes on every CPU only if their floats
+come from IEEE arithmetic: numpy's ``**`` and its transcendental functions
+may round differently across SIMD code paths, so these modules use neither
+(``math`` per element where a transcendental is needed).
 """
 
 import ast
@@ -58,6 +65,7 @@ def test_detects_forbidden_imports():
 REFERENCE_IMPORTS = {
     ROOT / "src" / "hbepp_link" / "fock.py": {"params", "patterns"},
     ROOT / "tests" / "exact.py": {"patterns"},
+    ROOT / "tests" / "subtractive.py": {"params", "patterns"},
 }
 
 
@@ -94,7 +102,7 @@ def test_references_import_only_params_and_patterns():
 
 def test_guard_flags_the_closed_form():
     for path in REFERENCE_IMPORTS:
-        source = path.read_text() + "\nfrom .analytic import vacuum_terms\n"
+        source = path.read_text() + "\nfrom .analytic import outcome_probability_array\n"
         assert foreign_modules(path, source) == {"analytic"}
 
 
@@ -104,3 +112,50 @@ def test_detects_package_imports():
     assert package_modules(ast.parse("import hbepp_link.keyrate as k")) == {"keyrate"}
     assert package_modules(ast.parse("from hbepp_link import SourceParams")) == {"hbepp_link"}
     assert package_modules(ast.parse("import numpy\nfrom fractions import Fraction")) == set()
+
+
+#: Modules whose floats must not depend on the CPU, and the numpy functions
+#: they may not call.
+PORTABLE = [
+    ROOT / "src" / "hbepp_link" / f"{name}.py" for name in ("analytic", "keyrate", "postprocess")
+]
+NUMPY_TRANSCENDENTALS = {"cos", "sin", "log", "log2", "exp", "power"}
+
+
+def cpu_dependent_floats(tree: ast.AST) -> list[str]:
+    """Every ``**``, ``**=`` and numpy transcendental in ``tree``, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            found.append(f"{node.lineno}: **")
+        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"{node.lineno}: numpy.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend(f"{node.lineno}: numpy.{alias.name}" for alias in node.names
+                         if alias.name in NUMPY_TRANSCENDENTALS)
+    return sorted(found)
+
+
+def test_portable_modules_use_no_pow_or_numpy_transcendentals():
+    offenders = {
+        path.name: found
+        for path in PORTABLE
+        if (found := cpu_dependent_floats(ast.parse(path.read_text())))
+    }
+    assert offenders == {}
+
+
+def test_guard_flags_cpu_dependent_floats():
+    source = PORTABLE[0].read_text()
+    lines = source.count("\n")
+    injected = source + "y = np.log2(x)\n"
+    assert cpu_dependent_floats(ast.parse(injected)) == [f"{lines + 1}: numpy.log2"]
+    for snippet, found in (
+        ("x ** 2", ["1: **"]),
+        ("x **= 0.5", ["1: **"]),
+        ("numpy.power(x, 3) + np.exp(x)", ["1: numpy.exp", "1: numpy.power"]),
+        ("from numpy import cos, sqrt", ["1: numpy.cos"]),
+        ("math.log2(x) * x * x + np.sqrt(x)", []),
+    ):
+        assert cpu_dependent_floats(ast.parse(snippet)) == found, snippet

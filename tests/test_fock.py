@@ -550,13 +550,8 @@ class TestPerEntryAgainstOracle:
         )
         assert worst <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known defect (ROADMAP item 3): inclusion-exclusion cancels "
-        "small entries at deep loss; the worst relative error here is 3.5e14",
-    )
     def test_general_table_entries_within_1e_12_of_oracle(self):
+        # measured worst: 1.6e-14, at theta = pi/4
         worst = max(
             worst_relative(outcome_probability_array(*point), oracle, exact)
             for point, (oracle, exact) in zip(PER_ENTRY_POINTS, per_entry_tables())

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -23,9 +24,8 @@ from hbepp_link.keyrate import (
     secure_rate,
 )
 from hbepp_link.params import transmittance_from_db
-from hbepp_link.postprocess import _FOLDS, coincidences
+from hbepp_link.postprocess import ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, _FOLDS, coincidences
 
-import reference_chain
 import reference_search
 from exact import outcome_probabilities_exact
 
@@ -300,18 +300,45 @@ LOSS2_DB = (0.0, 10.0, 20.0, 30.0, 45.0, 60.0)
 QBER_SIFT_REL = 2e-15
 
 
+#: Absolute error bound of CHSH against the exact tables. Measured worst:
+#: 1.3e-15 on the random grid below.
+CHSH_ABS = 4e-15
+
+
+@functools.cache
+def exact_table(g: float, tau1: float, tau2: float, theta: float, dark: float) -> tuple:
+    """``outcome_probabilities_exact``, kept: both models fold one table."""
+    return tuple(outcome_probabilities_exact(g, tau1, tau2, theta, dark))
+
+
+def exact_counts(source, channel, model, theta=0.0):
+    """The cells ++, +-, -+, -- of ``tests/exact.py``'s table, folded in
+    exact arithmetic."""
+    table = exact_table(source.g, channel.tau1, channel.tau2, theta, channel.dark_count)
+    return [sum(Fraction(weight) * table[index] for index, weight in cell)
+            for cell in _FOLDS[model]]
+
+
 def exact_qber_and_sift(source, channel, model):
-    """(QBER, sifted rate) of ``tests/exact.py``'s theta = 0 table, folded
-    and divided in exact arithmetic; (0, 0) without coincidences."""
-    table = outcome_probabilities_exact(
-        source.g, channel.tau1, channel.tau2, 0.0, channel.dark_count
-    )
-    n_pp, n_pm, n_mp, n_mm = (
-        sum(Fraction(weight) * table[index] for index, weight in cell)
-        for cell in _FOLDS[model]
-    )
+    """(QBER, sifted rate) of the exact theta = 0 table, folded and divided
+    in exact arithmetic; (0, 0) without coincidences."""
+    n_pp, n_pm, n_mp, n_mm = exact_counts(source, channel, model)
     total = n_pp + n_pm + n_mp + n_mm
     return ((n_pp + n_mm) / total, total / 2) if total else (0, 0)
+
+
+def exact_chsh(source, channel, model):
+    """CHSH of the exact tables at the four angle differences, folded and
+    divided in exact arithmetic."""
+    a1, a2 = ALICE_CHSH_ANGLES
+    b1, b2 = BOB_CHSH_ANGLES
+
+    def corr(theta):
+        n_pp, n_pm, n_mp, n_mm = exact_counts(source, channel, model, theta)
+        total = n_pp + n_pm + n_mp + n_mm
+        return (n_pp - n_pm - n_mp + n_mm) / total if total else 0
+
+    return abs(corr(a1 - b1) - corr(a1 - b2) + corr(a2 - b1) + corr(a2 - b2))
 
 
 def relative_error(values, exact_values) -> float:
@@ -337,13 +364,14 @@ def outcome(call, *args):
 
 class TestOneChainMatchesReference:
     """The one-point calls against their references: the QBER and sifted
-    rate within ``QBER_SIFT_REL`` of the exact table, CHSH and the secure
-    rate equal to the reference chain in ``tests/reference_chain.py``, bit
-    for bit, with equal exceptions."""
+    rate within ``QBER_SIFT_REL`` of the exact table, CHSH within
+    ``CHSH_ABS`` of the exact tables, and the secure rate equal to the
+    scalar rate in ``tests/reference_search.py``, bit for bit, with equal
+    exceptions."""
 
     def test_qber_both_models_and_chsh_on_a_random_grid(self):
         rng = np.random.default_rng(37)
-        worst = 0.0
+        worst = worst_chsh = 0.0
         for _ in range(150):
             source = SourceParams(float(rng.choice([rng.uniform(0.0, 0.95), 1e-4, 0.0])))
             channel = ChannelParams(
@@ -356,12 +384,13 @@ class TestOneChainMatchesReference:
                 worst = max(
                     worst, relative_error(qber_and_sift(*args), exact_qber_and_sift(*args))
                 )
-                assert outcome(chsh, *args) == outcome(reference_chain.chsh, *args), args
+                worst_chsh = max(worst_chsh, abs(float(chsh(*args) - exact_chsh(*args))))
             eps, r_sift = qber_and_sift(source, channel)
             assert outcome(secure_rate, eps, r_sift) == outcome(
-                reference_chain.secure_rate, eps, r_sift
+                reference_search.secure_rate, eps, r_sift
             )
         assert worst <= QBER_SIFT_REL
+        assert worst_chsh <= CHSH_ABS
 
     def test_one_point_calls_stay_python_floats(self):
         source, channel = SourceParams(0.3), reference_channel(20.0)
