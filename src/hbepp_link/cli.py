@@ -105,7 +105,7 @@ def _run_probs(cfg: ScenarioConfig) -> str:
         ]
         return _kv_block("click-pattern probabilities", lines)
 
-    var, points = cfg.sweep(SWEEP_VARIABLES, 0.0, 180.0, 61)
+    var, points = cfg.sweep(SWEEP_VARIABLES, cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     rows = []
     for point in points:
         table = outcome_probabilities(

@@ -17,7 +17,12 @@ Conventions (standard BBM92 with a singlet source):
 Every rate here is at relative angle 0, so it reads ``analytic.pair_table``:
 the click table as products of one 2x2 pair table, accurate entry by entry
 however deep the loss, with the same range and normalization gate as the
-general table.
+general table. ``binary_entropy`` and ``secure_rate`` take floats or
+arrays on one path: an array element is the float the one-point call
+gives, bit for bit, and a one-point call returns a Python float. The gain
+search keeps one array of lanes, a (tau1, tau2, dark count) row per
+channel, built once by ``optimize_gain`` or ``passive_performance``; each
+search step indexes it by the searches still open.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -43,17 +48,32 @@ _ZOOM_POINTS = 32
 G_TOL = 1e-6
 
 #: Gains per array call at most, in whole channels: a call of 1,024 gains
-#: peaks near 0.25 MB of numpy temporaries (tracemalloc, 4 rows of 256).
+#: peaks near 0.34 MB of numpy temporaries on the pair-table chain
+#: (tracemalloc, 4 rows of 256), and a 26-loss scan, in 7 calls, 0.39 MB.
 _ROWS_PER_CALL = 1024
 
 
-def binary_entropy(eps: float) -> float:
-    """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"error rate must be in [0, 1], got {eps}")
-    if eps == 0.0 or eps == 1.0:
-        return 0.0
-    return -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
+def binary_entropy(eps):
+    """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0.
+
+    A float, or an array element by element (a float when ``eps`` is not
+    an array). The first error rate outside [0, 1] in row-major order, NaN
+    included, raises. Each element with 0 < eps < 1 takes Python's
+    ``math.log2``, since ``np.log2`` rounds differently on about one input
+    in 1,000; the rest is IEEE arithmetic, so an element is the float its
+    one-point call gives, bit for bit.
+    """
+    eps = np.asarray(eps)
+    outside = ~((eps >= 0.0) & (eps <= 1.0))
+    if outside.any():
+        raise ValueError(f"error rate must be in [0, 1], got {eps.flat[outside.argmax()]}")
+    interior = (eps > 0.0) & (eps < 1.0)
+    e = eps[interior]
+    rest = 1.0 - e
+    entropy = np.zeros(eps.shape)
+    entropy[interior] = (-e * [math.log2(v) for v in e.tolist()]
+                         - rest * [math.log2(v) for v in rest.tolist()])
+    return entropy if entropy.ndim else float(entropy)
 
 
 def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
@@ -84,31 +104,21 @@ def qber_and_sift(
 def secure_rate(eps, r_sift):
     """Secure rate from QBER and sifted rate, clamped at zero.
 
-    Floats, or arrays of one shape: each element is the one-point call's
-    float, and the first element in row-major order that fails a check
-    raises the one-point call's error. The entropy takes Python's
-    ``math.log2`` per element with 0 < eps < 1, since ``np.log2`` rounds
-    differently on about one input in 1,000; the rest is the same
-    arithmetic in numpy, and ``np.where`` clamps as ``max(0.0, v)`` does,
-    also at -0.0 and NaN.
+    Floats, or arrays that broadcast together, element by element (a float
+    when neither is an array). The first element in row-major order with a
+    negative sifted rate or an error rate outside [0, 1] raises; at one
+    element the sifted rate's message comes first. ``np.where`` clamps as
+    ``max(0.0, v)`` does, also at -0.0 and NaN.
     """
-    if isinstance(eps, np.ndarray):
-        failing = (r_sift < 0.0) | ~((eps >= 0.0) & (eps <= 1.0))
-        if failing.any():
-            first = failing.argmax()  # a flat index, in row-major order
-            secure_rate(float(eps.flat[first]), float(r_sift.flat[first]))  # raises
-        interior = (eps > 0.0) & (eps < 1.0)
-        e = eps[interior]
-        rest = 1.0 - e
-        log_e = np.array([math.log2(v) for v in e.tolist()])
-        log_rest = np.array([math.log2(v) for v in rest.tolist()])
-        entropy = np.zeros(eps.shape)
-        entropy[interior] = -e * log_e - rest * log_rest
-        rate = r_sift * (1.0 - 2.0 * entropy)
-        return np.where(rate > 0.0, rate, 0.0)
-    if r_sift < 0.0:
-        raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
-    return max(0.0, r_sift * (1.0 - 2.0 * binary_entropy(eps)))
+    eps, r_sift = np.broadcast_arrays(eps, r_sift)
+    negative = r_sift < 0.0
+    if negative.any():
+        first = negative.argmax()  # a flat index, in row-major order
+        binary_entropy(eps.flat[:first])  # an earlier error rate raises first
+        raise ValueError(f"sifted rate must be >= 0, got {r_sift.flat[first]}")
+    rate = r_sift * (1.0 - 2.0 * binary_entropy(eps))
+    rate = np.where(rate > 0.0, rate, 0.0)
+    return rate if rate.ndim else float(rate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,52 +140,47 @@ class OptimizationResult:
         return self.g_opt is not None
 
 
-def _secure_rates(g: np.ndarray, channels: Sequence[ChannelParams]) -> np.ndarray:
-    """``secure_rate(*qber_and_sift(SourceParams(g[i, ...]), channels[i]))``
-    at every element of ``g``, whose first axis runs over ``channels``:
-    the same chain on arrays, squash model."""
-    lanes_per_call = max(1, _ROWS_PER_CALL * len(channels) // max(1, g.size))
-    if len(channels) > lanes_per_call:
-        return np.concatenate([
-            _secure_rates(g[i:i + lanes_per_call], channels[i:i + lanes_per_call])
-            for i in range(0, len(channels), lanes_per_call)
-        ])
-    shape = (len(channels),) + (1,) * (g.ndim - 1)
-    tau1, tau2, dark = (
-        np.reshape([getattr(c, key) for c in channels], shape)
-        for key in ("tau1", "tau2", "dark_count")
-    )
-    return secure_rate(*_qber_and_sift(g, tau1, tau2, dark, PostprocessingModel.SQUASH))
+def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """``secure_rate(*qber_and_sift(...))``, squash model, at every element
+    of the 2-D ``g``: row i at the channel of row i of ``lanes``, a
+    (tau1, tau2, dark count) row per search. The rows go in calls of at
+    most ``_ROWS_PER_CALL`` gains; elements do not depend on the split."""
+    step = max(1, _ROWS_PER_CALL // g.shape[1])
+    # each call takes tau1, tau2 and the dark count as (rows, 1) columns
+    return np.concatenate([
+        secure_rate(*_qber_and_sift(
+            g[i:i + step], *lanes[i:i + step].T[:, :, None], PostprocessingModel.SQUASH
+        ))
+        for i in range(0, len(lanes), step)
+    ])
 
 
-def _narrow(lo, hi, points: int, channels: Sequence[ChannelParams]):
-    """One search step: ``points`` gains across each channel's bracket
+def _narrow(lo, hi, points: int, lanes: np.ndarray):
+    """One search step: ``points`` gains across each lane's bracket
     ``[lo, hi]`` in one array call. Returns the best gain of each row, its
     rate, and its two grid neighbours as the new bracket."""
     grid = np.linspace(lo, hi, points, axis=1)
-    rates = _secure_rates(grid, channels)
+    rates = _secure_rates(grid, lanes)
     best = rates.argmax(axis=1)
-    rows = np.arange(len(channels))
+    rows = np.arange(len(lanes))
     below, above = np.maximum(best - 1, 0), np.minimum(best + 1, points - 1)
     return grid[rows, best], rates[rows, best], grid[rows, below], grid[rows, above]
 
 
-def _optimize_lockstep(
-    channels: Sequence[ChannelParams], grid_points: int
-) -> list[OptimizationResult]:
-    """``optimize_gain`` for every channel: the scan, then each narrowing
-    step, is one array call over the searches still open. A lane's steps
-    do not depend on the other lanes, so its result is the one-channel
-    search's bit for bit."""
-    lanes = len(channels)
+def _optimize_lockstep(lanes: np.ndarray, grid_points: int) -> list[OptimizationResult]:
+    """``optimize_gain`` for every (tau1, tau2, dark count) row of
+    ``lanes``: the scan, then each narrowing step, is one array call over
+    the searches still open. A lane's steps do not depend on the other
+    lanes, so its result is the one-channel search's bit for bit."""
+    count = len(lanes)
     g, rate, lo, hi = _narrow(
-        np.full(lanes, G_BRACKET[0]), np.full(lanes, G_BRACKET[1]), grid_points, channels
+        np.full(count, G_BRACKET[0]), np.full(count, G_BRACKET[1]), grid_points, lanes
     )
     brackets = list(zip(lo.tolist(), hi.tolist()))
-    iterations = np.zeros(lanes, dtype=int)
+    iterations = np.zeros(count, dtype=int)
     while (open_ := np.flatnonzero((rate > 0.0) & (hi - lo > G_TOL))).size:
         g_step, rate_step, lo[open_], hi[open_] = _narrow(
-            lo[open_], hi[open_], _ZOOM_POINTS, [channels[i] for i in open_]
+            lo[open_], hi[open_], _ZOOM_POINTS, lanes[open_]
         )
         better = rate_step > rate[open_]
         g[open_[better]], rate[open_[better]] = g_step[better], rate_step[better]
@@ -185,6 +190,11 @@ def _optimize_lockstep(
         if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)
         for g_opt, r, steps, bracket in zip(g.tolist(), rate.tolist(), iterations.tolist(), brackets)
     ]
+
+
+def _lanes(channels: Sequence[ChannelParams]) -> np.ndarray:
+    """The (tau1, tau2, dark count) row of each channel, one search each."""
+    return np.array([(c.tau1, c.tau2, c.dark_count) for c in channels], dtype=float)
 
 
 def optimize_gain(
@@ -201,7 +211,7 @@ def optimize_gain(
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
-    return _optimize_lockstep([channel], grid_points)[0]
+    return _optimize_lockstep(_lanes([channel]), grid_points)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,35 +248,16 @@ def passive_performance(
     if mu_fixed <= 0.0:
         raise ValueError(f"mu_fixed must be > 0, got {mu_fixed}")
     source_fixed = SourceParams.from_mean_photon_number(mu_fixed)
-    channels = [
-        ChannelParams(
-            tau1=channel_base.tau1,
-            tau2=transmittance_from_db(loss2_db),
-            dark_count=channel_base.dark_count,
-        )
+    lanes = _lanes([
+        ChannelParams(channel_base.tau1, transmittance_from_db(loss2_db), channel_base.dark_count)
         for loss2_db in l2_range_db
-    ]
-    optima = _optimize_lockstep(channels, _GRID_POINTS)
-    fixed_rates = _secure_rates(np.full((len(channels), 1), source_fixed.g), channels)[:, 0]
-    points = []
-    ratios = []
-    for loss2_db, opt, fixed_rate in zip(l2_range_db, optima, fixed_rates.tolist()):
-        if opt.secure_rate_at_opt > 0.0:
-            ratio = fixed_rate / opt.secure_rate_at_opt
-            ratios.append(ratio)
-        else:
-            ratio = None
-        points.append(
-            PassivePoint(
-                loss2_db=float(loss2_db),
-                secure_rate_fixed=fixed_rate,
-                secure_rate_optimal=opt.secure_rate_at_opt,
-                mu_opt=opt.mu_opt,
-                ratio=ratio,
-            )
-        )
-    return PassivePerformanceSweep(
-        mu_fixed=mu_fixed,
-        points=tuple(points),
-        min_ratio=min(ratios) if ratios else None,
+    ])
+    optima = _optimize_lockstep(lanes, _GRID_POINTS)
+    fixed_rates = _secure_rates(np.full((len(lanes), 1), source_fixed.g), lanes)[:, 0]
+    points = tuple(
+        PassivePoint(float(loss2_db), fixed_rate, opt.secure_rate_at_opt, opt.mu_opt,
+                     fixed_rate / opt.secure_rate_at_opt if opt.secure_rate_at_opt > 0.0 else None)
+        for loss2_db, opt, fixed_rate in zip(l2_range_db, optima, fixed_rates.tolist())
     )
+    ratios = [point.ratio for point in points if point.ratio is not None]
+    return PassivePerformanceSweep(mu_fixed, points, min(ratios) if ratios else None)

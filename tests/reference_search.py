@@ -2,8 +2,10 @@
 golden-section loop, one scalar ``secure_rate(*qber_and_sift(...))`` call
 per gain, as ``keyrate`` ran them before they became array calls. Its
 per-gain rate folds ``analytic.pair_table`` at one point, the table the
-package's key rates read, and ``secure_rate`` is the scalar rate the
-package's array rate must equal, element by element, bit for bit.
+package's key rates read. ``binary_entropy`` and ``secure_rate`` are the
+plain-float rules, with their checks, that the package's float-or-array
+``binary_entropy`` and ``secure_rate`` must equal, element by element,
+bit for bit.
 
 The package's search must scan the same bracket, split found from no-key
 channels the same way, raise the same exceptions, and find a secure rate
@@ -25,12 +27,20 @@ from hbepp_link.keyrate import (
     OptimizationResult,
     PassivePerformanceSweep,
     PassivePoint,
-    binary_entropy,
 )
 from hbepp_link.params import ChannelParams, SourceParams, transmittance_from_db
 from hbepp_link.postprocess import PostprocessingModel, fold
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def binary_entropy(eps: float) -> float:
+    """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"error rate must be in [0, 1], got {eps}")
+    if eps == 0.0 or eps == 1.0:
+        return 0.0
+    return -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
 
 
 def secure_rate(eps: float, r_sift: float) -> float:

@@ -69,7 +69,7 @@ class TestBinaryEntropy:
         assert root == pytest.approx(0.11002786443836, abs=1e-11)
         assert binary_entropy(0.11003) == pytest.approx(0.5, abs=1e-4)
 
-    @pytest.mark.parametrize("eps", [-0.01, 1.01])
+    @pytest.mark.parametrize("eps", [-0.01, 1.01, math.nan])
     def test_domain(self, eps):
         with pytest.raises(ValueError):
             binary_entropy(eps)
@@ -215,8 +215,8 @@ class TestOptimizeGain:
         evaluated = []
         secure_rates = keyrate._secure_rates
 
-        def recording(g, channels):
-            rates = secure_rates(g, channels)
+        def recording(g, lanes):
+            rates = secure_rates(g, lanes)
             evaluated.extend(zip(g.ravel().tolist(), rates.ravel().tolist()))
             return rates
 
@@ -263,9 +263,9 @@ class TestPassivePerformance:
         calls = []
         secure_rates = keyrate._secure_rates
 
-        def recording(g, channels):
+        def recording(g, lanes):
             calls.append(g.shape)
-            return secure_rates(g, channels)
+            return secure_rates(g, lanes)
 
         monkeypatch.setattr(keyrate, "_secure_rates", recording)
         mu, losses = 0.1, [25.0, 40.0]
@@ -397,23 +397,28 @@ class TestOneChainMatchesReference:
         for model in PostprocessingModel:
             assert [type(v) for v in qber_and_sift(source, channel, model)] == [float, float]
         assert type(secure_rate(*qber_and_sift(source, channel))) is float
+        assert type(binary_entropy(0.3)) is float
 
 
 class TestSecureRateArray:
     def test_rows_equal_scalar_chain_bit_for_bit(self):
         # the scan grid of nine channels: every element is the one-point
-        # secure_rate(*qber_and_sift(...)), down to the last bit, and every
-        # 17th gain's QBER and sifted rate is within QBER_SIFT_REL of exact
+        # qber_and_sift with the plain-float secure_rate, down to the last
+        # bit, and every 17th gain's QBER and sifted rate is within
+        # QBER_SIFT_REL of exact
         grid = np.linspace(*G_BRACKET, 256)
         channels = [
             ChannelParams.from_db_losses(1.6, loss2_db, dark)
             for dark in (0.0, 6.25e-7, 1e-5)
             for loss2_db in (0.0, 30.0, 45.0)
         ]
-        rates = keyrate._secure_rates(np.broadcast_to(grid, (9, 256)), channels)
+        rates = keyrate._secure_rates(np.broadcast_to(grid, (9, 256)), keyrate._lanes(channels))
         worst = 0.0
         for channel, row in zip(channels, rates.tolist()):
-            scalar = [secure_rate(*qber_and_sift(SourceParams(g), channel)) for g in grid]
+            scalar = [
+                reference_search.secure_rate(*qber_and_sift(SourceParams(g), channel))
+                for g in grid
+            ]
             assert [r.hex() for r in row] == [r.hex() for r in scalar]
             for g in grid[::17].tolist():
                 args = (SourceParams(g), channel, PostprocessingModel.SQUASH)
@@ -425,14 +430,28 @@ class TestSecureRateArray:
     def test_elements_equal_one_point_calls_bit_for_bit(self):
         # the entropy's ends, its H2 = 1/2 root, a subnormal and 1 - 1e-16,
         # against sifted rates of 0, NaN and ordinary values; a clamped
-        # element is +0.0 as the one-point max(0.0, v) gives
+        # element is +0.0 as the one-point max(0.0, v) gives. The one-point
+        # floats are the plain-float rules of tests/reference_search.py,
+        # and the package's one-point calls give the same floats.
         eps_values = [0.0, 1.0, 0.11002786443836, 5e-324, 1.0 - 1e-16, 0.5, 0.3, 0.05]
         rate_values = [0.0, math.nan, 0.37, 1e-9]
         eps, r_sift = np.array(list(itertools.product(eps_values, rate_values))).T
         rates = secure_rate(eps.reshape(8, 4), r_sift.reshape(8, 4))
         assert rates.shape == (8, 4)
-        one_point = [secure_rate(e, r) for e, r in zip(eps.tolist(), r_sift.tolist())]
+        one_point = [
+            reference_search.secure_rate(e, r) for e, r in zip(eps.tolist(), r_sift.tolist())
+        ]
         assert [r.hex() for r in rates.ravel().tolist()] == [r.hex() for r in one_point]
+        assert [secure_rate(e, r).hex() for e, r in zip(eps.tolist(), r_sift.tolist())] == [
+            r.hex() for r in one_point
+        ]
+        # the entropy alone, also on 2,000 uniform error rates: np.log2 in
+        # place of math.log2 changes 4 of them (numpy 2.4 on x86-64)
+        entropy_eps = eps_values + np.random.default_rng(43).uniform(size=2000).tolist()
+        entropies = binary_entropy(np.reshape(entropy_eps, (-1, 8)))
+        assert [h.hex() for h in entropies.ravel().tolist()] == [
+            reference_search.binary_entropy(e).hex() for e in entropy_eps
+        ] == [binary_entropy(e).hex() for e in entropy_eps]
         assert one_point.count(0.0) > 8 and all(
             math.copysign(1.0, r) == 1.0 for r in one_point if r == 0.0
         )
@@ -447,6 +466,19 @@ class TestSecureRateArray:
             secure_rate(eps, np.array([[0.3, 0.3], [-1e-9, 0.3]]))
         rates = secure_rate(eps[:1], np.array([[0.3, 0.0]]))
         assert rates.tolist() == [[secure_rate(0.1, 0.3), 0.0]]
+        # a float error rate broadcasts against an array of sifted rates
+        rates = secure_rate(0.1, np.array([[0.3, 0.0]]))
+        assert rates.tolist() == [[secure_rate(0.1, 0.3), 0.0]]
+        # NaN is outside [0, 1], at one point and in an array; a negative
+        # sifted rate earlier in row-major order, or at the same element,
+        # raises first
+        nan_row = np.array([[0.1, math.nan]])
+        for args in ((math.nan, 0.3), (nan_row, np.full((1, 2), 0.3))):
+            with pytest.raises(ValueError, match=r"error rate must be in \[0, 1\], got nan$"):
+                secure_rate(*args)
+        for args in ((math.nan, -1e-9), (nan_row, np.array([[-1e-9, 0.3]]))):
+            with pytest.raises(ValueError, match=r"sifted rate must be >= 0, got -1e-09$"):
+                secure_rate(*args)
 
 
 class TestLockstepSearchMatchesReference:
@@ -491,7 +523,7 @@ class TestLockstepSearchMatchesReference:
             ChannelParams(tau1=0.5, tau2=1e-6, dark_count=0.2),
             reference_channel(45.0),
         ]
-        results = keyrate._optimize_lockstep(channels, 256)
+        results = keyrate._optimize_lockstep(keyrate._lanes(channels), 256)
         assert [r.found for r in results] == [True, False, True]
         for channel, result in zip(channels, results):
             assert exact_result(result) == exact_result(optimize_gain(channel))
@@ -503,17 +535,18 @@ class TestLockstepSearchMatchesReference:
         # below g = 0.95), so a stand-in rate curve checks the search's
         # clamping: rising in g where tau2 = 1, falling elsewhere. The
         # maximum is the bracket end itself, and the search returns it.
-        def rates(g, channels):
-            tau2 = np.reshape([c.tau2 for c in channels], (-1,) + (1,) * (g.ndim - 1))
-            return np.where(tau2 == 1.0, g, 1.0 - g)
+        def rates(g, lanes):
+            return np.where(lanes[:, 1:2] == 1.0, g, 1.0 - g)  # column 1 is tau2
 
         monkeypatch.setattr(keyrate, "_secure_rates", rates)
         monkeypatch.setattr(
             reference_search, "qber_and_sift",
-            lambda source, channel: (0.0, float(rates(np.array([source.g]), [channel])[0])),
+            lambda source, channel: (
+                0.0, float(rates(np.array([[source.g]]), keyrate._lanes([channel]))[0, 0])
+            ),
         )
         channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5)]
-        results = keyrate._optimize_lockstep(channels, 256)
+        results = keyrate._optimize_lockstep(keyrate._lanes(channels), 256)
         for channel, result in zip(channels, results):
             reference = reference_search.optimize_gain.__wrapped__(channel)
             self.assert_search_contract(result, reference)
