@@ -45,7 +45,8 @@ weight nonnegative: silent (1 - d) f(tau), click difference + d f(tau).
 ``outcome_probability_array`` takes floats or numpy arrays, and
 ``outcome_probabilities`` is its one-point call. At relative angle 0,
 ``pair_table`` writes the table as products of one 2x2 pair table; every
-key rate reads it. Both tables pass the same range and normalization gate.
+key rate reads it. Both pass one range and normalization gate and return
+16 Python floats for one point, one array stacked on a first axis for arrays.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ for _silent in (3, 2, 1, 0):
     _LEVELS.append((_rows, _diagonal, np.transpose(_terms), np.transpose(_cols)))
 #: The silence bitmask of each pattern, in canonical order.
 _SILENT = [15 ^ sum(bit << m for m, bit in enumerate(p)) for p in CANONICAL_PATTERNS]
+#: The pair-table entries of each pattern, p(a+, b-) and p(a-, b+), as
+#: indices Alice's click + 2 Bob's click into ``pair_table``'s stacked pair.
+_FIRST = np.array([p.a_plus + 2 * p.b_minus for p in CANONICAL_PATTERNS])
+_SECOND = np.array([p.a_minus + 2 * p.b_plus for p in CANONICAL_PATTERNS])
 
 
 def _system(g, tau1, tau2, theta: float):
@@ -149,9 +154,9 @@ def _table(g, tau1, tau2, dark_count, theta: float):
     return kappa * kappa * y[_SILENT]
 
 
-def _checked(table) -> list:
-    """The 16 rows of ``table``, pattern probabilities stacked on a first
-    axis (Python floats for one point), once every entry lies in
+def _checked(table):
+    """``table``, pattern probabilities stacked on a first axis (a list of
+    16 Python floats for one point), once every entry lies in
     [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE] and their sum, left to
     right, is 1 within ``_NORMALIZATION_TOL``; a NaN fails both. Otherwise
     the first failing column in row-major order raises the
@@ -169,10 +174,10 @@ def _checked(table) -> list:
             f"pattern probabilities sum to {float(np.asarray(total)[column])!r}, "
             "expected 1"
         )
-    return table.tolist() if table.ndim == 1 else list(table)
+    return table.tolist() if table.ndim == 1 else table
 
 
-def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
+def outcome_probability_array(g, tau1, tau2, dark_count, theta: float):
     """The 16 click-pattern probabilities in canonical order, checked by
     ``_checked``. ``g``, ``tau1``, ``tau2`` and ``dark_count`` are floats or
     arrays that broadcast together, ``theta`` the one relative angle; an
@@ -180,9 +185,10 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta: float) -> list:
     return _checked(_table(g, tau1, tau2, dark_count, theta))
 
 
-def pair_table(g, tau1, tau2, dark_count) -> list:
+def pair_table(g, tau1, tau2, dark_count):
     """The 16 click-pattern probabilities at relative angle 0, in canonical
-    order, checked by ``_checked``: the products of one 2x2 pair table.
+    order, checked by ``_checked``: the products of one 2x2 pair table,
+    stacked once and multiplied as one gather, ``pair[_FIRST] * pair[_SECOND]``.
 
     At theta = 0 the rotation is M = [[0, 1], [-1, 0]], so
     I - g^2 M^T Z_A M Z_B is diag(1 - x z_a- z_b+, 1 - x z_a+ z_b-) with
@@ -209,7 +215,7 @@ def pair_table(g, tau1, tau2, dark_count) -> list:
     so the floats keep every entry to a few ulps however deep the loss.
     Arithmetic with integer literals only: ``g``, ``tau1``, ``tau2`` and
     ``dark_count`` may be floats, numpy arrays that broadcast together, or
-    ``Fraction``s, which give the exact table.
+    ``Fraction``s, which give the exact table (a list of ``Fraction``s).
     """
     x = g * g
     c = (1 - g) * (1 + g)
@@ -218,20 +224,17 @@ def pair_table(g, tau1, tau2, dark_count) -> list:
     z1, z2 = 1 - tau1, 1 - tau2
     d_a, d_b = c + x * tau1, c + x * tau2
     d_ab = c + x * (tau1 + tau2 * z1)
-    pair = {
-        (False, False): c * e * e / d_ab,
-        (True, False): c * e * (x * tau1 * z2 + d * d_b) / (d_b * d_ab),
-        (False, True): c * e * (x * tau2 * z1 + d * d_a) / (d_a * d_ab),
-        (True, True): (
+    pair = np.stack((  # p of one pair, by Alice's click + 2 Bob's click
+        c * e * e / d_ab,
+        c * e * (x * tau1 * z2 + d * d_b) / (d_b * d_ab),
+        c * e * (x * tau2 * z1 + d * d_a) / (d_a * d_ab),
+        (
             x * tau1 * tau2 * (x * d_ab + c)
             + d * c * x * (tau2 * z1 * d_b + tau1 * z2 * d_a)
             + d * d * c * d_a * d_b
         ) / (d_a * d_b * d_ab),
-    }
-    return _checked(np.array([
-        pair[p.a_plus, p.b_minus] * pair[p.a_minus, p.b_plus]
-        for p in CANONICAL_PATTERNS
-    ]))
+    ))
+    return _checked(pair[_FIRST] * pair[_SECOND])
 
 
 def outcome_probabilities(

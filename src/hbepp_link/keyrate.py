@@ -22,7 +22,8 @@ arrays on one path: an array element is the float the one-point call
 gives, bit for bit, and a one-point call returns a Python float. The gain
 search keeps one array of lanes, a (tau1, tau2, dark count) row per
 channel, built once by ``optimize_gain`` or ``passive_performance``; each
-search step indexes it by the searches still open.
+search step indexes it by the searches still open and hands the chain its
+columns repeated to the grid's shape, so no operation broadcasts a column.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -48,8 +49,11 @@ _ZOOM_POINTS = 32
 G_TOL = 1e-6
 
 #: Gains per array call at most, in whole channels: a call of 1,024 gains
-#: peaks near 0.34 MB of numpy temporaries on the pair-table chain
-#: (tracemalloc, 4 rows of 256), and a 26-loss scan, in 7 calls, 0.39 MB.
+#: peaks near 0.52 MB of numpy temporaries on the pair-table chain
+#: (tracemalloc, 4 rows of 256; the stacked pair table, its two gathers and
+#: the lane columns at the grid's shape), and a 26-loss scan, in 7 calls,
+#: 0.56 MB. Fewer, larger temporaries buy fewer numpy calls: (rows, 1)
+#: columns and 16 separate products peaked at 0.34 and 0.39 MB.
 _ROWS_PER_CALL = 1024
 
 
@@ -71,8 +75,8 @@ def binary_entropy(eps):
     e = eps[interior]
     rest = 1.0 - e
     entropy = np.zeros(eps.shape)
-    entropy[interior] = (-e * [math.log2(v) for v in e.tolist()]
-                         - rest * [math.log2(v) for v in rest.tolist()])
+    entropy[interior] = (-e * np.fromiter(map(math.log2, e.tolist()), float, e.size)
+                         - rest * np.fromiter(map(math.log2, rest.tolist()), float, e.size))
     return entropy if entropy.ndim else float(entropy)
 
 
@@ -146,10 +150,12 @@ def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     (tau1, tau2, dark count) row per search. The rows go in calls of at
     most ``_ROWS_PER_CALL`` gains; elements do not depend on the split."""
     step = max(1, _ROWS_PER_CALL // g.shape[1])
-    # each call takes tau1, tau2 and the dark count as (rows, 1) columns
+    # each call takes tau1, tau2 and the dark count at the grid's shape, so
+    # no operation broadcasts a (rows, 1) column
     return np.concatenate([
         secure_rate(*_qber_and_sift(
-            g[i:i + step], *lanes[i:i + step].T[:, :, None], PostprocessingModel.SQUASH
+            g[i:i + step], *np.repeat(lanes[i:i + step].T[:, :, None], g.shape[1], axis=2),
+            PostprocessingModel.SQUASH,
         ))
         for i in range(0, len(lanes), step)
     ])
@@ -159,7 +165,11 @@ def _narrow(lo, hi, points: int, lanes: np.ndarray):
     """One search step: ``points`` gains across each lane's bracket
     ``[lo, hi]`` in one array call. Returns the best gain of each row, its
     rate, and its two grid neighbours as the new bracket."""
-    grid = np.linspace(lo, hi, points, axis=1)
+    # np.linspace(lo, hi, points, axis=1) bit for bit, without its axis
+    # handling: its arithmetic for a nonzero step, as every bracket is wider
+    # than G_TOL (linspace divides first where some step is 0)
+    grid = lo[:, None] + np.arange(points) * ((hi - lo) / (points - 1))[:, None]
+    grid[:, -1] = hi
     rates = _secure_rates(grid, lanes)
     best = rates.argmax(axis=1)
     rows = np.arange(len(lanes))

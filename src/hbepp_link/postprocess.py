@@ -10,6 +10,9 @@ can be formed. Two conventions are implemented:
 * Discard: only exact two-fold coincidences are kept; every multi-click
   event is dropped. Post-selecting this way biases the reconstructed
   correlations and can push the CHSH value past the quantum bound.
+
+``fold`` is one rule for 16 floats and for stacked arrays: a gather of
+weighted terms per model, each cell's terms added left to right.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import enum
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .analytic import outcome_probability_array
 from .params import ChannelParams, SourceParams
@@ -84,13 +89,21 @@ _FOLDS = {
 }
 
 
+#: ``_FOLDS`` as (index, weight) arrays of shape (terms, cells): every cell
+#: of a model has as many terms, 4 for squash and 1 for discard.
+_GATHERS = {model: (np.array(cells)[..., 0].T.astype(int), np.array(cells)[..., 1].T)
+            for model, cells in _FOLDS.items()}
+
+
 def fold(values, model: PostprocessingModel) -> CoincidenceCounts:
     """The cells ++, +-, -+, -- from the 16 pattern probabilities in
-    canonical order; the values may be floats or arrays of one shape."""
-    return CoincidenceCounts(*(
-        left_to_right_sum(weight * values[index] for index, weight in cell)
-        for cell in _FOLDS[model]
-    ))
+    canonical order: 16 floats (Python floats back), or arrays of one shape
+    stacked or in a sequence. One gather, ``weight * table[index]``, forms
+    every term; each cell adds its terms left to right, from the first."""
+    table = np.asarray(values)
+    index, weight = _GATHERS[model]
+    cells = left_to_right_sum(weight.reshape(index.shape + (1,) * (table.ndim - 1)) * table[index])
+    return CoincidenceCounts(*(cells.tolist() if cells.ndim == 1 else cells))
 
 
 def coincidences(

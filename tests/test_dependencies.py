@@ -15,8 +15,10 @@ that imports it.
 The closed form and what folds it (``analytic``, ``keyrate`` and
 ``postprocess``) print the same bytes on every CPU only if their floats
 come from IEEE arithmetic: numpy's ``**`` and its transcendental functions
-may round differently across SIMD code paths, so these modules use neither
-(``math`` per element where a transcendental is needed).
+may round differently across SIMD code paths, and a matrix product (``@``,
+``np.dot``, ``einsum`` and kin) hands its sums to BLAS, which orders them
+by CPU and thread count. So these modules use none of them (``math`` per
+element where a transcendental is needed, sums added left to right).
 """
 
 import ast
@@ -115,25 +117,34 @@ def test_detects_package_imports():
 
 
 #: Modules whose floats must not depend on the CPU, and the numpy functions
-#: they may not call.
+#: they may not call: transcendentals and matrix products.
 PORTABLE = [
     ROOT / "src" / "hbepp_link" / f"{name}.py" for name in ("analytic", "keyrate", "postprocess")
 ]
-NUMPY_TRANSCENDENTALS = {"cos", "sin", "log", "log2", "exp", "power"}
+NUMPY_TRANSCENDENTALS = {
+    "cos", "sin", "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh",
+    "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "power", "float_power",
+    "hypot", "cbrt",
+}
+NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+NUMPY_FORBIDDEN = NUMPY_TRANSCENDENTALS | NUMPY_PRODUCTS
+#: The operators whose floats may depend on the CPU.
+OPERATORS = {ast.Pow: "**", ast.MatMult: "@"}
 
 
 def cpu_dependent_floats(tree: ast.AST) -> list[str]:
-    """Every ``**``, ``**=`` and numpy transcendental in ``tree``, by line."""
+    """Every ``**``, ``@``, their augmented forms, numpy transcendental and
+    numpy matrix product in ``tree``, by line."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
-            found.append(f"{node.lineno}: **")
-        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in OPERATORS:
+            found.append(f"{node.lineno}: {OPERATORS[type(node.op)]}")
+        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_FORBIDDEN
               and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
             found.append(f"{node.lineno}: numpy.{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
             found.extend(f"{node.lineno}: numpy.{alias.name}" for alias in node.names
-                         if alias.name in NUMPY_TRANSCENDENTALS)
+                         if alias.name in NUMPY_FORBIDDEN)
     return sorted(found)
 
 
@@ -157,5 +168,22 @@ def test_guard_flags_cpu_dependent_floats():
         ("numpy.power(x, 3) + np.exp(x)", ["1: numpy.exp", "1: numpy.power"]),
         ("from numpy import cos, sqrt", ["1: numpy.cos"]),
         ("math.log2(x) * x * x + np.sqrt(x)", []),
+        ("a @ b", ["1: @"]),
+        ("a @= b", ["1: @"]),
+        ("np.dot(a, b) + numpy.matmul(a, b)", ["1: numpy.dot", "1: numpy.matmul"]),
+        ("np.einsum('ij,jk', a, b)", ["1: numpy.einsum"]),
+        ("np.tensordot(a, b) + np.inner(a, b) + np.vdot(a, b)",
+         ["1: numpy.inner", "1: numpy.tensordot", "1: numpy.vdot"]),
+        ("from numpy import einsum, matmul, take", ["1: numpy.einsum", "1: numpy.matmul"]),
+        ("np.log10(x) + np.log1p(x) + np.expm1(x) + np.exp2(x)",
+         ["1: numpy.exp2", "1: numpy.expm1", "1: numpy.log10", "1: numpy.log1p"]),
+        ("np.float_power(x, 2) + np.hypot(x, y) + np.cbrt(x)",
+         ["1: numpy.cbrt", "1: numpy.float_power", "1: numpy.hypot"]),
+        ("np.tan(x) + np.arctan(x) + np.arctan2(x, y)",
+         ["1: numpy.arctan", "1: numpy.arctan2", "1: numpy.tan"]),
+        ("np.arcsin(x) + np.arccos(x)", ["1: numpy.arccos", "1: numpy.arcsin"]),
+        ("np.sinh(x) + np.cosh(x) + np.tanh(x)",
+         ["1: numpy.cosh", "1: numpy.sinh", "1: numpy.tanh"]),
+        ("x[index] * weight + np.take(x, index) + math.hypot(x, y)", []),
     ):
         assert cpu_dependent_floats(ast.parse(snippet)) == found, snippet

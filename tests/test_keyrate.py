@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from hbepp_link import (
 from hbepp_link import keyrate
 from hbepp_link.keyrate import (
     G_BRACKET,
+    G_TOL,
     binary_entropy,
     passive_performance,
     secure_rate,
@@ -559,6 +561,55 @@ class TestLockstepSearchMatchesReference:
         channel = ChannelParams.from_db_losses(1.6, 52.5, 6.25e-7)
         result = optimize_gain(channel)
         assert result.secure_rate_at_opt > reference_search.optimize_gain(channel).secure_rate_at_opt
+
+
+class TestArrayCalls:
+    """What one search step hands the chain: its grid and its memory."""
+
+    @staticmethod
+    def narrow_grid(monkeypatch, lo, hi, points):
+        """The grid ``_narrow`` passes to ``_secure_rates``."""
+        grids = []
+
+        def rates(g, lanes):
+            grids.append(g)
+            return np.zeros(g.shape)
+
+        monkeypatch.setattr(keyrate, "_secure_rates", rates)
+        keyrate._narrow(lo, hi, points, np.zeros((len(lo), 3)))
+        return grids[0]
+
+    def test_narrow_grid_is_linspace_bit_for_bit(self, monkeypatch):
+        # the 256-gain scan of G_BRACKET, and 20,000 random brackets from
+        # 1e-1 down to G_TOL wide at both ends of G_BRACKET and inside it
+        rng = np.random.default_rng(19)
+        width = 10.0 ** rng.uniform(math.log10(G_TOL), -1.0, 20_000)
+        width[:2] = G_TOL, 0.1
+        lo = np.concatenate([
+            G_BRACKET[0] + rng.uniform(0.0, 1.0, 6_000) * width[:6_000],
+            G_BRACKET[1] - width[6_000:12_000] * (1.0 + rng.uniform(0.0, 1.0, 6_000)),
+            rng.uniform(*G_BRACKET, 8_000),
+        ])
+        hi = lo + width
+        cases = [(np.full(26, G_BRACKET[0]), np.full(26, G_BRACKET[1]), 256), (lo, hi, 32)]
+        for lo, hi, points in cases:
+            grid = self.narrow_grid(monkeypatch, lo, hi, points)
+            assert grid.shape == (len(lo), points)
+            assert grid.tobytes() == np.linspace(lo, hi, points, axis=1).tobytes()
+
+    def test_4x256_call_peaks_under_1_mb(self):
+        # the figure in _ROWS_PER_CALL's comment: about 0.50 MB of numpy
+        # temporaries for 4 rows of 256 gains
+        lanes = keyrate._lanes([reference_channel(loss) for loss in (20.0, 30.0, 40.0, 45.0)])
+        grid = np.linspace(np.full(4, G_BRACKET[0]), np.full(4, G_BRACKET[1]), 256, axis=1)
+        keyrate._secure_rates(grid, lanes)  # warm-up
+        tracemalloc.start()
+        try:
+            keyrate._secure_rates(grid, lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 def deep_loss_limit(g, tau1):

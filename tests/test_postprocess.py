@@ -14,11 +14,12 @@ from hbepp_link import (
     oracle_probabilities,
     outcome_probabilities,
 )
-from hbepp_link.analytic import outcome_probability_array
+from hbepp_link.analytic import outcome_probability_array, pair_table
 from hbepp_link.keyrate import _qber_and_sift, qber_and_sift
 from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
 from hbepp_link.postprocess import (
     CoincidenceCounts,
+    _FOLDS,
     coincidences,
     correlation,
     fold,
@@ -135,6 +136,51 @@ class TestFold:
                 table = outcome_probabilities(source, channel, MeasurementAngles(0.4, 0.0))
                 assert hexes(corr[k]) == hexes(correlation(coincidences(table, model)))
                 assert hexes(eps[k], r_sift[k]) == hexes(*qber_and_sift(source, channel, model))
+
+    @staticmethod
+    def python_fold(values, model):
+        """The cells of ``_FOLDS[model]`` from 16 Python floats: each cell's
+        (index, weight) terms added left to right, from the first term."""
+        cells = []
+        for (index, weight), *rest in _FOLDS[model]:
+            total = weight * values[index]
+            for index, weight in rest:
+                total = total + weight * values[index]
+            cells.append(total)
+        return cells
+
+    def test_one_gather_rule_equals_the_python_fold_bit_for_bit(self):
+        # (2, 256) scan tables at angle 0 and 0.7, and 64 random rows from
+        # 1 down to subnormals, where halving rounds; every column, and its
+        # one-point call, is the Python fold of its 16 floats
+        g = np.linspace([1e-3, 1e-3], [0.95, 0.95], 256, axis=1)
+        tau2, dark = np.array([[1e-3], [0.3]]), np.array([[6.25e-7], [1e-3]])
+        rng = np.random.default_rng(19)
+        tables = [
+            pair_table(g, 0.7, tau2, dark),
+            outcome_probability_array(g, 0.7, tau2, dark, 0.7),
+            rng.uniform(size=(16, 64)) * 10.0 ** -rng.uniform(0.0, 320.0, (16, 64)),
+        ]
+        for values in tables:
+            for model in PostprocessingModel:
+                counts = fold(values, model)
+                assert all(cell.shape == values.shape[1:] for cell in counts)
+                for column in np.ndindex(values.shape[1:]):
+                    one = values[(slice(None), *column)].tolist()
+                    reference = [v.hex() for v in self.python_fold(one, model)]
+                    assert [float(cell[column]).hex() for cell in counts] == reference
+                    point = fold(one, model)
+                    assert [type(v) for v in point] == [float] * 4
+                    assert [v.hex() for v in point] == reference
+
+    def test_one_point_calls_return_python_floats(self):
+        source = SourceParams(0.3)
+        for model in PostprocessingModel:
+            assert type(chsh(source, REFERENCE_CHANNEL, model)) is float
+            qber, sift = qber_and_sift(source, REFERENCE_CHANNEL, model)
+            assert [type(qber), type(sift)] == [float, float]
+            table = outcome_probabilities(source, REFERENCE_CHANNEL, MeasurementAngles(0.3, 0.0))
+            assert [type(v) for v in coincidences(table, model)] == [float] * 4
 
 
 class TestCorrelation:
