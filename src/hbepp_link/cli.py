@@ -35,6 +35,9 @@ from .postprocess import PostprocessingModel, _chsh
 #: Sweep variables of ``chsh`` and ``keyrate``; the first is the default.
 _SOURCE_VARIABLES = ("g", "mu")
 
+#: The quantity a sweep variable sets, where the two names differ.
+_QUANTITY = {"mu": "g", "loss1_db": "tau1", "loss2_db": "tau2"}
+
 #: Analytic-vs-brute-force grid, one axis each for g, tau1, tau2, the dark
 #: count and theta1 in degrees.
 _ORACLE_GRID = ((0.1, 0.4, 0.7), (0.7,), (0.01, 0.5), (0.0, 1e-3), (0.0, 40.1, 90.0))
@@ -81,7 +84,7 @@ def _channel_lines(channel: ChannelParams, keys=("tau1", "tau2", "dark_count")) 
 def _source_sweep(cfg: ScenarioConfig) -> tuple[np.ndarray, list[list[float]]]:
     """The gains of a ``chsh`` or ``keyrate`` sweep, and per point the
     rows' leading cells: its gain and mean photon number."""
-    _, points = cfg.sweep(_SOURCE_VARIABLES, 0.05, 0.9, 50)
+    _, points = cfg.sweep(_SOURCE_VARIABLES, (0.05, 0.9, 50))
     sources = [point.source_params() for point in points]
     return (
         np.array([source.g for source in sources]),
@@ -90,33 +93,35 @@ def _source_sweep(cfg: ScenarioConfig) -> tuple[np.ndarray, list[list[float]]]:
 
 
 def _run_probs(cfg: ScenarioConfig) -> str:
-    source = cfg.source_params()
-    channel = cfg.channel_params()
-    if cfg.sweep_variable is None:
+    var, points = cfg.sweep(SWEEP_VARIABLES)
+    source, channel = cfg.source_params(), cfg.channel_params()
+    settings = {
+        "g": source.g,
+        "mu": source.mean_photon_number(),
+        **{key: getattr(channel, key) for key in ("tau1", "tau2", "dark_count")},
+        "theta1_deg": cfg.theta1_deg,
+        "theta2_deg": cfg.theta2_deg,
+    }
+    if var is None:
         table = outcome_probabilities(source, channel, cfg.angles()).clamped()
         lines = [
-            _kv("g", source.g),
-            _kv("mu", source.mean_photon_number()),
-            *_channel_lines(channel),
-            _kv("theta1_deg", cfg.theta1_deg),
-            _kv("theta2_deg", cfg.theta2_deg),
+            *map(_kv, settings, settings.values()),
             *map(_kv, _PATTERN_COLUMNS, table.values),
             _kv("sum[-]", table.total()),
         ]
         return _kv_block("click-pattern probabilities", lines)
 
-    var, points = cfg.sweep(SWEEP_VARIABLES, cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
     rows = []
     for point in points:
         table = outcome_probabilities(
             point.source_params(), point.channel_params(), point.angles()
         ).clamped()
         rows.append([getattr(point, var), *table.values])
+    # mu restates g, and the quantity the sweep sets varies by row
+    left_out = {"mu", _QUANTITY.get(var, var)}
     preamble = [
         "hbepp-link probs",
-        _kv("g", source.g),
-        *_channel_lines(channel),
-        _kv("theta2_deg", cfg.theta2_deg),
+        *(_kv(key, value) for key, value in settings.items() if key not in left_out),
     ]
     return _csv_output(preamble, [_column(var), *_PATTERN_COLUMNS], rows)
 
@@ -151,6 +156,7 @@ def _run_keyrate(cfg: ScenarioConfig) -> str:
 
 
 def _run_optimize(cfg: ScenarioConfig) -> str:
+    cfg.sweep(())  # refuses a configured sweep
     channel = cfg.channel_params()
     result = optimize_gain(channel)
     scale, unit = _rate(cfg)
@@ -167,11 +173,12 @@ def _run_optimize(cfg: ScenarioConfig) -> str:
 
 
 def _run_sweep(cfg: ScenarioConfig) -> str:
-    var, points = cfg.sweep(("loss2_db",), 20.0, 45.0, 26)
+    var, points = cfg.sweep(("loss2_db",), (20.0, 45.0, 26))
     channel = cfg.channel_params()
-    mu_fixed = cfg.source_params().mean_photon_number()
+    # the configured mu itself, so rsec_fixed is at exactly its gain
+    key, value = cfg.source_setting()
+    mu_fixed = value if cfg.g is None else cfg.source_params().mean_photon_number()
     if mu_fixed <= 0.0:
-        key, value = cfg.source_setting()
         raise ConfigError(f"{key}: sweep needs a source brightness above 0, got {value!r}")
     result = passive_performance(mu_fixed, channel, [point.loss2_db for point in points])
     scale, unit = _rate(cfg)
@@ -202,6 +209,7 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 
 
 def _run_oracle_check(cfg: ScenarioConfig) -> str:
+    cfg.sweep(())  # refuses a configured sweep
     n_max = cfg.n_max
     deviations = []
     for g, tau1, tau2, dark, theta_deg in itertools.product(*_ORACLE_GRID):
@@ -223,7 +231,7 @@ def _run_oracle_check(cfg: ScenarioConfig) -> str:
 
 #: Subcommand name -> (runner, help text), in ``--help`` order.
 SUBCOMMANDS = {
-    "probs": (_run_probs, "16-entry click-pattern table, optionally swept over an angle"),
+    "probs": (_run_probs, "16-entry click-pattern table, optionally swept over any variable"),
     "chsh": (_run_chsh, "CHSH value vs source gain for squash and discard post-processing"),
     "keyrate": (_run_keyrate, "QBER, sifted and secure key rates vs source gain"),
     "optimize": (_run_optimize, "source gain maximizing the secure rate for the channel"),

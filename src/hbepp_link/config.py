@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -191,7 +191,6 @@ class ScenarioConfig:
     sweep_start: float | None = None
     sweep_stop: float | None = None
     sweep_steps: int | None = None
-    explicit: frozenset[str] = field(default_factory=frozenset)
 
     def source_params(self) -> SourceParams:
         if self.g is not None:
@@ -199,11 +198,12 @@ class ScenarioConfig:
         mu = self.mu if self.mu is not None else DEFAULT_MU
         return SourceParams(gain_from_mean_photon(mu))
 
-    def source_setting(self) -> tuple[str, float | None]:
+    def source_setting(self) -> tuple[str, float]:
         """(key, value) of the setting that fixes the source brightness:
-        ``source.g`` when it is set, else ``source.mu`` (None if unset)."""
-        spec = _SWEPT["g" if self.g is not None else "mu"]
-        return spec.key, getattr(self, spec.field)
+        ``source.g`` when it is set, else ``source.mu`` (``DEFAULT_MU`` if unset)."""
+        if self.g is not None:
+            return _SWEPT["g"].key, self.g
+        return _SWEPT["mu"].key, self.mu if self.mu is not None else DEFAULT_MU
 
     def channel_params(self, default_dark_count: float = DEFAULT_DARK_COUNT) -> ChannelParams:
         """Channel of the scenario; ``default_dark_count`` applies when
@@ -229,11 +229,11 @@ class ScenarioConfig:
         )
 
     def sweep(
-        self, variables: tuple[str, ...], start: float, stop: float, steps: int
-    ) -> tuple[str, list[ScenarioConfig]]:
+        self, variables: tuple[str, ...], default: tuple[float, float, int] | None = None
+    ) -> tuple[str | None, list[ScenarioConfig]]:
         """The swept field and the point scenario at each ``np.linspace``
-        value of the configured sweep, or of the default sweep of
-        ``variables[0]`` from ``start`` to ``stop`` in ``steps`` points.
+        value of the configured sweep, else of ``variables[0]`` over
+        ``default = (start, stop, steps)``; ``(None, [self])`` if neither.
 
         A configured sweep variable outside ``variables`` is rejected. Each
         point sets the variable and clears its alternative, if any.
@@ -241,30 +241,32 @@ class ScenarioConfig:
         if self.sweep_variable is not None:
             if self.sweep_variable not in variables:
                 raise ConfigError(
-                    f"{_VARIABLE.key}: expected {' or '.join(variables)} for this "
-                    f"subcommand, got {self.sweep_variable!r}"
+                    f"{_VARIABLE.key}: expected {' or '.join(variables) or 'no sweep'} "
+                    f"for this subcommand, got {self.sweep_variable!r}"
                 )
             variables = (self.sweep_variable,)
-            start, stop, steps = self.sweep_start, self.sweep_stop, self.sweep_steps
+            default = (self.sweep_start, self.sweep_stop, self.sweep_steps)
+        if default is None:
+            return None, [self]
         spec = _SWEPT[variables[0]]
-        cleared = _ALTERNATIVES.get(spec.group, ())
-        changes = {other.field: None for other in cleared}
-        explicit = self.explicit.difference(other.key for other in cleared) | {spec.key}
+        changes = {other.field: None for other in _ALTERNATIVES.get(spec.group, ())}
         return spec.field, [
-            replace(self, **{**changes, spec.field: value}, explicit=explicit)
-            for value in np.linspace(start, stop, steps).tolist()
+            replace(self, **{**changes, spec.field: value})
+            for value in np.linspace(*default).tolist()
         ]
 
     def to_text(self) -> str:
-        """Canonical serialization of the explicitly set keys.
+        """Canonical serialization: one line per key whose value differs
+        from its default, in ``_KEYS`` order.
 
-        ``parse_config(cfg.to_text())`` reproduces ``cfg`` exactly, so the
-        round trip is idempotent; defaults stay implicit.
+        ``parse_config(cfg.to_text()) == cfg``, and configs that compare
+        equal serialize alike.
         """
+        default = ScenarioConfig()
         lines = [
             f"{spec.key} = {_format(getattr(self, spec.field))}"
             for spec in _KEYS
-            if spec.key in self.explicit
+            if getattr(self, spec.field) != getattr(default, spec.field)
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -319,10 +321,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         if len(given) > 1:
             raise ConfigError(f"{' and '.join(given)} are mutually exclusive")
     _check_sweep(values, texts)
-    return ScenarioConfig(
-        **{_BY_KEY[key].field: value for key, value in values.items()},
-        explicit=frozenset(values),
-    )
+    return ScenarioConfig(**{_BY_KEY[key].field: value for key, value in values.items()})
 
 
 def _check_sweep(values: dict[str, object], texts: dict[str, str]) -> None:

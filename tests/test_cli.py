@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hbepp_link.cli import main, run_subcommand
-from hbepp_link.config import COHERENCE_TIME_S, ConfigError, parse_config
+from hbepp_link.config import COHERENCE_TIME_S, SWEEP_VARIABLES, ConfigError, parse_config
 from hbepp_link.keyrate import qber_and_sift, secure_rate
 from hbepp_link.params import SourceParams
 from hbepp_link.postprocess import PostprocessingModel, chsh
@@ -16,6 +16,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sets(*settings):
+    return [arg for setting in settings for arg in ("--set", setting)]
+
+
+#: A valid value of each sweep variable.
+SWEEP_VALUE = {
+    "g": 0.3, "mu": 0.1, "tau1": 0.5, "loss1_db": 3.0, "tau2": 0.1,
+    "loss2_db": 30.0, "dark_count": 1e-4, "theta1_deg": 45.0,
+}
+
+
+def one_value_sweep(variable, steps=2):
+    """``sweep.*`` settings that sweep ``variable`` over one valid value."""
+    value = SWEEP_VALUE[variable]
+    return [f"sweep.variable={variable}", f"sweep.start={value}",
+            f"sweep.stop={value}", f"sweep.steps={steps}"]
 
 
 def csv_rows(text):
@@ -56,6 +74,27 @@ class TestProbs:
         vac = header.index("P_0000[-]")
         values = {row[vac] for row in rows}
         assert len(values) == 1  # byte-identical across the sweep
+
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+    def test_takes_every_sweep_variable(self, capsys, variable):
+        code, out, err = run(capsys, "probs", *sets(*one_value_sweep(variable)))
+        assert code == 0 and err == ""
+        header, rows = csv_rows(out)
+        assert header[0].startswith(f"{variable}[") and len(rows) == 2
+
+    @pytest.mark.parametrize(
+        "variable, preamble",
+        [
+            ("g", ["tau1", "tau2", "dark_count", "theta1_deg", "theta2_deg"]),
+            ("loss2_db", ["g", "tau1", "dark_count", "theta1_deg", "theta2_deg"]),
+        ],
+    )
+    def test_sweep_preamble_leaves_out_the_swept_quantity(self, capsys, variable, preamble):
+        code, out, _ = run(capsys, "probs", *sets(*one_value_sweep(variable)))
+        assert code == 0
+        comments = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+        assert comments[0] == "hbepp-link probs"
+        assert [line.split(" = ")[0] for line in comments[1:]] == preamble
 
 
 class TestChsh:
@@ -166,6 +205,23 @@ class TestBatchedSweepsMatchOnePointCalls:
         )
 
 
+@pytest.mark.parametrize(
+    "name, variable",
+    [
+        ("chsh", "tau1"),
+        ("keyrate", "loss2_db"),
+        ("optimize", "loss2_db"),
+        ("sweep", "g"),
+        ("oracle-check", "theta1_deg"),
+    ],
+)
+def test_refuses_a_sweep_variable_it_cannot_take(capsys, name, variable):
+    code, out, err = run(capsys, name, *sets(*one_value_sweep(variable)))
+    assert code == 2 and out == ""
+    assert err.startswith("hbepp-link: error: sweep.variable:")
+    assert f"got {variable!r}" in err
+
+
 class TestOptimizeAndSweep:
     def test_optimize_block(self, capsys):
         code, out, _ = run(capsys, "optimize", "--set", "channel.loss2_db=30")
@@ -210,6 +266,17 @@ class TestOptimizeAndSweep:
         assert len(min_line) == 1
         min_ratio = float(min_line[0].split("=")[1])
         assert min_ratio == pytest.approx(min(float(r[-1]) for r in rows), abs=1e-15)
+
+    @pytest.mark.parametrize("settings, mu_fixed", [([], "0.037"), (["source.mu=0.05"], "0.05")])
+    def test_sweep_prints_the_configured_brightness(self, capsys, settings, mu_fixed):
+        code, out, _ = run(capsys, "sweep", *sets(*settings, *one_value_sweep("loss2_db", 1)))
+        assert code == 0
+        assert out.splitlines()[1] == f"# mu_fixed = {mu_fixed}"
+        # rsec_fixed is the one-point rate at exactly the configured gain
+        cfg = parse_config("", [*settings, "channel.loss2_db=30"])
+        qber, r_sift = qber_and_sift(cfg.source_params(), cfg.channel_params(), cfg.model)
+        _, (row,) = csv_rows(out)
+        assert float(row[1]) == secure_rate(qber, r_sift)
 
     def test_sweep_rejects_other_variables(self, capsys):
         code, _, err = run(
@@ -300,6 +367,14 @@ class TestErrorsAndIO:
         assert stat.S_IMODE(target.stat().st_mode) == 0o640  # as open() would create it
         assert target.read_text().startswith("result = click-pattern probabilities")
         assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
+
+    def test_failed_out_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()  # the rename over a directory fails
+        code, out, err = run(capsys, "probs", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("hbepp-link: error:")
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

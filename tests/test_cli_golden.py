@@ -25,7 +25,8 @@ def _sets(*settings):
 
 
 #: Case name -> argv. Every subcommand on the empty config (``sweep`` cut to
-#: two losses to stay fast), plus README's angle-sweep and discard examples.
+#: two losses to stay fast), plus README's three examples: the angle sweep,
+#: the discard violation and the paper's headline fixed-brightness sweep.
 CASES = {
     "probs": ["probs"],
     "chsh": ["chsh"],
@@ -43,6 +44,7 @@ CASES = {
         "channel.tau1=0.7", "channel.loss2_db=20", "sweep.variable=g",
         "sweep.start=0.05", "sweep.stop=0.995", "sweep.steps=60",
     )],
+    "sweep-headline": ["sweep", *_sets("source.mu=0.1")],
 }
 
 

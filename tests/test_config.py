@@ -137,6 +137,10 @@ def one_key_text(key):
     return "".join(f"{k} = {v}\n" for k, v in assigned.items())
 
 
+def keys(text):
+    return [line.split(" = ")[0] for line in text.splitlines()]
+
+
 class TestRoundTrip:
     CASES = [
         pytest.param("", id="empty"),
@@ -155,10 +159,16 @@ class TestRoundTrip:
     def test_serialize_parse_is_idempotent(self, text):
         cfg = parse_config(text)
         serialized = cfg.to_text()
-        assert {line.split(" = ")[0] for line in serialized.splitlines()} == cfg.explicit
+        # every case sets each of its keys away from the default
+        assert keys(serialized) == keys(text)
         reparsed = parse_config(serialized)
         assert reparsed == cfg
         assert reparsed.to_text() == serialized
+
+    def test_defaults_stay_implicit(self):
+        cfg = parse_config("angles.theta1_deg = 0\nmodel = squash\noracle.n_max = 40\n")
+        assert cfg == parse_config("")
+        assert cfg.to_text() == ""
 
 
 #: Value swept into each variable and how the scenario exposes its effect.
@@ -174,13 +184,19 @@ SWEEP_POINTS = {
 }
 
 
+def test_no_sweep_is_the_scenario_itself():
+    cfg = parse_config("source.g = 0.3\n")
+    assert cfg.sweep(SWEEP_VARIABLES) == (None, [cfg])
+    assert cfg.sweep(()) == (None, [cfg])
+
+
 @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
 def test_sweep_point_substitution(variable):
     # The base sets the alternatives that take precedence (g over mu, tau
     # over loss), so sweeping mu or a loss only works if they are cleared.
     cfg = parse_config("source.g = 0.3\nchannel.tau1 = 0.5\nchannel.tau2 = 0.2\n")
     value, effective = SWEEP_POINTS[variable]
-    field, (point,) = cfg.sweep((variable,), value, value, 1)
+    field, (point,) = cfg.sweep((variable,), (value, value, 1))
     assert field == variable
     assert getattr(point, variable) == value
     assert effective(point) == pytest.approx(value, abs=1e-12)
