@@ -162,12 +162,13 @@ def _checked(table):
     the first failing column in row-major order raises the
     ``ProbabilityConsistencyError`` a one-point call at it would raise."""
     total = left_to_right_sum(table)
-    ok = np.asarray(
-        (abs(total - 1.0) <= _NORMALIZATION_TOL)
-        & (table.min(axis=0) >= -NEGATIVE_TOLERANCE)
-        & (table.max(axis=0) <= 1.0 + NEGATIVE_TOLERANCE)
-    )
-    if not ok.all():
+    ok = np.asarray(abs(total - 1.0) <= _NORMALIZATION_TOL)
+    # the whole table's extremes first; per column only once a check fails
+    if not (ok.all() and table.min() >= -NEGATIVE_TOLERANCE
+            and table.max() <= 1.0 + NEGATIVE_TOLERANCE):
+        ok &= (table.min(axis=0) >= -NEGATIVE_TOLERANCE) & (
+            table.max(axis=0) <= 1.0 + NEGATIVE_TOLERANCE
+        )
         column = np.unravel_index(np.argmin(ok), ok.shape)
         ProbabilityTable(tuple(table[(slice(None), *column)].tolist()))  # raises if out of range
         raise ProbabilityConsistencyError(
@@ -222,15 +223,18 @@ def pair_table(g, tau1, tau2, dark_count):
     d = dark_count
     e = 1 - d
     z1, z2 = 1 - tau1, 1 - tau2
-    d_a, d_b = c + x * tau1, c + x * tau2
-    d_ab = c + x * (tau1 + tau2 * z1)
-    pair = np.stack((  # p of one pair, by Alice's click + 2 Bob's click
-        c * e * e / d_ab,
-        c * e * (x * tau1 * z2 + d * d_b) / (d_b * d_ab),
-        c * e * (x * tau2 * z1 + d * d_a) / (d_a * d_ab),
+    # each product below is formed once and grouped as the formulas read
+    # left to right: x tau1 z2 is (x tau1) z2, c e e is (c e) e
+    x_tau1, x_tau2, tau2_z1, c_e = x * tau1, x * tau2, tau2 * z1, c * e
+    d_a, d_b = c + x_tau1, c + x_tau2
+    d_ab = c + x * (tau1 + tau2_z1)
+    pair = np.array((  # p of one pair, by Alice's click + 2 Bob's click
+        c_e * e / d_ab,
+        c_e * (x_tau1 * z2 + d * d_b) / (d_b * d_ab),
+        c_e * (x_tau2 * z1 + d * d_a) / (d_a * d_ab),
         (
-            x * tau1 * tau2 * (x * d_ab + c)
-            + d * c * x * (tau2 * z1 * d_b + tau1 * z2 * d_a)
+            x_tau1 * tau2 * (x * d_ab + c)
+            + d * c * x * (tau2_z1 * d_b + tau1 * z2 * d_a)
             + d * d * c * d_a * d_b
         ) / (d_a * d_b * d_ab),
     ))

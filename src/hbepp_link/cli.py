@@ -175,12 +175,13 @@ def _run_optimize(cfg: ScenarioConfig) -> str:
 def _run_sweep(cfg: ScenarioConfig) -> str:
     var, points = cfg.sweep(("loss2_db",), (20.0, 45.0, 26))
     channel = cfg.channel_params()
-    # the configured mu itself, so rsec_fixed is at exactly its gain
     key, value = cfg.source_setting()
-    mu_fixed = value if cfg.g is None else cfg.source_params().mean_photon_number()
-    if mu_fixed <= 0.0:
+    source = cfg.source_params()
+    if source.g <= 0.0:
         raise ConfigError(f"{key}: sweep needs a source brightness above 0, got {value!r}")
-    result = passive_performance(mu_fixed, channel, [point.loss2_db for point in points])
+    # the configured mu itself; rsec_fixed is at exactly the configured source
+    mu_fixed = value if cfg.g is None else source.mean_photon_number()
+    result = passive_performance(source, channel, [point.loss2_db for point in points])
     scale, unit = _rate(cfg)
     header = [
         _column(var),

@@ -107,14 +107,13 @@ def optimize_gain(channel: ChannelParams, grid_points: int = 256) -> Optimizatio
 
 
 def passive_performance(
-    mu_fixed: float,
+    source_fixed: SourceParams,
     channel_base: ChannelParams,
     l2_range_db: Sequence[float],
 ) -> PassivePerformanceSweep:
     """One reference search and one fixed-brightness rate per loss, in turn."""
-    if mu_fixed <= 0.0:
-        raise ValueError(f"mu_fixed must be > 0, got {mu_fixed}")
-    source_fixed = SourceParams.from_mean_photon_number(mu_fixed)
+    if source_fixed.g <= 0.0:
+        raise ValueError(f"fixed source gain must be > 0, got {source_fixed.g}")
     points = []
     ratios = []
     for loss2_db in l2_range_db:
@@ -141,7 +140,7 @@ def passive_performance(
             )
         )
     return PassivePerformanceSweep(
-        mu_fixed=mu_fixed,
+        source=source_fixed,
         points=tuple(points),
         min_ratio=min(ratios) if ratios else None,
     )

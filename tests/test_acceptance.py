@@ -50,7 +50,9 @@ def report(number: int, title: str, ok: bool, detail: str) -> None:
 def passive_sweep_mu_01():
     base = ChannelParams(tau1=REFERENCE_TAU1, tau2=0.01, dark_count=REFERENCE_DARK)
     start = time.perf_counter()
-    sweep = passive_performance(0.1, base, list(SWEEP_LOSSES_DB))
+    sweep = passive_performance(
+        SourceParams.from_mean_photon_number(0.1), base, list(SWEEP_LOSSES_DB)
+    )
     return sweep, time.perf_counter() - start
 
 
@@ -200,7 +202,9 @@ def test_criterion_6_passive_intensity(passive_sweep_mu_01):
     start = time.perf_counter()
     base = ChannelParams(tau1=REFERENCE_TAU1, tau2=0.01, dark_count=REFERENCE_DARK)
     min_ratio = sweep_mu_01.min_ratio
-    endpoint_sweep = passive_performance(0.037, base, [20.0, 45.0])
+    endpoint_sweep = passive_performance(
+        SourceParams.from_mean_photon_number(0.037), base, [20.0, 45.0]
+    )
     ratio_20 = endpoint_sweep.points[0].ratio
     ratio_45 = endpoint_sweep.points[1].ratio
 

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import stat
 
 import numpy as np
@@ -277,6 +278,29 @@ class TestOptimizeAndSweep:
         qber, r_sift = qber_and_sift(cfg.source_params(), cfg.channel_params(), cfg.model)
         _, (row,) = csv_rows(out)
         assert float(row[1]) == secure_rate(qber, r_sift)
+
+    def test_sweep_rate_is_at_exactly_the_configured_gain(self, capsys):
+        # gains whose round trip through mu lands on another gain, with a
+        # different rate there: rsec_fixed is still the one-point rate at
+        # the configured source.g, to the bit
+        rng = random.Random(1)
+        channel = parse_config("", ["channel.loss2_db=30"]).channel_params()
+
+        def rate(source):
+            return secure_rate(*qber_and_sift(source, channel))
+
+        gains = []
+        while len(gains) < 5:
+            g = rng.uniform(0.03, 0.5)
+            round_trip = SourceParams.from_mean_photon_number(SourceParams(g).mean_photon_number())
+            if round_trip.g != g and rate(round_trip) != rate(SourceParams(g)):
+                gains.append(g)
+        for g in gains:
+            settings = sets(f"source.g={g!r}", *one_value_sweep("loss2_db", 1))
+            code, out, _ = run(capsys, "sweep", *settings)
+            assert code == 0
+            _, (row,) = csv_rows(out)
+            assert float(row[1]).hex() == rate(SourceParams(g)).hex()
 
     def test_sweep_rejects_other_variables(self, capsys):
         code, _, err = run(

@@ -18,6 +18,8 @@ from hbepp_link import (
     qber_and_sift,
 )
 from hbepp_link import keyrate
+from hbepp_link.cli import run_subcommand
+from hbepp_link.config import parse_config
 from hbepp_link.keyrate import (
     G_BRACKET,
     G_TOL,
@@ -237,7 +239,7 @@ class TestOptimizeGain:
 class TestPassivePerformance:
     def test_ratio_bounded_by_one(self):
         sweep = passive_performance(
-            0.1, reference_channel(20.0), [20.0, 30.0, 40.0]
+            SourceParams.from_mean_photon_number(0.1), reference_channel(20.0), [20.0, 30.0, 40.0]
         )
         for point in sweep.points:
             assert point.ratio is not None
@@ -246,38 +248,47 @@ class TestPassivePerformance:
     def test_ratio_is_one_at_the_optimum(self):
         channel = reference_channel(30.0)
         opt = optimize_gain(channel)
-        sweep = passive_performance(opt.mu_opt, channel, [30.0])
+        source = SourceParams.from_mean_photon_number(opt.mu_opt)
+        sweep = passive_performance(source, channel, [30.0])
         assert sweep.points[0].ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_reference_brightness_endpoints(self):
         # the flown source brightness underperforms the optimum noticeably
-        sweep = passive_performance(0.037, reference_channel(20.0), [20.0, 45.0])
+        sweep = passive_performance(
+            SourceParams.from_mean_photon_number(0.037), reference_channel(20.0), [20.0, 45.0]
+        )
         assert sweep.points[0].ratio == pytest.approx(0.625, abs=0.03)
         assert sweep.points[1].ratio == pytest.approx(0.66, abs=0.03)
 
     def test_invalid_brightness(self):
         with pytest.raises(ValueError):
-            passive_performance(0.0, reference_channel(20.0), [20.0])
+            passive_performance(SourceParams(0.0), reference_channel(20.0), [20.0])
 
-    def test_fixed_brightness_is_one_array_call(self, monkeypatch):
-        # the scan and four narrowing steps, then one (losses, 1) call for
-        # the fixed-brightness rates, each the one-point chain's float
-        calls = []
-        secure_rates = keyrate._secure_rates
-
-        def recording(g, lanes):
-            calls.append(g.shape)
-            return secure_rates(g, lanes)
-
-        monkeypatch.setattr(keyrate, "_secure_rates", recording)
-        mu, losses = 0.1, [25.0, 40.0]
-        sweep = passive_performance(mu, reference_channel(20.0), losses)
-        assert calls == [(2, 256)] + [(2, 32)] * 4 + [(2, 1)]
-        source = SourceParams.from_mean_photon_number(mu)
+    def test_fixed_brightness_rides_the_scan_call(self, monkeypatch):
+        # the scan with the fixed gain as a 257th column, then the four
+        # narrowing steps; each fixed rate is the one-point chain's float
+        calls = record_call_shapes(monkeypatch)
+        source, losses = SourceParams.from_mean_photon_number(0.1), [25.0, 40.0]
+        sweep = passive_performance(source, reference_channel(20.0), losses)
+        assert calls == [(2, 257)] + [(2, 32)] * 4
         assert [p.secure_rate_fixed.hex() for p in sweep.points] == [
             secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
             for loss in losses
         ]
+
+
+def record_call_shapes(monkeypatch):
+    """The list of the gain-grid shapes of every ``keyrate._secure_rates``
+    call from here on."""
+    calls = []
+    secure_rates = keyrate._secure_rates
+
+    def recording(g, lanes):
+        calls.append(g.shape)
+        return secure_rates(g, lanes)
+
+    monkeypatch.setattr(keyrate, "_secure_rates", recording)
+    return calls
 
 
 def exact(value):
@@ -458,6 +469,38 @@ class TestSecureRateArray:
             math.copysign(1.0, r) == 1.0 for r in one_point if r == 0.0
         )
 
+    def test_clamp_band_edges_equal_the_reference(self):
+        # secure_rate skips the entropy strictly inside keyrate._CLAMPED,
+        # where H2 > 1/2 + 2e-4 clamps every rate to 0.0. The H2 = 1/2
+        # roots, the band's bounds and 3 ulps either side of each, and
+        # 100,000 uniform error rates, each against four sifted rates,
+        # give the plain-float rule's floats bit for bit.
+        lo, hi = keyrate._CLAMPED
+        assert reference_search.binary_entropy(lo) > 0.5 + 2e-4
+        assert reference_search.binary_entropy(hi) > 0.5 + 2e-4
+        below, above = 0.1, 0.12  # bisection to the last bit for H2 = 1/2
+        while (mid := 0.5 * (below + above)) not in (below, above):
+            if reference_search.binary_entropy(mid) < 0.5:
+                below = mid
+            else:
+                above = mid
+        edges = [below, above, 1.0 - below, 1.0 - above]
+        for bound in (lo, hi):
+            down = up = bound
+            for _ in range(3):
+                down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
+                edges += [down, up]
+            edges.append(bound)
+        eps = edges + np.random.default_rng(21).uniform(size=100_000).tolist()
+        r_sift = [0.0, 0.37, math.nan, 1e-9]
+        rates = secure_rate(np.reshape(eps, (-1, 1)), np.array(r_sift))
+        assert [r.hex() for r in rates.ravel().tolist()] == [
+            reference_search.secure_rate(e, r).hex() for e in eps for r in r_sift
+        ]
+        assert [secure_rate(e, r).hex() for e in edges for r in r_sift] == [
+            reference_search.secure_rate(e, r).hex() for e in edges for r in r_sift
+        ]
+
     def test_first_failing_element_raises(self):
         # elements are checked in row-major order: the first negative
         # sifted rate or error rate outside [0, 1] raises its own message
@@ -510,8 +553,9 @@ class TestLockstepSearchMatchesReference:
             optima.append(optimize_gain(channel))
             self.assert_search_contract(optima[-1], reference_search.optimize_gain(channel))
         base = ChannelParams.from_db_losses(loss1_db, 0.0, dark)
-        sweep = passive_performance(0.1, base, LOSS2_DB)
-        reference = reference_search.passive_performance(0.1, base, LOSS2_DB)
+        source = SourceParams.from_mean_photon_number(0.1)
+        sweep = passive_performance(source, base, LOSS2_DB)
+        reference = reference_search.passive_performance(source, base, LOSS2_DB)
         assert [exact(p.secure_rate_fixed) for p in sweep.points] == [
             exact(p.secure_rate_fixed) for p in reference.points
         ]
@@ -596,6 +640,27 @@ class TestArrayCalls:
             grid = self.narrow_grid(monkeypatch, lo, hi, points)
             assert grid.shape == (len(lo), points)
             assert grid.tobytes() == np.linspace(lo, hi, points, axis=1).tobytes()
+
+    def test_optimize_gain_call_shapes(self, monkeypatch):
+        # one channel: the 256-gain scan and four 32-gain narrowing steps
+        calls = record_call_shapes(monkeypatch)
+        optimize_gain(reference_channel(30.0))
+        assert calls == [(1, 256)] + [(1, 32)] * 4
+
+    def test_default_sweep_call_shapes(self, monkeypatch):
+        # the CLI's default 26-loss sweep: _secure_rates splits the scan,
+        # with its fixed-gain column, into chain calls of 4 rows
+        # (_ROWS_PER_CALL), then each narrowing step is one chain call
+        calls = []
+        qber_and_sift = keyrate._qber_and_sift
+
+        def recording(g, *args):
+            calls.append(g.shape)
+            return qber_and_sift(g, *args)
+
+        monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
+        run_subcommand("sweep", parse_config(""))
+        assert calls == [(4, 257)] * 6 + [(2, 257)] + [(26, 32)] * 4
 
     def test_4x256_call_peaks_under_1_mb(self):
         # the figure in _ROWS_PER_CALL's comment: about 0.50 MB of numpy
@@ -693,7 +758,9 @@ class TestDeepLoss:
 
     def test_fixed_brightness_ratio_at_120_db_is_the_limit_ratio(self):
         _, ratio = self.limit()
-        sweep = passive_performance(0.1, ChannelParams(REFERENCE_TAU1, 1.0), [120.0])
+        sweep = passive_performance(
+            SourceParams.from_mean_photon_number(0.1), ChannelParams(REFERENCE_TAU1, 1.0), [120.0]
+        )
         assert sweep.points[0].ratio == pytest.approx(ratio, abs=1e-6)
 
     def test_grid_without_dark_counts_raises_nowhere(self):
