@@ -42,11 +42,15 @@ goes as cos^2(2 theta), and its relative error there is up to eps / g^2.
 A pattern is (1 - g^2)^2 times y after each mode's dark-count rule, every
 weight nonnegative: silent (1 - d) f(tau), click difference + d f(tau).
 
-``outcome_probability_array`` takes floats or numpy arrays, and
-``outcome_probabilities`` is its one-point call. At relative angle 0,
-``pair_table`` writes the table as products of one 2x2 pair table; every
-key rate reads it. Both pass one range and normalization gate and return
-16 Python floats for one point, one array stacked on a first axis for arrays.
+The angle enters only as c^2 = cos^2 theta and s^2 = sin^2 theta, so the
+table at theta is the one at pi/2 - theta with Bob's ``+`` and ``-``
+swapped, and D(T) takes one pairing of the modes at every angle.
+
+``outcome_probability_array`` takes floats or numpy arrays, theta among
+them, and ``outcome_probabilities`` is its one-point call. ``pair_table``
+is the table at angle 0 as products of one 2x2 pair table, which every
+key rate reads. Both pass one range and normalization gate and return 16
+Python floats for one point, one array stacked on a first axis for arrays.
 """
 
 from __future__ import annotations
@@ -73,9 +77,9 @@ _NORMALIZATION_TOL = 1e-12
 #: The 81 entries of D(T), one per state of each mode (a+, a-, b+, b-), a+
 #: most significant: 0 the diagonal at t = 0, 1 at t = tau, 2 off-diagonal.
 _STATES = np.indices((3, 3, 3, 3)).reshape(4, 81)
-#: The pairings (a+, b-)(a-, b+) and (a+, b+)(a-, b-) as indices into one
-#: pair's table p[state_a, state_b].
-_PAIRINGS = [(3 * _STATES[0] + _STATES[b], 3 * _STATES[1] + _STATES[5 - b]) for b in (3, 2)]
+#: The pairing (a+, b-)(a-, b+) as indices into one pair's table
+#: p[state_a, state_b].
+_PAIRING = (3 * _STATES[0] + _STATES[3], 3 * _STATES[1] + _STATES[2])
 #: t_2nd - t_1st over one party's two modes is tau times _SIGN[s_1st, s_2nd];
 #: (t_a- - t_a+)(t_b- - t_b+) is tau1 tau2 times _CROSS.
 _SIGN = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
@@ -101,27 +105,29 @@ for _silent in (3, 2, 1, 0):
     _diagonal = [_DIAGONAL[r] for r in _rows]
     _LEVELS.append((_rows, _diagonal, np.transpose(_terms), np.transpose(_cols)))
 #: The silence bitmask of each pattern, in canonical order.
-_SILENT = [15 ^ sum(bit << m for m, bit in enumerate(p)) for p in CANONICAL_PATTERNS]
+_SILENT = np.array([15 ^ sum(bit << m for m, bit in enumerate(p)) for p in CANONICAL_PATTERNS])
+#: The same with Bob's ``+`` and ``-`` modes (bits 2 and 3) swapped.
+_SWAPPED = _SILENT & 3 | (_SILENT & 4) << 1 | (_SILENT & 8) >> 1
 #: The pair-table entries of each pattern, p(a+, b-) and p(a-, b+), as
 #: indices Alice's click + 2 Bob's click into ``pair_table``'s stacked pair.
 _FIRST = np.array([p.a_plus + 2 * p.b_minus for p in CANONICAL_PATTERNS])
 _SECOND = np.array([p.a_minus + 2 * p.b_plus for p in CANONICAL_PATTERNS])
 
 
-def _system(g, tau1, tau2, theta: float):
-    """The 81 entries of D(T), by ``_STATES``, stacked on a first axis over
-    the shape of ``g``, ``tau1`` and ``tau2``: arrays of one shape.
+def _system(g, tau1, tau2, weight):
+    """The 81 entries of D(T), by ``_STATES``, on a first axis over the one
+    shape of the arrays ``g``, ``tau1`` and ``tau2``; ``weight`` broadcasts to it.
 
     D = c^2 P1 + s^2 P2 with the pairings P1 = p(a+, b-) p(a-, b+) and
     P2 = p(a+, b+) p(a-, b-) of p(a, b) = 1 - x z_a z_b
     = kappa + x (t_a + z_a t_b), x = g^2, kappa = 1 - g^2. As
-    P2 - P1 = x (t_a- - t_a+)(t_b+ - t_b-), D is the dominant pairing plus
-    the other weight times that cross term, which is exactly 0 where a
-    party's two modes share a state: every one-sided entry is the same at
-    every angle, and at theta = 0 D is ``pair_table``'s pairing.
+    P2 - P1 = x (t_a- - t_a+)(t_b+ - t_b-), D = P1 + s^2 (P2 - P1), or in
+    Bob's swapped labels, which swap P1 and P2, P1 + c^2 (P2 - P1). So with
+    ``weight`` = min(c^2, s^2) one pairing serves every angle. The cross
+    term is 0 where a party's two modes share a state: every one-sided
+    entry is the same at every angle, and at theta = 0 D is
+    ``pair_table``'s pairing.
     """
-    cos, sin = math.cos(theta), math.sin(theta)
-    c2, s2 = cos * cos, sin * sin
     x = g * g
     kappa = (1.0 - g) * (1.0 + g)
     xt1, xt2 = x * tau1, x * tau2
@@ -130,16 +136,16 @@ def _system(g, tau1, tau2, theta: float):
         kappa + xt1, kappa + x * (tau1 + (1.0 - tau1) * tau2), -xt2 * (1.0 - tau1),
         -xt1, -xt1 * (1.0 - tau2), -xt1 * tau2,
     ))
-    first, second = _PAIRINGS[c2 < s2]
-    cross = (c2 if c2 < s2 else -s2) * (xt1 * tau2)
-    return pair[first] * pair[second] + np.multiply.outer(_CROSS, cross)
+    return pair[_PAIRING[0]] * pair[_PAIRING[1]] + np.multiply.outer(_CROSS, -weight * (xt1 * tau2))
 
 
-def _table(g, tau1, tau2, dark_count, theta: float):
-    """The 16 pattern probabilities in canonical order, unchecked, stacked
-    on a first axis over the inputs' broadcast shape."""
-    g, tau1, tau2, dark_count = np.broadcast_arrays(g, tau1, tau2, dark_count)
-    det = _system(g, tau1, tau2, theta)
+def _table(g, tau1, tau2, dark_count, theta):
+    """The 16 pattern probabilities in canonical order, unchecked, stacked on
+    a first axis over the inputs' broadcast shape; ``_SWAPPED`` where c^2 < s^2."""
+    trig = np.array([(math.cos(t), math.sin(t)) for t in np.ravel(theta).tolist()])
+    c2, s2 = (trig * trig).T.reshape((2,) + np.shape(theta))  # one cos and sin per angle
+    g, tau1, tau2, dark_count, _ = np.broadcast_arrays(g, tau1, tau2, dark_count, theta)
+    det = _system(g, tau1, tau2, np.minimum(c2, s2))
     y = np.empty((16,) + g.shape)
     y[15] = 1.0 / det[_DIAGONAL[15]]
     for rows, diagonal, entries, cols in _LEVELS:
@@ -151,7 +157,7 @@ def _table(g, tau1, tau2, dark_count, theta: float):
         modes[:, 0] += dark_count * modes[:, 1]
         modes[:, 1] *= keep
     kappa = (1.0 - g) * (1.0 + g)
-    return kappa * kappa * y[_SILENT]
+    return kappa * kappa * np.where(c2 < s2, y[_SWAPPED], y[_SILENT])
 
 
 def _checked(table):
@@ -178,11 +184,11 @@ def _checked(table):
     return table.tolist() if table.ndim == 1 else table
 
 
-def outcome_probability_array(g, tau1, tau2, dark_count, theta: float):
+def outcome_probability_array(g, tau1, tau2, dark_count, theta):
     """The 16 click-pattern probabilities in canonical order, checked by
-    ``_checked``. ``g``, ``tau1``, ``tau2`` and ``dark_count`` are floats or
-    arrays that broadcast together, ``theta`` the one relative angle; an
-    array element is the float a one-point call gives, bit for bit."""
+    ``_checked``. ``g``, ``tau1``, ``tau2``, ``dark_count`` and the relative
+    angle ``theta`` are floats or arrays that broadcast together; an array
+    element is the float a one-point call gives, bit for bit."""
     return _checked(_table(g, tau1, tau2, dark_count, theta))
 
 

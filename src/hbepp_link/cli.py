@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import outcome_probabilities
+from .analytic import outcome_probability_array
 from .config import (
     COHERENCE_TIME_S, SWEEP_UNITS, SWEEP_VARIABLES, ConfigError, ScenarioConfig,
     parse_config,
@@ -29,7 +29,7 @@ from .config import (
 from .fock import oracle_probabilities, truncation_error_bound
 from .keyrate import _qber_and_sift, optimize_gain, passive_performance, secure_rate
 from .params import ChannelParams, MeasurementAngles, SourceParams
-from .patterns import CANONICAL_PATTERNS
+from .patterns import CANONICAL_PATTERNS, left_to_right_sum
 from .postprocess import PostprocessingModel, _chsh
 
 #: Sweep variables of ``chsh`` and ``keyrate``; the first is the default.
@@ -92,8 +92,19 @@ def _source_sweep(cfg: ScenarioConfig) -> tuple[np.ndarray, list[list[float]]]:
     )
 
 
+def _tables(points) -> np.ndarray:
+    """The click table at each (source, channel, angles) point, a column each, in one call."""
+    return outcome_probability_array(*np.array([
+        (source.g, channel.tau1, channel.tau2, channel.dark_count, angles.relative())
+        for source, channel, angles in points
+    ]).T)
+
+
 def _run_probs(cfg: ScenarioConfig) -> str:
     var, points = cfg.sweep(SWEEP_VARIABLES)
+    tables = _tables([(p.source_params(), p.channel_params(), p.angles()) for p in points])
+    # clamped into [0, 1] as ProbabilityTable.clamped: -0.0 prints as 0.0
+    columns = np.where(tables > 0.0, np.minimum(tables, 1.0), 0.0).T.tolist()
     source, channel = cfg.source_params(), cfg.channel_params()
     settings = {
         "g": source.g,
@@ -103,20 +114,12 @@ def _run_probs(cfg: ScenarioConfig) -> str:
         "theta2_deg": cfg.theta2_deg,
     }
     if var is None:
-        table = outcome_probabilities(source, channel, cfg.angles()).clamped()
-        lines = [
+        return _kv_block("click-pattern probabilities", [
             *map(_kv, settings, settings.values()),
-            *map(_kv, _PATTERN_COLUMNS, table.values),
-            _kv("sum[-]", table.total()),
-        ]
-        return _kv_block("click-pattern probabilities", lines)
-
-    rows = []
-    for point in points:
-        table = outcome_probabilities(
-            point.source_params(), point.channel_params(), point.angles()
-        ).clamped()
-        rows.append([getattr(point, var), *table.values])
+            *map(_kv, _PATTERN_COLUMNS, columns[0]),
+            _kv("sum[-]", left_to_right_sum(columns[0])),
+        ])
+    rows = [[getattr(point, var), *column] for point, column in zip(points, columns)]
     # mu restates g, and the quantity the sweep sets varies by row
     left_out = {"mu", _QUANTITY.get(var, var)}
     preamble = [
@@ -212,14 +215,15 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 def _run_oracle_check(cfg: ScenarioConfig) -> str:
     cfg.sweep(())  # refuses a configured sweep
     n_max = cfg.n_max
-    deviations = []
-    for g, tau1, tau2, dark, theta_deg in itertools.product(*_ORACLE_GRID):
-        source = SourceParams(g)
-        channel = ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark)
-        angles = MeasurementAngles(math.radians(theta_deg), 0.0)
-        analytic = outcome_probabilities(source, channel, angles)
-        oracle = oracle_probabilities(source, channel, angles, n_max)
-        deviations.append(max(abs(a - b) for a, b in zip(analytic.values, oracle.values)))
+    points = [
+        (SourceParams(g), ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark),
+         MeasurementAngles(math.radians(theta_deg), 0.0))
+        for g, tau1, tau2, dark, theta_deg in itertools.product(*_ORACLE_GRID)
+    ]
+    deviations = [
+        max(abs(a - b) for a, b in zip(column, oracle_probabilities(*point, n_max).values))
+        for point, column in zip(points, _tables(points).T.tolist())
+    ]
     bound = max(truncation_error_bound(g, n_max) for g in _ORACLE_GRID[0])
     lines = [
         f"n_max = {n_max}",

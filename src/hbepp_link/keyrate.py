@@ -204,19 +204,16 @@ def _best(grid: np.ndarray, rates: np.ndarray, points: int):
     return grid.take(at), rates.take(at), grid.take(below), grid.take(above)
 
 
-def _narrow(lo, hi, points: int, lanes: np.ndarray):
-    """One search step: ``points`` gains across each lane's bracket
-    ``[lo, hi]`` in one array call. Returns the best gain of each row, its
-    rate, and its two grid neighbours as the new bracket."""
-    grid = _gains(lo, hi, points)
-    return _best(grid, _secure_rates(grid, lanes), points)
-
-
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
-    """``_optimize_lockstep``, with the gains ``fixed`` evaluated at every
-    lane in the scan's array call, as columns after the scan grid. Returns
-    the results and the rates at ``fixed``, a (lanes, len(fixed)) array;
-    the search reads only the scan grid's columns."""
+    """``optimize_gain`` for every (tau1, tau2, dark count) row of
+    ``lanes``: the scan, then each narrowing step, is one array call over
+    the searches still open. A step takes ``_ZOOM_POINTS`` gains across each
+    open bracket and keeps the best gain's two grid neighbours as the new
+    one. A lane's steps do not depend on the other lanes, so its result is
+    the one-channel search's bit for bit. The gains ``fixed`` are evaluated
+    at every lane in the scan's array call, as columns after the scan grid
+    that the search does not read. Returns the results and the rates at
+    ``fixed``, a (lanes, len(fixed)) array."""
     count = len(lanes)
     scan = np.empty((count, grid_points + len(fixed)))
     scan[:, :grid_points] = _gains(np.array(G_BRACKET[:1]), np.array(G_BRACKET[1:]), grid_points)
@@ -232,7 +229,8 @@ def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     g_open, rate_open, lo, hi, lanes_open = (a[open_] for a in (g, rate, lo, hi, lanes))
     taken = 0
     while open_.size:
-        g_step, rate_step, lo, hi = _narrow(lo, hi, _ZOOM_POINTS, lanes_open)
+        grid = _gains(lo, hi, _ZOOM_POINTS)
+        g_step, rate_step, lo, hi = _best(grid, _secure_rates(grid, lanes_open), _ZOOM_POINTS)
         better = rate_step > rate_open
         g_open, rate_open = np.where(better, g_step, g_open), np.where(better, rate_step, rate_open)
         taken += 1
@@ -248,16 +246,6 @@ def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
         for g_opt, r, steps, bracket in zip(g.tolist(), rate.tolist(), iterations.tolist(), brackets)
     ]
     return results, rates[:, grid_points:]
-
-
-def _optimize_lockstep(lanes: np.ndarray, grid_points: int) -> list[OptimizationResult]:
-    """``optimize_gain`` for every (tau1, tau2, dark count) row of
-    ``lanes``: the scan, then each narrowing step, is one array call over
-    the searches still open (``_search`` without fixed gains; the scan of
-    ``passive_performance`` carries its fixed gain as one more column). A
-    lane's steps do not depend on the other lanes, so its result is the
-    one-channel search's bit for bit."""
-    return _search(lanes, grid_points, ())[0]
 
 
 def _lanes(channels: Sequence[ChannelParams]) -> np.ndarray:
@@ -279,7 +267,7 @@ def optimize_gain(
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
-    return _optimize_lockstep(_lanes([channel]), grid_points)[0]
+    return _search(_lanes([channel]), grid_points, ())[0][0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -52,16 +52,24 @@ def random_params(rng, g_max=0.9, dark_choices=(0.0,)):
 SUBSETS = [tuple(bool(mask >> i & 1) for i in range(4)) for mask in range(16)]
 
 
+#: Each silence bitmask with Bob's + and - modes (bits 2 and 3) swapped.
+BOB_SWAPPED = [mask & 3 | (mask & 4) << 1 | (mask & 8) >> 1 for mask in range(16)]
+
+
 def vac(source, channel, angles) -> list:
     """The 16 V(S) of one point, indexed by silence bitmask, read off the
     diagonal of the table's triangular system:
-    V(S) = (1 - g^2)^2 (1 - d)^|S| / D(S)."""
+    V(S) = (1 - g^2)^2 (1 - d)^|S| / D(S). The system has cross weight
+    min(c^2, s^2), and where c^2 < s^2 it is in Bob's swapped labels."""
     g, dark = source.g, channel.dark_count
-    det = analytic._system(*np.broadcast_arrays(g, channel.tau1, channel.tau2), angles.relative())
+    cos, sin = math.cos(angles.relative()), math.sin(angles.relative())
+    c2, s2 = cos * cos, sin * sin
+    det = analytic._system(*np.broadcast_arrays(g, channel.tau1, channel.tau2, min(c2, s2)))
+    masks = BOB_SWAPPED if c2 < s2 else range(16)
     squeeze = (1.0 - g) * (1.0 + g)
     return [
-        squeeze * squeeze * (1.0 - dark) ** sum(silent) / det[entry].item()
-        for silent, entry in zip(SUBSETS, analytic._DIAGONAL)
+        squeeze * squeeze * (1.0 - dark) ** sum(silent) / det[analytic._DIAGONAL[mask]].item()
+        for silent, mask in zip(SUBSETS, masks)
     ]
 
 
@@ -201,19 +209,20 @@ class TestVacuumSetProbability:
         assert worst_marginal <= 2e-15
 
     def test_arrays_equal_one_point_terms_bit_for_bit(self):
-        # the system's 81 entries, the diagonal among them; theta = pi/4
-        # weighs both pairings alike, and the last lane has tau2 = 1, so
-        # z = 0 on Bob's silent modes
+        # the system's 81 entries, the diagonal among them, at cross weights
+        # 0 (theta = 0), 1/2 (pi/4: both pairings weigh alike), sin^2(0.7)
+        # and one per lane; the last lane has tau2 = 1, so z = 0 on Bob's
+        # silent modes
         rng = np.random.default_rng(31)
         g = rng.uniform(0.0, 0.95, 17)
         tau1 = rng.uniform(1e-6, 1.0, 17)
         tau2 = rng.uniform(1e-6, 1.0, 17)
         tau2[-1] = 1.0
-        for theta in (0.0, math.pi / 4, math.pi / 2, 0.7):
-            terms = analytic._system(g, tau1, tau2, theta)
+        for weight in np.broadcast_arrays(0.0, 0.5, math.sin(0.7) ** 2, rng.uniform(0.0, 0.5, 17)):
+            terms = analytic._system(g, tau1, tau2, weight)
             assert terms.shape == (81, 17)
             for k in range(17):
-                point = analytic._system(*np.broadcast_arrays(g[k], tau1[k], tau2[k]), theta)
+                point = analytic._system(*np.broadcast_arrays(g[k], tau1[k], tau2[k], weight[k]))
                 assert [v.hex() for v in terms[:, k].tolist()] == [v.hex() for v in point.tolist()]
 
 
@@ -305,9 +314,15 @@ class TestOutcomeProbabilities:
             shifted = outcome_probabilities(
                 source, channel, MeasurementAngles(theta + math.pi, 0.0)
             )
+            # a quarter turn swaps c^2 and s^2: Bob's + and - trade places
+            quarter = outcome_probabilities(
+                source, channel, MeasurementAngles(math.pi / 2 - theta, 0.0)
+            )
             for p in CANONICAL_PATTERNS:
                 assert base[p] == pytest.approx(mirrored[p], abs=1e-14)
                 assert base[p] == pytest.approx(shifted[p], abs=1e-14)
+                relabeled = ClickPattern(p.a_plus, p.a_minus, p.b_minus, p.b_plus)
+                assert base[p] == pytest.approx(quarter[relabeled], abs=1e-14)
 
 
 class TestOracleAgreement:
@@ -380,7 +395,8 @@ class TestProbabilityTable:
 #: Relative error bound of every nonzero table entry against the exact
 #: reference. Measured worst: 4.2e-13 on the random grid of
 #: ``test_columns_equal_scalar_tables_bit_for_bit`` (at theta = pi/4, where
-#: both pairings weigh alike; 2.5e-15 at the other angles), 2.8e-13 on the
+#: the cross weight min(c^2, s^2) is largest; 2.5e-15 at the other fixed
+#: angles, 9.8e-15 with an angle per column), 2.8e-13 on the
 #: deep-loss grid below. Near pi/4 the four-fold entry's error grows as
 #: eps / g^2 (see ``analytic``), past this bound below g of about 0.02:
 #: 3.2e-12 at g = 0.01, 3.1e-11 at g = 0.003.
@@ -400,28 +416,32 @@ def worst_relative(values, exact_values) -> float:
 
 
 class TestOutcomeProbabilityArray:
-    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 2.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 2.0, "per-column"])
     def test_columns_equal_scalar_tables_bit_for_bit(self, theta):
         # every column is the package's one-point table in Python floats, bit
-        # for bit, and within EXACT_REL of the exact table entry by entry
+        # for bit, and within EXACT_REL of the exact table entry by entry;
+        # "per-column" draws each column's angle over (-pi, pi)
         rng = np.random.default_rng(29)
         g = rng.uniform(0.0, 0.95, 64)
         tau1 = rng.uniform(1e-6, 1.0, 64)
         tau2 = rng.uniform(1e-6, 1.0, 64)
         dark = rng.choice([0.0, 6.25e-7, 1e-3], 64)
+        if theta == "per-column":
+            theta = rng.uniform(-math.pi, math.pi, 64)
         table = np.array(outcome_probability_array(g, tau1, tau2, dark, theta))
         assert table.shape == (16, 64)
         worst = 0.0
         for k in range(64):
             point = (g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item())
+            angle = np.broadcast_to(theta, 64)[k].item()
             one_point = outcome_probabilities(
                 SourceParams(point[0]),
                 ChannelParams(tau1=point[1], tau2=point[2], dark_count=point[3]),
-                MeasurementAngles(theta, 0.0),
+                MeasurementAngles(angle, 0.0),
             ).values
             assert [type(v) for v in one_point] == [float] * 16
             assert [v.hex() for v in table[:, k].tolist()] == [v.hex() for v in one_point]
-            exact = outcome_probabilities_exact(*point[:3], theta, point[3])
+            exact = outcome_probabilities_exact(*point[:3], angle, point[3])
             worst = max(worst, worst_relative(one_point, exact))
         assert worst <= EXACT_REL
 
@@ -459,6 +479,13 @@ class TestOutcomeProbabilityArray:
             SourceParams(g[4]), ChannelParams(0.01, 0.2, 1e-5), MeasurementAngles(0.3, 0.0)
         )
         assert table[:, 4, 1, 1].tolist() == list(scalar.values)
+        # the angle on an axis of its own, the other inputs scalars
+        table = np.array(outcome_probability_array(0.4, 0.7, 0.3, 1e-5, np.array([[0.3], [2.0]])))
+        assert table.shape == (16, 2, 1)
+        scalar = outcome_probabilities(
+            SourceParams(0.4), ChannelParams(0.7, 0.3, 1e-5), MeasurementAngles(2.0, 0.0)
+        )
+        assert table[:, 1, 0].tolist() == list(scalar.values)
 
     @pytest.mark.parametrize(
         "gains, message",
@@ -574,8 +601,9 @@ class TestPairFormReference:
 
 class TestEveryEntryExact:
     """The general table against ``tests/exact.py`` entry by entry, down to
-    120 dB, at the angles where one pairing vanishes (0 and pi/2, up to the
-    c^2 that ``math.cos`` leaves) and where both weigh alike (pi/4)."""
+    120 dB, at the angles where the cross weight min(c^2, s^2) vanishes (0
+    and pi/2, up to the c^2 that ``math.cos`` leaves) and where it is
+    largest (pi/4)."""
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])
     def test_every_entry_within_exact_rel_to_120_db(self, theta):

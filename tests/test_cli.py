@@ -6,10 +6,12 @@ import stat
 import numpy as np
 import pytest
 
+from hbepp_link import analytic, cli
+from hbepp_link.analytic import outcome_probabilities
 from hbepp_link.cli import main, run_subcommand
 from hbepp_link.config import COHERENCE_TIME_S, SWEEP_VARIABLES, ConfigError, parse_config
 from hbepp_link.keyrate import qber_and_sift, secure_rate
-from hbepp_link.params import SourceParams
+from hbepp_link.params import ChannelParams, MeasurementAngles, SourceParams
 from hbepp_link.postprocess import PostprocessingModel, chsh
 
 
@@ -35,6 +37,19 @@ def one_value_sweep(variable, steps=2):
     value = SWEEP_VALUE[variable]
     return [f"sweep.variable={variable}", f"sweep.start={value}",
             f"sweep.stop={value}", f"sweep.steps={steps}"]
+
+
+def record_tables(monkeypatch):
+    """The (inputs, table) of each ``outcome_probability_array`` call the
+    CLI makes, appended as the calls happen."""
+    calls = []
+
+    def recorded(*inputs):
+        calls.append((inputs, analytic.outcome_probability_array(*inputs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "outcome_probability_array", recorded)
+    return calls
 
 
 def csv_rows(text):
@@ -77,11 +92,20 @@ class TestProbs:
         assert len(values) == 1  # byte-identical across the sweep
 
     @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
-    def test_takes_every_sweep_variable(self, capsys, variable):
+    def test_takes_every_sweep_variable(self, capsys, monkeypatch, variable):
+        calls = record_tables(monkeypatch)
         code, out, err = run(capsys, "probs", *sets(*one_value_sweep(variable)))
         assert code == 0 and err == ""
         header, rows = csv_rows(out)
         assert header[0].startswith(f"{variable}[") and len(rows) == 2
+        # one table call for the sweep; each row is the one-point table, clamped
+        _, points = parse_config("", one_value_sweep(variable)).sweep(SWEEP_VARIABLES)
+        assert len(calls) == 1 and calls[0][1].shape == (16, 2)
+        for row, point in zip(rows, points):
+            table = outcome_probabilities(
+                point.source_params(), point.channel_params(), point.angles()
+            ).clamped()
+            assert [float(cell).hex() for cell in row[1:]] == [v.hex() for v in table.values]
 
     @pytest.mark.parametrize(
         "variable, preamble",
@@ -322,10 +346,19 @@ class TestOracleCheck:
         )
         return float(lines["max_abs_deviation[-]"]), float(lines["truncation_bound[-]"])
 
-    def test_deviation_tracks_truncation_bound(self, capsys):
+    def test_deviation_tracks_truncation_bound(self, capsys, monkeypatch):
         # reduced n_max keeps this quick; the tail bound dominates the error
+        calls = record_tables(monkeypatch)
         deviation, bound = self._run(capsys, "--set", "oracle.n_max=25")
         assert deviation <= bound + 1e-10
+        # the 36 grid points in one table call, each column its one-point table
+        assert len(calls) == 1 and calls[0][1].shape == (16, 36)
+        inputs, table = calls[0]
+        for k, (g, tau1, tau2, dark, theta) in enumerate(zip(*(v.tolist() for v in inputs))):
+            point = outcome_probabilities(
+                SourceParams(g), ChannelParams(tau1, tau2, dark), MeasurementAngles(theta, 0.0)
+            )
+            assert [v.hex() for v in table[:, k].tolist()] == [v.hex() for v in point.values]
 
     def test_default_grid_beats_threshold(self, capsys):
         deviation, bound = self._run(capsys)

@@ -267,28 +267,28 @@ class TestPassivePerformance:
     def test_fixed_brightness_rides_the_scan_call(self, monkeypatch):
         # the scan with the fixed gain as a 257th column, then the four
         # narrowing steps; each fixed rate is the one-point chain's float
-        calls = record_call_shapes(monkeypatch)
+        grids = record_grids(monkeypatch)
         source, losses = SourceParams.from_mean_photon_number(0.1), [25.0, 40.0]
         sweep = passive_performance(source, reference_channel(20.0), losses)
-        assert calls == [(2, 257)] + [(2, 32)] * 4
+        assert [grid.shape for grid in grids] == [(2, 257)] + [(2, 32)] * 4
         assert [p.secure_rate_fixed.hex() for p in sweep.points] == [
             secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
             for loss in losses
         ]
 
 
-def record_call_shapes(monkeypatch):
-    """The list of the gain-grid shapes of every ``keyrate._secure_rates``
-    call from here on."""
-    calls = []
+def record_grids(monkeypatch):
+    """The list of the gain grids of every ``keyrate._secure_rates`` call
+    from here on."""
+    grids = []
     secure_rates = keyrate._secure_rates
 
     def recording(g, lanes):
-        calls.append(g.shape)
+        grids.append(g)
         return secure_rates(g, lanes)
 
     monkeypatch.setattr(keyrate, "_secure_rates", recording)
-    return calls
+    return grids
 
 
 def exact(value):
@@ -569,7 +569,7 @@ class TestLockstepSearchMatchesReference:
             ChannelParams(tau1=0.5, tau2=1e-6, dark_count=0.2),
             reference_channel(45.0),
         ]
-        results = keyrate._optimize_lockstep(keyrate._lanes(channels), 256)
+        results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
         assert [r.found for r in results] == [True, False, True]
         for channel, result in zip(channels, results):
             assert exact_result(result) == exact_result(optimize_gain(channel))
@@ -592,7 +592,7 @@ class TestLockstepSearchMatchesReference:
             ),
         )
         channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5)]
-        results = keyrate._optimize_lockstep(keyrate._lanes(channels), 256)
+        results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
         for channel, result in zip(channels, results):
             reference = reference_search.optimize_gain.__wrapped__(channel)
             self.assert_search_contract(result, reference)
@@ -610,19 +610,6 @@ class TestLockstepSearchMatchesReference:
 class TestArrayCalls:
     """What one search step hands the chain: its grid and its memory."""
 
-    @staticmethod
-    def narrow_grid(monkeypatch, lo, hi, points):
-        """The grid ``_narrow`` passes to ``_secure_rates``."""
-        grids = []
-
-        def rates(g, lanes):
-            grids.append(g)
-            return np.zeros(g.shape)
-
-        monkeypatch.setattr(keyrate, "_secure_rates", rates)
-        keyrate._narrow(lo, hi, points, np.zeros((len(lo), 3)))
-        return grids[0]
-
     def test_narrow_grid_is_linspace_bit_for_bit(self, monkeypatch):
         # the 256-gain scan of G_BRACKET, and 20,000 random brackets from
         # 1e-1 down to G_TOL wide at both ends of G_BRACKET and inside it
@@ -637,15 +624,24 @@ class TestArrayCalls:
         hi = lo + width
         cases = [(np.full(26, G_BRACKET[0]), np.full(26, G_BRACKET[1]), 256), (lo, hi, 32)]
         for lo, hi, points in cases:
-            grid = self.narrow_grid(monkeypatch, lo, hi, points)
+            grid = keyrate._gains(lo, hi, points)
             assert grid.shape == (len(lo), points)
             assert grid.tobytes() == np.linspace(lo, hi, points, axis=1).tobytes()
+        # the search hands the chain these grids: the scan, then each step
+        # across its bracket, whose ends are the grid's first and last gains
+        grids = record_grids(monkeypatch)
+        optimize_gain(reference_channel(30.0))
+        scan, *steps = grids
+        assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
+        assert len(steps) == 4
+        for grid in steps:
+            assert grid.tobytes() == np.linspace(grid[:, 0], grid[:, -1], 32, axis=1).tobytes()
 
     def test_optimize_gain_call_shapes(self, monkeypatch):
         # one channel: the 256-gain scan and four 32-gain narrowing steps
-        calls = record_call_shapes(monkeypatch)
+        grids = record_grids(monkeypatch)
         optimize_gain(reference_channel(30.0))
-        assert calls == [(1, 256)] + [(1, 32)] * 4
+        assert [grid.shape for grid in grids] == [(1, 256)] + [(1, 32)] * 4
 
     def test_default_sweep_call_shapes(self, monkeypatch):
         # the CLI's default 26-loss sweep: _secure_rates splits the scan,
