@@ -48,9 +48,12 @@ swapped, and D(T) takes one pairing of the modes at every angle.
 
 ``outcome_probability_array`` takes floats or numpy arrays, theta among
 them, and ``outcome_probabilities`` is its one-point call. ``pair_table``
-is the table at angle 0 as products of one 2x2 pair table, which every
-key rate reads. Both pass one range and normalization gate and return 16
-Python floats for one point, one array stacked on a first axis for arrays.
+is the table at angle 0, which every key rate reads: there D(T) is the
+product of two independent pairs' 4x4 systems, both built from one pair's
+nine entries (``_pair``, which ``_system`` pairs up too), so the table is
+products of the two-mode back substitution on those entries. Both tables
+pass one range and normalization gate and return 16 Python floats for one
+point, one array stacked on a first axis for arrays.
 """
 
 from __future__ import annotations
@@ -109,9 +112,25 @@ _SILENT = np.array([15 ^ sum(bit << m for m, bit in enumerate(p)) for p in CANON
 #: The same with Bob's ``+`` and ``-`` modes (bits 2 and 3) swapped.
 _SWAPPED = _SILENT & 3 | (_SILENT & 4) << 1 | (_SILENT & 8) >> 1
 #: The pair-table entries of each pattern, p(a+, b-) and p(a-, b+), as
-#: indices Alice's click + 2 Bob's click into ``pair_table``'s stacked pair.
-_FIRST = np.array([p.a_plus + 2 * p.b_minus for p in CANONICAL_PATTERNS])
-_SECOND = np.array([p.a_minus + 2 * p.b_plus for p in CANONICAL_PATTERNS])
+#: the pair's silence masks (bit 0 Alice's mode, bit 1 Bob's).
+_FIRST = np.array([3 - p.a_plus - 2 * p.b_minus for p in CANONICAL_PATTERNS])
+_SECOND = np.array([3 - p.a_minus - 2 * p.b_plus for p in CANONICAL_PATTERNS])
+
+
+def _pair(g, tau1, tau2):
+    """The nine entries of one pair's D(T), the 4x4 system of
+    p(a, b) = 1 - x z_a z_b = kappa + x (t_a + z_a t_b), x = g^2, over
+    Alice's mode a and Bob's mode b: a tuple p[3 state_a + state_b], states
+    as in ``_STATES``, with p[0] = kappa = 1 - g^2. Arithmetic with integer
+    literals only, so ``Fraction`` inputs give exact entries."""
+    x = g * g
+    kappa = (1 - g) * (1 + g)
+    xt1, xt2 = x * tau1, x * tau2
+    return (
+        kappa, kappa + xt2, -xt2,
+        kappa + xt1, kappa + x * (tau1 + (1 - tau1) * tau2), -xt2 * (1 - tau1),
+        -xt1, -xt1 * (1 - tau2), -xt1 * tau2,
+    )
 
 
 def _system(g, tau1, tau2, weight):
@@ -119,24 +138,16 @@ def _system(g, tau1, tau2, weight):
     shape of the arrays ``g``, ``tau1`` and ``tau2``; ``weight`` broadcasts to it.
 
     D = c^2 P1 + s^2 P2 with the pairings P1 = p(a+, b-) p(a-, b+) and
-    P2 = p(a+, b+) p(a-, b-) of p(a, b) = 1 - x z_a z_b
-    = kappa + x (t_a + z_a t_b), x = g^2, kappa = 1 - g^2. As
+    P2 = p(a+, b+) p(a-, b-) of ``_pair``'s p. As
     P2 - P1 = x (t_a- - t_a+)(t_b+ - t_b-), D = P1 + s^2 (P2 - P1), or in
     Bob's swapped labels, which swap P1 and P2, P1 + c^2 (P2 - P1). So with
     ``weight`` = min(c^2, s^2) one pairing serves every angle. The cross
     term is 0 where a party's two modes share a state: every one-sided
     entry is the same at every angle, and at theta = 0 D is
-    ``pair_table``'s pairing.
+    ``pair_table``'s pairing. Entry 0, both parties clicked, is kappa^2.
     """
-    x = g * g
-    kappa = (1.0 - g) * (1.0 + g)
-    xt1, xt2 = x * tau1, x * tau2
-    pair = np.stack((  # p of one pair, by (state_a, state_b)
-        kappa, kappa + xt2, -xt2,
-        kappa + xt1, kappa + x * (tau1 + (1.0 - tau1) * tau2), -xt2 * (1.0 - tau1),
-        -xt1, -xt1 * (1.0 - tau2), -xt1 * tau2,
-    ))
-    return pair[_PAIRING[0]] * pair[_PAIRING[1]] + np.multiply.outer(_CROSS, -weight * (xt1 * tau2))
+    pair = np.stack(_pair(g, tau1, tau2))
+    return pair[_PAIRING[0]] * pair[_PAIRING[1]] + np.multiply.outer(_CROSS, weight * pair[8])
 
 
 def _table(g, tau1, tau2, dark_count, theta):
@@ -156,8 +167,7 @@ def _table(g, tau1, tau2, dark_count, theta):
         modes = y.reshape((8 // bit, 2, bit) + g.shape)
         modes[:, 0] += dark_count * modes[:, 1]
         modes[:, 1] *= keep
-    kappa = (1.0 - g) * (1.0 + g)
-    return kappa * kappa * np.where(c2 < s2, y[_SWAPPED], y[_SILENT])
+    return det[0] * np.where(c2 < s2, y[_SWAPPED], y[_SILENT])  # det[0] = kappa^2
 
 
 def _checked(table):
@@ -170,8 +180,8 @@ def _checked(table):
     total = left_to_right_sum(table)
     ok = np.asarray(abs(total - 1.0) <= _NORMALIZATION_TOL)
     # the whole table's extremes first; per column only once a check fails
-    if not (ok.all() and table.min() >= -NEGATIVE_TOLERANCE
-            and table.max() <= 1.0 + NEGATIVE_TOLERANCE):
+    if not (ok.all() and table.min(initial=0.0) >= -NEGATIVE_TOLERANCE
+            and table.max(initial=1.0) <= 1.0 + NEGATIVE_TOLERANCE):
         ok &= (table.min(axis=0) >= -NEGATIVE_TOLERANCE) & (
             table.max(axis=0) <= 1.0 + NEGATIVE_TOLERANCE
         )
@@ -194,56 +204,34 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta):
 
 def pair_table(g, tau1, tau2, dark_count):
     """The 16 click-pattern probabilities at relative angle 0, in canonical
-    order, checked by ``_checked``: the products of one 2x2 pair table,
-    stacked once and multiplied as one gather, ``pair[_FIRST] * pair[_SECOND]``.
+    order, checked by ``_checked``: products of one pair's table,
+    ``pair[_FIRST] * pair[_SECOND]``, one gather-product.
 
-    At theta = 0 the rotation is M = [[0, 1], [-1, 0]], so
-    I - g^2 M^T Z_A M Z_B is diag(1 - x z_a- z_b+, 1 - x z_a+ z_b-) with
-    x = g^2, and V(S) splits into one factor per pair, (a+, b-) and
-    (a-, b+),
-
-        v(z_a, z_b) = c (1 - d)^n / (1 - x z_a z_b),  c = 1 - g^2,
-
-    with n the pair's silent modes and z = 1 - tau on a silent mode, 1 on a
-    marginalized one. So the two pairs are independent two-mode squeezers,
-    each with tau1 on Alice's side and tau2 on Bob's, and every entry is
-    p(a+, b-) p(a-, b+) of one pair table p. Inclusion-exclusion over one
-    pair's four v, with e = 1 - d, z1 = 1 - tau1, z2 = 1 - tau2,
-    D_a = c + x tau1, D_b = c + x tau2 and D_ab = 1 - x z1 z2
-    = c + x (tau1 + tau2 z1), gives
-
-        p(0, 0) = c e^2 / D_ab
-        p(1, 0) = c e (x tau1 z2 + d D_b) / (D_b D_ab)
-        p(0, 1) = c e (x tau2 z1 + d D_a) / (D_a D_ab)
-        p(1, 1) = [x tau1 tau2 (x D_ab + c) + d c x (tau2 z1 D_b + tau1 z2 D_a)
-                   + d^2 c D_a D_b] / (D_a D_b D_ab)
-
-    where 1 marks a click. No term subtracts two nearly equal quantities,
-    so the floats keep every entry to a few ulps however deep the loss.
-    Arithmetic with integer literals only: ``g``, ``tau1``, ``tau2`` and
+    At theta = 0 the cross weight vanishes and D(T) is the pairing
+    p(a+, b-) p(a-, b+) of ``_pair``'s entries, so the source is two
+    independent two-mode squeezers, each with tau1 on Alice's side and tau2
+    on Bob's. One pair's table is ``_table``'s back substitution at two
+    modes, Alice's on bit 0 of the silence mask: ``_LEVELS``' rows at two
+    modes, each mode's dark-count rule, and the factor kappa. Arithmetic
+    with integer literals only: ``g``, ``tau1``, ``tau2`` and
     ``dark_count`` may be floats, numpy arrays that broadcast together, or
     ``Fraction``s, which give the exact table (a list of ``Fraction``s).
     """
-    x = g * g
-    c = (1 - g) * (1 + g)
-    d = dark_count
-    e = 1 - d
-    z1, z2 = 1 - tau1, 1 - tau2
-    # each product below is formed once and grouped as the formulas read
-    # left to right: x tau1 z2 is (x tau1) z2, c e e is (c e) e
-    x_tau1, x_tau2, tau2_z1, c_e = x * tau1, x * tau2, tau2 * z1, c * e
-    d_a, d_b = c + x_tau1, c + x_tau2
-    d_ab = c + x * (tau1 + tau2_z1)
-    pair = np.array((  # p of one pair, by Alice's click + 2 Bob's click
-        c_e * e / d_ab,
-        c_e * (x_tau1 * z2 + d * d_b) / (d_b * d_ab),
-        c_e * (x_tau2 * z1 + d * d_a) / (d_a * d_ab),
-        (
-            x_tau1 * tau2 * (x * d_ab + c)
-            + d * c * x * (tau2_z1 * d_b + tau1 * z2 * d_a)
-            + d * d * c * d_a * d_b
-        ) / (d_a * d_b * d_ab),
-    ))
+    p = _pair(g, tau1, tau2)
+    d, keep = dark_count, 1 - dark_count
+    # y by silence mask: the all-silent row, the one-click rows, and the
+    # both-clicked row summed in mask order
+    y3 = 1 / p[4]
+    y1 = -p[5] * y3 / p[3]
+    y2 = -p[7] * y3 / p[1]
+    y0 = -(p[6] * y1 + p[2] * y2 + p[8] * y3) / p[0]
+    # dark counts, Bob's mode (bit 1) first: the order sets the last bit
+    y0, y2 = y0 + d * y2, y2 * keep
+    y1, y3 = y1 + d * y3, y3 * keep
+    y0, y1 = y0 + d * y1, y1 * keep
+    y2, y3 = y2 + d * y3, y3 * keep
+    kappa = p[0]
+    pair = np.array((kappa * y0, kappa * y1, kappa * y2, kappa * y3))
     return _checked(pair[_FIRST] * pair[_SECOND])
 
 

@@ -54,11 +54,12 @@ _ZOOM_POINTS = 32
 G_TOL = 1e-6
 
 #: Gains per array call at most, in whole channels: 4 scan rows with the
-#: fixed-gain column, 1,028 gains, peak near 0.55 MB of numpy temporaries
-#: on the pair-table chain (tracemalloc; the stacked pair table, its two
-#: gathers and the lane columns at the grid's shape), and a 26-loss scan,
-#: in 7 calls, 0.60 MB. Fewer, larger temporaries buy fewer numpy calls:
-#: (rows, 1) columns and 16 separate products peaked at 0.34 and 0.39 MB.
+#: fixed-gain column, 1,028 gains, peak near 0.58 MB of numpy temporaries
+#: on the pair-table chain (tracemalloc; the pair's entries, the stacked
+#: pair table, its two gathers and the lane columns at the grid's shape),
+#: and a 26-loss scan, in 7 calls, 0.63 MB. Fewer, larger temporaries buy
+#: fewer numpy calls: (rows, 1) columns and 16 separate products peaked at
+#: 0.34 and 0.39 MB.
 _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
 
 
@@ -174,15 +175,15 @@ def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     (tau1, tau2, dark count) row per search. The rows go in calls of at
     most ``_ROWS_PER_CALL`` gains; elements do not depend on the split."""
     step = max(1, _ROWS_PER_CALL // g.shape[1])
+    rates = np.empty(g.shape)
     # each call takes tau1, tau2 and the dark count at the grid's shape, so
     # no operation broadcasts a (rows, 1) column
-    return np.concatenate([
-        secure_rate(*_qber_and_sift(
+    for i in range(0, len(lanes), step):
+        rates[i:i + step] = secure_rate(*_qber_and_sift(
             g[i:i + step], *np.repeat(lanes[i:i + step].T[:, :, None], g.shape[1], axis=2),
             PostprocessingModel.SQUASH,
         ))
-        for i in range(0, len(lanes), step)
-    ])
+    return rates
 
 
 def _gains(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:

@@ -486,6 +486,9 @@ class TestOutcomeProbabilityArray:
             SourceParams(0.4), ChannelParams(0.7, 0.3, 1e-5), MeasurementAngles(2.0, 0.0)
         )
         assert table[:, 1, 0].tolist() == list(scalar.values)
+        # an empty gain axis: an empty table, which passes the gate
+        table = outcome_probability_array(g[:0], taus, 0.5, 1e-5, 0.3)
+        assert table.shape == (16, 2, 0)
 
     @pytest.mark.parametrize(
         "gains, message",
@@ -560,12 +563,58 @@ class TestPairFormReference:
         tau2 = 10.0 ** -rng.uniform(0.0, 12.0, 32)
         tau2[-1] = 1.0
         dark = rng.choice([0.0, 6.25e-7, 1e-3], 32)
+        # no points: an empty table, which passes the gate
+        assert np.array(pair_table(g[:0], tau1[:0], tau2[:0], dark[:0])).shape == (16, 0)
         table = np.array(pair_table(g, tau1, tau2, dark))
         assert table.shape == (16, 32)
         for k in range(32):
             point = pair_table(g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item())
             assert [type(v) for v in point] == [float] * 16
             assert [v.hex() for v in table[:, k].tolist()] == [v.hex() for v in point]
+
+    def test_is_the_two_mode_back_substitution(self):
+        # D(T) of one pair, Alice's mode on bit 0 of the silence mask and
+        # entry (row, col) _pair's p[3 state_a + state_b] with state
+        # 2 col bit - row bit, solved level by level as _LEVELS solves four
+        # modes; then each mode's dark-count rule, Bob's first, and kappa
+        def entry(row, col):
+            return sum((2 * (col >> m & 1) - (row >> m & 1)) * (3, 1)[m] for m in range(2))
+
+        def solved(g, tau1, tau2, dark):
+            p = analytic._pair(g, tau1, tau2)
+            y = [None, None, None, 1 / p[entry(3, 3)]]
+            for row in (1, 2, 0):
+                cols = [c for c in range(4) if c != row and c & row == row]
+                terms = [p[entry(row, c)] * y[c] for c in cols]
+                y[row] = -left_to_right_sum(terms) / p[entry(row, row)]
+            for bit in (2, 1):
+                for low in (m for m in range(4) if not m & bit):
+                    y[low] = y[low] + dark * y[low | bit]
+                    y[low | bit] = y[low | bit] * (1 - dark)
+            pair = [p[0] * v for v in y]
+
+            def mask(alice, bob):  # the pair's silence mask
+                return (not alice) + 2 * (not bob)
+
+            return [
+                pair[mask(c.a_plus, c.b_minus)] * pair[mask(c.a_minus, c.b_plus)]
+                for c in CANONICAL_PATTERNS
+            ]
+
+        point = (0.4, 0.7, 1e-3, 6.25e-7)
+        assert [v.hex() for v in pair_table(*point)] == [v.hex() for v in solved(*point)]
+        assert pair_table(*map(Fraction, point)) == solved(*map(Fraction, point))
+        rng = np.random.default_rng(47)
+        inputs = (
+            rng.uniform(0.0, 0.95, 64),
+            rng.uniform(1e-6, 1.0, 64),
+            10.0 ** -rng.uniform(0.0, 12.0, 64),
+            rng.choice([0.0, 6.25e-7, 1e-3], 64),
+        )
+        table = np.array(pair_table(*inputs))
+        assert [v.hex() for v in table.ravel().tolist()] == [
+            v.hex() for v in np.array(solved(*inputs)).ravel().tolist()
+        ]
 
     @pytest.mark.parametrize(
         "gains, message",

@@ -5,11 +5,13 @@ change that alters CLI output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and names the change in CHANGES.md.
+and names the change in CHANGES.md. The script rewrites only the files
+whose bytes change and prints each with its count of changed lines.
 """
 
 import contextlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -68,5 +70,9 @@ if __name__ == "__main__":
         code, out, err = _stdout(argv)
         if code != 0:
             sys.exit(f"{name}: exit {code}: {err}")
-        (DATA / f"{name}.txt").write_bytes(out.encode())
-        print(f"wrote {DATA / name}.txt")
+        path = DATA / f"{name}.txt"
+        old = path.read_bytes() if path.exists() else b""
+        if out.encode() != old:
+            lines = itertools.zip_longest(old.decode().splitlines(), out.splitlines())
+            path.write_bytes(out.encode())
+            print(f"{path.relative_to(DATA.parents[2])}: {sum(a != b for a, b in lines)} changed lines")

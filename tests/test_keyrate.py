@@ -275,6 +275,11 @@ class TestPassivePerformance:
             secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
             for loss in losses
         ]
+        # no losses: one empty scan and an empty sweep
+        grids.clear()
+        sweep = passive_performance(source, reference_channel(20.0), [])
+        assert [grid.shape for grid in grids] == [(0, 257)]
+        assert (sweep.points, sweep.min_ratio) == ((), None)
 
 
 def record_grids(monkeypatch):
@@ -439,6 +444,9 @@ class TestSecureRateArray:
                     worst, relative_error(qber_and_sift(*args), exact_qber_and_sift(*args))
                 )
         assert worst <= QBER_SIFT_REL
+        # no gains: empty arrays through the whole chain
+        eps, r_sift = keyrate._qber_and_sift(grid[:0], 0.7, 0.1, 1e-5, PostprocessingModel.SQUASH)
+        assert eps.shape == r_sift.shape == secure_rate(eps, r_sift).shape == (0,)
 
     def test_elements_equal_one_point_calls_bit_for_bit(self):
         # the entropy's ends, its H2 = 1/2 root, a subnormal and 1 - 1e-16,
@@ -659,7 +667,7 @@ class TestArrayCalls:
         assert calls == [(4, 257)] * 6 + [(2, 257)] + [(26, 32)] * 4
 
     def test_4x256_call_peaks_under_1_mb(self):
-        # the figure in _ROWS_PER_CALL's comment: about 0.50 MB of numpy
+        # the figure in _ROWS_PER_CALL's comment: about 0.58 MB of numpy
         # temporaries for 4 rows of 256 gains
         lanes = keyrate._lanes([reference_channel(loss) for loss in (20.0, 30.0, 40.0, 45.0)])
         grid = np.linspace(np.full(4, G_BRACKET[0]), np.full(4, G_BRACKET[1]), 256, axis=1)
