@@ -112,6 +112,14 @@ def _check_transmittance(loss_db: float) -> None:
     db_from_transmittance(transmittance_from_db(loss_db))
 
 
+def _transmittance(tau: float | None, loss_db: float | None, default_db: float) -> float:
+    """One arm's transmittance: ``tau`` when it is set, else that of
+    ``loss_db``, else that of ``default_db``."""
+    if tau is not None:
+        return tau
+    return transmittance_from_db(loss_db if loss_db is not None else default_db)
+
+
 class _Key(NamedTuple):
     """One config key and the ``ScenarioConfig`` field it sets.
 
@@ -193,10 +201,8 @@ class ScenarioConfig:
     sweep_steps: int | None = None
 
     def source_params(self) -> SourceParams:
-        if self.g is not None:
-            return SourceParams(self.g)
-        mu = self.mu if self.mu is not None else DEFAULT_MU
-        return SourceParams(gain_from_mean_photon(mu))
+        key, value = self.source_setting()
+        return SourceParams(value if key == _SWEPT["g"].key else gain_from_mean_photon(value))
 
     def source_setting(self) -> tuple[str, float]:
         """(key, value) of the setting that fixes the source brightness:
@@ -208,20 +214,11 @@ class ScenarioConfig:
     def channel_params(self, default_dark_count: float = DEFAULT_DARK_COUNT) -> ChannelParams:
         """Channel of the scenario; ``default_dark_count`` applies when
         ``detector.dark_count`` is not set."""
-        if self.tau1 is not None:
-            tau1 = self.tau1
-        else:
-            tau1 = transmittance_from_db(
-                self.loss1_db if self.loss1_db is not None else DEFAULT_LOSS1_DB
-            )
-        if self.tau2 is not None:
-            tau2 = self.tau2
-        else:
-            tau2 = transmittance_from_db(
-                self.loss2_db if self.loss2_db is not None else DEFAULT_LOSS2_DB
-            )
-        dark = self.dark_count if self.dark_count is not None else default_dark_count
-        return ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark)
+        return ChannelParams(
+            tau1=_transmittance(self.tau1, self.loss1_db, DEFAULT_LOSS1_DB),
+            tau2=_transmittance(self.tau2, self.loss2_db, DEFAULT_LOSS2_DB),
+            dark_count=self.dark_count if self.dark_count is not None else default_dark_count,
+        )
 
     def angles(self) -> MeasurementAngles:
         return MeasurementAngles(

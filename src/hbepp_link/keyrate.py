@@ -23,12 +23,14 @@ gives, bit for bit, and a one-point call returns a Python float.
 ``secure_rate`` takes the entropy only of error rates outside
 ``_CLAMPED``, as the rate inside is clamped to 0.0 either way. The gain
 search keeps one array of lanes, a (tau1, tau2, dark count) row per
-channel, built once by ``optimize_gain`` or ``passive_performance``; each
-step after the scan takes the rows of the searches still open and hands
-the chain its columns repeated to the grid's shape, so no operation
-broadcasts a column. The fixed-brightness rates of ``passive_performance``
-are one more column of the scan's array call, so a sweep of up to four
-losses makes 5 array calls: the scan and four narrowing steps.
+channel, built once by ``optimize_gain`` or ``passive_performance``, and
+one array by lane for each best gain, rate, bracket end and step count;
+the searches still open are an index into them. Each step after the scan
+hands the chain the open lanes' columns repeated to the grid's shape, so
+no operation broadcasts a column. The fixed-brightness rates of
+``passive_performance`` are one more column of the scan's array call, so
+a sweep of up to four losses makes 5 array calls: the scan and four
+narrowing steps.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -196,51 +198,43 @@ def _gains(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
     return grid
 
 
-def _best(grid: np.ndarray, rates: np.ndarray, points: int):
-    """Each row's best gain among the first ``points`` columns of ``grid``,
-    its rate, and its two grid neighbours as the new bracket."""
-    best = rates[:, :points].argmax(axis=1)
+def _best(grid: np.ndarray, rates: np.ndarray):
+    """Each row's best gain in ``grid``, its rate, and its two grid
+    neighbours as the new bracket."""
+    best = rates.argmax(axis=1)
     at = np.arange(0, rates.size, rates.shape[1]) + best  # flat indices
-    below, above = at - (best > 0), at + (best < points - 1)
+    below, above = at - (best > 0), at + (best < rates.shape[1] - 1)
     return grid.take(at), rates.take(at), grid.take(below), grid.take(above)
 
 
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
     ``lanes``: the scan, then each narrowing step, is one array call over
-    the searches still open. A step takes ``_ZOOM_POINTS`` gains across each
-    open bracket and keeps the best gain's two grid neighbours as the new
-    one. A lane's steps do not depend on the other lanes, so its result is
-    the one-channel search's bit for bit. The gains ``fixed`` are evaluated
-    at every lane in the scan's array call, as columns after the scan grid
-    that the search does not read. Returns the results and the rates at
-    ``fixed``, a (lanes, len(fixed)) array."""
+    the searches still open: ``open_``, an index into the lane arrays of
+    best gain, rate, bracket and step count, which a search leaves once its
+    bracket is no wider than G_TOL. A step takes ``_ZOOM_POINTS`` gains
+    across each open bracket and keeps the best gain's two grid neighbours
+    as the new one. A lane's steps do not depend on the other lanes, so its
+    result is the one-channel search's bit for bit. The gains ``fixed`` are
+    evaluated at every lane in the scan's array call, as columns after the
+    scan grid that the search does not read. Returns the results and the
+    rates at ``fixed``, a (lanes, len(fixed)) array."""
     count = len(lanes)
     scan = np.empty((count, grid_points + len(fixed)))
     scan[:, :grid_points] = _gains(np.array(G_BRACKET[:1]), np.array(G_BRACKET[1:]), grid_points)
     scan[:, grid_points:] = fixed
     rates = _secure_rates(scan, lanes)
-    g, rate, lo, hi = _best(scan, rates, grid_points)
+    g, rate, lo, hi = _best(scan[:, :grid_points], rates[:, :grid_points])
     brackets = list(zip(lo.tolist(), hi.tolist()))
     iterations = np.zeros(count, dtype=int)
-    # The open searches, compacted: their lane indices, best gains and
-    # rates, brackets and lane rows. A search closes once its bracket is
-    # narrower than G_TOL; its best gain and rate are written back then.
     open_ = np.nonzero((rate > 0.0) & (hi - lo > G_TOL))[0]
-    g_open, rate_open, lo, hi, lanes_open = (a[open_] for a in (g, rate, lo, hi, lanes))
-    taken = 0
     while open_.size:
-        grid = _gains(lo, hi, _ZOOM_POINTS)
-        g_step, rate_step, lo, hi = _best(grid, _secure_rates(grid, lanes_open), _ZOOM_POINTS)
-        better = rate_step > rate_open
-        g_open, rate_open = np.where(better, g_step, g_open), np.where(better, rate_step, rate_open)
-        taken += 1
-        if not (keep := hi - lo > G_TOL).all():
-            closed = open_[~keep]
-            g[closed], rate[closed], iterations[closed] = g_open[~keep], rate_open[~keep], taken
-            open_, g_open, rate_open, lo, hi, lanes_open = (
-                a[keep] for a in (open_, g_open, rate_open, lo, hi, lanes_open)
-            )
+        grid = _gains(lo[open_], hi[open_], _ZOOM_POINTS)
+        g_step, rate_step, lo[open_], hi[open_] = _best(grid, _secure_rates(grid, lanes[open_]))
+        better = rate_step > rate[open_]  # strict, so an earlier step wins a tie
+        g[open_[better]], rate[open_[better]] = g_step[better], rate_step[better]
+        iterations[open_] += 1
+        open_ = open_[hi[open_] - lo[open_] > G_TOL]
     results = [
         OptimizationResult(g_opt, SourceParams(g_opt).mean_photon_number(), r, steps, bracket)
         if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)

@@ -80,8 +80,9 @@ class ProbabilityTable:
 
     Raw values are kept as computed; the constructor rejects NaN and every
     entry outside [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE]. Values are
-    clamped to [0, 1] only by ``clamped``, at output boundaries, so callers
-    can still inspect sub-rounding negatives.
+    clamped to [0, 1] only at output boundaries (``clamped``, and the
+    ``probs`` subcommand on its table array), so callers can still inspect
+    sub-rounding negatives.
     """
 
     values: tuple[float, ...]

@@ -587,10 +587,14 @@ class TestLockstepSearchMatchesReference:
         # No channel puts the scan maximum on G_BRACKET's ends (the rate
         # rises as g^2 from g = 0 and the multi-pair errors close it well
         # below g = 0.95), so a stand-in rate curve checks the search's
-        # clamping: rising in g where tau2 = 1, falling elsewhere. The
-        # maximum is the bracket end itself, and the search returns it.
+        # clamping: rising in g where tau2 = 1, falling where tau2 = 0.5.
+        # The maximum is the bracket end itself, and the search returns it.
+        # A third lane, tau2 = 0.25, peaks inside the bracket, so each new
+        # bracket is two grid steps wide where an end lane's is one: it
+        # closes a step later, and each lane is still its one-lane search.
         def rates(g, lanes):
-            return np.where(lanes[:, 1:2] == 1.0, g, 1.0 - g)  # column 1 is tau2
+            tau2 = lanes[:, 1:2]  # column 1 is tau2
+            return np.select([tau2 == 1.0, tau2 == 0.5], [g, 1.0 - g], 1.0 - (g - 0.3) ** 2)
 
         monkeypatch.setattr(keyrate, "_secure_rates", rates)
         monkeypatch.setattr(
@@ -599,13 +603,16 @@ class TestLockstepSearchMatchesReference:
                 0.0, float(rates(np.array([[source.g]]), keyrate._lanes([channel]))[0, 0])
             ),
         )
-        channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5)]
+        channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5), ChannelParams(1.0, 0.25)]
         results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
         for channel, result in zip(channels, results):
             reference = reference_search.optimize_gain.__wrapped__(channel)
             self.assert_search_contract(result, reference)
+            alone = keyrate._search(keyrate._lanes([channel]), 256, ())[0][0]
+            assert exact_result(result) == exact_result(alone)
         assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
         assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
+        assert [r.iterations for r in results] == [3, 3, 4]
 
     def test_rate_above_golden_section_at_52_5_db(self):
         # Golden-section lands 1.6e-7 away in g here; the narrowing steps
