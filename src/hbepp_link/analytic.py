@@ -177,7 +177,11 @@ def _checked(table):
     right, is 1 within ``_NORMALIZATION_TOL``; a NaN fails both. Otherwise
     the first failing column in row-major order raises the
     ``ProbabilityConsistencyError`` a one-point call at it would raise."""
-    total = left_to_right_sum(table)
+    # one reduction adds the rows of a C-ordered table in order, as the loop
+    # does, once each row holds more than one element; a row of one element
+    # (a one-point table) numpy would add pairwise
+    total = (np.add.reduce(table, axis=0, initial=-0.0) if table.size > len(table)
+             else left_to_right_sum(table))
     ok = np.asarray(abs(total - 1.0) <= _NORMALIZATION_TOL)
     # the whole table's extremes first; per column only once a check fails
     if not (ok.all() and table.min(initial=0.0) >= -NEGATIVE_TOLERANCE

@@ -25,12 +25,17 @@ gives, bit for bit, and a one-point call returns a Python float.
 search keeps one array of lanes, a (tau1, tau2, dark count) row per
 channel, built once by ``optimize_gain`` or ``passive_performance``, and
 one array by lane for each best gain, rate, bracket end and step count;
-the searches still open are an index into them. Each step after the scan
-hands the chain the open lanes' columns repeated to the grid's shape, so
-no operation broadcasts a column. The fixed-brightness rates of
-``passive_performance`` are one more column of the scan's array call, so
-a sweep of up to four losses makes 5 array calls: the scan and four
-narrowing steps.
+the searches still open are an index into them. After the scan, one array
+call evaluates the grids of every step each open search has left, chosen
+by a guess of its peak (the maximum of the quartic through five rates
+around its best gain); a search reads a step's rates only while that
+step's grid is the one it would build, and takes another call after a
+miss. A rate does not depend on what else its call holds, so the guess
+moves no result bit. Each array call hands the chain the lanes' columns
+repeated to the grid's shape, so no operation broadcasts a column. The
+fixed-brightness rates of ``passive_performance`` are one more column of
+the scan's array call, so a sweep of up to four losses makes 2 array
+calls, the scan and the look-ahead, unless a guess misses.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -59,9 +64,11 @@ G_TOL = 1e-6
 #: fixed-gain column, 1,028 gains, peak near 0.58 MB of numpy temporaries
 #: on the pair-table chain (tracemalloc; the pair's entries, the stacked
 #: pair table, its two gathers and the lane columns at the grid's shape),
-#: and a 26-loss scan, in 7 calls, 0.63 MB. Fewer, larger temporaries buy
-#: fewer numpy calls: (rows, 1) columns and 16 separate products peaked at
-#: 0.34 and 0.39 MB.
+#: and a 26-loss scan, in 7 calls, 0.63 MB. A look-ahead row, four 32-gain
+#: steps, goes 8 rows to a call, 1,024 gains and 0.58 MB; 26 such rows, in
+#: 4 calls, peak at 0.60 MB. Fewer, larger temporaries buy fewer numpy
+#: calls: (rows, 1) columns and 16 separate products peaked at 0.34 and
+#: 0.39 MB.
 _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
 
 
@@ -69,6 +76,16 @@ _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
 #: H2 = 1/2 roots are 0.110028 and 0.889972), so 1 - 2 H2 < -4e-4 and
 #: ``secure_rate`` clamps the rate to 0.0 without evaluating the entropy.
 _CLAMPED = (0.1101, 0.8899)
+
+#: The smallest positive normal float: ``_uphill`` divides by no less, so
+#: a flat window gives a step of 0, not 0 / 0.
+_TINY = float(np.finfo(float).tiny)
+#: Rows c1 to c4 of 12 p'(x) = c1 + c2 x + c3 x^2 + c4 x^3, for the quartic p
+#: through rates f(-2) to f(2) at evenly spaced gains, x in grid steps: the
+#: weights of the five rates.
+_QUARTIC = np.array([
+    [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1], [-3, 6, 0, -6, 3], [2, -8, 12, -8, 2],
+], dtype=float)[:, :, None]
 
 
 def _entropy(eps: np.ndarray, clamped: tuple[float, float]) -> np.ndarray:
@@ -191,8 +208,8 @@ def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
 def _gains(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
     """``points`` gains across each bracket ``[lo[i], hi[i]]``, a row each:
     ``np.linspace(lo, hi, points, axis=1)`` bit for bit, without its axis
-    handling. This is its arithmetic for a nonzero step, as every bracket
-    is wider than G_TOL (linspace divides first where some step is 0)."""
+    handling. This is its arithmetic for a nonzero step, as no bracket has
+    equal ends (linspace divides first where some step is 0)."""
     grid = lo[:, None] + np.arange(points) * ((hi - lo) / (points - 1))[:, None]
     grid[:, -1] = hi
     return grid
@@ -207,18 +224,68 @@ def _best(grid: np.ndarray, rates: np.ndarray):
     return grid.take(at), rates.take(at), grid.take(below), grid.take(above)
 
 
+def _uphill(slope: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """Newton's step towards a maximum, at most 1 in size: uphill by 1 where
+    the curve is not concave enough, and 0 where it is flat."""
+    return slope / np.maximum(np.maximum(-curvature, abs(slope)), _TINY)
+
+
+def _peak(grid: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """A guess of each row's peak gain: the maximum of the quartic through
+    the five rates around the row's best on its evenly spaced ``grid``, by
+    two guarded Newton steps from the middle of the five. It only chooses
+    which gains the search evaluates ahead, so +, -, * and / suffice."""
+    points = grid.shape[1]
+    center = np.minimum(np.maximum(rates.argmax(axis=1), 2), points - 3)
+    center += np.arange(0, grid.size, points)  # flat indices
+    c1, c2, c3, c4 = (_QUARTIC * rates.take(center + np.arange(-2, 3)[:, None])).sum(axis=1)
+    x = _uphill(c1, c2)  # the first step, from x = 0
+    x += _uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
+    at = grid.take(center)
+    return at + x * (grid.take(center + 1) - at)
+
+
+def _look_ahead(lo: np.ndarray, hi: np.ndarray, peak: np.ndarray):
+    """The brackets from each ``[lo[i], hi[i]]`` on, one per step, to the
+    first no wider than G_TOL, if each step's best gain is its grid point
+    nearest ``peak[i]`` (clamped into the bracket, NaN to its low end): the
+    (brackets, steps + 1) arrays of low and high ends, where a shorter
+    chain repeats its last bracket. Each chain is sequential and as long as
+    its bracket needs, so it is float arithmetic per bracket, each grid
+    point as ``_gains`` computes it."""
+    chains = []
+    for low, high, guess in zip(lo.tolist(), hi.tolist(), peak.tolist()):
+        guess = min(guess, high) if guess >= low else low  # so each later bracket holds it
+        chain = [(low, high)]
+        while high - low > G_TOL:
+            step = (high - low) / (_ZOOM_POINTS - 1)
+            k = int((guess - low) / step + 0.5)  # the grid point nearest the guess
+            low, high = (low + max(k - 1, 0) * step,
+                         low + (k + 1) * step if k < _ZOOM_POINTS - 2 else high)
+            chain.append((low, high))
+        chains.append(chain)
+    size = max(map(len, chains))
+    ends = np.array([chain + chain[-1:] * (size - len(chain)) for chain in chains])
+    return ends[:, :, 0], ends[:, :, 1]
+
+
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
-    ``lanes``: the scan, then each narrowing step, is one array call over
-    the searches still open: ``open_``, an index into the lane arrays of
-    best gain, rate, bracket and step count, which a search leaves once its
-    bracket is no wider than G_TOL. A step takes ``_ZOOM_POINTS`` gains
-    across each open bracket and keeps the best gain's two grid neighbours
-    as the new one. A lane's steps do not depend on the other lanes, so its
-    result is the one-channel search's bit for bit. The gains ``fixed`` are
-    evaluated at every lane in the scan's array call, as columns after the
-    scan grid that the search does not read. Returns the results and the
-    rates at ``fixed``, a (lanes, len(fixed)) array."""
+    ``lanes``, in lockstep: the state is one array by lane of best gain,
+    rate, bracket and step count, and ``open_``, the index of the searches
+    whose bracket is still wider than G_TOL. A step takes ``_ZOOM_POINTS``
+    gains across a bracket and keeps the best gain's two grid neighbours as
+    the new one. After the scan, one array call evaluates the grids of
+    every open lane's steps ahead (``_look_ahead``), on the guess
+    (``_peak``) from the latest grid the lane read. A lane reads its steps
+    in turn while the bracket a step leaves is the one the next evaluated
+    grid spans; a lane whose bracket is not takes another call. A rate
+    does not depend on what else its call holds, so each lane's steps, and
+    its result, are the one-channel search's bit for bit, whatever the
+    guess. The gains ``fixed`` are evaluated at every lane in the scan's
+    array call, as columns after the scan grid that the search does not
+    read. Returns the results and the rates at ``fixed``, a
+    (lanes, len(fixed)) array."""
     count = len(lanes)
     scan = np.empty((count, grid_points + len(fixed)))
     scan[:, :grid_points] = _gains(np.array(G_BRACKET[:1]), np.array(G_BRACKET[1:]), grid_points)
@@ -228,13 +295,31 @@ def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     brackets = list(zip(lo.tolist(), hi.tolist()))
     iterations = np.zeros(count, dtype=int)
     open_ = np.nonzero((rate > 0.0) & (hi - lo > G_TOL))[0]
+    latest = scan[open_, :grid_points], rates[open_, :grid_points]  # for each open lane's guess
     while open_.size:
-        grid = _gains(lo[open_], hi[open_], _ZOOM_POINTS)
-        g_step, rate_step, lo[open_], hi[open_] = _best(grid, _secure_rates(grid, lanes[open_]))
-        better = rate_step > rate[open_]  # strict, so an earlier step wins a tie
-        g[open_[better]], rate[open_[better]] = g_step[better], rate_step[better]
-        iterations[open_] += 1
-        open_ = open_[hi[open_] - lo[open_] > G_TOL]
+        lo_ahead, hi_ahead = _look_ahead(lo[open_], hi[open_], _peak(*latest))
+        depth = lo_ahead.shape[1] - 1
+        grid = _gains(lo_ahead[:, :-1].ravel(), hi_ahead[:, :-1].ravel(), _ZOOM_POINTS)
+        step_rates = _secure_rates(grid.reshape(open_.size, -1), lanes[open_]).reshape(grid.shape)
+        g_step, rate_step, lo_step, hi_step = (  # (open lanes, depth) each
+            a.reshape(open_.size, depth) for a in _best(grid, step_rates)
+        )
+        # a lane's last step read: the first that closes its bracket or
+        # leaves a bracket other than the one evaluated next
+        stop = hi_step - lo_step <= G_TOL
+        stop |= (lo_step != lo_ahead[:, 1:]) | (hi_step != hi_ahead[:, 1:])
+        last = stop.argmax(axis=1)
+        rows = np.arange(0, grid.shape[0], depth)
+        # the best of the steps read; no rate is below 0
+        at = rows + np.where(np.arange(depth) <= last[:, None], rate_step, -1.0).argmax(axis=1)
+        better = rate_step.take(at) > rate[open_]  # strict, so an earlier step wins a tie
+        g[open_[better]], rate[open_[better]] = g_step.take(at)[better], rate_step.take(at)[better]
+        at = rows + last
+        lo[open_], hi[open_] = lo_step.take(at), hi_step.take(at)
+        iterations[open_] += last + 1
+        still = hi[open_] - lo[open_] > G_TOL
+        latest = grid[at[still]], step_rates[at[still]]
+        open_ = open_[still]
     results = [
         OptimizationResult(g_opt, SourceParams(g_opt).mean_photon_number(), r, steps, bracket)
         if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)
@@ -257,8 +342,9 @@ def optimize_gain(
     two neighbours as the bracket (the secure-rate curve is smooth but not
     provably unimodal, so the scan guards against missing side lobes). The
     same step repeats on the bracket at ``_ZOOM_POINTS`` gains until it is
-    narrower than ``G_TOL``, four times after the default scan, one array
-    call each. It is the one-channel case of ``passive_performance``'s.
+    narrower than ``G_TOL``, four times after the default scan, all four
+    in one array call unless the guess of the peak misses (``_search``). It
+    is the one-channel case of ``passive_performance``'s.
     """
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")

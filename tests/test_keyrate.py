@@ -265,12 +265,13 @@ class TestPassivePerformance:
             passive_performance(SourceParams(0.0), reference_channel(20.0), [20.0])
 
     def test_fixed_brightness_rides_the_scan_call(self, monkeypatch):
-        # the scan with the fixed gain as a 257th column, then the four
-        # narrowing steps; each fixed rate is the one-point chain's float
+        # the scan with the fixed gain as a 257th column, then one call
+        # with the four narrowing steps' grids; each fixed rate is the
+        # one-point chain's float
         grids = record_grids(monkeypatch)
         source, losses = SourceParams.from_mean_photon_number(0.1), [25.0, 40.0]
         sweep = passive_performance(source, reference_channel(20.0), losses)
-        assert [grid.shape for grid in grids] == [(2, 257)] + [(2, 32)] * 4
+        assert [grid.shape for grid in grids] == [(2, 257), (2, 4 * 32)]
         assert [p.secure_rate_fixed.hex() for p in sweep.points] == [
             secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
             for loss in losses
@@ -643,25 +644,36 @@ class TestArrayCalls:
             assert grid.shape == (len(lo), points)
             assert grid.tobytes() == np.linspace(lo, hi, points, axis=1).tobytes()
         # the search hands the chain these grids: the scan, then each step
-        # across its bracket, whose ends are the grid's first and last gains
+        # across its bracket, whose ends are the grid's first and last
+        # gains, all four in one call, a 32-gain block each; each step's
+        # bracket is the one the previous step's best leaves
         grids = record_grids(monkeypatch)
-        optimize_gain(reference_channel(30.0))
-        scan, *steps = grids
+        result = optimize_gain(reference_channel(30.0))
+        scan, ahead = grids
         assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
-        assert len(steps) == 4
+        steps = ahead.reshape(4, 32)
         for grid in steps:
-            assert grid.tobytes() == np.linspace(grid[:, 0], grid[:, -1], 32, axis=1).tobytes()
+            assert grid.tobytes() == np.linspace(grid[0], grid[-1], 32).tobytes()
+        rates = keyrate._secure_rates(ahead, keyrate._lanes([reference_channel(30.0)]))
+        brackets = [result.bracket] + [
+            (grid[max(best - 1, 0)], grid[min(best + 1, 31)])
+            for grid, best in zip(steps, rates.reshape(4, 32).argmax(axis=1))
+        ]
+        assert [(grid[0], grid[-1]) for grid in steps] == brackets[:4]
+        assert brackets[4][1] - brackets[4][0] <= G_TOL < brackets[3][1] - brackets[3][0]
 
     def test_optimize_gain_call_shapes(self, monkeypatch):
-        # one channel: the 256-gain scan and four 32-gain narrowing steps
+        # one channel: the 256-gain scan, then one call with the four
+        # 32-gain narrowing steps
         grids = record_grids(monkeypatch)
         optimize_gain(reference_channel(30.0))
-        assert [grid.shape for grid in grids] == [(1, 256)] + [(1, 32)] * 4
+        assert [grid.shape for grid in grids] == [(1, 256), (1, 4 * 32)]
 
     def test_default_sweep_call_shapes(self, monkeypatch):
         # the CLI's default 26-loss sweep: _secure_rates splits the scan,
-        # with its fixed-gain column, into chain calls of 4 rows
-        # (_ROWS_PER_CALL), then each narrowing step is one chain call
+        # with its fixed-gain column, into chain calls of 4 rows, and the
+        # look-ahead call's four 32-gain steps into calls of 8 rows, each
+        # at most _ROWS_PER_CALL gains
         calls = []
         qber_and_sift = keyrate._qber_and_sift
 
@@ -671,7 +683,8 @@ class TestArrayCalls:
 
         monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
         run_subcommand("sweep", parse_config(""))
-        assert calls == [(4, 257)] * 6 + [(2, 257)] + [(26, 32)] * 4
+        assert calls == [(4, 257)] * 6 + [(2, 257)] + [(8, 128)] * 3 + [(2, 128)]
+        assert max(rows * gains for rows, gains in calls) <= keyrate._ROWS_PER_CALL
 
     def test_4x256_call_peaks_under_1_mb(self):
         # the figure in _ROWS_PER_CALL's comment: about 0.58 MB of numpy
@@ -686,6 +699,87 @@ class TestArrayCalls:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
+
+
+def bracket_end_rates(g, lanes):
+    """``test_scan_maximum_at_a_bracket_end``'s stand-in rate curves: rising
+    in g where tau2 = 1, falling where tau2 = 0.5, an interior maximum at
+    g = 0.3 otherwise."""
+    tau2 = lanes[:, 1:2]  # column 1 is tau2
+    return np.select([tau2 == 1.0, tau2 == 0.5], [g, 1.0 - g], 1.0 - (g - 0.3) ** 2)
+
+
+#: Stand-ins for ``keyrate._peak``, each from the real guess: NaN, and a
+#: peak five grid steps above the real guess.
+WRONG_GUESSES = {
+    "nan": lambda peak: lambda grid, rates: np.full(len(grid), math.nan),
+    "five-steps-off": lambda peak: lambda grid, rates: (
+        peak(grid, rates) + 5.0 * (grid[:, 1] - grid[:, 0])
+    ),
+}
+
+
+class TestLookAhead:
+    """The guess of each lane's peak only chooses which gains a call
+    evaluates ahead: a wrong guess costs array calls, never a bit of a
+    result, and the real one leaves one call after the scan."""
+
+    @staticmethod
+    def searches(monkeypatch, lane_sets, fixed):
+        """Every ``OptimizationResult`` field and fixed-gain rate, by
+        ``float.hex``, of a search per lane set, and the array calls made."""
+        grids = record_grids(monkeypatch)
+        found = [
+            ([exact_result(r) for r in results], exact(rates.tolist()))
+            for results, rates in (keyrate._search(lanes, 256, fixed) for lanes in lane_sets)
+        ]
+        return found, len(grids)
+
+    @pytest.mark.parametrize("guess", sorted(WRONG_GUESSES))
+    def test_54_channel_grid_does_not_depend_on_the_guess(self, monkeypatch, guess):
+        # the 54 channels one by one and as 9 lockstep sweeps of 6 losses,
+        # with the fixed gain of mu = 0.1
+        channels = [
+            [ChannelParams.from_db_losses(loss1_db, loss2_db, dark) for loss2_db in LOSS2_DB]
+            for loss1_db in (0.0, 1.6, 3.0) for dark in (0.0, 6.25e-7, 1e-5)
+        ]
+        lane_sets = [keyrate._lanes(sweep) for sweep in channels]
+        lane_sets += [keyrate._lanes([c]) for c in itertools.chain.from_iterable(channels)]
+        fixed = (SourceParams.from_mean_photon_number(0.1).g,)
+        expected, calls = self.searches(monkeypatch, lane_sets, fixed)
+        monkeypatch.setattr(keyrate, "_peak", WRONG_GUESSES[guess](keyrate._peak))
+        found, more_calls = self.searches(monkeypatch, lane_sets, fixed)
+        assert found == expected
+        assert more_calls > calls
+
+    @pytest.mark.parametrize("guess", sorted(WRONG_GUESSES))
+    def test_bracket_end_curves_do_not_depend_on_the_guess(self, monkeypatch, guess):
+        monkeypatch.setattr(keyrate, "_secure_rates", bracket_end_rates)
+        channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5), ChannelParams(1.0, 0.25)]
+        lane_sets = [keyrate._lanes(channels)] + [keyrate._lanes([c]) for c in channels]
+        expected, calls = self.searches(monkeypatch, lane_sets, ())
+        assert [r[3] for r in expected[0][0]] == [3, 3, 4]  # iterations
+        monkeypatch.setattr(keyrate, "_peak", WRONG_GUESSES[guess](keyrate._peak))
+        found, more_calls = self.searches(monkeypatch, lane_sets, ())
+        assert found == expected
+        assert more_calls > calls
+
+    def test_seeded_two_loss_sweeps_make_two_calls(self, monkeypatch):
+        # sweeps drawn as the passive-sweep benchmark draws them: the scan
+        # with the fixed gain, then one look-ahead call
+        rng = np.random.default_rng(25)
+        grids = record_grids(monkeypatch)
+        calls = []
+        for _ in range(200):
+            mu = math.exp(rng.uniform(math.log(0.01), math.log(0.2)))
+            base = ChannelParams.from_db_losses(
+                rng.uniform(0.0, 3.0), 0.0, math.exp(rng.uniform(math.log(1e-7), math.log(1e-5)))
+            )
+            grids.clear()
+            passive_performance(SourceParams.from_mean_photon_number(mu), base,
+                                sorted(rng.uniform(20.0, 45.0, 2).tolist()))
+            calls.append(len(grids))
+        assert calls.count(2) >= 198 and max(calls) <= 3
 
 
 def deep_loss_limit(g, tau1):
