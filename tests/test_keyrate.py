@@ -22,7 +22,7 @@ from hbepp_link.cli import run_subcommand
 from hbepp_link.config import parse_config
 from hbepp_link.keyrate import (
     G_BRACKET,
-    G_TOL,
+    OptimizationResult,
     binary_entropy,
     passive_performance,
     secure_rate,
@@ -30,7 +30,6 @@ from hbepp_link.keyrate import (
 from hbepp_link.params import transmittance_from_db
 from hbepp_link.postprocess import ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, _FOLDS, coincidences
 
-import reference_search
 from exact import outcome_probabilities_exact
 
 #: Reference downlink: 1.6 dB on Alice's arm, dark counts per detector per mode.
@@ -44,6 +43,25 @@ def reference_channel(loss2_db: float) -> ChannelParams:
         tau2=transmittance_from_db(loss2_db),
         dark_count=REFERENCE_DARK,
     )
+
+
+def plain_binary_entropy(eps: float) -> float:
+    """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0: the
+    plain-float rule, with its check, that the package's float-or-array
+    ``binary_entropy`` must equal, element by element, bit for bit."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"error rate must be in [0, 1], got {eps}")
+    if eps == 0.0 or eps == 1.0:
+        return 0.0
+    return -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
+
+
+def plain_secure_rate(eps: float, r_sift: float) -> float:
+    """R_sift (1 - 2 H2(eps)), clamped at zero: the plain-float rule, with
+    its checks, that the package's ``secure_rate`` must equal, bit for bit."""
+    if r_sift < 0.0:
+        raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
+    return max(0.0, r_sift * (1.0 - 2.0 * plain_binary_entropy(eps)))
 
 
 class TestBinaryEntropy:
@@ -212,24 +230,27 @@ class TestOptimizeGain:
         assert [type(v) for v in fields] == [float] * 5
         assert type(result.iterations) is int
 
-    def test_result_is_the_best_gain_evaluated(self, monkeypatch):
-        # A later step's 32 gains can straddle the maximum and all fall
-        # below an earlier step's best: at 25 dB the last step's best is
-        # 3e-14 relative lower. The search keeps the earlier one.
+    def test_result_is_the_rate_at_g_opt(self, monkeypatch):
+        # secure_rate_at_opt is the one-point chain's float at g_opt. A
+        # stencil gain can beat it by rounding, as the maximum is flat to
+        # far below the stencil's spacing, but by at most 1e-14 relative.
         evaluated = []
         secure_rates = keyrate._secure_rates
 
         def recording(g, lanes):
             rates = secure_rates(g, lanes)
-            evaluated.extend(zip(g.ravel().tolist(), rates.ravel().tolist()))
+            evaluated.extend(rates.ravel().tolist())
             return rates
 
         monkeypatch.setattr(keyrate, "_secure_rates", recording)
         for loss2_db in (20.0, 25.0, 45.0, 52.5):
             evaluated.clear()
-            result = optimize_gain(reference_channel(loss2_db))
-            assert result.secure_rate_at_opt == max(rate for _, rate in evaluated)
-            assert (result.g_opt, result.secure_rate_at_opt) in evaluated
+            channel = reference_channel(loss2_db)
+            result = optimize_gain(channel)
+            assert result.secure_rate_at_opt.hex() == plain_secure_rate(
+                *qber_and_sift(SourceParams(result.g_opt), channel)
+            ).hex()
+            assert max(evaluated) <= result.secure_rate_at_opt * (1.0 + 1e-14)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -265,21 +286,21 @@ class TestPassivePerformance:
             passive_performance(SourceParams(0.0), reference_channel(20.0), [20.0])
 
     def test_fixed_brightness_rides_the_scan_call(self, monkeypatch):
-        # the scan with the fixed gain as a 257th column, then one call
-        # with the four narrowing steps' grids; each fixed rate is the
+        # the scan with the fixed gain as a 257th column, then the
+        # five-gain stencil and the gain it places; each fixed rate is the
         # one-point chain's float
         grids = record_grids(monkeypatch)
         source, losses = SourceParams.from_mean_photon_number(0.1), [25.0, 40.0]
         sweep = passive_performance(source, reference_channel(20.0), losses)
-        assert [grid.shape for grid in grids] == [(2, 257), (2, 4 * 32)]
+        assert [grid.shape for grid in grids] == [(2, 257), (2, 5), (2, 1)]
         assert [p.secure_rate_fixed.hex() for p in sweep.points] == [
             secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
             for loss in losses
         ]
-        # no losses: one empty scan and an empty sweep
+        # no losses: three empty calls and an empty sweep
         grids.clear()
         sweep = passive_performance(source, reference_channel(20.0), [])
-        assert [grid.shape for grid in grids] == [(0, 257)]
+        assert [grid.shape for grid in grids] == [(0, 257), (0, 5), (0, 1)]
         assert (sweep.points, sweep.min_ratio) == ((), None)
 
 
@@ -310,8 +331,6 @@ def exact_result(result):
     return exact((result.g_opt, result.mu_opt, result.secure_rate_at_opt,
                   result.iterations, result.bracket))
 
-
-LOSS2_DB = (0.0, 10.0, 20.0, 30.0, 45.0, 60.0)
 
 #: Relative error bound of the QBER and sifted rate against the exact
 #: reference. Measured worst: 8.8e-16 on the random grid below, 9.7e-16 on
@@ -384,9 +403,8 @@ def outcome(call, *args):
 class TestOneChainMatchesReference:
     """The one-point calls against their references: the QBER and sifted
     rate within ``QBER_SIFT_REL`` of the exact table, CHSH within
-    ``CHSH_ABS`` of the exact tables, and the secure rate equal to the
-    scalar rate in ``tests/reference_search.py``, bit for bit, with equal
-    exceptions."""
+    ``CHSH_ABS`` of the exact tables, and the secure rate equal to
+    ``plain_secure_rate``, bit for bit, with equal exceptions."""
 
     def test_qber_both_models_and_chsh_on_a_random_grid(self):
         rng = np.random.default_rng(37)
@@ -406,7 +424,7 @@ class TestOneChainMatchesReference:
                 worst_chsh = max(worst_chsh, abs(float(chsh(*args) - exact_chsh(*args))))
             eps, r_sift = qber_and_sift(source, channel)
             assert outcome(secure_rate, eps, r_sift) == outcome(
-                reference_search.secure_rate, eps, r_sift
+                plain_secure_rate, eps, r_sift
             )
         assert worst <= QBER_SIFT_REL
         assert worst_chsh <= CHSH_ABS
@@ -435,7 +453,7 @@ class TestSecureRateArray:
         worst = 0.0
         for channel, row in zip(channels, rates.tolist()):
             scalar = [
-                reference_search.secure_rate(*qber_and_sift(SourceParams(g), channel))
+                plain_secure_rate(*qber_and_sift(SourceParams(g), channel))
                 for g in grid
             ]
             assert [r.hex() for r in row] == [r.hex() for r in scalar]
@@ -453,15 +471,15 @@ class TestSecureRateArray:
         # the entropy's ends, its H2 = 1/2 root, a subnormal and 1 - 1e-16,
         # against sifted rates of 0, NaN and ordinary values; a clamped
         # element is +0.0 as the one-point max(0.0, v) gives. The one-point
-        # floats are the plain-float rules of tests/reference_search.py,
-        # and the package's one-point calls give the same floats.
+        # floats are the plain-float rules above, and the package's
+        # one-point calls give the same floats.
         eps_values = [0.0, 1.0, 0.11002786443836, 5e-324, 1.0 - 1e-16, 0.5, 0.3, 0.05]
         rate_values = [0.0, math.nan, 0.37, 1e-9]
         eps, r_sift = np.array(list(itertools.product(eps_values, rate_values))).T
         rates = secure_rate(eps.reshape(8, 4), r_sift.reshape(8, 4))
         assert rates.shape == (8, 4)
         one_point = [
-            reference_search.secure_rate(e, r) for e, r in zip(eps.tolist(), r_sift.tolist())
+            plain_secure_rate(e, r) for e, r in zip(eps.tolist(), r_sift.tolist())
         ]
         assert [r.hex() for r in rates.ravel().tolist()] == [r.hex() for r in one_point]
         assert [secure_rate(e, r).hex() for e, r in zip(eps.tolist(), r_sift.tolist())] == [
@@ -472,7 +490,7 @@ class TestSecureRateArray:
         entropy_eps = eps_values + np.random.default_rng(43).uniform(size=2000).tolist()
         entropies = binary_entropy(np.reshape(entropy_eps, (-1, 8)))
         assert [h.hex() for h in entropies.ravel().tolist()] == [
-            reference_search.binary_entropy(e).hex() for e in entropy_eps
+            plain_binary_entropy(e).hex() for e in entropy_eps
         ] == [binary_entropy(e).hex() for e in entropy_eps]
         assert one_point.count(0.0) > 8 and all(
             math.copysign(1.0, r) == 1.0 for r in one_point if r == 0.0
@@ -485,11 +503,11 @@ class TestSecureRateArray:
         # 100,000 uniform error rates, each against four sifted rates,
         # give the plain-float rule's floats bit for bit.
         lo, hi = keyrate._CLAMPED
-        assert reference_search.binary_entropy(lo) > 0.5 + 2e-4
-        assert reference_search.binary_entropy(hi) > 0.5 + 2e-4
+        assert plain_binary_entropy(lo) > 0.5 + 2e-4
+        assert plain_binary_entropy(hi) > 0.5 + 2e-4
         below, above = 0.1, 0.12  # bisection to the last bit for H2 = 1/2
         while (mid := 0.5 * (below + above)) not in (below, above):
-            if reference_search.binary_entropy(mid) < 0.5:
+            if plain_binary_entropy(mid) < 0.5:
                 below = mid
             else:
                 above = mid
@@ -504,10 +522,10 @@ class TestSecureRateArray:
         r_sift = [0.0, 0.37, math.nan, 1e-9]
         rates = secure_rate(np.reshape(eps, (-1, 1)), np.array(r_sift))
         assert [r.hex() for r in rates.ravel().tolist()] == [
-            reference_search.secure_rate(e, r).hex() for e in eps for r in r_sift
+            plain_secure_rate(e, r).hex() for e in eps for r in r_sift
         ]
         assert [secure_rate(e, r).hex() for e in edges for r in r_sift] == [
-            reference_search.secure_rate(e, r).hex() for e in edges for r in r_sift
+            plain_secure_rate(e, r).hex() for e in edges for r in r_sift
         ]
 
     def test_first_failing_element_raises(self):
@@ -535,38 +553,172 @@ class TestSecureRateArray:
                 secure_rate(*args)
 
 
+#: The tests' channel grid: every (loss1_db, loss2_db, dark count) with
+#: loss1_db in (0, 1.6, 3), loss2_db in ``LOSS2_DB`` and the dark count in
+#: (0, 6.25e-7, 1e-5). None where no gain gives a key; otherwise the scan
+#: bracket's ends by ``float.hex``, and the gain of the maximum secure rate
+#: to 40 digits: the root of dR/dg, the pair table folded and the entropy
+#: taken in 60-digit arithmetic (mpmath, offline; the 60-digit table agrees
+#: with ``tests/exact.py``'s to 1e-60).
+LOSS2_DB = (0.0, 10.0, 20.0, 30.0, 45.0, 52.5, 60.0)
+OPTIMA = {
+    (0.0, 0.0, 0.0): ("0x1.9c99871880f3ap-2", "0x1.a438b394dc8aap-2",
+        "0.4052755411377335793448055864600771748649"),
+    (0.0, 10.0, 0.0): ("0x1.5431607b1ad95p-2", "0x1.5bd08cf776704p-2",
+        "0.3346767706179055471679099580963086110919"),
+    (0.0, 20.0, 0.0): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.328257709877567350509754966643311409265"),
+    (0.0, 30.0, 0.0): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3276279085030022015157902639216053017531"),
+    (0.0, 45.0, 0.0): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3275602761780922013038256605688709363359"),
+    (0.0, 52.5, 0.0): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3275584607152334858055943098390906527514"),
+    (0.0, 60.0, 0.0): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3275581378771597923609580612678929619827"),
+    (0.0, 0.0, 6.25e-07): ("0x1.9c99871880f3ap-2", "0x1.a438b394dc8aap-2",
+        "0.4052749821645197119649422997909065548441"),
+    (0.0, 10.0, 6.25e-07): ("0x1.5431607b1ad95p-2", "0x1.5bd08cf776704p-2",
+        "0.3346724375072526257025231571624209497258"),
+    (0.0, 20.0, 6.25e-07): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3282157488465371778930092653657622349812"),
+    (0.0, 30.0, 6.25e-07): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3272081114300881152346625215539409023204"),
+    (0.0, 45.0, 6.25e-07): ("0x1.3d53db0608146p-2", "0x1.44f3078263ab5p-2",
+        "0.3126398980211070003727504636876884739141"),
+    (0.0, 52.5, 6.25e-07): ("0x1.60a64812d3566p-3", "0x1.6fe4a10b8a846p-3",
+        "0.1774942932469450178691168907437917061916"),
+    (0.0, 60.0, 6.25e-07): None,
+    (0.0, 0.0, 1e-05): ("0x1.9c99871880f3ap-2", "0x1.a438b394dc8aap-2",
+        "0.40526659744021479864107322858190150214"),
+    (0.0, 10.0, 1e-05): ("0x1.5431607b1ad95p-2", "0x1.5bd08cf776704p-2",
+        "0.3346074032879167688167078324223250339806"),
+    (0.0, 20.0, 1e-05): ("0x1.4c9233febf425p-2", "0x1.5431607b1ad95p-2",
+        "0.3275822561412771651874640428554741312841"),
+    (0.0, 30.0, 1e-05): ("0x1.44f3078263ab5p-2", "0x1.4c9233febf425p-2",
+        "0.3205029602349132133051324232557253823539"),
+    (0.0, 45.0, 1e-05): None,
+    (0.0, 52.5, 1e-05): None,
+    (0.0, 60.0, 1e-05): None,
+    (1.6, 0.0, 0.0): ("0x1.81ec6b6540633p-2", "0x1.898b97e19bfa3p-2",
+        "0.3810542544422597508661767281957890208776"),
+    (1.6, 10.0, 0.0): ("0x1.4123714435dfep-2", "0x1.48c29dc09176dp-2",
+        "0.3165406210600879798511925643708537552786"),
+    (1.6, 20.0, 0.0): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3103587163476064833600470224457271089291"),
+    (1.6, 30.0, 0.0): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3097510622808879380300208865908508509455"),
+    (1.6, 45.0, 0.0): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3096857975440680595370492835518850111505"),
+    (1.6, 52.5, 0.0): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.30968404560626049041264673033536692821"),
+    (1.6, 60.0, 0.0): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3096837340644922822583876109635829880265"),
+    (1.6, 0.0, 6.25e-07): ("0x1.81ec6b6540633p-2", "0x1.898b97e19bfa3p-2",
+        "0.3810534924661216611192598063540258946401"),
+    (1.6, 10.0, 6.25e-07): ("0x1.4123714435dfep-2", "0x1.48c29dc09176dp-2",
+        "0.3165355655628290186736867333436930515182"),
+    (1.6, 20.0, 6.25e-07): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3103112507660688719459073257328518844543"),
+    (1.6, 30.0, 6.25e-07): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3092781048048310964160281533926646147558"),
+    (1.6, 45.0, 6.25e-07): ("0x1.2a45ebcf231aep-2", "0x1.31e5184b7eb1ep-2",
+        "0.2932697430235031175338436600851536713405"),
+    (1.6, 52.5, 6.25e-07): ("0x1.3a8a69a509638p-3", "0x1.49c8c29dc0917p-3",
+        "0.1588079752137576920462959892698954785378"),
+    (1.6, 60.0, 6.25e-07): None,
+    (1.6, 0.0, 1e-05): ("0x1.81ec6b6540633p-2", "0x1.898b97e19bfa3p-2",
+        "0.3810420624244883924392100761846753497217"),
+    (1.6, 10.0, 1e-05): ("0x1.4123714435dfep-2", "0x1.48c29dc09176dp-2",
+        "0.3164596996101237352004614370601820132271"),
+    (1.6, 20.0, 1e-05): ("0x1.398444c7da48ep-2", "0x1.4123714435dfep-2",
+        "0.3095956731400120693561816589001644851519"),
+    (1.6, 30.0, 1e-05): ("0x1.31e5184b7eb1ep-2", "0x1.398444c7da48ep-2",
+        "0.3018217321346552356751648761529524316245"),
+    (1.6, 45.0, 1e-05): None,
+    (1.6, 52.5, 1e-05): None,
+    (1.6, 60.0, 1e-05): None,
+    (3.0, 0.0, 0.0): ("0x1.72ae126c89354p-2", "0x1.7a4d3ee8e4cc3p-2",
+        "0.3656014285736628153315536117478848762022"),
+    (3.0, 10.0, 0.0): ("0x1.31e5184b7eb1ep-2", "0x1.398444c7da48ep-2",
+        "0.3039249619602278427756853451163751855499"),
+    (3.0, 20.0, 0.0): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2979085057849605743422467186666639734243"),
+    (3.0, 30.0, 0.0): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2973168491775346525136089336237967499677"),
+    (3.0, 45.0, 0.0): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2972533002801600692517083346844169353397"),
+    (3.0, 52.5, 0.0): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2972515943954019333204536839489477070435"),
+    (3.0, 60.0, 0.0): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2972512910430735243328098944717121768571"),
+    (3.0, 0.0, 6.25e-07): ("0x1.72ae126c89354p-2", "0x1.7a4d3ee8e4cc3p-2",
+        "0.3656004340543582921992166451919390627786"),
+    (3.0, 10.0, 6.25e-07): ("0x1.31e5184b7eb1ep-2", "0x1.398444c7da48ep-2",
+        "0.3039195120184173144339273403259197473948"),
+    (3.0, 20.0, 6.25e-07): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2978594383836868539754387875242284098919"),
+    (3.0, 30.0, 6.25e-07): ("0x1.2a45ebcf231aep-2", "0x1.31e5184b7eb1ep-2",
+        "0.2968303024641543406323566274539369672008"),
+    (3.0, 45.0, 6.25e-07): ("0x1.1b0792d66becfp-2", "0x1.22a6bf52c783fp-2",
+        "0.2805365426240587985241908499882316507566"),
+    (3.0, 52.5, 6.25e-07): ("0x1.2b4c10ac52358p-3", "0x1.3a8a69a509638p-3",
+        "0.149334637778141701463819597972235735495"),
+    (3.0, 60.0, 6.25e-07): None,
+    (3.0, 0.0, 1e-05): ("0x1.72ae126c89354p-2", "0x1.7a4d3ee8e4cc3p-2",
+        "0.3655855152935755915996048282136295923313"),
+    (3.0, 10.0, 1e-05): ("0x1.31e5184b7eb1ep-2", "0x1.398444c7da48ep-2",
+        "0.3038377316247818794045187652334758007333"),
+    (3.0, 20.0, 1e-05): ("0x1.2e15820d50e66p-2", "0x1.35b4ae89ac7d6p-2",
+        "0.2971201390658439690869425025664347263109"),
+    (3.0, 30.0, 1e-05): ("0x1.22a6bf52c783fp-2", "0x1.2a45ebcf231aep-2",
+        "0.2892004216768242017759637520028668847121"),
+    (3.0, 45.0, 1e-05): None,
+    (3.0, 52.5, 1e-05): None,
+    (3.0, 60.0, 1e-05): None,
+
+}
+
+#: Relative error bound of ``g_opt`` against ``OPTIMA``. Measured worst:
+#: 4.6e-13 on the grid.
+G_OPT_REL = 1e-12
+
+
+def bracket_end_rates(g, lanes):
+    """Stand-in rate curves: rising in g where tau2 = 1, falling where
+    tau2 = 0.5, a parabola with its maximum at g = 0.3 otherwise."""
+    tau2 = lanes[:, 1:2]  # column 1 is tau2
+    return np.select([tau2 == 1.0, tau2 == 0.5], [g, 1.0 - g], 1.0 - (g - 0.3) ** 2)
+
+
 class TestLockstepSearchMatchesReference:
-    """The array search against the gain-by-gain reference search in
-    ``tests/reference_search.py``: the same scan bracket, found set and
-    exceptions bit for bit, and a secure rate no lower than the reference's
-    golden-section optimum up to 1e-10 relative. Each lane of a lockstep
-    search is the one-channel ``optimize_gain`` bit for bit."""
+    """The array search against the reference optima ``OPTIMA``: the found
+    set and scan bracket bit for bit, and ``g_opt`` within ``G_OPT_REL`` of
+    the exact maximum. Each lane of a lockstep search is the one-channel
+    ``optimize_gain`` bit for bit."""
 
     @staticmethod
-    def assert_search_contract(result, reference):
-        assert exact((result.found, result.bracket)) == exact(
-            (reference.found, reference.bracket)
-        )
-        if not reference.found:
-            assert exact_result(result) == exact_result(reference)
+    def assert_optimum(result, expected):
+        if expected is None:
+            no_key = OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+            assert exact_result(result) == exact_result(no_key)
             return
-        assert result.secure_rate_at_opt >= reference.secure_rate_at_opt * (1.0 - 1e-10)
-        assert result.bracket[0] <= result.g_opt <= result.bracket[1]
+        lo, hi, g_exact = expected
+        assert exact(result.bracket) == (lo, hi)
+        assert result.iterations == 1
+        assert abs(Fraction(result.g_opt) / Fraction(g_exact) - 1) <= G_OPT_REL
 
     @pytest.mark.parametrize("dark", [0.0, 6.25e-7, 1e-5])
     @pytest.mark.parametrize("loss1_db", [0.0, 1.6, 3.0])
     def test_optimize_gain_and_sweep(self, loss1_db, dark):
-        optima = []
-        for loss2_db in LOSS2_DB:
-            channel = ChannelParams.from_db_losses(loss1_db, loss2_db, dark)
-            optima.append(optimize_gain(channel))
-            self.assert_search_contract(optima[-1], reference_search.optimize_gain(channel))
-        base = ChannelParams.from_db_losses(loss1_db, 0.0, dark)
+        channels = [ChannelParams.from_db_losses(loss1_db, loss2_db, dark) for loss2_db in LOSS2_DB]
+        optima = [optimize_gain(channel) for channel in channels]
+        for loss2_db, opt in zip(LOSS2_DB, optima):
+            self.assert_optimum(opt, OPTIMA[loss1_db, loss2_db, dark])
         source = SourceParams.from_mean_photon_number(0.1)
-        sweep = passive_performance(source, base, LOSS2_DB)
-        reference = reference_search.passive_performance(source, base, LOSS2_DB)
+        sweep = passive_performance(source, channels[0], LOSS2_DB)
         assert [exact(p.secure_rate_fixed) for p in sweep.points] == [
-            exact(p.secure_rate_fixed) for p in reference.points
+            exact(plain_secure_rate(*qber_and_sift(source, channel))) for channel in channels
         ]
         assert [exact((p.secure_rate_optimal, p.mu_opt)) for p in sweep.points] == [
             exact((opt.secure_rate_at_opt, opt.mu_opt)) for opt in optima
@@ -582,98 +734,60 @@ class TestLockstepSearchMatchesReference:
         assert [r.found for r in results] == [True, False, True]
         for channel, result in zip(channels, results):
             assert exact_result(result) == exact_result(optimize_gain(channel))
-            self.assert_search_contract(result, reference_search.optimize_gain(channel))
+        for result, expected in zip(results, (
+            OPTIMA[1.6, 20.0, REFERENCE_DARK], None, OPTIMA[1.6, 45.0, REFERENCE_DARK]
+        )):
+            self.assert_optimum(result, expected)
 
     def test_scan_maximum_at_a_bracket_end(self, monkeypatch):
         # No channel puts the scan maximum on G_BRACKET's ends (the rate
         # rises as g^2 from g = 0 and the multi-pair errors close it well
-        # below g = 0.95), so a stand-in rate curve checks the search's
+        # below g = 0.95), so stand-in rate curves check the search's
         # clamping: rising in g where tau2 = 1, falling where tau2 = 0.5.
-        # The maximum is the bracket end itself, and the search returns it.
-        # A third lane, tau2 = 0.25, peaks inside the bracket, so each new
-        # bracket is two grid steps wide where an end lane's is one: it
-        # closes a step later, and each lane is still its one-lane search.
-        def rates(g, lanes):
-            tau2 = lanes[:, 1:2]  # column 1 is tau2
-            return np.select([tau2 == 1.0, tau2 == 0.5], [g, 1.0 - g], 1.0 - (g - 0.3) ** 2)
-
-        monkeypatch.setattr(keyrate, "_secure_rates", rates)
-        monkeypatch.setattr(
-            reference_search, "qber_and_sift",
-            lambda source, channel: (
-                0.0, float(rates(np.array([[source.g]]), keyrate._lanes([channel]))[0, 0])
-            ),
-        )
+        # The maximum is the bracket end itself, and the search returns it
+        # with no step. A third lane, tau2 = 0.25, peaks at g = 0.3, which
+        # the stencil places to rounding; each lane is its one-lane search.
+        monkeypatch.setattr(keyrate, "_secure_rates", bracket_end_rates)
         channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5), ChannelParams(1.0, 0.25)]
         results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
         for channel, result in zip(channels, results):
-            reference = reference_search.optimize_gain.__wrapped__(channel)
-            self.assert_search_contract(result, reference)
             alone = keyrate._search(keyrate._lanes([channel]), 256, ())[0][0]
             assert exact_result(result) == exact_result(alone)
         assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
         assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
-        assert [r.iterations for r in results] == [3, 3, 4]
-
-    def test_rate_above_golden_section_at_52_5_db(self):
-        # Golden-section lands 1.6e-7 away in g here; the narrowing steps
-        # end on a gain whose rate is higher, by 4.7e-12 relative.
-        channel = ChannelParams.from_db_losses(1.6, 52.5, 6.25e-7)
-        result = optimize_gain(channel)
-        assert result.secure_rate_at_opt > reference_search.optimize_gain(channel).secure_rate_at_opt
+        assert [r.iterations for r in results] == [0, 0, 1]
+        assert results[2].g_opt == pytest.approx(0.3, rel=1e-15)
 
 
 class TestArrayCalls:
-    """What one search step hands the chain: its grid and its memory."""
+    """What the search hands the chain: its three grids and their memory."""
 
-    def test_narrow_grid_is_linspace_bit_for_bit(self, monkeypatch):
-        # the 256-gain scan of G_BRACKET, and 20,000 random brackets from
-        # 1e-1 down to G_TOL wide at both ends of G_BRACKET and inside it
-        rng = np.random.default_rng(19)
-        width = 10.0 ** rng.uniform(math.log10(G_TOL), -1.0, 20_000)
-        width[:2] = G_TOL, 0.1
-        lo = np.concatenate([
-            G_BRACKET[0] + rng.uniform(0.0, 1.0, 6_000) * width[:6_000],
-            G_BRACKET[1] - width[6_000:12_000] * (1.0 + rng.uniform(0.0, 1.0, 6_000)),
-            rng.uniform(*G_BRACKET, 8_000),
-        ])
-        hi = lo + width
-        cases = [(np.full(26, G_BRACKET[0]), np.full(26, G_BRACKET[1]), 256), (lo, hi, 32)]
-        for lo, hi, points in cases:
-            grid = keyrate._gains(lo, hi, points)
-            assert grid.shape == (len(lo), points)
-            assert grid.tobytes() == np.linspace(lo, hi, points, axis=1).tobytes()
-        # the search hands the chain these grids: the scan, then each step
-        # across its bracket, whose ends are the grid's first and last
-        # gains, all four in one call, a 32-gain block each; each step's
-        # bracket is the one the previous step's best leaves
+    def test_search_grids(self, monkeypatch):
+        # the 256-gain scan of G_BRACKET, the stencil g0 * _STENCIL around
+        # the scan's guess g0, and the stencil's guess, which is g_opt
         grids = record_grids(monkeypatch)
-        result = optimize_gain(reference_channel(30.0))
-        scan, ahead = grids
+        channel = reference_channel(30.0)
+        result = optimize_gain(channel)
+        scan, stencil, last = grids
         assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
-        steps = ahead.reshape(4, 32)
-        for grid in steps:
-            assert grid.tobytes() == np.linspace(grid[0], grid[-1], 32).tobytes()
-        rates = keyrate._secure_rates(ahead, keyrate._lanes([reference_channel(30.0)]))
-        brackets = [result.bracket] + [
-            (grid[max(best - 1, 0)], grid[min(best + 1, 31)])
-            for grid, best in zip(steps, rates.reshape(4, 32).argmax(axis=1))
-        ]
-        assert [(grid[0], grid[-1]) for grid in steps] == brackets[:4]
-        assert brackets[4][1] - brackets[4][0] <= G_TOL < brackets[3][1] - brackets[3][0]
+        lanes = keyrate._lanes([channel])
+        g0 = keyrate._peak(scan, keyrate._secure_rates(scan, lanes))
+        assert stencil.tobytes() == (g0[:, None] * keyrate._STENCIL).tobytes()
+        g1 = keyrate._peak(stencil, keyrate._secure_rates(stencil, lanes))
+        assert last.tolist() == [g1.tolist()] == [[result.g_opt]]
 
     def test_optimize_gain_call_shapes(self, monkeypatch):
-        # one channel: the 256-gain scan, then one call with the four
-        # 32-gain narrowing steps
+        # one channel: the 256-gain scan, the five-gain stencil and the
+        # gain it places
         grids = record_grids(monkeypatch)
         optimize_gain(reference_channel(30.0))
-        assert [grid.shape for grid in grids] == [(1, 256), (1, 4 * 32)]
+        assert [grid.shape for grid in grids] == [(1, 256), (1, 5), (1, 1)]
 
     def test_default_sweep_call_shapes(self, monkeypatch):
         # the CLI's default 26-loss sweep: _secure_rates splits the scan,
-        # with its fixed-gain column, into chain calls of 4 rows, and the
-        # look-ahead call's four 32-gain steps into calls of 8 rows, each
-        # at most _ROWS_PER_CALL gains
+        # with its fixed-gain column, into chain calls of 4 rows, each at
+        # most _ROWS_PER_CALL gains; the stencil and the last gain of all
+        # 26 lanes fit one call each
         calls = []
         qber_and_sift = keyrate._qber_and_sift
 
@@ -683,8 +797,28 @@ class TestArrayCalls:
 
         monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
         run_subcommand("sweep", parse_config(""))
-        assert calls == [(4, 257)] * 6 + [(2, 257)] + [(8, 128)] * 3 + [(2, 128)]
+        assert calls == [(4, 257)] * 6 + [(2, 257), (26, 5), (26, 1)]
         assert max(rows * gains for rows, gains in calls) <= keyrate._ROWS_PER_CALL
+
+    def test_seeded_two_loss_sweeps_make_three_calls(self, monkeypatch):
+        # sweeps drawn as the passive-sweep benchmark draws them: the scan
+        # with the fixed gain, then the stencil and the last gain of the
+        # lanes with a key: 396 of these 400 lanes, the other 4 have none
+        rng = np.random.default_rng(25)
+        grids = record_grids(monkeypatch)
+        stepped = 0
+        for _ in range(200):
+            mu = math.exp(rng.uniform(math.log(0.01), math.log(0.2)))
+            base = ChannelParams.from_db_losses(
+                rng.uniform(0.0, 3.0), 0.0, math.exp(rng.uniform(math.log(1e-7), math.log(1e-5)))
+            )
+            grids.clear()
+            passive_performance(SourceParams.from_mean_photon_number(mu), base,
+                                sorted(rng.uniform(20.0, 45.0, 2).tolist()))
+            assert [grid.shape[1] for grid in grids] == [257, 5, 1]
+            assert grids[0].shape[0] == 2 and grids[1].shape[0] == grids[2].shape[0]
+            stepped += grids[1].shape[0]
+        assert stepped == 396
 
     def test_4x256_call_peaks_under_1_mb(self):
         # the figure in _ROWS_PER_CALL's comment: about 0.58 MB of numpy
@@ -699,87 +833,6 @@ class TestArrayCalls:
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
-
-
-def bracket_end_rates(g, lanes):
-    """``test_scan_maximum_at_a_bracket_end``'s stand-in rate curves: rising
-    in g where tau2 = 1, falling where tau2 = 0.5, an interior maximum at
-    g = 0.3 otherwise."""
-    tau2 = lanes[:, 1:2]  # column 1 is tau2
-    return np.select([tau2 == 1.0, tau2 == 0.5], [g, 1.0 - g], 1.0 - (g - 0.3) ** 2)
-
-
-#: Stand-ins for ``keyrate._peak``, each from the real guess: NaN, and a
-#: peak five grid steps above the real guess.
-WRONG_GUESSES = {
-    "nan": lambda peak: lambda grid, rates: np.full(len(grid), math.nan),
-    "five-steps-off": lambda peak: lambda grid, rates: (
-        peak(grid, rates) + 5.0 * (grid[:, 1] - grid[:, 0])
-    ),
-}
-
-
-class TestLookAhead:
-    """The guess of each lane's peak only chooses which gains a call
-    evaluates ahead: a wrong guess costs array calls, never a bit of a
-    result, and the real one leaves one call after the scan."""
-
-    @staticmethod
-    def searches(monkeypatch, lane_sets, fixed):
-        """Every ``OptimizationResult`` field and fixed-gain rate, by
-        ``float.hex``, of a search per lane set, and the array calls made."""
-        grids = record_grids(monkeypatch)
-        found = [
-            ([exact_result(r) for r in results], exact(rates.tolist()))
-            for results, rates in (keyrate._search(lanes, 256, fixed) for lanes in lane_sets)
-        ]
-        return found, len(grids)
-
-    @pytest.mark.parametrize("guess", sorted(WRONG_GUESSES))
-    def test_54_channel_grid_does_not_depend_on_the_guess(self, monkeypatch, guess):
-        # the 54 channels one by one and as 9 lockstep sweeps of 6 losses,
-        # with the fixed gain of mu = 0.1
-        channels = [
-            [ChannelParams.from_db_losses(loss1_db, loss2_db, dark) for loss2_db in LOSS2_DB]
-            for loss1_db in (0.0, 1.6, 3.0) for dark in (0.0, 6.25e-7, 1e-5)
-        ]
-        lane_sets = [keyrate._lanes(sweep) for sweep in channels]
-        lane_sets += [keyrate._lanes([c]) for c in itertools.chain.from_iterable(channels)]
-        fixed = (SourceParams.from_mean_photon_number(0.1).g,)
-        expected, calls = self.searches(monkeypatch, lane_sets, fixed)
-        monkeypatch.setattr(keyrate, "_peak", WRONG_GUESSES[guess](keyrate._peak))
-        found, more_calls = self.searches(monkeypatch, lane_sets, fixed)
-        assert found == expected
-        assert more_calls > calls
-
-    @pytest.mark.parametrize("guess", sorted(WRONG_GUESSES))
-    def test_bracket_end_curves_do_not_depend_on_the_guess(self, monkeypatch, guess):
-        monkeypatch.setattr(keyrate, "_secure_rates", bracket_end_rates)
-        channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5), ChannelParams(1.0, 0.25)]
-        lane_sets = [keyrate._lanes(channels)] + [keyrate._lanes([c]) for c in channels]
-        expected, calls = self.searches(monkeypatch, lane_sets, ())
-        assert [r[3] for r in expected[0][0]] == [3, 3, 4]  # iterations
-        monkeypatch.setattr(keyrate, "_peak", WRONG_GUESSES[guess](keyrate._peak))
-        found, more_calls = self.searches(monkeypatch, lane_sets, ())
-        assert found == expected
-        assert more_calls > calls
-
-    def test_seeded_two_loss_sweeps_make_two_calls(self, monkeypatch):
-        # sweeps drawn as the passive-sweep benchmark draws them: the scan
-        # with the fixed gain, then one look-ahead call
-        rng = np.random.default_rng(25)
-        grids = record_grids(monkeypatch)
-        calls = []
-        for _ in range(200):
-            mu = math.exp(rng.uniform(math.log(0.01), math.log(0.2)))
-            base = ChannelParams.from_db_losses(
-                rng.uniform(0.0, 3.0), 0.0, math.exp(rng.uniform(math.log(1e-7), math.log(1e-5)))
-            )
-            grids.clear()
-            passive_performance(SourceParams.from_mean_photon_number(mu), base,
-                                sorted(rng.uniform(20.0, 45.0, 2).tolist()))
-            calls.append(len(grids))
-        assert calls.count(2) >= 198 and max(calls) <= 3
 
 
 def deep_loss_limit(g, tau1):
