@@ -15,20 +15,23 @@ that matter are therefore consumed by the basis rotation, and tracking
 |amplitude|^2 afterwards is exact, not an approximation.
 
 State layout: the source emits equal photon numbers into Alice's and Bob's
-arms, so the amplitudes are stored per pair number n as an (n+1) x (n+1)
-block, one axis per party. The axes are coordinates in the real Schur
-basis Q_n of the rotation generator on n photons, not Fock occupations. A
-basis rotation turns independent planes of that basis, so rotating is
-2 x 2 mixing of paired rows and of paired columns, and the only matrix
-products are the two per block that return to Fock amplitudes,
-Q_n X_n Q_n^T, before squaring. Squaring keeps the pair support: the
-photon-number distribution is an (n, i, j) array of O(n_max^3) entries,
-never the dense (n_max+1)^4 grid over the four mode occupations. Loss and
-readout act on each detector mode independently, so each is a Markov
-kernel over one mode's photon number. Loss composes its binomial matrix
-into Alice's and Bob's kernels, and the readout composes the threshold
-matrix into them and contracts the result with the support mass, so the
-thinned distribution is never stored.
+arms, so the amplitudes of pair number n form an (n+1) x (n+1) block, one
+axis per party, and the blocks lie end to end, row-major, in one flat
+array (block n starts at the sum of (m+1)^2 over m < n). The axes are
+coordinates in the real Schur basis Q_n of the rotation generator on n
+photons, not Fock occupations. A basis rotation turns independent planes
+of that basis, so rotating is 2 x 2 mixing of paired rows and of paired
+columns: one multiply-add over the flat array per party, with each entry's
+plane partner gathered, and nothing for a party turned by exactly zero.
+The only matrix products are the two per block that return to Fock
+amplitudes, Q_n X_n Q_n^T, before squaring. Squaring keeps the pair
+support: the photon-number distribution is an (n, i, j) array of
+O(n_max^3) entries, never the dense (n_max+1)^4 grid over the four mode
+occupations. Loss and readout act on each detector mode independently, so
+each is a Markov kernel over one mode's photon number. Loss composes its
+binomial matrix into Alice's and Bob's kernels, and the readout composes
+the threshold matrix into them and contracts the result with the support
+mass, so the thinned distribution is never stored.
 """
 
 from __future__ import annotations
@@ -99,9 +102,14 @@ def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, rates
 
 
-@functools.lru_cache(maxsize=None)
-def _source_block(n: int) -> np.ndarray:
-    """The n-pair block of the source at unit weight, in the Schur basis.
+def _offset(n: int) -> int:
+    """Start of block n in the flat layout: the sum of (m+1)^2 over m < n."""
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_source(size: int) -> np.ndarray:
+    """The source at unit weight per pair number, flat, in the Schur basis.
 
     The n-pair component is the n-th power of the antisymmetric pair
     creation operator (a1H+ a2V+ - a1V+ a2H+) applied to vacuum, normalized
@@ -109,37 +117,56 @@ def _source_block(n: int) -> np.ndarray:
     C(n, m) (-1)^(n-m) and raises the (1H, 1V, 2H, 2V) occupations to
     (m, n-m, n-m, m), which contributes sqrt(m!^2 (n-m)!^2) on vacuum.
     Since C(n, m) m! (n-m)! / n! = 1 exactly, the Fock block B holds
-    (-1)^(n-m) at (m, n-m), with no factorial evaluated. Returns
-    Q_n^T B Q_n, cached by n alone.
+    (-1)^(n-m) at (m, n-m), with no factorial evaluated. Block n is
+    Q_n^T B Q_n. Cached for one truncation.
     """
-    q = _schur_basis(n)[0]
-    m = np.arange(n + 1)[:, None]
-    # row m of B Q is (-1)^(n-m) times row n-m of Q
-    block = q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])
-    block.flags.writeable = False
-    return block
+    blocks = []
+    for n in range(size):
+        q = _schur_basis(n)[0]
+        m = np.arange(n + 1)[:, None]
+        # row m of B Q is (-1)^(n-m) times row n-m of Q
+        blocks.append((q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel())
+    flat = np.concatenate(blocks)
+    flat.flags.writeable = False
+    return flat
 
 
 @dataclass(frozen=True, slots=True)
 class TruncatedPairState:
     """Amplitudes of the (rotated) pair state, blocked by pair number.
 
-    ``blocks[n][r, c]`` is the coefficient of column r of Q_n on Alice's
-    side and column c of Q_n on Bob's (see ``_schur_basis``). In the Fock
-    basis, ``fock_block(n)[i, j]`` is the amplitude of i photons in Alice's
-    first mode (n - i in her second) and j photons in Bob's first mode
-    (n - j in his second). Before rotation the first modes are the H
-    polarizations; after rotation they are the ``+`` analysis modes.
+    ``amplitudes`` holds the blocks end to end, row-major: block n is the
+    (n+1) x (n+1) run starting at the sum of (m+1)^2 over m < n, and
+    ``blocks`` are views of those runs. ``blocks[n][r, c]`` is the
+    coefficient of column r of Q_n on Alice's side and column c of Q_n on
+    Bob's (see ``_schur_basis``). In the Fock basis, ``fock_block(n)[i, j]``
+    is the amplitude of i photons in Alice's first mode (n - i in her
+    second) and j photons in Bob's first mode (n - j in his second). Before
+    rotation the first modes are the H polarizations; after rotation they
+    are the ``+`` analysis modes.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    amplitudes: np.ndarray
+    n_max: int
+
+    def __post_init__(self) -> None:
+        if self.amplitudes.shape != (_offset(self.n_max + 1),):
+            raise ValueError(
+                f"amplitudes must have shape ({_offset(self.n_max + 1)},) "
+                f"for n_max = {self.n_max}, got {self.amplitudes.shape}"
+            )
 
     @property
-    def n_max(self) -> int:
-        return len(self.blocks) - 1
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        blocks, start = [], 0
+        for n in range(self.n_max + 1):
+            stop = start + (n + 1) * (n + 1)
+            blocks.append(self.amplitudes[start:stop].reshape(n + 1, n + 1))
+            start = stop
+        return tuple(blocks)
 
     def norm_squared(self) -> float:
-        return float(sum(np.sum(b * b) for b in self.blocks))
+        return float(self.amplitudes @ self.amplitudes)
 
     def fock_block(self, n: int) -> np.ndarray:
         """Fock amplitudes of pair number n: Q_n blocks[n] Q_n^T."""
@@ -183,38 +210,37 @@ class JointPhotonDistribution:
 def build_state(g: float, n_max: int) -> TruncatedPairState:
     """Pair-source state truncated at ``n_max`` pairs, in the H/V bases.
 
-    Block n is the unit source block of ``_source_block``, weighted by
+    Block n is the unit source block of ``_unit_source``, weighted by
     (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1).
     """
     if not 0.0 <= g < 1.0:
         raise ValueError(f"nonlinear gain must be in [0, 1), got {g}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    size = n_max + 1
     weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
     return TruncatedPairState(
-        tuple(weight * _source_block(n) for n, weight in enumerate(weights))
+        _unit_source(size) * np.repeat(weights, np.arange(1, size + 1) ** 2), n_max
     )
 
 
-def _offset(n: int) -> int:
-    """Start of block n in the flat layout: the sum of (m+1)^2 over m < n."""
-    return n * (n + 1) * (2 * n + 1) // 6
+@functools.lru_cache(maxsize=1)
+def _plane_tables(size: int) -> tuple[tuple, tuple]:
+    """Tables that turn the planes of all ``size`` blocks at once.
 
-
-@functools.lru_cache(maxsize=None)
-def _plane_tables(size: int) -> tuple[np.ndarray, ...]:
-    """Gather tables that turn the planes of all ``size`` blocks at once.
-
-    The blocks lie end to end, row-major, in one flat array. For each flat
-    entry, ``row_rate`` indexes its row's turn in the tables cos(rate theta)
+    One ``(rate, repeats, partner)`` triple per party: rows for Alice,
+    columns for Bob. Each line of a block (a row or a column) turns at its
+    plane's rate; ``rate`` indexes that turn in the tables cos(rate theta)
     and sin(rate theta) for rates 0 .. size-1, each followed by its copy
-    with the sine negated: x rows read +sin, y rows -sin (offset by
-    ``size``), and a null row rate 0. ``row_partner`` is the flat index of
-    the same column in the other row of the plane (the entry itself on a
-    null row). ``col_rate`` and ``col_partner`` do the same for columns.
-    Cached by the truncation alone.
+    with the sine negated: x lines read +sin, y lines -sin (offset by
+    ``size``), and a null line rate 0. A row's entries share its turn, so
+    Alice's ``rate`` holds one entry per row, to be repeated ``repeats``
+    times (the row's length) along the flat layout; Bob's holds one per
+    entry of the flat layout, and his ``repeats`` is None. ``partner`` is
+    the flat index of each entry's counterpart in the other line of its
+    plane (the entry itself on a null line). Cached for one truncation.
     """
-    tables: tuple[list, ...] = ([], [], [], [])
+    row_rate, row_partner, col_rate, col_partner = [], [], [], []
     for n in range(size):
         rates = _schur_basis(n)[1]
         planes = len(rates)
@@ -224,18 +250,16 @@ def _plane_tables(size: int) -> tuple[np.ndarray, ...]:
         other[:planes] += planes
         other[planes : 2 * planes] -= planes
         row, col = np.indices((n + 1, n + 1))
-        entries = (
-            line_rate[row],
-            _offset(n) + (n + 1) * other[row] + col,
-            line_rate[col],
-            _offset(n) + (n + 1) * row + other[col],
-        )
-        for table, entry in zip(tables, entries):
-            table.append(entry.ravel())
-    flat = tuple(np.concatenate(table) for table in tables)
-    for array in flat:
+        row_rate.append(line_rate)
+        row_partner.append((_offset(n) + (n + 1) * other[row] + col).ravel())
+        col_rate.append(line_rate[col].ravel())
+        col_partner.append((_offset(n) + (n + 1) * row + other[col]).ravel())
+    lengths = np.arange(1, size + 1)
+    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), np.concatenate(row_partner))
+    cols = (np.concatenate(col_rate), None, np.concatenate(col_partner))
+    for array in (*rows, cols[0], cols[2]):
         array.flags.writeable = False
-    return flat
+    return rows, cols
 
 
 def rotate_modes(
@@ -246,55 +270,63 @@ def rotate_modes(
     In the Schur basis the rotation turns each plane of Alice's rows by
     theta1 times its rate and each plane of Bob's columns by theta2 times
     its rate, which mixes paired rows and paired columns 2 x 2; one cosine
-    and one sine per angle and rate serve every pair number. Acts within
-    each pair-number block (the rotation conserves photon number per
-    party) and preserves the norm.
+    and one sine per angle and rate serve every pair number. A turn by
+    exactly zero is the identity and is skipped. Acts within each
+    pair-number block (the rotation conserves photon number per party) and
+    preserves the norm.
     """
     size = state.n_max + 1
-    row_rate, row_partner, col_rate, col_partner = _plane_tables(size)
-    flat = np.concatenate([block.ravel() for block in state.blocks])
-    for theta, rate, partner in (
-        (theta1, row_rate, row_partner),
-        (theta2, col_rate, col_partner),
-    ):
+    flat = state.amplitudes
+    for theta, (rate, repeats, partner) in zip((theta1, theta2), _plane_tables(size)):
+        if theta == 0.0:
+            continue
         phase = theta * np.arange(size)
         cos, sin = np.cos(phase), np.sin(phase)
-        flat = (
-            np.concatenate((cos, cos))[rate] * flat
-            + np.concatenate((sin, -sin))[rate] * flat[partner]
-        )
-    return TruncatedPairState(
-        tuple(
-            flat[_offset(n) : _offset(n + 1)].reshape(n + 1, n + 1)
-            for n in range(size)
-        )
-    )
+        turned = np.concatenate((cos, cos)).take(rate)
+        mixed = np.concatenate((sin, -sin)).take(rate)
+        if repeats is not None:  # one turn per row, spread along it
+            turned = np.repeat(turned, repeats)
+            mixed = np.repeat(mixed, repeats)
+        turned *= flat
+        mixed *= flat.take(partner)
+        turned += mixed
+        flat = turned
+    return TruncatedPairState(flat, state.n_max)
 
 
 def photon_number_distribution(state: TruncatedPairState) -> JointPhotonDistribution:
-    """Squared Fock amplitudes on the pair support (n, i, j)."""
+    """Squared Fock amplitudes on the pair support (n, i, j).
+
+    Each block's Fock amplitudes Q_n X_n Q_n^T are written into its slice
+    of the (n, i, j) array, which is then squared in place.
+    """
     size = state.n_max + 1
     probs = np.zeros((size, size, size))
-    for n in range(size):
-        np.square(state.fock_block(n), out=probs[n, : n + 1, : n + 1])
-    return JointPhotonDistribution(probs)
+    for n, block in enumerate(state.blocks):
+        q = _schur_basis(n)[0]
+        np.matmul(q @ block, q.T, out=probs[n, : n + 1, : n + 1])
+    return JointPhotonDistribution(np.square(probs, out=probs))
 
 
-@functools.lru_cache(maxsize=None)
-def _binomial_coefficients(size: int) -> np.ndarray:
-    """C(n, k) for n, k < size (zero for k > n), exact before the float cast."""
+@functools.lru_cache(maxsize=1)
+def _binomial_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(n, k) for n, k < size (zero for k > n), exact before the float cast,
+    and the number lost max(n - k, 0). Cached for one truncation."""
     comb = np.array(
         [[math.comb(n, k) for k in range(size)] for n in range(size)], dtype=float
     )
-    comb.flags.writeable = False
-    return comb
+    n = np.arange(size)
+    lost = np.maximum(n[:, None] - n[None, :], 0)
+    for array in (comb, lost):
+        array.flags.writeable = False
+    return comb, lost
 
 
 def _binomial_thinning(n_max: int, tau: float) -> np.ndarray:
     """Transition matrix T[n, k] = C(n, k) tau^k (1-tau)^(n-k): k of n survive."""
+    comb, lost = _binomial_tables(n_max + 1)  # C(n, k) = 0 where k > n
     n = np.arange(n_max + 1)
-    lost = np.maximum(n[:, None] - n[None, :], 0)  # C(n, k) = 0 where k > n
-    return _binomial_coefficients(n_max + 1) * tau ** n[None, :] * (1.0 - tau) ** lost
+    return comb * tau ** n * ((1.0 - tau) ** n).take(lost)
 
 
 def apply_loss(
@@ -312,18 +344,34 @@ def apply_loss(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _emitted_rest(size: int) -> np.ndarray:
+    """R[n, i] = n - i for i <= n, else ``size``: the photons in the second
+    mode of a pair when the first holds i of n. Cached for one truncation."""
+    n = np.arange(size)
+    rest = n[:, None] - n[None, :]
+    rest = np.where(rest >= 0, rest, size)
+    rest.flags.writeable = False
+    return rest
+
+
 def _both_modes(kernel: np.ndarray) -> np.ndarray:
     """P[n, i, K x + y] = kernel[i, x] kernel[n-i, y]: i and n-i photons emitted.
 
     K is the number of outcomes per mode (the columns of ``kernel``); the
-    entries with i > n read an appended zero row of the kernel.
+    entries with i > n read an appended zero row of the kernel. The
+    products run with the photon-number axis innermost, a broadcast that
+    numpy loops over quickly, and are then copied into the C-contiguous
+    (n, i, K x + y) layout that ``_read_out`` multiplies.
     """
     size, outcomes = kernel.shape
-    n = np.arange(size)
-    rest = n[:, None] - n[None, :]
-    padded = np.vstack((kernel, np.zeros((1, outcomes))))
-    pair = kernel[None, :, :, None] * padded[np.where(rest >= 0, rest, size)][:, :, None, :]
-    return pair.reshape(size, size, outcomes * outcomes)
+    columns = kernel.T.copy()  # [x, i], C-contiguous for a fast broadcast
+    padded = np.hstack((columns, np.zeros((outcomes, 1))))
+    rest = padded.take(_emitted_rest(size), axis=1)  # [y, n, i] = kernel[n-i, y]
+    pair = columns[:, None, None, :] * rest[None]  # [x, y, n, i]
+    return np.ascontiguousarray(
+        pair.reshape(outcomes * outcomes, size, size).transpose(1, 2, 0)
+    )
 
 
 def _read_out(dist: JointPhotonDistribution, per_mode: np.ndarray) -> np.ndarray:

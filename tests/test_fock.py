@@ -87,12 +87,11 @@ def reference_source_block(g: float, n: int) -> np.ndarray:
 
 def schur_state(fock_blocks) -> TruncatedPairState:
     """A state given by its Fock-basis blocks, in the Schur basis Q_n."""
-    return TruncatedPairState(
-        tuple(
-            fock._schur_basis(n)[0].T @ block @ fock._schur_basis(n)[0]
-            for n, block in enumerate(fock_blocks)
-        )
-    )
+    blocks = [
+        fock._schur_basis(n)[0].T @ block @ fock._schur_basis(n)[0]
+        for n, block in enumerate(fock_blocks)
+    ]
+    return TruncatedPairState(np.concatenate([b.ravel() for b in blocks]), len(blocks) - 1)
 
 
 def rotated_fock_blocks(size: int, theta1: float, theta2: float) -> list[np.ndarray]:
@@ -220,6 +219,20 @@ class TestBuildState:
             expected = reference_source_block(0.55, n)
             assert np.max(np.abs(state.fock_block(n) - expected)) <= 1e-15
 
+    def test_blocks_are_views_of_the_flat_amplitudes(self):
+        state = build_state(0.45, 7)
+        assert state.amplitudes.shape == (sum((n + 1) ** 2 for n in range(8)),)
+        start = 0
+        for n, block in enumerate(state.blocks):
+            assert block.shape == (n + 1, n + 1)
+            assert np.shares_memory(block, state.amplitudes)
+            assert np.array_equal(block.ravel(), state.amplitudes[start : start + (n + 1) ** 2])
+            start += (n + 1) ** 2
+
+    def test_state_rejects_amplitudes_of_another_truncation(self):
+        with pytest.raises(ValueError, match="n_max = 3"):
+            TruncatedPairState(np.zeros(14), 3)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             build_state(1.0, 5)
@@ -269,8 +282,9 @@ class TestRotateModes:
     def test_zero_angles_identity(self):
         state = build_state(0.5, 8)
         rotated = rotate_modes(state, 0.0, 0.0)
+        assert len(rotated.blocks) == len(state.blocks) == 9
         for a, b in zip(state.blocks, rotated.blocks):
-            assert np.allclose(a, b, atol=1e-15)
+            assert np.array_equal(a, b)
 
     def test_norm_preserved(self):
         state = build_state(0.6, 15)
@@ -450,6 +464,89 @@ class TestAgainstEigenbasisPipeline:
                 g, tau1, tau2, dark, theta1, theta2, n_max
             )
             assert np.max(np.abs(np.subtract(table.values, expected))) <= 1e-14
+
+
+class TestElementwiseForms:
+    """The flat pipeline's element-wise steps against the direct broadcast
+    forms: the same multiplications and powers, so equal bit for bit."""
+
+    @pytest.mark.parametrize("g,n_max", [(0.0, 0), (0.37, 6), (0.7, 40)])
+    def test_build_state_is_the_weighted_unit_blocks(self, g, n_max):
+        state = build_state(g, n_max)
+        weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
+        for n, block in enumerate(state.blocks):
+            q = fock._schur_basis(n)[0]
+            m = np.arange(n + 1)[:, None]
+            unit = q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])
+            assert np.array_equal(block, weights[n] * unit)
+
+    @pytest.mark.parametrize("tau", [1e-6, 0.3, 0.999, 1.0])
+    @pytest.mark.parametrize("n_max", [0, 6, 40])
+    def test_thinning_is_the_two_dimensional_power(self, n_max, tau):
+        n = np.arange(n_max + 1)
+        lost = np.maximum(n[:, None] - n[None, :], 0)
+        comb = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
+        expected = comb * tau ** n[None, :] * (1.0 - tau) ** lost
+        assert np.array_equal(fock._binomial_thinning(n_max, tau), expected)
+
+    @pytest.mark.parametrize("outcomes", [1, 2])
+    @pytest.mark.parametrize("n_max", [0, 6, 40])
+    def test_both_modes_is_the_outcome_innermost_product(self, n_max, outcomes):
+        rng = np.random.default_rng(n_max + outcomes)
+        kernel = rng.uniform(size=(n_max + 1, outcomes))
+        size = n_max + 1
+        n = np.arange(size)
+        rest = n[:, None] - n[None, :]
+        padded = np.vstack((kernel, np.zeros((1, outcomes))))[np.where(rest >= 0, rest, size)]
+        expected = kernel[None, :, :, None] * padded[:, :, None, :]
+        pair = fock._both_modes(kernel)
+        assert pair.flags.c_contiguous
+        assert np.array_equal(pair, expected.reshape(size, size, outcomes * outcomes))
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("theta2", [0.0, -1.3])
+    @pytest.mark.parametrize("n_max", [0, 6, 40])
+    def test_oracle_is_the_five_stages(self, n_max, theta2):
+        g, tau1, tau2, dark, theta1 = 0.55, 0.7, 0.2, 1e-3, 0.8
+        staged = click_probabilities(
+            apply_loss(
+                photon_number_distribution(
+                    rotate_modes(build_state(g, n_max), theta1, theta2)
+                ),
+                tau1,
+                tau2,
+            ),
+            dark,
+        )
+        oracle = oracle_probabilities(
+            SourceParams(g),
+            ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark),
+            MeasurementAngles(theta1, theta2),
+            n_max=n_max,
+        )
+        assert staged.values == oracle.values
+
+    def test_per_truncation_caches_hold_one_truncation(self):
+        per_truncation = (
+            fock._unit_source, fock._plane_tables, fock._binomial_tables, fock._emitted_rest
+        )
+        # every other cache is keyed by one photon number, not a truncation
+        cached = {name for name, value in vars(fock).items() if hasattr(value, "cache_info")}
+        assert cached == {"_schur_basis"} | {cache.__name__ for cache in per_truncation}
+
+        def oracle(n_max):
+            oracle_probabilities(
+                SourceParams(0.4), ChannelParams(0.6, 0.3), MeasurementAngles(0.3, 0.9), n_max
+            )
+
+        for n_max in (3, 17, 9):
+            oracle(n_max)
+        for cache in per_truncation:
+            assert cache.cache_info().currsize == 1, cache.__name__
+        misses = [cache.cache_info().misses for cache in per_truncation]
+        oracle(9)  # the last truncation is the one kept
+        assert [cache.cache_info().misses for cache in per_truncation] == misses
 
 
 class TestLargeTruncation:
