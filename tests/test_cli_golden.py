@@ -28,7 +28,8 @@ def _sets(*settings):
 
 #: Case name -> argv. Every subcommand on the empty config (``sweep`` cut to
 #: two losses to stay fast), plus README's three examples: the angle sweep,
-#: the discard violation and the paper's headline fixed-brightness sweep.
+#: the discard violation and the paper's headline fixed-brightness sweep,
+#: plus three sweeps over a base that sets the swept key's alternative.
 CASES = {
     "probs": ["probs"],
     "chsh": ["chsh"],
@@ -47,6 +48,18 @@ CASES = {
         "sweep.start=0.05", "sweep.stop=0.995", "sweep.steps=60",
     )],
     "sweep-headline": ["sweep", *_sets("source.mu=0.1")],
+    # sweeps of a key whose alternative the base sets
+    "probs-mu-over-g": ["probs", *_sets(
+        "source.g=0.4", "sweep.variable=mu", "sweep.start=0", "sweep.stop=0.5", "sweep.steps=7",
+    )],
+    "probs-loss1-over-tau1": ["probs", *_sets(
+        "channel.tau1=0.5", "angles.theta2_deg=-17.5", "angles.theta1_deg=3",
+        "sweep.variable=loss1_db", "sweep.start=0", "sweep.stop=12", "sweep.steps=5",
+    )],
+    "keyrate-mu-discard": ["keyrate", *_sets(
+        "source.g=0.2", "model=discard", "channel.loss2_db=30", "sweep.variable=mu",
+        "sweep.start=0.01", "sweep.stop=0.4", "sweep.steps=9",
+    )],
 }
 
 
