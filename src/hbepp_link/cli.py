@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytic import outcome_probability_array
 from .config import (
-    COHERENCE_TIME_S, SWEEP_UNITS, SWEEP_VARIABLES, ConfigError, ScenarioConfig,
+    COHERENCE_TIME_S, SWEEPABLE, SWEEP_VARIABLES, ConfigError, ScenarioConfig,
     parse_config,
 )
 from .fock import oracle_probabilities, truncation_error_bound
@@ -35,12 +35,10 @@ from .postprocess import PostprocessingModel, _chsh
 #: Sweep variables of ``chsh`` and ``keyrate``; the first is the default.
 _SOURCE_VARIABLES = ("g", "mu")
 
-#: The quantity a sweep variable sets, where the two names differ.
-_QUANTITY = {"mu": "g", "loss1_db": "tau1", "loss2_db": "tau2"}
-
 #: Analytic-vs-brute-force grid, one axis each for g, tau1, tau2, the dark
-#: count and theta1 in degrees.
-_ORACLE_GRID = ((0.1, 0.4, 0.7), (0.7,), (0.01, 0.5), (0.0, 1e-3), (0.0, 40.1, 90.0))
+#: count and theta1 (theta2 is 0).
+_ORACLE_GRID = ((0.1, 0.4, 0.7), (0.7,), (0.01, 0.5), (0.0, 1e-3),
+                tuple(map(math.radians, (0.0, 40.1, 90.0))))
 
 _PATTERN_COLUMNS = [f"P_{p.bits()}[-]" for p in CANONICAL_PATTERNS]
 
@@ -74,7 +72,7 @@ def _rate(cfg: ScenarioConfig) -> tuple[float, str]:
 
 
 def _column(variable: str) -> str:
-    return f"{variable}[{SWEEP_UNITS[variable]}]"
+    return f"{variable}[{SWEEPABLE[variable].unit}]"
 
 
 def _channel_lines(channel: ChannelParams, keys=("tau1", "tau2", "dark_count")) -> list[str]:
@@ -82,46 +80,32 @@ def _channel_lines(channel: ChannelParams, keys=("tau1", "tau2", "dark_count")) 
 
 
 def _source_sweep(cfg: ScenarioConfig) -> tuple[np.ndarray, list[list[float]]]:
-    """The gains of a ``chsh`` or ``keyrate`` sweep, and per point the
-    rows' leading cells: its gain and mean photon number."""
-    _, points = cfg.sweep(_SOURCE_VARIABLES, (0.05, 0.9, 50))
-    sources = [point.source_params() for point in points]
-    return (
-        np.array([source.g for source in sources]),
-        [[source.g, source.mean_photon_number()] for source in sources],
-    )
-
-
-def _tables(points) -> np.ndarray:
-    """The click table at each (source, channel, angles) point, a column each, in one call."""
-    return outcome_probability_array(*np.array([
-        (source.g, channel.tau1, channel.tau2, channel.dark_count, angles.relative())
-        for source, channel, angles in points
-    ]).T)
+    """The gains of a ``chsh`` or ``keyrate`` sweep, and each row's
+    leading cells: its gain and mean photon number."""
+    g = cfg.inputs(*cfg.sweep(_SOURCE_VARIABLES, (0.05, 0.9, 50)))[0]
+    return g, [[gain, SourceParams(gain).mean_photon_number()] for gain in g.tolist()]
 
 
 def _run_probs(cfg: ScenarioConfig) -> str:
-    var, points = cfg.sweep(SWEEP_VARIABLES)
-    tables = _tables([(p.source_params(), p.channel_params(), p.angles()) for p in points])
+    var, values = cfg.sweep(SWEEP_VARIABLES)
+    source, channel = cfg.source_params(), cfg.channel_params()  # checks the base scenario
+    settings = dict(
+        g=source.g, mu=source.mean_photon_number(), tau1=channel.tau1, tau2=channel.tau2,
+        dark_count=channel.dark_count, theta1_deg=cfg.theta1_deg, theta2_deg=cfg.theta2_deg,
+    )
+    tables = np.asarray(outcome_probability_array(*cfg.inputs(var, values)))
     # clamped into [0, 1] as ProbabilityTable.clamped: -0.0 prints as 0.0
-    columns = np.where(tables > 0.0, np.minimum(tables, 1.0), 0.0).T.tolist()
-    source, channel = cfg.source_params(), cfg.channel_params()
-    settings = {
-        "g": source.g,
-        "mu": source.mean_photon_number(),
-        **{key: getattr(channel, key) for key in ("tau1", "tau2", "dark_count")},
-        "theta1_deg": cfg.theta1_deg,
-        "theta2_deg": cfg.theta2_deg,
-    }
+    tables = np.where(tables > 0.0, np.minimum(tables, 1.0), 0.0)
     if var is None:
+        table = tables.tolist()
         return _kv_block("click-pattern probabilities", [
             *map(_kv, settings, settings.values()),
-            *map(_kv, _PATTERN_COLUMNS, columns[0]),
-            _kv("sum[-]", left_to_right_sum(columns[0])),
+            *map(_kv, _PATTERN_COLUMNS, table),
+            _kv("sum[-]", left_to_right_sum(table)),
         ])
-    rows = [[getattr(point, var), *column] for point, column in zip(points, columns)]
+    rows = [[value, *column] for value, column in zip(values, tables.T.tolist())]
     # mu restates g, and the quantity the sweep sets varies by row
-    left_out = {"mu", _QUANTITY.get(var, var)}
+    left_out = {"mu", SWEEPABLE[var].sets}
     preamble = [
         "hbepp-link probs",
         *(_kv(key, value) for key, value in settings.items() if key not in left_out),
@@ -176,7 +160,7 @@ def _run_optimize(cfg: ScenarioConfig) -> str:
 
 
 def _run_sweep(cfg: ScenarioConfig) -> str:
-    var, points = cfg.sweep(("loss2_db",), (20.0, 45.0, 26))
+    var, losses = cfg.sweep(("loss2_db",), (20.0, 45.0, 26))
     channel = cfg.channel_params()
     key, value = cfg.source_setting()
     source = cfg.source_params()
@@ -184,7 +168,7 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
         raise ConfigError(f"{key}: sweep needs a source brightness above 0, got {value!r}")
     # the configured mu itself; rsec_fixed is at exactly the configured source
     mu_fixed = value if cfg.g is None else source.mean_photon_number()
-    result = passive_performance(source, channel, [point.loss2_db for point in points])
+    result = passive_performance(source, channel, losses)
     scale, unit = _rate(cfg)
     header = [
         _column(var),
@@ -215,15 +199,13 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 def _run_oracle_check(cfg: ScenarioConfig) -> str:
     cfg.sweep(())  # refuses a configured sweep
     n_max = cfg.n_max
-    points = [
-        (SourceParams(g), ChannelParams(tau1=tau1, tau2=tau2, dark_count=dark),
-         MeasurementAngles(math.radians(theta_deg), 0.0))
-        for g, tau1, tau2, dark, theta_deg in itertools.product(*_ORACLE_GRID)
-    ]
-    deviations = [
-        max(abs(a - b) for a, b in zip(column, oracle_probabilities(*point, n_max).values))
-        for point, column in zip(points, _tables(points).T.tolist())
-    ]
+    points = list(itertools.product(*_ORACLE_GRID))
+    tables = outcome_probability_array(*np.array(points).T)
+    deviations = []
+    for (g, tau1, tau2, dark, theta1), column in zip(points, tables.T.tolist()):
+        source, channel = SourceParams(g), ChannelParams(tau1, tau2, dark)
+        oracle = oracle_probabilities(source, channel, MeasurementAngles(theta1, 0.0), n_max)
+        deviations.append(max(abs(a - b) for a, b in zip(column, oracle.values)))
     bound = max(truncation_error_bound(g, n_max) for g in _ORACLE_GRID[0])
     lines = [
         f"n_max = {n_max}",

@@ -4,7 +4,9 @@ The format is one ``key = value`` assignment per line; blank lines and
 ``#`` comments are ignored. Every key is described once, in ``_KEYS``:
 parsing, range checks, serialization order, the alternatives rule
 (``source.g`` vs ``source.mu``, and per arm ``channel.tauN`` vs
-``channel.lossN_db``) and the sweep variables all derive from that table.
+``channel.lossN_db``), the sweep variables and the core input each key
+sets, with its conversion, all derive from that table. A sweep is a
+variable and its values; ``ScenarioConfig.inputs`` turns them into an array.
 Unknown keys, duplicate keys, non-finite or out-of-range values,
 conflicting alternatives and incomplete sweeps are rejected at parse time;
 each error message starts with the offending key.
@@ -19,14 +21,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .params import (
     ChannelParams,
-    MeasurementAngles,
     SourceParams,
     db_from_transmittance,
     gain_from_mean_photon,
@@ -112,19 +113,14 @@ def _check_transmittance(loss_db: float) -> None:
     db_from_transmittance(transmittance_from_db(loss_db))
 
 
-def _transmittance(tau: float | None, loss_db: float | None, default_db: float) -> float:
-    """One arm's transmittance: ``tau`` when it is set, else that of
-    ``loss_db``, else that of ``default_db``."""
-    if tau is not None:
-        return tau
-    return transmittance_from_db(loss_db if loss_db is not None else default_db)
-
-
 class _Key(NamedTuple):
     """One config key and the ``ScenarioConfig`` field it sets.
 
     Keys sharing a ``group`` are alternatives: at most one may be set. A
     key with a CSV ``unit`` is sweepable, as the sweep variable ``field``.
+    A key ``sets`` a core input by ``convert``, at a point and per swept
+    value alike; if none of an input's keys is set, its last applies at
+    ``default``.
     """
 
     key: str
@@ -132,6 +128,9 @@ class _Key(NamedTuple):
     parse: Parser
     group: str | None = None
     unit: str | None = None
+    sets: str | None = None
+    convert: Callable[[float], float] = float  # float: the value itself
+    default: float | None = None
 
 
 _REAL = _number(float, "(-inf, inf)")
@@ -141,18 +140,21 @@ _TAU = _number(float, "(0, 1]")
 #: Every config key, in ``to_text`` order; the sweep keys come last, as
 #: variable, start, stop, steps.
 _KEYS = (
-    _Key("source.g", "g", _number(float, "[0, 1)"), "source", "-"),
-    _Key(
-        "source.mu", "mu", _number(float, "[0, inf)", SourceParams.from_mean_photon_number),
-        "source", "pairs/mode",
-    ),
-    _Key("channel.tau1", "tau1", _TAU, "arm1", "-"),
-    _Key("channel.loss1_db", "loss1_db", _LOSS, "arm1", "dB"),
-    _Key("channel.tau2", "tau2", _TAU, "arm2", "-"),
-    _Key("channel.loss2_db", "loss2_db", _LOSS, "arm2", "dB"),
-    _Key("detector.dark_count", "dark_count", _number(float, "[0, 1)"), unit="-"),
-    _Key("angles.theta1_deg", "theta1_deg", _REAL, unit="deg"),
-    _Key("angles.theta2_deg", "theta2_deg", _REAL),
+    _Key("source.g", "g", _number(float, "[0, 1)"), "source", "-", "g"),
+    _Key("source.mu", "mu", _number(float, "[0, inf)", SourceParams.from_mean_photon_number),
+         "source", "pairs/mode", "g", gain_from_mean_photon, DEFAULT_MU),
+    _Key("channel.tau1", "tau1", _TAU, "arm1", "-", "tau1"),
+    _Key("channel.loss1_db", "loss1_db", _LOSS, "arm1", "dB", "tau1",
+         transmittance_from_db, DEFAULT_LOSS1_DB),
+    _Key("channel.tau2", "tau2", _TAU, "arm2", "-", "tau2"),
+    _Key("channel.loss2_db", "loss2_db", _LOSS, "arm2", "dB", "tau2",
+         transmittance_from_db, DEFAULT_LOSS2_DB),
+    # unset, the dark count is the caller's default
+    _Key("detector.dark_count", "dark_count", _number(float, "[0, 1)"), unit="-",
+         sets="dark_count"),
+    _Key("angles.theta1_deg", "theta1_deg", _REAL, unit="deg", sets="theta1_deg",
+         convert=math.radians),
+    _Key("angles.theta2_deg", "theta2_deg", _REAL, sets="theta2_deg", convert=math.radians),
     _Key("model", "model", _model),
     # the oracle holds O(n_max^3) floats and diagonalizes one generator per n
     _Key("oracle.n_max", "n_max", _number(int, "[0, 200]")),
@@ -160,23 +162,28 @@ _KEYS = (
     _Key("sweep.variable", "sweep_variable", _sweep_variable),
     _Key("sweep.start", "sweep_start", _REAL),
     _Key("sweep.stop", "sweep_stop", _REAL),
-    # the sweep grid is built as one list before its first point runs
+    # the sweep's values are one list, and the core takes them as one array
     _Key("sweep.steps", "sweep_steps", _number(int, "[1, 10000]")),
 )
 
 _BY_KEY = {spec.key: spec for spec in _KEYS}
-_SWEPT = {spec.field: spec for spec in _KEYS if spec.unit is not None}
+#: Each sweep variable's key: its CSV ``unit`` and the core input it ``sets``.
+SWEEPABLE = {spec.field: spec for spec in _KEYS if spec.unit is not None}
 _ALTERNATIVES = {
     spec.group: tuple(other for other in _KEYS if other.group == spec.group)
     for spec in _KEYS
     if spec.group is not None
 }
+#: The keys that fix each core input, by the field of its direct key, in
+#: the order the core takes them; it reads the angles as their difference.
+_SETTERS = {
+    name: tuple(spec for spec in _KEYS if spec.sets == name)
+    for name in dict.fromkeys(spec.sets for spec in _KEYS if spec.sets is not None)
+}
 _SWEEP_KEYS = tuple(spec for spec in _KEYS if spec.field.startswith("sweep_"))
 _VARIABLE, _START, _STOP = _SWEEP_KEYS[:3]
 
-#: CSV unit of each sweep variable, in ``_KEYS`` order.
-SWEEP_UNITS = {variable: spec.unit for variable, spec in _SWEPT.items()}
-SWEEP_VARIABLES = tuple(SWEEP_UNITS)
+SWEEP_VARIABLES = tuple(SWEEPABLE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,39 +208,50 @@ class ScenarioConfig:
     sweep_steps: int | None = None
 
     def source_params(self) -> SourceParams:
-        key, value = self.source_setting()
-        return SourceParams(value if key == _SWEPT["g"].key else gain_from_mean_photon(value))
+        return SourceParams(self.inputs()[0])
 
     def source_setting(self) -> tuple[str, float]:
         """(key, value) of the setting that fixes the source brightness:
         ``source.g`` when it is set, else ``source.mu`` (``DEFAULT_MU`` if unset)."""
-        if self.g is not None:
-            return _SWEPT["g"].key, self.g
-        return _SWEPT["mu"].key, self.mu if self.mu is not None else DEFAULT_MU
+        spec, value = self._setting("g")
+        return spec.key, value
 
     def channel_params(self, default_dark_count: float = DEFAULT_DARK_COUNT) -> ChannelParams:
         """Channel of the scenario; ``default_dark_count`` applies when
         ``detector.dark_count`` is not set."""
-        return ChannelParams(
-            tau1=_transmittance(self.tau1, self.loss1_db, DEFAULT_LOSS1_DB),
-            tau2=_transmittance(self.tau2, self.loss2_db, DEFAULT_LOSS2_DB),
-            dark_count=self.dark_count if self.dark_count is not None else default_dark_count,
-        )
+        return ChannelParams(*self.inputs(default_dark_count=default_dark_count)[1:4])
 
-    def angles(self) -> MeasurementAngles:
-        return MeasurementAngles(
-            math.radians(self.theta1_deg), math.radians(self.theta2_deg)
-        )
+    def inputs(self, field: str | None = None, values: Sequence[float] = (),
+               default_dark_count: float = DEFAULT_DARK_COUNT) -> tuple:
+        """The core's inputs (g, tau1, tau2, dark count, relative angle) as
+        Python floats, at ``default_dark_count`` if the dark count is unset.
+        A swept ``field`` sets its input to the array of ``values``, each
+        converted as the one-point scenario there converts it, bit for bit.
+        """
+        settings = {name: self._setting(name, default_dark_count) for name in _SETTERS}
+        point = {name: spec.convert(value) for name, (spec, value) in settings.items()}
+        if field is not None:
+            spec = SWEEPABLE[field]
+            point[spec.sets] = np.array([spec.convert(value) for value in values])
+        g, tau1, tau2, dark_count, theta1, theta2 = point.values()
+        return g, tau1, tau2, dark_count, theta1 - theta2
+
+    def _setting(self, name: str, default_dark_count: float = DEFAULT_DARK_COUNT) -> tuple:
+        """(key, value) fixing core input ``name``: its first key that is set,
+        else its last at its default (``default_dark_count`` for the dark count)."""
+        for spec in _SETTERS[name]:
+            value = getattr(self, spec.field)
+            if value is not None:
+                return spec, value
+        return spec, default_dark_count if spec.default is None else spec.default
 
     def sweep(
         self, variables: tuple[str, ...], default: tuple[float, float, int] | None = None
-    ) -> tuple[str | None, list[ScenarioConfig]]:
-        """The swept field and the point scenario at each ``np.linspace``
-        value of the configured sweep, else of ``variables[0]`` over
-        ``default = (start, stop, steps)``; ``(None, [self])`` if neither.
-
-        A configured sweep variable outside ``variables`` is rejected. Each
-        point sets the variable and clears its alternative, if any.
+    ) -> tuple[str | None, list[float]]:
+        """The swept field and its ``np.linspace`` values, for ``inputs``:
+        those of the configured sweep, else of ``variables[0]`` over
+        ``default = (start, stop, steps)``; ``(None, [])`` if neither. A
+        configured sweep variable outside ``variables`` is rejected.
         """
         if self.sweep_variable is not None:
             if self.sweep_variable not in variables:
@@ -244,13 +262,8 @@ class ScenarioConfig:
             variables = (self.sweep_variable,)
             default = (self.sweep_start, self.sweep_stop, self.sweep_steps)
         if default is None:
-            return None, [self]
-        spec = _SWEPT[variables[0]]
-        changes = {other.field: None for other in _ALTERNATIVES.get(spec.group, ())}
-        return spec.field, [
-            replace(self, **{**changes, spec.field: value})
-            for value in np.linspace(*default).tolist()
-        ]
+            return None, []
+        return variables[0], np.linspace(*default).tolist()
 
     def to_text(self) -> str:
         """Canonical serialization: one line per key whose value differs
@@ -330,6 +343,6 @@ def _check_sweep(values: dict[str, object], texts: dict[str, str]) -> None:
     missing = [spec.key for spec in _SWEEP_KEYS if spec.key not in values]
     if missing:
         raise ConfigError(f"{given[0]}: requires {', '.join(missing)}")
-    swept = _SWEPT[values[_VARIABLE.key]]
+    swept = SWEEPABLE[values[_VARIABLE.key]]
     for end in (_START, _STOP):
         swept.parse(f"{end.key} ({swept.key})", texts[end.key])

@@ -28,8 +28,9 @@ amplitudes, Q_n X_n Q_n^T, before squaring. Squaring keeps the pair
 support: the photon-number distribution is an (n, i, j) array of
 O(n_max^3) entries, never the dense (n_max+1)^4 grid over the four mode
 occupations. Loss and readout act on each detector mode independently, so
-each is a Markov kernel over one mode's photon number. Loss composes its
-binomial matrix into Alice's and Bob's kernels, and the readout composes
+each is a Markov kernel over one mode's photon number. The squared
+distribution holds no kernel (the identity), loss composes its binomial
+matrix into Alice's and Bob's kernels, and the readout composes
 the threshold matrix into them and contracts the result with the support
 mass, so the thinned distribution is never stored.
 """
@@ -184,7 +185,8 @@ class JointPhotonDistribution:
 
     ``alice[m, k]`` (``bob[m, k]``) is the probability that m photons emitted
     into one of Alice's (Bob's) modes are k photons at its detector, the
-    same for both of the party's modes. Both default to the identity.
+    same for both of the party's modes. None, the default, is the identity:
+    no photon lost, and no matrix built or multiplied.
     """
 
     probs: np.ndarray
@@ -194,10 +196,6 @@ class JointPhotonDistribution:
     def __post_init__(self) -> None:
         if self.probs.ndim != 3:
             raise ValueError(f"probs must have 3 axes, got {self.probs.ndim}")
-        identity = np.eye(self.probs.shape[0])
-        for name in ("alice", "bob"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, identity)
 
     @property
     def n_max(self) -> int:
@@ -329,6 +327,12 @@ def _binomial_thinning(n_max: int, tau: float) -> np.ndarray:
     return comb * tau ** n * ((1.0 - tau) ** n).take(lost)
 
 
+def _then(kernel: np.ndarray | None, step: np.ndarray) -> np.ndarray:
+    """The kernel ``kernel`` followed by ``step``; ``step`` itself after the
+    identity (None)."""
+    return step if kernel is None else kernel @ step
+
+
 def apply_loss(
     dist: JointPhotonDistribution, tau1: float, tau2: float
 ) -> JointPhotonDistribution:
@@ -339,8 +343,8 @@ def apply_loss(
         raise ValueError(f"tau2 must be in (0, 1], got {tau2}")
     return JointPhotonDistribution(
         dist.probs,
-        dist.alice @ _binomial_thinning(dist.n_max, tau1),
-        dist.bob @ _binomial_thinning(dist.n_max, tau2),
+        _then(dist.alice, _binomial_thinning(dist.n_max, tau1)),
+        _then(dist.bob, _binomial_thinning(dist.n_max, tau2)),
     )
 
 
@@ -381,8 +385,8 @@ def _read_out(dist: JointPhotonDistribution, per_mode: np.ndarray) -> np.ndarray
     order.
     """
     outcomes = per_mode.shape[1]
-    alice = _both_modes(dist.alice @ per_mode)
-    bob = _both_modes(dist.bob @ per_mode)
+    alice = _both_modes(_then(dist.alice, per_mode))
+    bob = _both_modes(_then(dist.bob, per_mode))
     # sum over Alice's i for each (n, j), then over n and j in one product
     per_bob = np.matmul(dist.probs.transpose(0, 2, 1), alice)
     table = per_bob.reshape(-1, outcomes * outcomes).T @ bob.reshape(-1, outcomes * outcomes)

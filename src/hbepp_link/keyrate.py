@@ -304,10 +304,11 @@ def passive_performance(
 
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
-    ``l2_range_db``. The optimizations of all losses run as one lockstep
-    search, and the fixed source's gain rides the search's scan call as
-    one more column, so the fixed-brightness rate of each loss is the
-    one-point ``secure_rate(*qber_and_sift(source, channel))`` bit for bit.
+    ``l2_range_db``. The optimizations of all losses run as one search,
+    each loss a lane of the same three array calls, and the fixed
+    source's gain rides the search's scan call as one more column, so the
+    fixed-brightness rate of each loss is the one-point
+    ``secure_rate(*qber_and_sift(source, channel))`` bit for bit.
     """
     if source.g <= 0.0:
         raise ValueError(f"fixed source gain must be > 0, got {source.g}")

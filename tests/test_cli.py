@@ -13,6 +13,7 @@ from hbepp_link.config import COHERENCE_TIME_S, SWEEP_VARIABLES, ConfigError, pa
 from hbepp_link.keyrate import qber_and_sift, secure_rate
 from hbepp_link.params import ChannelParams, MeasurementAngles, SourceParams
 from hbepp_link.postprocess import PostprocessingModel, chsh
+from test_config import SWEEP_BASES, hexes, point_config, sweep_settings
 
 
 def run(capsys, *argv):
@@ -94,18 +95,31 @@ class TestProbs:
     @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
     def test_takes_every_sweep_variable(self, capsys, monkeypatch, variable):
         calls = record_tables(monkeypatch)
-        code, out, err = run(capsys, "probs", *sets(*one_value_sweep(variable)))
-        assert code == 0 and err == ""
-        header, rows = csv_rows(out)
-        assert header[0].startswith(f"{variable}[") and len(rows) == 2
-        # one table call for the sweep; each row is the one-point table, clamped
-        _, points = parse_config("", one_value_sweep(variable)).sweep(SWEEP_VARIABLES)
-        assert len(calls) == 1 and calls[0][1].shape == (16, 2)
-        for row, point in zip(rows, points):
-            table = outcome_probabilities(
-                point.source_params(), point.channel_params(), point.angles()
-            ).clamped()
-            assert [float(cell).hex() for cell in row[1:]] == [v.hex() for v in table.values]
+        base = SWEEP_BASES["precedent"]
+        settings = [f"{key}={value!r}" for key, value in base.items()]
+        for steps in (1, 7):
+            calls.clear()
+            argv = sets(*settings, *sweep_settings(variable, steps))
+            code, out, err = run(capsys, "probs", *argv)
+            assert code == 0 and err == ""
+            header, rows = csv_rows(out)
+            assert header[0].startswith(f"{variable}[") and len(rows) == steps
+            # one table call for the sweep; each row is the table of an
+            # independent one-point scenario, clamped, and so is each column
+            # of the call's inputs
+            assert len(calls) == 1 and calls[0][1].shape == (16, steps)
+            inputs = [np.broadcast_to(value, (steps,)) for value in calls[0][0]]
+            for k, row in enumerate(rows):
+                point = point_config(base, variable, float(row[0]))
+                source, channel = point.source_params(), point.channel_params()
+                angles = MeasurementAngles(
+                    math.radians(point.theta1_deg), math.radians(point.theta2_deg)
+                )
+                assert hexes(column[k] for column in inputs) == hexes((
+                    source.g, channel.tau1, channel.tau2, channel.dark_count, angles.relative()
+                ))
+                table = outcome_probabilities(source, channel, angles).clamped()
+                assert hexes(row[1:]) == hexes(table.values)
 
     @pytest.mark.parametrize(
         "variable, preamble",
@@ -179,10 +193,6 @@ def mu_sweep_rows(name, *settings):
     mus = np.linspace(0.01, 0.6, 9).tolist()
     assert len(rows) == len(mus)
     return cfg, [(row, SourceParams.from_mean_photon_number(mu)) for row, mu in zip(rows, mus)]
-
-
-def hexes(values):
-    return [float(value).hex() for value in values]
 
 
 class TestBatchedSweepsMatchOnePointCalls:

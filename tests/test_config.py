@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hbepp_link.config import (
@@ -7,12 +9,13 @@ from hbepp_link.config import (
     ConfigError,
     DEFAULT_DARK_COUNT,
     DEFAULT_LOSS1_DB,
+    DEFAULT_LOSS2_DB,
     DEFAULT_MU,
     SWEEP_VARIABLES,
     _KEYS,
     parse_config,
 )
-from hbepp_link.params import db_from_transmittance
+from hbepp_link.params import db_from_transmittance, gain_from_mean_photon, transmittance_from_db
 from hbepp_link.postprocess import PostprocessingModel
 
 
@@ -171,33 +174,110 @@ class TestRoundTrip:
         assert cfg.to_text() == ""
 
 
-#: Value swept into each variable and how the scenario exposes its effect.
-SWEEP_POINTS = {
-    "g": (0.5, lambda cfg: cfg.source_params().g),
-    "mu": (0.2, lambda cfg: cfg.source_params().mean_photon_number()),
-    "tau1": (0.3, lambda cfg: cfg.channel_params().tau1),
-    "loss1_db": (3.0, lambda cfg: db_from_transmittance(cfg.channel_params().tau1)),
-    "tau2": (0.01, lambda cfg: cfg.channel_params().tau2),
-    "loss2_db": (33.0, lambda cfg: db_from_transmittance(cfg.channel_params().tau2)),
-    "dark_count": (1e-4, lambda cfg: cfg.channel_params().dark_count),
-    "theta1_deg": (90.0, lambda cfg: math.degrees(cfg.angles().theta1)),
+#: Each sweep variable's key, the index of the core input it sets, and the
+#: ends of a sweep at the edges of the key's range: mu from 0, a loss up to
+#: 300 dB, a negative angle.
+SWEEP_ENDS = {
+    "g": ("source.g", 0, 0.0, 0.95),
+    "mu": ("source.mu", 0, 0.0, 7.5),
+    "tau1": ("channel.tau1", 1, 1e-3, 1.0),
+    "loss1_db": ("channel.loss1_db", 1, 0.0, 300.0),
+    "tau2": ("channel.tau2", 2, 1.0, 1e-4),
+    "loss2_db": ("channel.loss2_db", 2, 300.0, 0.0),
+    "dark_count": ("detector.dark_count", 3, 0.0, 0.5),
+    "theta1_deg": ("angles.theta1_deg", 4, -720.0, 90.0),
 }
+#: The core input a value of each sweep variable stands for, as ``params``
+#: defines it (before the angle is taken relative to theta2).
+MEANING = {
+    "g": float, "mu": gain_from_mean_photon, "tau1": float, "loss1_db": transmittance_from_db,
+    "tau2": float, "loss2_db": transmittance_from_db, "dark_count": float,
+    "theta1_deg": math.radians,
+}
+#: Two base scenarios, both with Bob's analyzer turned. One sets the
+#: alternatives that take precedence (g over mu, tau over loss), so a sweep
+#: of mu or a loss must replace them; the other leaves the defaults.
+SWEEP_BASES = {
+    "precedent": {
+        "source.g": 0.3, "channel.tau1": 0.5, "channel.tau2": 0.2,
+        "detector.dark_count": 1e-5, "angles.theta1_deg": 10.0, "angles.theta2_deg": -33.3,
+    },
+    "defaults": {"angles.theta2_deg": 12.5},
+}
+#: Keys of which at most one may be set.
+GROUPS = (
+    ("source.g", "source.mu"), ("channel.tau1", "channel.loss1_db"),
+    ("channel.tau2", "channel.loss2_db"),
+)
+
+
+def text_of(settings):
+    return "".join(f"{key} = {value!r}\n" for key, value in settings.items())
+
+
+def sweep_settings(variable, steps):
+    """``--set`` items of a sweep of ``variable`` between its ``SWEEP_ENDS``."""
+    _, _, start, stop = SWEEP_ENDS[variable]
+    return [f"sweep.variable={variable}", f"sweep.start={start!r}",
+            f"sweep.stop={stop!r}", f"sweep.steps={steps}"]
+
+
+def point_config(base, variable, value):
+    """An independent one-point scenario: ``base`` with the key of
+    ``variable`` set to ``value`` and its alternative dropped."""
+    key = SWEEP_ENDS[variable][0]
+    settings = {
+        other: setting for other, setting in base.items()
+        if not any(key in group and other in group for group in GROUPS)
+    }
+    settings[key] = value
+    return parse_config(text_of(settings))
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
 
 
 def test_no_sweep_is_the_scenario_itself():
-    cfg = parse_config("source.g = 0.3\n")
-    assert cfg.sweep(SWEEP_VARIABLES) == (None, [cfg])
-    assert cfg.sweep(()) == (None, [cfg])
+    precedent = parse_config(text_of(SWEEP_BASES["precedent"]))
+    defaults = parse_config(text_of(SWEEP_BASES["defaults"]))
+    for cfg in (precedent, defaults):
+        assert cfg.sweep(SWEEP_VARIABLES) == (None, [])
+        assert cfg.sweep(()) == (None, [])
+        assert all(type(value) is float for value in cfg.inputs())
+    assert hexes(precedent.inputs(default_dark_count=0.0)) == hexes(
+        (0.3, 0.5, 0.2, 1e-5, math.radians(10.0) - math.radians(-33.3))
+    )
+    assert hexes(defaults.inputs()) == hexes((
+        gain_from_mean_photon(DEFAULT_MU), transmittance_from_db(DEFAULT_LOSS1_DB),
+        transmittance_from_db(DEFAULT_LOSS2_DB), DEFAULT_DARK_COUNT, -math.radians(12.5),
+    ))
+    assert defaults.inputs(default_dark_count=0.0)[3] == 0.0
+    # a subcommand's own default sweep, when none is configured
+    gains = np.linspace(0.05, 0.9, 50).tolist()
+    assert defaults.sweep(("g", "mu"), (0.05, 0.9, 50)) == ("g", gains)
 
 
 @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
 def test_sweep_point_substitution(variable):
-    # The base sets the alternatives that take precedence (g over mu, tau
-    # over loss), so sweeping mu or a loss only works if they are cleared.
-    cfg = parse_config("source.g = 0.3\nchannel.tau1 = 0.5\nchannel.tau2 = 0.2\n")
-    value, effective = SWEEP_POINTS[variable]
-    field, (point,) = cfg.sweep((variable,), (value, value, 1))
-    assert field == variable
-    assert getattr(point, variable) == value
-    assert effective(point) == pytest.approx(value, abs=1e-12)
-    assert parse_config(point.to_text()) == point
+    # each element of the swept input is the input of an independent
+    # one-point scenario at that value, over either base and any length,
+    # and that input is what the value means
+    _, index, start, stop = SWEEP_ENDS[variable]
+    for base, steps in itertools.product(SWEEP_BASES.values(), (1, 2, 7)):
+        theta2 = math.radians(base.get("angles.theta2_deg", 0.0))
+        cfg = parse_config(text_of(base), sweep_settings(variable, steps))
+        field, values = cfg.sweep((variable,))
+        assert field == variable
+        assert values == np.linspace(start, stop, steps).tolist()
+        inputs = cfg.inputs(field, values)
+        assert [type(value) for value in inputs] == [
+            np.ndarray if i == index else float for i in range(5)
+        ]
+        assert inputs[index].shape == (steps,)
+        for k, value in enumerate(values):
+            expected = point_config(base, variable, value).inputs()
+            point = [entry[k] if i == index else entry for i, entry in enumerate(inputs)]
+            assert hexes(point) == hexes(expected)
+            meant = MEANING[variable](value)
+            assert hexes([point[index]]) == hexes([meant - theta2 if index == 4 else meant])

@@ -12,9 +12,10 @@ The brute-force oracle (``fock.py``), the exact reference
 package only ``params`` and ``patterns``, never ``analytic`` or a module
 that imports it.
 
-The closed form and what folds it (``analytic``, ``keyrate`` and
-``postprocess``) print the same bytes on every CPU only if their floats
-come from IEEE arithmetic: numpy's ``**`` and its transcendental functions
+The closed form, what folds it (``analytic``, ``keyrate`` and
+``postprocess``) and what feeds and prints it (``config`` and ``cli``)
+print the same bytes on every CPU only if their floats come from IEEE
+arithmetic: numpy's ``**`` and its transcendental functions
 may round differently across SIMD code paths, and a matrix product (``@``,
 ``np.dot``, ``einsum`` and kin) hands its sums to BLAS, which orders them
 by CPU and thread count. Complex arithmetic is out too: numpy's complex
@@ -121,9 +122,12 @@ def test_detects_package_imports():
 
 
 #: Modules whose floats must not depend on the CPU, and the numpy functions
-#: they may not call: transcendentals and matrix products.
+#: they may not call: transcendentals and matrix products. ``config`` and
+#: ``cli`` turn swept values into the core's inputs and print them, each
+#: element by the one-point Python expression.
 PORTABLE = [
-    ROOT / "src" / "hbepp_link" / f"{name}.py" for name in ("analytic", "keyrate", "postprocess")
+    ROOT / "src" / "hbepp_link" / f"{name}.py"
+    for name in ("analytic", "keyrate", "postprocess", "config", "cli")
 ]
 NUMPY_TRANSCENDENTALS = {
     "cos", "sin", "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh",

@@ -341,6 +341,15 @@ class TestDistributionAndLoss:
             assert not dist.probs[n, :, n + 1 :].any()
         assert dist.total() == pytest.approx(state.norm_squared(), abs=1e-12)
 
+    def test_unthinned_distribution_holds_no_kernel(self):
+        # before any loss each party's kernel is the identity, held as None:
+        # no identity matrix is built, and the first loss is its own kernel
+        dist = photon_number_distribution(rotate_modes(build_state(0.5, 10), 0.3, 0.0))
+        assert dist.alice is None and dist.bob is None
+        lossy = apply_loss(dist, 0.6, 0.9)
+        assert np.array_equal(lossy.alice, fock._binomial_thinning(10, 0.6))
+        assert np.array_equal(lossy.bob, fock._binomial_thinning(10, 0.9))
+
     def test_unit_transmittance_identity(self):
         dist = photon_number_distribution(build_state(0.5, 10))
         lossy = apply_loss(dist, 1.0, 1.0)

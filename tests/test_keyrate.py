@@ -694,7 +694,7 @@ def bracket_end_rates(g, lanes):
 class TestLockstepSearchMatchesReference:
     """The array search against the reference optima ``OPTIMA``: the found
     set and scan bracket bit for bit, and ``g_opt`` within ``G_OPT_REL`` of
-    the exact maximum. Each lane of a lockstep search is the one-channel
+    the exact maximum. Each lane of a many-channel search is the one-channel
     ``optimize_gain`` bit for bit."""
 
     @staticmethod
