@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -689,3 +690,35 @@ class TestEveryEntryExact:
             exact = outcome_probabilities_exact(g, tau1, tau2, theta, dark)
             worst = max(worst, worst_relative(table[(slice(None), *index)].tolist(), exact))
         assert worst <= EXACT_REL
+
+
+#: A literal grid at theta = 0, where cos and sin are exact and no libm call
+#: enters: g up to 0.97, tau2 down to 1e-12, three dark counts.
+PINNED_GRID = (
+    (0.0, 0.05, 0.3, 0.5, 0.9, 0.97),
+    (1.0, 0.7, 0.5, 1e-3),
+    (1.0, 0.5, 1e-3, 1e-6, 1e-9, 1e-12),
+    (0.0, 6.25e-7, 1e-3),
+)
+#: sha256 of the float.hex of every entry: one array call, then one
+#: one-point call per grid point, as the tables gave them before their
+#: back substitution was shared.
+PINNED_DIGESTS = {
+    "pair_table": "54e927e4c70fc927bdc97abd7690d67961e328383ef5b1dab658d0f780a95f0e",
+    "outcome_probability_array": "6703e56ea25e0a59fe6c891c8d2a869d32b61e3176505744c6ba90dfbdfc62cc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_tables_keep_their_bits_at_theta_zero(name):
+    table = {
+        "pair_table": pair_table,
+        "outcome_probability_array": lambda *point: outcome_probability_array(*point, 0.0),
+    }[name]
+    points = list(itertools.product(*PINNED_GRID))
+    columns = np.array(table(*np.array(points).T))
+    values = columns.T.ravel().tolist()
+    for point in points:
+        values.extend(table(*point))
+    text = " ".join(value.hex() for value in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[name]
