@@ -51,9 +51,10 @@ them, and ``outcome_probabilities`` is its one-point call. ``pair_table``
 is the table at angle 0, which every key rate reads: there D(T) is the
 product of two independent pairs' 4x4 systems, both built from one pair's
 nine entries (``_pair``, which ``_system`` pairs up too), so the table is
-products of the two-mode back substitution on those entries. Both tables
-pass one range and normalization gate and return 16 Python floats for one
-point, one array stacked on a first axis for arrays.
+products of one pair's table. Both tables run one back substitution and
+dark-count rule (``_solve``), at four modes and at two, pass one range
+and normalization gate, and return 16 Python floats for one point, one
+array stacked on a first axis for arrays.
 """
 
 from __future__ import annotations
@@ -89,32 +90,51 @@ _SIGN = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
 _CROSS = _SIGN[_STATES[0], _STATES[1]] * _SIGN[_STATES[2], _STATES[3]]
 
 
-def _entry(row: int, col: int) -> int:
-    """The index among the 81 of D(T)'s entry (row, col): silence bitmasks
-    (bit i set: mode i at t = tau), ``row`` a subset of ``col``."""
-    return sum((2 * (col >> m & 1) - (row >> m & 1)) * (27, 9, 3, 1)[m] for m in range(4))
+def _plan(weights):
+    """``_solve``'s plan at ``len(weights)`` modes, D(T)'s entry (row, col) at
+    sum((2 col bit - row bit) weight) over silence bitmasks: the all-silent
+    row's diagonal entry; the other rows by clicks, then mask, each with its
+    diagonal entry and (entry, column) terms; each mode's (silent, clicked) masks."""
+    masks = range(1 << len(weights))
+
+    def entry(row, col):
+        return sum((2 * (col >> m & 1) - (row >> m & 1)) * w for m, w in enumerate(weights))
+
+    rows = sorted(masks[:-1], key=lambda row: (-bin(row).count("1"), row))
+    solve = [(row, entry(row, row), [(entry(row, col), col) for col in masks[row + 1:]
+                                     if col & row == row]) for row in rows]
+    dark = [[(mask | 1 << m, mask) for mask in masks if not mask >> m & 1]
+            for m in range(len(weights))]  # bit 0 first: the order sets the last bit
+    return entry(masks[-1], masks[-1]), solve, dark
 
 
-#: The diagonal entry D(S) of each silence bitmask S.
-_DIAGONAL = [_entry(mask, mask) for mask in range(16)]
-#: Back substitution by the number of clicked modes: per level its rows,
-#: their diagonal entries, and as (term, row) arrays the entries and the
-#: solved columns they multiply.
-_LEVELS = []
-for _silent in (3, 2, 1, 0):
-    _rows = [r for r in range(16) if bin(r).count("1") == _silent]
-    _cols = [[c for c in range(16) if c != r and c & r == r] for r in _rows]
-    _terms = [[_entry(r, c) for c in cols] for r, cols in zip(_rows, _cols)]
-    _diagonal = [_DIAGONAL[r] for r in _rows]
-    _LEVELS.append((_rows, _diagonal, np.transpose(_terms), np.transpose(_cols)))
+def _solve(entries, plan, dark_count):
+    """y of D(T) y = e_(all silent) by silence bitmask, then each mode's
+    dark-count rule: ``plan`` on ``entries`` and ``dark_count``, Python floats
+    (or ``Fraction``s) at one point, array rows otherwise, alike per element."""
+    last, rows, dark = plan
+    y = [1 / entries[last]] * (len(rows) + 1)  # each row but the last solved below
+    for row, diagonal, terms in rows:
+        y[row] = -left_to_right_sum(entries[e] * y[col] for e, col in terms) / entries[diagonal]
+    keep = 1 - dark_count
+    for pairs in dark:
+        for silent, clicked in pairs:
+            y[clicked], y[silent] = y[clicked] + dark_count * y[silent], y[silent] * keep
+    return y
+
+
+#: D(T) at four modes, a+ most significant in ``_STATES``, and one pair's
+#: D(T) with Bob's mode on bit 0, so his dark count comes first.
+_FOUR_MODES = _plan((27, 9, 3, 1))
+_TWO_MODES = _plan((1, 3))
 #: The silence bitmask of each pattern, in canonical order.
 _SILENT = np.array([15 ^ sum(bit << m for m, bit in enumerate(p)) for p in CANONICAL_PATTERNS])
 #: The same with Bob's ``+`` and ``-`` modes (bits 2 and 3) swapped.
 _SWAPPED = _SILENT & 3 | (_SILENT & 4) << 1 | (_SILENT & 8) >> 1
 #: The pair-table entries of each pattern, p(a+, b-) and p(a-, b+), as
-#: the pair's silence masks (bit 0 Alice's mode, bit 1 Bob's).
-_FIRST = np.array([3 - p.a_plus - 2 * p.b_minus for p in CANONICAL_PATTERNS])
-_SECOND = np.array([3 - p.a_minus - 2 * p.b_plus for p in CANONICAL_PATTERNS])
+#: the pair's silence masks (bit 0 Bob's mode, bit 1 Alice's).
+_FIRST = np.array([3 - p.b_minus - 2 * p.a_plus for p in CANONICAL_PATTERNS])
+_SECOND = np.array([3 - p.b_plus - 2 * p.a_minus for p in CANONICAL_PATTERNS])
 
 
 def _pair(g, tau1, tau2):
@@ -157,16 +177,9 @@ def _table(g, tau1, tau2, dark_count, theta):
     c2, s2 = (trig * trig).T.reshape((2,) + np.shape(theta))  # one cos and sin per angle
     g, tau1, tau2, dark_count, _ = np.broadcast_arrays(g, tau1, tau2, dark_count, theta)
     det = _system(g, tau1, tau2, np.minimum(c2, s2))
-    y = np.empty((16,) + g.shape)
-    y[15] = 1.0 / det[_DIAGONAL[15]]
-    for rows, diagonal, entries, cols in _LEVELS:
-        # summed in one fixed order: an array column is its one-point call
-        y[rows] = -left_to_right_sum(det[entries] * y[cols]) / det[diagonal]
-    keep = 1.0 - dark_count
-    for bit in (1, 2, 4, 8):  # dark counts, on a view of y with mode bit on axis 1
-        modes = y.reshape((8 // bit, 2, bit) + g.shape)
-        modes[:, 0] += dark_count * modes[:, 1]
-        modes[:, 1] *= keep
+    if det.ndim == 1:  # one point: Python floats
+        det, dark_count = det.tolist(), float(dark_count)
+    y = np.array(_solve(list(det), _FOUR_MODES, dark_count))
     return det[0] * np.where(c2 < s2, y[_SWAPPED], y[_SILENT])  # det[0] = kappa^2
 
 
@@ -208,34 +221,19 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta):
 
 def pair_table(g, tau1, tau2, dark_count):
     """The 16 click-pattern probabilities at relative angle 0, in canonical
-    order, checked by ``_checked``: products of one pair's table,
-    ``pair[_FIRST] * pair[_SECOND]``, one gather-product.
+    order, checked by ``_checked``: products ``pair[_FIRST] * pair[_SECOND]``
+    of one pair's table.
 
     At theta = 0 the cross weight vanishes and D(T) is the pairing
-    p(a+, b-) p(a-, b+) of ``_pair``'s entries, so the source is two
-    independent two-mode squeezers, each with tau1 on Alice's side and tau2
-    on Bob's. One pair's table is ``_table``'s back substitution at two
-    modes, Alice's on bit 0 of the silence mask: ``_LEVELS``' rows at two
-    modes, each mode's dark-count rule, and the factor kappa. Arithmetic
-    with integer literals only: ``g``, ``tau1``, ``tau2`` and
-    ``dark_count`` may be floats, numpy arrays that broadcast together, or
-    ``Fraction``s, which give the exact table (a list of ``Fraction``s).
+    p(a+, b-) p(a-, b+) of ``_pair``'s entries: two independent two-mode
+    squeezers, each with tau1 on Alice's side and tau2 on Bob's. One pair's
+    table is ``_solve`` at two modes times kappa. Arithmetic with integer
+    literals only: ``g``, ``tau1``, ``tau2`` and ``dark_count`` may be
+    floats, numpy arrays that broadcast together, or ``Fraction``s, which
+    give the exact table (a list of ``Fraction``s).
     """
     p = _pair(g, tau1, tau2)
-    d, keep = dark_count, 1 - dark_count
-    # y by silence mask: the all-silent row, the one-click rows, and the
-    # both-clicked row summed in mask order
-    y3 = 1 / p[4]
-    y1 = -p[5] * y3 / p[3]
-    y2 = -p[7] * y3 / p[1]
-    y0 = -(p[6] * y1 + p[2] * y2 + p[8] * y3) / p[0]
-    # dark counts, Bob's mode (bit 1) first: the order sets the last bit
-    y0, y2 = y0 + d * y2, y2 * keep
-    y1, y3 = y1 + d * y3, y3 * keep
-    y0, y1 = y0 + d * y1, y1 * keep
-    y2, y3 = y2 + d * y3, y3 * keep
-    kappa = p[0]
-    pair = np.array((kappa * y0, kappa * y1, kappa * y2, kappa * y3))
+    pair = np.array([p[0] * v for v in _solve(p, _TWO_MODES, dark_count)])
     return _checked(pair[_FIRST] * pair[_SECOND])
 
 

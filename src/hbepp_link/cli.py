@@ -17,6 +17,7 @@ import itertools
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -114,9 +115,9 @@ def _run_probs(cfg: ScenarioConfig) -> str:
 
 
 def _run_chsh(cfg: ScenarioConfig) -> str:
-    # Bell-test scans default to dark-count-free detectors; an explicitly
-    # configured detector.dark_count still wins.
-    channel = cfg.channel_params(default_dark_count=0.0)
+    channel = cfg.channel_params()
+    if cfg.dark_count is None:  # Bell-test scans default to dark-count-free detectors
+        channel = replace(channel, dark_count=0.0)
     g, leading = _source_sweep(cfg)
     header = [
         *map(_column, _SOURCE_VARIABLES),

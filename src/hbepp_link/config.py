@@ -2,10 +2,11 @@
 
 The format is one ``key = value`` assignment per line; blank lines and
 ``#`` comments are ignored. Every key is described once, in ``_KEYS``:
-parsing, range checks, serialization order, the alternatives rule
+parsing, range checks, serialization order, the sweep variables and the
+core input each key sets, with its conversion and default, all derive
+from that table; keys that set the same input are alternatives
 (``source.g`` vs ``source.mu``, and per arm ``channel.tauN`` vs
-``channel.lossN_db``), the sweep variables and the core input each key
-sets, with its conversion, all derive from that table. A sweep is a
+``channel.lossN_db``), of which at most one may be set. A sweep is a
 variable and its values; ``ScenarioConfig.inputs`` turns them into an array.
 Unknown keys, duplicate keys, non-finite or out-of-range values,
 conflicting alternatives and incomplete sweeps are rejected at parse time;
@@ -116,17 +117,15 @@ def _check_transmittance(loss_db: float) -> None:
 class _Key(NamedTuple):
     """One config key and the ``ScenarioConfig`` field it sets.
 
-    Keys sharing a ``group`` are alternatives: at most one may be set. A
-    key with a CSV ``unit`` is sweepable, as the sweep variable ``field``.
+    A key with a CSV ``unit`` is sweepable, as the sweep variable ``field``.
     A key ``sets`` a core input by ``convert``, at a point and per swept
-    value alike; if none of an input's keys is set, its last applies at
-    ``default``.
+    value alike; keys that set the same input are alternatives, and if
+    none of them is set, the last applies at ``default``.
     """
 
     key: str
     field: str
     parse: Parser
-    group: str | None = None
     unit: str | None = None
     sets: str | None = None
     convert: Callable[[float], float] = float  # float: the value itself
@@ -140,18 +139,17 @@ _TAU = _number(float, "(0, 1]")
 #: Every config key, in ``to_text`` order; the sweep keys come last, as
 #: variable, start, stop, steps.
 _KEYS = (
-    _Key("source.g", "g", _number(float, "[0, 1)"), "source", "-", "g"),
+    _Key("source.g", "g", _number(float, "[0, 1)"), "-", "g"),
     _Key("source.mu", "mu", _number(float, "[0, inf)", SourceParams.from_mean_photon_number),
-         "source", "pairs/mode", "g", gain_from_mean_photon, DEFAULT_MU),
-    _Key("channel.tau1", "tau1", _TAU, "arm1", "-", "tau1"),
-    _Key("channel.loss1_db", "loss1_db", _LOSS, "arm1", "dB", "tau1",
-         transmittance_from_db, DEFAULT_LOSS1_DB),
-    _Key("channel.tau2", "tau2", _TAU, "arm2", "-", "tau2"),
-    _Key("channel.loss2_db", "loss2_db", _LOSS, "arm2", "dB", "tau2",
-         transmittance_from_db, DEFAULT_LOSS2_DB),
-    # unset, the dark count is the caller's default
-    _Key("detector.dark_count", "dark_count", _number(float, "[0, 1)"), unit="-",
-         sets="dark_count"),
+         "pairs/mode", "g", gain_from_mean_photon, DEFAULT_MU),
+    _Key("channel.tau1", "tau1", _TAU, "-", "tau1"),
+    _Key("channel.loss1_db", "loss1_db", _LOSS, "dB", "tau1", transmittance_from_db,
+         DEFAULT_LOSS1_DB),
+    _Key("channel.tau2", "tau2", _TAU, "-", "tau2"),
+    _Key("channel.loss2_db", "loss2_db", _LOSS, "dB", "tau2", transmittance_from_db,
+         DEFAULT_LOSS2_DB),
+    _Key("detector.dark_count", "dark_count", _number(float, "[0, 1)"), "-", "dark_count",
+         default=DEFAULT_DARK_COUNT),
     _Key("angles.theta1_deg", "theta1_deg", _REAL, unit="deg", sets="theta1_deg",
          convert=math.radians),
     _Key("angles.theta2_deg", "theta2_deg", _REAL, sets="theta2_deg", convert=math.radians),
@@ -169,13 +167,9 @@ _KEYS = (
 _BY_KEY = {spec.key: spec for spec in _KEYS}
 #: Each sweep variable's key: its CSV ``unit`` and the core input it ``sets``.
 SWEEPABLE = {spec.field: spec for spec in _KEYS if spec.unit is not None}
-_ALTERNATIVES = {
-    spec.group: tuple(other for other in _KEYS if other.group == spec.group)
-    for spec in _KEYS
-    if spec.group is not None
-}
 #: The keys that fix each core input, by the field of its direct key, in
 #: the order the core takes them; it reads the angles as their difference.
+#: An input's keys are alternatives.
 _SETTERS = {
     name: tuple(spec for spec in _KEYS if spec.sets == name)
     for name in dict.fromkeys(spec.sets for spec in _KEYS if spec.sets is not None)
@@ -208,7 +202,7 @@ class ScenarioConfig:
     sweep_steps: int | None = None
 
     def source_params(self) -> SourceParams:
-        return SourceParams(self.inputs()[0])
+        return SourceParams(self._input("g"))
 
     def source_setting(self) -> tuple[str, float]:
         """(key, value) of the setting that fixes the source brightness:
@@ -216,34 +210,38 @@ class ScenarioConfig:
         spec, value = self._setting("g")
         return spec.key, value
 
-    def channel_params(self, default_dark_count: float = DEFAULT_DARK_COUNT) -> ChannelParams:
-        """Channel of the scenario; ``default_dark_count`` applies when
-        ``detector.dark_count`` is not set."""
-        return ChannelParams(*self.inputs(default_dark_count=default_dark_count)[1:4])
+    def channel_params(self) -> ChannelParams:
+        return ChannelParams(*map(self._input, ("tau1", "tau2", "dark_count")))
 
-    def inputs(self, field: str | None = None, values: Sequence[float] = (),
-               default_dark_count: float = DEFAULT_DARK_COUNT) -> tuple:
+    def inputs(self, field: str | None = None, values: Sequence[float] = ()) -> tuple:
         """The core's inputs (g, tau1, tau2, dark count, relative angle) as
-        Python floats, at ``default_dark_count`` if the dark count is unset.
-        A swept ``field`` sets its input to the array of ``values``, each
-        converted as the one-point scenario there converts it, bit for bit.
+        Python floats. A swept ``field`` sets its input to the array of
+        ``values``, each converted as the one-point scenario there converts
+        it, bit for bit, once both ends pass the field's key as
+        ``parse_config`` checks a sweep (each key's range is an interval).
         """
-        settings = {name: self._setting(name, default_dark_count) for name in _SETTERS}
-        point = {name: spec.convert(value) for name, (spec, value) in settings.items()}
+        point = {name: self._input(name) for name in _SETTERS}
         if field is not None:
             spec = SWEEPABLE[field]
+            for end in values[:1] + values[-1:]:
+                spec.parse(spec.key, repr(end))
             point[spec.sets] = np.array([spec.convert(value) for value in values])
         g, tau1, tau2, dark_count, theta1, theta2 = point.values()
         return g, tau1, tau2, dark_count, theta1 - theta2
 
-    def _setting(self, name: str, default_dark_count: float = DEFAULT_DARK_COUNT) -> tuple:
+    def _setting(self, name: str) -> tuple:
         """(key, value) fixing core input ``name``: its first key that is set,
-        else its last at its default (``default_dark_count`` for the dark count)."""
+        else its last at its default."""
         for spec in _SETTERS[name]:
             value = getattr(self, spec.field)
             if value is not None:
                 return spec, value
-        return spec, default_dark_count if spec.default is None else spec.default
+        return spec, spec.default
+
+    def _input(self, name: str) -> float:
+        """Core input ``name``, converted from its ``_setting``."""
+        spec, value = self._setting(name)
+        return spec.convert(value)
 
     def sweep(
         self, variables: tuple[str, ...], default: tuple[float, float, int] | None = None
@@ -326,8 +324,8 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ScenarioConfi
         if key not in _BY_KEY:
             raise ConfigError(f"{key}: unknown key")
         values[key] = _BY_KEY[key].parse(key, value)
-    for group in _ALTERNATIVES.values():
-        given = [spec.key for spec in group if spec.key in values]
+    for setters in _SETTERS.values():
+        given = [spec.key for spec in setters if spec.key in values]
         if len(given) > 1:
             raise ConfigError(f"{' and '.join(given)} are mutually exclusive")
     _check_sweep(values, texts)

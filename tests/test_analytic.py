@@ -68,9 +68,11 @@ def vac(source, channel, angles) -> list:
     det = analytic._system(*np.broadcast_arrays(g, channel.tau1, channel.tau2, min(c2, s2)))
     masks = BOB_SWAPPED if c2 < s2 else range(16)
     squeeze = (1.0 - g) * (1.0 + g)
+    # the diagonal entry of mask S, a+ on bit 0 and most significant
+    diagonal = [sum((mask >> m & 1) * w for m, w in enumerate((27, 9, 3, 1))) for mask in masks]
     return [
-        squeeze * squeeze * (1.0 - dark) ** sum(silent) / det[analytic._DIAGONAL[mask]].item()
-        for silent, mask in zip(SUBSETS, masks)
+        squeeze * squeeze * (1.0 - dark) ** sum(silent) / det[entry].item()
+        for silent, entry in zip(SUBSETS, diagonal)
     ]
 
 
@@ -593,10 +595,10 @@ class TestPairFormReference:
             assert [v.hex() for v in table[:, k].tolist()] == [v.hex() for v in point]
 
     def test_is_the_two_mode_back_substitution(self):
-        # D(T) of one pair, Alice's mode on bit 0 of the silence mask and
-        # entry (row, col) _pair's p[3 state_a + state_b] with state
-        # 2 col bit - row bit, solved level by level as _LEVELS solves four
-        # modes; then each mode's dark-count rule, Bob's first, and kappa
+        # D(T) of one pair, written out here with Alice's mode on bit 0 of
+        # the silence mask and entry (row, col) _pair's p[3 state_a + state_b]
+        # with state 2 col bit - row bit, solved level by level as the four
+        # modes are; then each mode's dark-count rule, Bob's first, and kappa
         def entry(row, col):
             return sum((2 * (col >> m & 1) - (row >> m & 1)) * (3, 1)[m] for m in range(2))
 
@@ -635,6 +637,19 @@ class TestPairFormReference:
         assert [v.hex() for v in table.ravel().tolist()] == [
             v.hex() for v in np.array(solved(*inputs)).ravel().tolist()
         ]
+
+    @pytest.mark.parametrize("point", [
+        (0.4, 0.7, 1e-3, 6.25e-7), (0.9, 1.0, 0.5, 1e-3), (0.05, 0.5, 1e-12, 0.0),
+    ])
+    def test_four_mode_solve_is_the_exact_inclusion_exclusion(self, point):
+        # at theta = 0 D(T) is the pairing product of _pair's entries; with
+        # Fractions the four-mode solve, times kappa^2, is the exact table
+        g, tau1, tau2, dark = map(Fraction, point)
+        p = analytic._pair(g, tau1, tau2)
+        entries = [p[first] * p[second] for first, second in zip(*analytic._PAIRING)]
+        y = analytic._solve(entries, analytic._FOUR_MODES, dark)
+        table = [entries[0] * y[mask] for mask in analytic._SILENT]
+        assert table == outcome_probabilities_exact(*point[:3], 0.0, point[3])
 
     @pytest.mark.parametrize(
         "gains, message",

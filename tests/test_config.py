@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hbepp_link.cli import run_subcommand
 from hbepp_link.config import (
     COHERENCE_TIME_NS,
     ConfigError,
@@ -13,6 +14,7 @@ from hbepp_link.config import (
     DEFAULT_MU,
     SWEEP_VARIABLES,
     _KEYS,
+    ScenarioConfig,
     parse_config,
 )
 from hbepp_link.params import db_from_transmittance, gain_from_mean_photon, transmittance_from_db
@@ -245,14 +247,16 @@ def test_no_sweep_is_the_scenario_itself():
         assert cfg.sweep(SWEEP_VARIABLES) == (None, [])
         assert cfg.sweep(()) == (None, [])
         assert all(type(value) is float for value in cfg.inputs())
-    assert hexes(precedent.inputs(default_dark_count=0.0)) == hexes(
+    assert hexes(precedent.inputs()) == hexes(
         (0.3, 0.5, 0.2, 1e-5, math.radians(10.0) - math.radians(-33.3))
     )
     assert hexes(defaults.inputs()) == hexes((
         gain_from_mean_photon(DEFAULT_MU), transmittance_from_db(DEFAULT_LOSS1_DB),
         transmittance_from_db(DEFAULT_LOSS2_DB), DEFAULT_DARK_COUNT, -math.radians(12.5),
     ))
-    assert defaults.inputs(default_dark_count=0.0)[3] == 0.0
+    # chsh's own dark-count-free default applies only while none is set
+    assert "# dark_count = 0.0\n" in run_subcommand("chsh", defaults)
+    assert "# dark_count = 1e-05\n" in run_subcommand("chsh", precedent)
     # a subcommand's own default sweep, when none is configured
     gains = np.linspace(0.05, 0.9, 50).tolist()
     assert defaults.sweep(("g", "mu"), (0.05, 0.9, 50)) == ("g", gains)
@@ -281,3 +285,20 @@ def test_sweep_point_substitution(variable):
             assert hexes(point) == hexes(expected)
             meant = MEANING[variable](value)
             assert hexes([point[index]]) == hexes([meant - theta2 if index == 4 else meant])
+
+
+@pytest.mark.parametrize("variable, stop, message", [
+    ("g", 1.5, r"source\.g: expected a finite number in \[0, 1\), got '1\.5'"),
+    ("tau2", 1.5, r"channel\.tau2: expected a finite number in \(0, 1\], got '1\.5'"),
+    ("dark_count", 1.2, r"detector\.dark_count: expected .* got '1\.2'"),
+    ("loss2_db", 4000.0, r"channel\.loss2_db: transmittance must be in \(0, 1\], got 0\.0"),
+], ids=["g", "tau2", "dark_count", "loss2_db"])
+def test_swept_values_are_checked_where_they_become_inputs(variable, stop, message):
+    # a config built without parse_config skips its sweep check; the swept
+    # key's own parser still refuses the range before the core sees it
+    cfg = ScenarioConfig(sweep_variable=variable, sweep_start=0.5, sweep_stop=stop,
+                         sweep_steps=3)
+    with pytest.raises(ConfigError, match=message):
+        run_subcommand("probs", cfg)
+    with pytest.raises(ConfigError, match=message):
+        cfg.inputs(variable, [stop, 0.5])
