@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -556,6 +557,35 @@ class TestPipeline:
         misses = [cache.cache_info().misses for cache in per_truncation]
         oracle(9)  # the last truncation is the one kept
         assert [cache.cache_info().misses for cache in per_truncation] == misses
+
+
+#: A literal grid (n_max, g, tau1, tau2, d, theta1, theta2) for the oracle:
+#: the truncations 0, 1, 6 and 40, each angle 0 (no turn) or not.
+ORACLE_PINNED_GRID = (
+    (0, 1, 6, 40),
+    (0.0, 0.3, 0.9),
+    (1.0, 0.6),
+    (1.0, 1e-3),
+    (0.0, 1e-3),
+    (0.0, 0.7),
+    (0.0, -1.3),
+)
+#: sha256 of the float.hex of every oracle entry over the grid, in grid
+#: order, as the oracle gave them with one cache per per-truncation table.
+#: Like the oracle-check golden, it holds for the LAPACK, BLAS and libm that
+#: numpy links: eigh, matmul, cos and sin set the last bits.
+ORACLE_PINNED_DIGEST = "66ec4a42adac6eaf15c8369666637efb57cd6399a64c01e7c38c3842478960c3"
+
+
+def test_oracle_keeps_its_bits():
+    values = []
+    for n_max, g, tau1, tau2, dark, theta1, theta2 in itertools.product(*ORACLE_PINNED_GRID):
+        values.extend(oracle_probabilities(
+            SourceParams(g), ChannelParams(tau1, tau2, dark),
+            MeasurementAngles(theta1, theta2), n_max,
+        ).values)
+    text = " ".join(value.hex() for value in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_PINNED_DIGEST
 
 
 class TestLargeTruncation:
