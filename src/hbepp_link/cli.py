@@ -123,10 +123,7 @@ def _run_chsh(cfg: ScenarioConfig) -> str:
         *map(_column, _SOURCE_VARIABLES),
         *(f"S_{model.value}[-]" for model in PostprocessingModel),
     ]
-    s_values = [
-        _chsh(g, channel.tau1, channel.tau2, channel.dark_count, model)
-        for model in PostprocessingModel
-    ]
+    s_values = _chsh(g, channel.tau1, channel.tau2, channel.dark_count, tuple(PostprocessingModel))
     rows = [[*lead, *cells] for lead, *cells in zip(leading, *s_values)]
     return _csv_output(["hbepp-link chsh", *_channel_lines(channel)], header, rows)
 

@@ -1,7 +1,8 @@
 """Scenario configuration: key-value text format, defaults, validation.
 
 The format is one ``key = value`` assignment per line; blank lines and
-``#`` comments are ignored. Every key is described once, in ``_KEYS``:
+lines whose first non-blank character is ``#`` are ignored (a ``#`` after
+a value is part of the value). Every key is described once, in ``_KEYS``:
 parsing, range checks, serialization order, the sweep variables and the
 core input each key sets, with its conversion and default, all derive
 from that table; keys that set the same input are alternatives
@@ -223,8 +224,8 @@ class ScenarioConfig:
         point = {name: self._input(name) for name in _SETTERS}
         if field is not None:
             spec = SWEEPABLE[field]
-            for end in values[:1] + values[-1:]:
-                spec.parse(spec.key, repr(end))
+            for end in (values[0], values[-1]) if len(values) else ():
+                spec.parse(spec.key, repr(float(end)))
             point[spec.sets] = np.array([spec.convert(value) for value in values])
         g, tau1, tau2, dark_count, theta1, theta2 = point.values()
         return g, tau1, tau2, dark_count, theta1 - theta2

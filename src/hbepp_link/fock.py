@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ def truncation_error_bound(g: float, n_max: int) -> float:
     geometric-derivative series beyond n_max gives, with x = g^2,
     (n_max+2) x^(n_max+1) - (n_max+1) x^(n_max+2).
     """
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"nonlinear gain must be in [0, 1), got {g}")
+    SourceParams(g)  # checks the gain
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     x = g * g
@@ -108,28 +108,81 @@ def _offset(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 6
 
 
-@functools.lru_cache(maxsize=1)
-def _unit_source(size: int) -> np.ndarray:
-    """The source at unit weight per pair number, flat, in the Schur basis.
+class _Truncation(NamedTuple):
+    """The angle- and parameter-independent tables of one truncation.
 
-    The n-pair component is the n-th power of the antisymmetric pair
-    creation operator (a1H+ a2V+ - a1V+ a2H+) applied to vacuum, normalized
-    by n! sqrt(n+1). Expanding the power binomially, term m carries
-    C(n, m) (-1)^(n-m) and raises the (1H, 1V, 2H, 2V) occupations to
-    (m, n-m, n-m, m), which contributes sqrt(m!^2 (n-m)!^2) on vacuum.
-    Since C(n, m) m! (n-m)! / n! = 1 exactly, the Fock block B holds
-    (-1)^(n-m) at (m, n-m), with no factorial evaluated. Block n is
-    Q_n^T B Q_n. Cached for one truncation.
+    ``source`` is the pair source at unit weight per pair number, flat, in
+    the Schur basis. The n-pair component is the n-th power of the
+    antisymmetric pair creation operator (a1H+ a2V+ - a1V+ a2H+) applied to
+    vacuum, normalized by n! sqrt(n+1). Expanding the power binomially,
+    term m carries C(n, m) (-1)^(n-m) and raises the (1H, 1V, 2H, 2V)
+    occupations to (m, n-m, n-m, m), which contributes sqrt(m!^2 (n-m)!^2)
+    on vacuum. Since C(n, m) m! (n-m)! / n! = 1 exactly, the Fock block B
+    holds (-1)^(n-m) at (m, n-m), with no factorial evaluated. Block n is
+    Q_n^T B Q_n.
+
+    ``planes`` turns the planes of all blocks at once: one ``(rate,
+    repeats, partner)`` triple per party, rows for Alice, columns for Bob.
+    Each line of a block (a row or a column) turns at its plane's rate;
+    ``rate`` indexes that turn in the tables cos(rate theta) and
+    sin(rate theta) for rates 0 .. size-1, each followed by its copy with
+    the sine negated: x lines read +sin, y lines -sin (offset by ``size``),
+    and a null line rate 0. A row's entries share its turn, so Alice's
+    ``rate`` holds one entry per row, to be repeated ``repeats`` times (the
+    row's length) along the flat layout; Bob's holds one per entry of the
+    flat layout, and his ``repeats`` is None. ``partner`` is the flat index
+    of each entry's counterpart in the other line of its plane (the entry
+    itself on a null line).
+
+    ``comb[n, k]`` is C(n, k) (zero for k > n), exact before the float
+    cast, and ``lost[n, k]`` the number lost, max(n - k, 0). ``rest[n, i]``
+    is n - i for i <= n, else ``size``: the photons in the second mode of
+    a pair when the first holds i of n.
     """
-    blocks = []
+
+    source: np.ndarray
+    planes: tuple[tuple, tuple]
+    comb: np.ndarray
+    lost: np.ndarray
+    rest: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _truncation(size: int) -> _Truncation:
+    """The tables of pair numbers 0 .. size-1, in one pass over the photon
+    numbers, read-only. Cached for the last truncation only."""
+    source, row_rate, row_partner, col_rate, col_partner = [], [], [], [], []
     for n in range(size):
-        q = _schur_basis(n)[0]
+        q, rates = _schur_basis(n)
         m = np.arange(n + 1)[:, None]
         # row m of B Q is (-1)^(n-m) times row n-m of Q
-        blocks.append((q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel())
-    flat = np.concatenate(blocks)
-    flat.flags.writeable = False
-    return flat
+        source.append((q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel())
+        planes = len(rates)
+        line_rate = np.zeros(n + 1, dtype=np.intp)
+        line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
+        other = np.arange(n + 1)  # the other line of the same plane
+        other[:planes] += planes
+        other[planes : 2 * planes] -= planes
+        row, col = np.indices((n + 1, n + 1))
+        row_rate.append(line_rate)
+        row_partner.append((_offset(n) + (n + 1) * other[row] + col).ravel())
+        col_rate.append(line_rate[col].ravel())
+        col_partner.append((_offset(n) + (n + 1) * row + other[col]).ravel())
+    lengths = np.arange(1, size + 1)
+    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), np.concatenate(row_partner))
+    cols = (np.concatenate(col_rate), None, np.concatenate(col_partner))
+    comb = np.array(
+        [[math.comb(n, k) for k in range(size)] for n in range(size)], dtype=float
+    )
+    n = np.arange(size)
+    gap = n[:, None] - n[None, :]
+    table = _Truncation(
+        np.concatenate(source), (rows, cols), comb, np.maximum(gap, 0),
+        np.where(gap >= 0, gap, size),
+    )
+    for array in (table.source, *rows, cols[0], cols[2], table.comb, table.lost, table.rest):
+        array.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,56 +261,17 @@ class JointPhotonDistribution:
 def build_state(g: float, n_max: int) -> TruncatedPairState:
     """Pair-source state truncated at ``n_max`` pairs, in the H/V bases.
 
-    Block n is the unit source block of ``_unit_source``, weighted by
-    (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1).
+    Block n is the unit source block of ``_Truncation.source``, weighted
+    by (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1).
     """
-    if not 0.0 <= g < 1.0:
-        raise ValueError(f"nonlinear gain must be in [0, 1), got {g}")
+    SourceParams(g)  # checks the gain
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     size = n_max + 1
     weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
     return TruncatedPairState(
-        _unit_source(size) * np.repeat(weights, np.arange(1, size + 1) ** 2), n_max
+        _truncation(size).source * np.repeat(weights, np.arange(1, size + 1) ** 2), n_max
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _plane_tables(size: int) -> tuple[tuple, tuple]:
-    """Tables that turn the planes of all ``size`` blocks at once.
-
-    One ``(rate, repeats, partner)`` triple per party: rows for Alice,
-    columns for Bob. Each line of a block (a row or a column) turns at its
-    plane's rate; ``rate`` indexes that turn in the tables cos(rate theta)
-    and sin(rate theta) for rates 0 .. size-1, each followed by its copy
-    with the sine negated: x lines read +sin, y lines -sin (offset by
-    ``size``), and a null line rate 0. A row's entries share its turn, so
-    Alice's ``rate`` holds one entry per row, to be repeated ``repeats``
-    times (the row's length) along the flat layout; Bob's holds one per
-    entry of the flat layout, and his ``repeats`` is None. ``partner`` is
-    the flat index of each entry's counterpart in the other line of its
-    plane (the entry itself on a null line). Cached for one truncation.
-    """
-    row_rate, row_partner, col_rate, col_partner = [], [], [], []
-    for n in range(size):
-        rates = _schur_basis(n)[1]
-        planes = len(rates)
-        line_rate = np.zeros(n + 1, dtype=np.intp)
-        line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
-        other = np.arange(n + 1)  # the other line of the same plane
-        other[:planes] += planes
-        other[planes : 2 * planes] -= planes
-        row, col = np.indices((n + 1, n + 1))
-        row_rate.append(line_rate)
-        row_partner.append((_offset(n) + (n + 1) * other[row] + col).ravel())
-        col_rate.append(line_rate[col].ravel())
-        col_partner.append((_offset(n) + (n + 1) * row + other[col]).ravel())
-    lengths = np.arange(1, size + 1)
-    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), np.concatenate(row_partner))
-    cols = (np.concatenate(col_rate), None, np.concatenate(col_partner))
-    for array in (*rows, cols[0], cols[2]):
-        array.flags.writeable = False
-    return rows, cols
 
 
 def rotate_modes(
@@ -275,7 +289,7 @@ def rotate_modes(
     """
     size = state.n_max + 1
     flat = state.amplitudes
-    for theta, (rate, repeats, partner) in zip((theta1, theta2), _plane_tables(size)):
+    for theta, (rate, repeats, partner) in zip((theta1, theta2), _truncation(size).planes):
         if theta == 0.0:
             continue
         phase = theta * np.arange(size)
@@ -306,25 +320,11 @@ def photon_number_distribution(state: TruncatedPairState) -> JointPhotonDistribu
     return JointPhotonDistribution(np.square(probs, out=probs))
 
 
-@functools.lru_cache(maxsize=1)
-def _binomial_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(n, k) for n, k < size (zero for k > n), exact before the float cast,
-    and the number lost max(n - k, 0). Cached for one truncation."""
-    comb = np.array(
-        [[math.comb(n, k) for k in range(size)] for n in range(size)], dtype=float
-    )
-    n = np.arange(size)
-    lost = np.maximum(n[:, None] - n[None, :], 0)
-    for array in (comb, lost):
-        array.flags.writeable = False
-    return comb, lost
-
-
 def _binomial_thinning(n_max: int, tau: float) -> np.ndarray:
     """Transition matrix T[n, k] = C(n, k) tau^k (1-tau)^(n-k): k of n survive."""
-    comb, lost = _binomial_tables(n_max + 1)  # C(n, k) = 0 where k > n
+    table = _truncation(n_max + 1)  # C(n, k) = 0 where k > n
     n = np.arange(n_max + 1)
-    return comb * tau ** n * ((1.0 - tau) ** n).take(lost)
+    return table.comb * tau ** n * ((1.0 - tau) ** n).take(table.lost)
 
 
 def _then(kernel: np.ndarray | None, step: np.ndarray) -> np.ndarray:
@@ -337,26 +337,12 @@ def apply_loss(
     dist: JointPhotonDistribution, tau1: float, tau2: float
 ) -> JointPhotonDistribution:
     """Binomial beam-splitter thinning, tau1 on Alice's modes, tau2 on Bob's."""
-    if not 0.0 < tau1 <= 1.0:
-        raise ValueError(f"tau1 must be in (0, 1], got {tau1}")
-    if not 0.0 < tau2 <= 1.0:
-        raise ValueError(f"tau2 must be in (0, 1], got {tau2}")
+    ChannelParams(tau1, tau2)  # checks both transmittances
     return JointPhotonDistribution(
         dist.probs,
         _then(dist.alice, _binomial_thinning(dist.n_max, tau1)),
         _then(dist.bob, _binomial_thinning(dist.n_max, tau2)),
     )
-
-
-@functools.lru_cache(maxsize=1)
-def _emitted_rest(size: int) -> np.ndarray:
-    """R[n, i] = n - i for i <= n, else ``size``: the photons in the second
-    mode of a pair when the first holds i of n. Cached for one truncation."""
-    n = np.arange(size)
-    rest = n[:, None] - n[None, :]
-    rest = np.where(rest >= 0, rest, size)
-    rest.flags.writeable = False
-    return rest
 
 
 def _both_modes(kernel: np.ndarray) -> np.ndarray:
@@ -371,7 +357,7 @@ def _both_modes(kernel: np.ndarray) -> np.ndarray:
     size, outcomes = kernel.shape
     columns = kernel.T.copy()  # [x, i], C-contiguous for a fast broadcast
     padded = np.hstack((columns, np.zeros((outcomes, 1))))
-    rest = padded.take(_emitted_rest(size), axis=1)  # [y, n, i] = kernel[n-i, y]
+    rest = padded.take(_truncation(size).rest, axis=1)  # [y, n, i] = kernel[n-i, y]
     pair = columns[:, None, None, :] * rest[None]  # [x, y, n, i]
     return np.ascontiguousarray(
         pair.reshape(outcomes * outcomes, size, size).transpose(1, 2, 0)
@@ -393,6 +379,10 @@ def _read_out(dist: JointPhotonDistribution, per_mode: np.ndarray) -> np.ndarray
     return table.reshape((outcomes,) * 4)
 
 
+#: The flat index of each canonical pattern in the (a+, a-, b+, b-) readout.
+_PATTERN_CELLS = np.array([int(p.bits(), 2) for p in CANONICAL_PATTERNS])
+
+
 def click_probabilities(
     dist: JointPhotonDistribution, dark_count: float = 0.0
 ) -> ProbabilityTable:
@@ -408,13 +398,8 @@ def click_probabilities(
     readout[0, 0] = 1.0 - dark_count
     readout[0, 1] = dark_count
     readout[1:, 1] = 1.0
-    t = _read_out(dist, readout)
-    # t is indexed by click bits in (a+, a-, b+, b-) order
-    values = tuple(
-        float(t[int(p.a_plus), int(p.a_minus), int(p.b_plus), int(p.b_minus)])
-        for p in CANONICAL_PATTERNS
-    )
-    return ProbabilityTable(values)
+    # indexed by click bits in (a+, a-, b+, b-) order, a+ most significant
+    return ProbabilityTable(tuple(_read_out(dist, readout).take(_PATTERN_CELLS).tolist()))
 
 
 def oracle_probabilities(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,12 @@ class TestValidation:
         assert parse_config("oracle.n_max = 200\n").n_max == 200
         with pytest.raises(ConfigError, match=r"oracle.n_max: .* \[0, 200\], got '201'"):
             parse_config("oracle.n_max = 201\n")
+
+    def test_inline_comment_is_part_of_the_value(self):
+        # only a line whose first non-blank character is # is a comment
+        assert parse_config("  # brightness\nsource.mu = 0.1\n") == parse_config("source.mu = 0.1")
+        with pytest.raises(ConfigError, match=r"^source\.mu: .* got '0\.1  # brightness'$"):
+            parse_config("source.mu = 0.1  # brightness\n")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -302,3 +309,23 @@ def test_swept_values_are_checked_where_they_become_inputs(variable, stop, messa
         run_subcommand("probs", cfg)
     with pytest.raises(ConfigError, match=message):
         cfg.inputs(variable, [stop, 0.5])
+
+
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_array_sweep_values_are_the_list_values(variable):
+    # an ndarray of values gives the inputs a list gives, bit for bit, and
+    # its ends are checked as floats, each on its own
+    key, index, start, stop = SWEEP_ENDS[variable]
+    cfg = parse_config(text_of(SWEEP_BASES["precedent"]))
+    values = np.linspace(start, stop, 5)
+    listed = cfg.inputs(variable, values.tolist())
+    arrayed = cfg.inputs(variable, values)
+    assert [hexes(np.atleast_1d(entry)) for entry in arrayed] == [
+        hexes(np.atleast_1d(entry)) for entry in listed
+    ]
+    bad = {"g": 1.5, "mu": -1.0, "tau1": 0.0, "loss1_db": -1.0, "tau2": 1.5,
+           "loss2_db": -1.0, "dark_count": 1.0, "theta1_deg": math.inf}[variable]
+    message = rf"^{re.escape(key)}: .* got '{re.escape(repr(bad))}'"
+    for first, last in ((bad, stop), (start, bad)):
+        with pytest.raises(ConfigError, match=message):
+            cfg.inputs(variable, np.array([first, start, stop, last]))

@@ -537,13 +537,10 @@ class TestPipeline:
         )
         assert staged.values == oracle.values
 
-    def test_per_truncation_caches_hold_one_truncation(self):
-        per_truncation = (
-            fock._unit_source, fock._plane_tables, fock._binomial_tables, fock._emitted_rest
-        )
-        # every other cache is keyed by one photon number, not a truncation
+    def test_truncation_cache_holds_one_truncation(self):
+        # the one other cache is keyed by one photon number, not a truncation
         cached = {name for name, value in vars(fock).items() if hasattr(value, "cache_info")}
-        assert cached == {"_schur_basis"} | {cache.__name__ for cache in per_truncation}
+        assert cached == {"_schur_basis", "_truncation"}
 
         def oracle(n_max):
             oracle_probabilities(
@@ -552,11 +549,10 @@ class TestPipeline:
 
         for n_max in (3, 17, 9):
             oracle(n_max)
-        for cache in per_truncation:
-            assert cache.cache_info().currsize == 1, cache.__name__
-        misses = [cache.cache_info().misses for cache in per_truncation]
+        assert fock._truncation.cache_info().currsize == 1
+        misses = fock._truncation.cache_info().misses
         oracle(9)  # the last truncation is the one kept
-        assert [cache.cache_info().misses for cache in per_truncation] == misses
+        assert fock._truncation.cache_info().misses == misses
 
 
 #: A literal grid (n_max, g, tau1, tau2, d, theta1, theta2) for the oracle:

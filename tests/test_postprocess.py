@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,13 +14,17 @@ from hbepp_link import (
     chsh,
     oracle_probabilities,
     outcome_probabilities,
+    postprocess,
 )
 from hbepp_link.analytic import outcome_probability_array, pair_table
 from hbepp_link.keyrate import _qber_and_sift, qber_and_sift
 from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
 from hbepp_link.postprocess import (
+    ALICE_CHSH_ANGLES,
+    BOB_CHSH_ANGLES,
     CoincidenceCounts,
     _FOLDS,
+    _chsh,
     coincidences,
     correlation,
     fold,
@@ -259,3 +264,43 @@ class TestChsh:
             for g in np.linspace(0.05, 0.995, 40)
         ]
         assert max(values) > TSIRELSON_BOUND
+
+    def test_every_model_folds_from_one_set_of_four_tables(self, monkeypatch):
+        calls = []
+
+        def table(*inputs):
+            calls.append(inputs[-1])
+            return outcome_probability_array(*inputs)
+
+        monkeypatch.setattr(postprocess, "outcome_probability_array", table)
+        models, gains = tuple(PostprocessingModel), np.linspace(0.05, 0.9, 7)
+        both = _chsh(0.4, 0.7, 0.01, 1e-5, models)
+        arrays = _chsh(gains, 0.7, 0.01, 1e-5, models)
+        assert len(calls) == 8
+        channel = ChannelParams(0.7, 0.01, 1e-5)
+        assert both == tuple(chsh(SourceParams(0.4), channel, model) for model in models)
+        for model, values in zip(models, arrays):
+            assert values.tolist() == [
+                chsh(SourceParams(g), channel, model) for g in gains.tolist()
+            ]
+
+    def test_fewer_tables_would_keep_the_bits(self):
+        # S from fewer tables relies on these identities: the four angle
+        # differences are two angles up to sign, and the table is even in
+        # theta, bit for bit, at one point and on arrays
+        a1, a2 = ALICE_CHSH_ANGLES
+        b1, b2 = BOB_CHSH_ANGLES
+        assert a2 - b2 == a1 - b1
+        assert a2 - b1 == -(a1 - b1)
+        points = np.array(list(itertools.product(
+            (0.05, 0.3, 0.9), (1.0, 0.5), (1e-3, 1e-9), (0.0, 6.25e-7, 1e-3)
+        )))
+        for theta in (a1 - b1, a1 - b2, 0.3, math.pi / 4, 2.9):
+            for point in points.tolist():
+                assert outcome_probability_array(*point, -theta) == outcome_probability_array(
+                    *point, theta
+                )
+            assert np.array_equal(
+                outcome_probability_array(*points.T, -theta),
+                outcome_probability_array(*points.T, theta),
+            )
