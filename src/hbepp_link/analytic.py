@@ -47,14 +47,16 @@ table at theta is the one at pi/2 - theta with Bob's ``+`` and ``-``
 swapped, and D(T) takes one pairing of the modes at every angle.
 
 ``outcome_probability_array`` takes floats or numpy arrays, theta among
-them, and ``outcome_probabilities`` is its one-point call. ``pair_table``
-is the table at angle 0, which every key rate reads: there D(T) is the
-product of two independent pairs' 4x4 systems, both built from one pair's
-nine entries (``_pair``, which ``_system`` pairs up too), so the table is
-products of one pair's table. Both tables run one back substitution and
-dark-count rule (``_solve``), at four modes and at two, pass one range
-and normalization gate, and return 16 Python floats for one point, one
-array stacked on a first axis for arrays.
+them, and ``outcome_probabilities`` is its one-point call. At angle 0
+D(T) is the product of two independent pairs' 4x4 systems, both built
+from one pair's nine entries (``_pair``, which ``_system`` pairs up too),
+so the table is products of one pair's four probabilities
+(``_pair_entries``). ``pair_probabilities``, which every key rate reads,
+gates those four; ``pair_table``, their 16 products, is the theta = 0
+reference table. The tables run one back substitution and dark-count rule
+(``_solve``), at four modes and at two, pass one range and normalization
+gate, and return Python floats for one point, one array stacked on a
+first axis for arrays.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ from .params import ChannelParams, MeasurementAngles, SourceParams
 from .patterns import (
     CANONICAL_PATTERNS,
     NEGATIVE_TOLERANCE,
+    PATTERN_LABELS,
     ProbabilityConsistencyError,
     ProbabilityTable,
+    check_range,
     left_to_right_sum,
 )
 
@@ -135,6 +139,8 @@ _SWAPPED = _SILENT & 3 | (_SILENT & 4) << 1 | (_SILENT & 8) >> 1
 #: the pair's silence masks (bit 0 Bob's mode, bit 1 Alice's).
 _FIRST = np.array([3 - p.b_minus - 2 * p.a_plus for p in CANONICAL_PATTERNS])
 _SECOND = np.array([3 - p.b_plus - 2 * p.a_minus for p in CANONICAL_PATTERNS])
+#: One pair's entries by silence mask, as ``_checked`` names them.
+_PAIR_LABELS = ("pair AB", "pair A", "pair B", "pair vac")
 
 
 def _pair(g, tau1, tau2):
@@ -183,13 +189,14 @@ def _table(g, tau1, tau2, dark_count, theta):
     return det[0] * np.where(c2 < s2, y[_SWAPPED], y[_SILENT])  # det[0] = kappa^2
 
 
-def _checked(table):
-    """``table``, pattern probabilities stacked on a first axis (a list of
-    16 Python floats for one point), once every entry lies in
+def _checked(table, labels=PATTERN_LABELS):
+    """``table``, probabilities stacked on a first axis (a list of Python
+    floats for one point), once every entry lies in
     [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE] and their sum, left to
     right, is 1 within ``_NORMALIZATION_TOL``; a NaN fails both. Otherwise
     the first failing column in row-major order raises the
-    ``ProbabilityConsistencyError`` a one-point call at it would raise."""
+    ``ProbabilityConsistencyError`` a one-point call at it would raise,
+    naming an out-of-range entry by its label in ``labels``."""
     # one reduction adds the rows of a C-ordered table in order, as the loop
     # does, once each row holds more than one element; a row of one element
     # (a one-point table) numpy would add pairwise
@@ -203,7 +210,7 @@ def _checked(table):
             table.max(axis=0) <= 1.0 + NEGATIVE_TOLERANCE
         )
         column = np.unravel_index(np.argmin(ok), ok.shape)
-        ProbabilityTable(tuple(table[(slice(None), *column)].tolist()))  # raises if out of range
+        check_range(labels, table[(slice(None), *column)].tolist())
         raise ProbabilityConsistencyError(
             f"pattern probabilities sum to {float(np.asarray(total)[column])!r}, "
             "expected 1"
@@ -219,10 +226,10 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta):
     return _checked(_table(g, tau1, tau2, dark_count, theta))
 
 
-def pair_table(g, tau1, tau2, dark_count):
-    """The 16 click-pattern probabilities at relative angle 0, in canonical
-    order, checked by ``_checked``: products ``pair[_FIRST] * pair[_SECOND]``
-    of one pair's table.
+def _pair_entries(g, tau1, tau2, dark_count):
+    """One pair's four click probabilities, unchecked, stacked on a first
+    axis by the pair's silence mask: q0 both modes click, q1 Alice's only,
+    q2 Bob's only, q3 both silent.
 
     At theta = 0 the cross weight vanishes and D(T) is the pairing
     p(a+, b-) p(a-, b+) of ``_pair``'s entries: two independent two-mode
@@ -230,10 +237,25 @@ def pair_table(g, tau1, tau2, dark_count):
     table is ``_solve`` at two modes times kappa. Arithmetic with integer
     literals only: ``g``, ``tau1``, ``tau2`` and ``dark_count`` may be
     floats, numpy arrays that broadcast together, or ``Fraction``s, which
-    give the exact table (a list of ``Fraction``s).
+    give exact entries.
     """
     p = _pair(g, tau1, tau2)
-    pair = np.array([p[0] * v for v in _solve(p, _TWO_MODES, dark_count)])
+    return np.array([p[0] * v for v in _solve(p, _TWO_MODES, dark_count)])
+
+
+def pair_probabilities(g, tau1, tau2, dark_count):
+    """``_pair_entries`` checked by ``_checked``, which names a failing
+    entry by ``_PAIR_LABELS``: four Python floats (or ``Fraction``s) for one
+    point, one array stacked on a first axis for arrays."""
+    return _checked(_pair_entries(g, tau1, tau2, dark_count), _PAIR_LABELS)
+
+
+def pair_table(g, tau1, tau2, dark_count):
+    """The 16 click-pattern probabilities at relative angle 0, in canonical
+    order, checked by ``_checked``: products ``pair[_FIRST] * pair[_SECOND]``
+    of ``_pair_entries``, exact for ``Fraction`` inputs. The theta = 0
+    reference table that the general table is tested against."""
+    pair = _pair_entries(g, tau1, tau2, dark_count)
     return _checked(pair[_FIRST] * pair[_SECOND])
 
 

@@ -392,8 +392,7 @@ def click_probabilities(
     n >= 1 and ``dark_count`` for n = 0, independently across the four
     detectors.
     """
-    if not 0.0 <= dark_count < 1.0:
-        raise ValueError(f"dark_count must be in [0, 1), got {dark_count}")
+    ChannelParams(1.0, 1.0, dark_count)  # checks the dark-count rate
     readout = np.zeros((dist.n_max + 1, 2))  # columns: (no click, click)
     readout[0, 0] = 1.0 - dark_count
     readout[0, 1] = dark_count

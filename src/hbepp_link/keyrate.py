@@ -14,10 +14,11 @@ Conventions (standard BBM92 with a singlet source):
   equal bit/phase error rates: R_sec = R_sift (1 - 2 H2(eps)), clamped at
   zero.
 
-Every rate here is at relative angle 0, so it reads ``analytic.pair_table``:
-the click table as products of one 2x2 pair table, accurate entry by entry
-however deep the loss, with the same range and normalization gate as the
-general table. ``binary_entropy`` and ``secure_rate`` take floats or
+Every rate here is at relative angle 0, so it reads one pair's four
+probabilities (``analytic.pair_probabilities``, with the general table's
+range and normalization gate) and forms each model's two sums from them
+in closed form, every term nonnegative, accurate however deep the loss.
+``binary_entropy`` and ``secure_rate`` take floats or
 arrays on one path: an array element is the float the one-point call
 gives, bit for bit, and a one-point call returns a Python float.
 ``secure_rate`` takes the entropy only of error rates outside
@@ -34,15 +35,16 @@ All rates are per temporal mode; per-second display is a CLI concern.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import pair_table
+from .analytic import pair_probabilities
 from .params import ChannelParams, SourceParams, transmittance_from_db
-from .postprocess import PostprocessingModel, fold, share
+from .postprocess import PostprocessingModel, share
 
 #: Gains scanned by ``optimize_gain`` and their default number.
 G_BRACKET = (1e-3, 0.95)
@@ -52,12 +54,10 @@ _GRID_POINTS = 256
 _STENCIL = 1.0 + 1e-3 * np.arange(-2.0, 3.0)
 
 #: Gains per array call at most, in whole channels: 4 scan rows with the
-#: fixed-gain column, 1,028 gains, peak near 0.58 MB of numpy temporaries
-#: on the pair-table chain (tracemalloc; the pair's entries, the stacked
-#: pair table, its two gathers and the lane columns at the grid's shape),
-#: and a 26-loss scan, in 7 calls, 0.63 MB. Fewer, larger temporaries buy
-#: fewer numpy calls: (rows, 1) columns and 16 separate products peaked at
-#: 0.34 and 0.39 MB.
+#: fixed-gain column, 1,028 gains, peak near 0.19 MB of numpy temporaries
+#: on the pair-form chain (tracemalloc; the pair's nine entries, its four
+#: stacked probabilities, the forms and the lane columns at the grid's
+#: shape), and a 26-loss scan, in 7 calls, 0.22 MB.
 _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
 
 
@@ -111,14 +111,26 @@ def binary_entropy(eps):
 
 
 def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
-    """(QBER, sifted rate) at matched bases: the pair table folded into its
-    four cells, eps = (n_pp + n_mm) / total and R_sift = total / 2, with
-    (0, 0) where no coincidences survive post-processing. Inputs as for
-    ``pair_table``: floats, or arrays that broadcast together.
+    """(QBER, sifted rate) at matched bases: eps = (n_pp + n_mm) / total and
+    R_sift = total / 2, with (0, 0) where no coincidences survive
+    post-processing. Inputs as for ``analytic.pair_probabilities``: floats,
+    arrays that broadcast together, or ``Fraction``s, which give exact rates.
+
+    A pattern's probability is q[m1] q[m2], m1 the state of the pair
+    (a+, b-) and m2 of (a-, b+), so ``postprocess.fold`` reduces to one
+    form per model, every term nonnegative. The same-sign two-fold
+    coincidences are 2 q1 q2 and the opposite-sign ones 2 q0 q3, which is
+    all that discard keeps; squash adds the events with a double click,
+    q0^2 and 2 q0 (q1 + q2), half of each to the same-sign cells.
     """
-    counts = fold(pair_table(g, tau1, tau2, dark_count), model)
-    total = counts.total()
-    return share(counts.n_pp + counts.n_mm, total), 0.5 * total
+    q0, q1, q2, q3 = pair_probabilities(g, tau1, tau2, dark_count)
+    cross = 2 * q1 * q2
+    if model is PostprocessingModel.SQUASH:
+        same = q0 * (q0 / 2 + q1 + q2) + cross
+        total = q0 * (q0 + 2 * (q1 + q2 + q3)) + cross
+    else:
+        same, total = cross, cross + 2 * q0 * q3
+    return share(same, total), total / 2
 
 
 def qber_and_sift(
@@ -225,6 +237,14 @@ def _peak(grid: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return at + x * (grid.take(center + 1) - at)
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_grid(grid_points: int) -> np.ndarray:
+    """``grid_points`` gains evenly over ``G_BRACKET``, read-only."""
+    grid = np.linspace(*G_BRACKET, grid_points)
+    grid.flags.writeable = False
+    return grid
+
+
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
     ``lanes``, in three array calls: the scan, with the gains ``fixed`` as
@@ -236,7 +256,7 @@ def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     lane is its one-lane search bit for bit. Returns the results and the
     rates at ``fixed``, a (lanes, len(fixed)) array."""
     scan = np.empty((len(lanes), grid_points + len(fixed)))
-    scan[:, :grid_points] = np.linspace(*G_BRACKET, grid_points)
+    scan[:, :grid_points] = _scan_grid(grid_points)
     scan[:, grid_points:] = fixed
     rates = _secure_rates(scan, lanes)
     g, rate, lo, hi = _best(scan[:, :grid_points], rates[:, :grid_points])

@@ -35,6 +35,17 @@ class ProbabilityConsistencyError(ValueError):
     """A probability fell outside [0, 1] by more than rounding allows."""
 
 
+def check_range(labels, values) -> None:
+    """Raise ``ProbabilityConsistencyError`` naming ``P[label]`` at the first
+    of ``values``, NaN included, outside [-NEGATIVE_TOLERANCE,
+    1 + NEGATIVE_TOLERANCE]."""
+    for label, v in zip(labels, values):
+        if not (-NEGATIVE_TOLERANCE <= v <= 1.0 + NEGATIVE_TOLERANCE):
+            raise ProbabilityConsistencyError(
+                f"P[{label}] = {v!r} outside [0, 1] beyond rounding"
+            )
+
+
 class ClickPattern(NamedTuple):
     """Which of the four detectors fired (True = click)."""
 
@@ -72,6 +83,8 @@ CANONICAL_PATTERNS: tuple[ClickPattern, ...] = tuple(
 )
 
 _PATTERN_INDEX = {p: i for i, p in enumerate(CANONICAL_PATTERNS)}
+#: The label of each pattern, in canonical order.
+PATTERN_LABELS = tuple(p.label() for p in CANONICAL_PATTERNS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,11 +103,7 @@ class ProbabilityTable:
     def __post_init__(self) -> None:
         if len(self.values) != 16:
             raise ValueError(f"expected 16 entries, got {len(self.values)}")
-        for p, v in zip(CANONICAL_PATTERNS, self.values):
-            if not (-NEGATIVE_TOLERANCE <= v <= 1.0 + NEGATIVE_TOLERANCE):
-                raise ProbabilityConsistencyError(
-                    f"P[{p.label()}] = {v!r} outside [0, 1] beyond rounding"
-                )
+        check_range(PATTERN_LABELS, self.values)
 
     def __getitem__(self, pattern: ClickPattern) -> float:
         return self.values[_PATTERN_INDEX[pattern]]

@@ -412,7 +412,7 @@ class TestClickProbabilities:
         assert table.total() == pytest.approx(dist.total(), abs=1e-12)
 
     def test_invalid_dark_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dark_count must be in \[0, 1\), got 1\.0$"):
             click_probabilities(self._vacuum_distribution(), 1.0)
 
 

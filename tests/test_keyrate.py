@@ -18,6 +18,7 @@ from hbepp_link import (
     qber_and_sift,
 )
 from hbepp_link import keyrate
+from hbepp_link.analytic import pair_table
 from hbepp_link.cli import run_subcommand
 from hbepp_link.config import parse_config
 from hbepp_link.keyrate import (
@@ -28,6 +29,7 @@ from hbepp_link.keyrate import (
     secure_rate,
 )
 from hbepp_link.params import transmittance_from_db
+from hbepp_link.patterns import ProbabilityConsistencyError
 from hbepp_link.postprocess import ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, _FOLDS, coincidences
 
 from exact import outcome_probabilities_exact
@@ -158,6 +160,53 @@ class TestQberAndSift:
         eps_matched = (matched.n_pp + matched.n_mm) / matched.total()
         eps_crossed = (crossed.n_pm + crossed.n_mp) / crossed.total()
         assert eps_matched == pytest.approx(eps_crossed, abs=1e-12)
+
+
+class TestPairForms:
+    """``keyrate._qber_and_sift``: one closed form per model in one pair's
+    four probabilities, in place of the fold of the 16-entry table."""
+
+    def test_forms_are_the_exact_fold_of_the_pair_table(self):
+        # with Fraction inputs every step is exact, so each form equals the
+        # fold of pair_table's 16 exact entries by _FOLDS' exact weights
+        rng = np.random.default_rng(53)
+        points = [(0.4, 0.7, 1e-3, 6.25e-7), (0.9, 1.0, 0.5, 0.0), (0.05, 0.5, 1e-12, 0.0),
+                  (0.0, 0.7, 0.01, 0.0), (0.0, 0.7, 0.01, 1e-3)]
+        points += [
+            (rng.uniform(0.0, 0.95), rng.uniform(1e-6, 1.0), 10.0 ** -rng.uniform(0.0, 12.0),
+             rng.choice([0.0, 0.0, 6.25e-7, 1e-3]))
+            for _ in range(40)
+        ]
+        for point in points:
+            point = tuple(Fraction(float(v)) for v in point)
+            table = pair_table(*point)
+            for model in PostprocessingModel:
+                n_pp, n_pm, n_mp, n_mm = (sum(Fraction(weight) * table[index]
+                                              for index, weight in cell)
+                                          for cell in _FOLDS[model])
+                total = n_pp + n_pm + n_mp + n_mm
+                exact = ((n_pp + n_mm) / total, total / 2) if total else (0, 0)
+                eps, r_sift = keyrate._qber_and_sift(*point, model)
+                assert [type(eps), type(r_sift)] == [Fraction, Fraction]
+                assert (eps, r_sift) == exact
+
+    @pytest.mark.parametrize("model", list(PostprocessingModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "gains, message",
+        [
+            ([0.3, math.nan, 1.5], r"P\[pair AB\] = nan outside"),
+            ([0.3, 1.5, math.nan], r"P\[pair A\] = 4\.5435\d* outside"),
+        ],
+        ids=["nan-first", "out-of-range-first"],
+    )
+    def test_gate_raises_the_first_failing_column(self, gains, message, model):
+        # the pair's four entries pass the general table's gate, which
+        # names the failing pair entry; the one-point call at the first
+        # failing column raises the same message
+        with pytest.raises(ProbabilityConsistencyError, match=message):
+            keyrate._qber_and_sift(np.array(gains), 0.7, 0.3, 0.0, model)
+        with pytest.raises(ProbabilityConsistencyError, match=message):
+            keyrate._qber_and_sift(gains[1], 0.7, 0.3, 0.0, model)
 
 
 class TestSecureRate:
@@ -770,6 +819,9 @@ class TestArrayCalls:
         result = optimize_gain(channel)
         scan, stencil, last = grids
         assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
+        # the scan's gains are built once per grid size, read-only
+        assert keyrate._scan_grid(256) is keyrate._scan_grid(256)
+        assert not keyrate._scan_grid(256).flags.writeable
         lanes = keyrate._lanes([channel])
         g0 = keyrate._peak(scan, keyrate._secure_rates(scan, lanes))
         assert stencil.tobytes() == (g0[:, None] * keyrate._STENCIL).tobytes()
@@ -821,7 +873,7 @@ class TestArrayCalls:
         assert stepped == 396
 
     def test_4x256_call_peaks_under_1_mb(self):
-        # the figure in _ROWS_PER_CALL's comment: about 0.58 MB of numpy
+        # the figure in _ROWS_PER_CALL's comment: about 0.18 MB of numpy
         # temporaries for 4 rows of 256 gains
         lanes = keyrate._lanes([reference_channel(loss) for loss in (20.0, 30.0, 40.0, 45.0)])
         grid = np.linspace(np.full(4, G_BRACKET[0]), np.full(4, G_BRACKET[1]), 256, axis=1)

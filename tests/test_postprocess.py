@@ -142,6 +142,27 @@ class TestFold:
                 assert hexes(corr[k]) == hexes(correlation(coincidences(table, model)))
                 assert hexes(eps[k], r_sift[k]) == hexes(*qber_and_sift(source, channel, model))
 
+    def test_qber_and_sift_arrays_equal_one_point_calls_bit_for_bit(self):
+        # both models' pair forms on a (4, 64) grid, tau2 from 1 down to
+        # 1e-12, d = 0 among the dark counts, and one element without
+        # coincidences: every element is its one-point call, to the bit
+        rng = np.random.default_rng(59)
+        shape = (4, 64)
+        g = rng.uniform(0.0, 0.95, shape)
+        tau1 = rng.uniform(1e-6, 1.0, shape)
+        tau2 = 10.0 ** -rng.uniform(0.0, 12.0, shape)
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], shape)
+        g[0, 0] = dark[0, 0] = 0.0
+        for model in PostprocessingModel:
+            eps, r_sift = _qber_and_sift(g, tau1, tau2, dark, model)
+            assert eps.shape == r_sift.shape == shape
+            assert (eps[0, 0], r_sift[0, 0]) == (0.0, 0.0)
+            for index in np.ndindex(shape):
+                one = _qber_and_sift(*(v[index].item() for v in (g, tau1, tau2, dark)), model)
+                assert [type(v) for v in one] == [float, float]
+                assert [v.hex() for v in one] == [eps[index].item().hex(),
+                                                  r_sift[index].item().hex()]
+
     @staticmethod
     def python_fold(values, model):
         """The cells of ``_FOLDS[model]`` from 16 Python floats: each cell's
