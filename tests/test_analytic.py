@@ -17,7 +17,7 @@ from hbepp_link import (
     truncation_error_bound,
 )
 from hbepp_link import analytic
-from hbepp_link.analytic import outcome_probability_array, pair_table
+from hbepp_link.analytic import outcome_probability_array, pair_probabilities, pair_table
 from hbepp_link.params import transmittance_from_db
 from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
@@ -716,9 +716,11 @@ PINNED_GRID = (
     (0.0, 6.25e-7, 1e-3),
 )
 #: sha256 of the float.hex of every entry: one array call, then one
-#: one-point call per grid point, as the tables gave them before their
-#: back substitution was shared.
+#: one-point call per grid point. The tables as they gave them before their
+#: back substitution was shared; the pair's four entries as they gave them
+#: while the 16-entry theta = 0 table was still their products.
 PINNED_DIGESTS = {
+    "pair_probabilities": "0dfbd65d24cfb4f14af536672a5918514a1d1846b3c5d9db3570941b11ae379e",
     "pair_table": "54e927e4c70fc927bdc97abd7690d67961e328383ef5b1dab658d0f780a95f0e",
     "outcome_probability_array": "6703e56ea25e0a59fe6c891c8d2a869d32b61e3176505744c6ba90dfbdfc62cc",
 }
@@ -727,6 +729,7 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_tables_keep_their_bits_at_theta_zero(name):
     table = {
+        "pair_probabilities": pair_probabilities,
         "pair_table": pair_table,
         "outcome_probability_array": lambda *point: outcome_probability_array(*point, 0.0),
     }[name]
