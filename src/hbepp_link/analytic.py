@@ -38,7 +38,7 @@ substitution on D(T) y = e_(all silent) gives all 16 mixed differences y
 of 1/D, never subtracting one node value from another: small entries keep
 their digits at any loss. Rounding grows only where the leading order
 cancels in the physics: near theta = pi/4 the four-fold click's g^4 term
-goes as cos^2(2 theta), and its relative error there is up to eps / g^2.
+goes as cos^2(2 theta), and its relative error there is within 2 eps / g^2.
 A pattern is (1 - g^2)^2 times y after each mode's dark-count rule, every
 weight nonnegative: silent (1 - d) f(tau), click difference + d f(tau).
 
@@ -50,13 +50,11 @@ swapped, and D(T) takes one pairing of the modes at every angle.
 them, and ``outcome_probabilities`` is its one-point call. At angle 0
 D(T) is the product of two independent pairs' 4x4 systems, both built
 from one pair's nine entries (``_pair``, which ``_system`` pairs up too),
-so the table is products of one pair's four probabilities
-(``_pair_entries``). ``pair_probabilities``, which every key rate reads,
-gates those four; ``pair_table``, their 16 products, is the theta = 0
-reference table. The tables run one back substitution and dark-count rule
-(``_solve``), at four modes and at two, pass one range and normalization
-gate, and return Python floats for one point, one array stacked on a
-first axis for arrays.
+so the table is products of one pair's four probabilities,
+``pair_probabilities``, which every key rate reads. Both run one back
+substitution and dark-count rule (``_solve``), at four modes and at two,
+pass one range and normalization gate, and return Python floats for one
+point, one array stacked on a first axis for arrays.
 """
 
 from __future__ import annotations
@@ -135,10 +133,6 @@ _TWO_MODES = _plan((1, 3))
 _SILENT = np.array([15 ^ sum(bit << m for m, bit in enumerate(p)) for p in CANONICAL_PATTERNS])
 #: The same with Bob's ``+`` and ``-`` modes (bits 2 and 3) swapped.
 _SWAPPED = _SILENT & 3 | (_SILENT & 4) << 1 | (_SILENT & 8) >> 1
-#: The pair-table entries of each pattern, p(a+, b-) and p(a-, b+), as
-#: the pair's silence masks (bit 0 Bob's mode, bit 1 Alice's).
-_FIRST = np.array([3 - p.b_minus - 2 * p.a_plus for p in CANONICAL_PATTERNS])
-_SECOND = np.array([3 - p.b_plus - 2 * p.a_minus for p in CANONICAL_PATTERNS])
 #: One pair's entries by silence mask, as ``_checked`` names them.
 _PAIR_LABELS = ("pair AB", "pair A", "pair B", "pair vac")
 
@@ -167,10 +161,13 @@ def _system(g, tau1, tau2, weight):
     P2 = p(a+, b+) p(a-, b-) of ``_pair``'s p. As
     P2 - P1 = x (t_a- - t_a+)(t_b+ - t_b-), D = P1 + s^2 (P2 - P1), or in
     Bob's swapped labels, which swap P1 and P2, P1 + c^2 (P2 - P1). So with
-    ``weight`` = min(c^2, s^2) one pairing serves every angle. The cross
-    term is 0 where a party's two modes share a state: every one-sided
-    entry is the same at every angle, and at theta = 0 D is
-    ``pair_table``'s pairing. Entry 0, both parties clicked, is kappa^2.
+    ``weight`` = min(c^2, s^2) one pairing serves every angle. The swap
+    keeps the cross term the smaller part: with weight s^2, D near pi/2 is
+    P1 + (P2 - P1) where an entry of P2 can be 1e-14 of P1's near g = 1,
+    and the table's sum then misses 1 by up to 2.4e-5. The cross term is 0
+    where a party's two modes share a state: every one-sided entry is the
+    same at every angle, and at theta = 0 D is the product of two
+    independent pairs' systems. Entry 0, both parties clicked, is kappa^2.
     """
     pair = np.stack(_pair(g, tau1, tau2))
     return pair[_PAIRING[0]] * pair[_PAIRING[1]] + np.multiply.outer(_CROSS, weight * pair[8])
@@ -226,10 +223,10 @@ def outcome_probability_array(g, tau1, tau2, dark_count, theta):
     return _checked(_table(g, tau1, tau2, dark_count, theta))
 
 
-def _pair_entries(g, tau1, tau2, dark_count):
-    """One pair's four click probabilities, unchecked, stacked on a first
-    axis by the pair's silence mask: q0 both modes click, q1 Alice's only,
-    q2 Bob's only, q3 both silent.
+def pair_probabilities(g, tau1, tau2, dark_count):
+    """One pair's four click probabilities by the pair's silence mask: q0
+    both modes click, q1 Alice's only, q2 Bob's only, q3 both silent;
+    checked by ``_checked``, which names a failing entry by ``_PAIR_LABELS``.
 
     At theta = 0 the cross weight vanishes and D(T) is the pairing
     p(a+, b-) p(a-, b+) of ``_pair``'s entries: two independent two-mode
@@ -237,26 +234,12 @@ def _pair_entries(g, tau1, tau2, dark_count):
     table is ``_solve`` at two modes times kappa. Arithmetic with integer
     literals only: ``g``, ``tau1``, ``tau2`` and ``dark_count`` may be
     floats, numpy arrays that broadcast together, or ``Fraction``s, which
-    give exact entries.
+    give exact entries. Four Python floats (or ``Fraction``s) for one
+    point, one array stacked on a first axis for arrays.
     """
     p = _pair(g, tau1, tau2)
-    return np.array([p[0] * v for v in _solve(p, _TWO_MODES, dark_count)])
-
-
-def pair_probabilities(g, tau1, tau2, dark_count):
-    """``_pair_entries`` checked by ``_checked``, which names a failing
-    entry by ``_PAIR_LABELS``: four Python floats (or ``Fraction``s) for one
-    point, one array stacked on a first axis for arrays."""
-    return _checked(_pair_entries(g, tau1, tau2, dark_count), _PAIR_LABELS)
-
-
-def pair_table(g, tau1, tau2, dark_count):
-    """The 16 click-pattern probabilities at relative angle 0, in canonical
-    order, checked by ``_checked``: products ``pair[_FIRST] * pair[_SECOND]``
-    of ``_pair_entries``, exact for ``Fraction`` inputs. The theta = 0
-    reference table that the general table is tested against."""
-    pair = _pair_entries(g, tau1, tau2, dark_count)
-    return _checked(pair[_FIRST] * pair[_SECOND])
+    return _checked(np.array([p[0] * v for v in _solve(p, _TWO_MODES, dark_count)]),
+                    _PAIR_LABELS)
 
 
 def outcome_probabilities(

@@ -1,5 +1,6 @@
 """Exact rational evaluation of the click table, the reference for every
-entry of ``analytic.outcome_probability_array`` and ``analytic.pair_table``
+entry of ``analytic.outcome_probability_array``, for the four entries of
+``analytic.pair_probabilities`` (as the marginals of the theta = 0 table)
 and for V(S) on the diagonal of the package's triangular system.
 
 It shares no arithmetic with the package: it takes the vacuum-subset
@@ -62,3 +63,22 @@ def outcome_probabilities_exact(
             p = p - term if bin(sub).count("1") % 2 else p + term
         values.append(p)
     return values
+
+
+def pair_masks(pattern) -> tuple[int, int]:
+    """The silence masks of a pattern's two pairs, (a+, b-) and (a-, b+),
+    each with bit 0 Bob's mode and bit 1 Alice's: at theta = 0 the pattern's
+    probability is the product of one pair's probabilities at the two."""
+    return (
+        (not pattern.b_minus) + 2 * (not pattern.a_plus),
+        (not pattern.b_plus) + 2 * (not pattern.a_minus),
+    )
+
+
+def pair_marginals(table) -> list:
+    """One pair's four probabilities from a theta = 0 table in canonical
+    order, by ``pair_masks``: the sum over the other pair's four states."""
+    q = [0, 0, 0, 0]
+    for pattern, value in zip(CANONICAL_PATTERNS, table):
+        q[pair_masks(pattern)[0]] += value
+    return q

@@ -17,7 +17,7 @@ from hbepp_link import (
     truncation_error_bound,
 )
 from hbepp_link import analytic
-from hbepp_link.analytic import outcome_probability_array, pair_probabilities, pair_table
+from hbepp_link.analytic import outcome_probability_array, pair_probabilities
 from hbepp_link.params import transmittance_from_db
 from hbepp_link.patterns import (
     CANONICAL_PATTERNS,
@@ -26,7 +26,7 @@ from hbepp_link.patterns import (
     left_to_right_sum,
 )
 
-from exact import outcome_probabilities_exact, vacuum_terms_exact
+from exact import outcome_probabilities_exact, pair_marginals, pair_masks, vacuum_terms_exact
 from subtractive import outcome_probabilities_subtractive
 
 ALL_SILENT = 15  # silence bitmasks: bit i set when mode i is silent
@@ -401,8 +401,9 @@ class TestProbabilityTable:
 #: the cross weight min(c^2, s^2) is largest; 2.5e-15 at the other fixed
 #: angles, 9.8e-15 with an angle per column), 2.8e-13 on the
 #: deep-loss grid below. Near pi/4 the four-fold entry's error grows as
-#: eps / g^2 (see ``analytic``), past this bound below g of about 0.02:
-#: 3.2e-12 at g = 0.01, 3.1e-11 at g = 0.003.
+#: eps / g^2 (``test_four_fold_entry_within_2_eps_over_g_squared_near_pi_4``),
+#: past this bound below g of about 0.02: 3.2e-12 at g = 0.01, 3.1e-11 at
+#: g = 0.003.
 EXACT_REL = 1e-12
 
 
@@ -455,7 +456,7 @@ class TestOutcomeProbabilityArray:
         g = np.concatenate([rng.uniform(0.0, 0.9, 500), 1.0 - 10.0 ** -rng.uniform(1, 15, 500)])
         tau1, tau2 = 10.0 ** -rng.uniform(0.0, 12.0, (2, 1000))
         dark = rng.choice([0.0, 6.25e-7, 1e-3, 1e-2], 1000)
-        tables = [pair_table(g, tau1, tau2, dark)] + [
+        tables = [pair_probabilities(g, tau1, tau2, dark)] + [
             outcome_probability_array(g, tau1, tau2, dark, theta)
             for theta in (0.0, 0.3, math.pi / 4, math.pi / 2)
         ]
@@ -559,21 +560,27 @@ DEEP_DARK = (0.0, 6.25e-7, 1e-3)
 
 
 class TestPairFormReference:
-    """``analytic.pair_table``: the theta = 0 table as two independent pairs,
-    the table every key rate reads and the reference for every entry of the
-    general table at deep loss."""
+    """``analytic.pair_probabilities``: one pair's four entries, whose
+    products are the theta = 0 table as two independent pairs. Every key
+    rate reads them, and as ``Fraction``s they are the exact reference for
+    every entry of the general table at deep loss."""
 
     def test_products_are_the_exact_inclusion_exclusion(self):
-        # as Fractions the pair products equal the exact inclusion-exclusion
-        # over the exact V(S); as floats they keep every entry to a few ulps
+        # as Fractions each entry is the exact marginal of the theta = 0
+        # table and their products are its every exact entry; as floats the
+        # entries and their products keep every digit to a few ulps
         worst = 0.0
         for g, loss1, loss2, dark in itertools.product(
             (0.05, 0.5, 0.9), (0.0, 1.6), (0.0, 30.0, 80.0), (0.0, 1e-3)
         ):
             point = (g, transmittance_from_db(loss1), transmittance_from_db(loss2), dark)
             exact = outcome_probabilities_exact(*point[:3], 0.0, dark)
-            assert pair_table(*map(Fraction, point)) == exact
-            for value, reference in zip(pair_table(*point), exact):
+            pair = pair_probabilities(*map(Fraction, point))
+            assert pair == pair_marginals(exact)
+            assert [pair[a] * pair[b] for a, b in map(pair_masks, CANONICAL_PATTERNS)] == exact
+            floats = pair_probabilities(*point)
+            products = [floats[a] * floats[b] for a, b in map(pair_masks, CANONICAL_PATTERNS)]
+            for value, reference in zip(floats + products, pair + exact):
                 if reference:
                     worst = max(worst, abs(float((Fraction(value) - reference) / reference)))
         assert worst <= 2e-15
@@ -586,21 +593,21 @@ class TestPairFormReference:
         tau2[-1] = 1.0
         dark = rng.choice([0.0, 6.25e-7, 1e-3], 32)
         # no points: an empty table, which passes the gate
-        assert np.array(pair_table(g[:0], tau1[:0], tau2[:0], dark[:0])).shape == (16, 0)
-        table = np.array(pair_table(g, tau1, tau2, dark))
-        assert table.shape == (16, 32)
+        assert np.array(pair_probabilities(g[:0], tau1[:0], tau2[:0], dark[:0])).shape == (4, 0)
+        table = np.array(pair_probabilities(g, tau1, tau2, dark))
+        assert table.shape == (4, 32)
         for k in range(32):
-            point = pair_table(g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item())
-            assert [type(v) for v in point] == [float] * 16
+            point = pair_probabilities(g[k].item(), tau1[k].item(), tau2[k].item(), dark[k].item())
+            assert [type(v) for v in point] == [float] * 4
             assert [v.hex() for v in table[:, k].tolist()] == [v.hex() for v in point]
 
     def test_is_the_two_mode_back_substitution(self):
-        # D(T) of one pair, written out here with Alice's mode on bit 0 of
-        # the silence mask and entry (row, col) _pair's p[3 state_a + state_b]
+        # D(T) of one pair, written out here with Bob's mode on bit 0 of the
+        # silence mask and entry (row, col) _pair's p[3 state_a + state_b]
         # with state 2 col bit - row bit, solved level by level as the four
         # modes are; then each mode's dark-count rule, Bob's first, and kappa
         def entry(row, col):
-            return sum((2 * (col >> m & 1) - (row >> m & 1)) * (3, 1)[m] for m in range(2))
+            return sum((2 * (col >> m & 1) - (row >> m & 1)) * (1, 3)[m] for m in range(2))
 
         def solved(g, tau1, tau2, dark):
             p = analytic._pair(g, tau1, tau2)
@@ -609,23 +616,15 @@ class TestPairFormReference:
                 cols = [c for c in range(4) if c != row and c & row == row]
                 terms = [p[entry(row, c)] * y[c] for c in cols]
                 y[row] = -left_to_right_sum(terms) / p[entry(row, row)]
-            for bit in (2, 1):
+            for bit in (1, 2):
                 for low in (m for m in range(4) if not m & bit):
                     y[low] = y[low] + dark * y[low | bit]
                     y[low | bit] = y[low | bit] * (1 - dark)
-            pair = [p[0] * v for v in y]
-
-            def mask(alice, bob):  # the pair's silence mask
-                return (not alice) + 2 * (not bob)
-
-            return [
-                pair[mask(c.a_plus, c.b_minus)] * pair[mask(c.a_minus, c.b_plus)]
-                for c in CANONICAL_PATTERNS
-            ]
+            return [p[0] * v for v in y]
 
         point = (0.4, 0.7, 1e-3, 6.25e-7)
-        assert [v.hex() for v in pair_table(*point)] == [v.hex() for v in solved(*point)]
-        assert pair_table(*map(Fraction, point)) == solved(*map(Fraction, point))
+        assert [v.hex() for v in pair_probabilities(*point)] == [v.hex() for v in solved(*point)]
+        assert pair_probabilities(*map(Fraction, point)) == solved(*map(Fraction, point))
         rng = np.random.default_rng(47)
         inputs = (
             rng.uniform(0.0, 0.95, 64),
@@ -633,7 +632,7 @@ class TestPairFormReference:
             10.0 ** -rng.uniform(0.0, 12.0, 64),
             rng.choice([0.0, 6.25e-7, 1e-3], 64),
         )
-        table = np.array(pair_table(*inputs))
+        table = np.array(pair_probabilities(*inputs))
         assert [v.hex() for v in table.ravel().tolist()] == [
             v.hex() for v in np.array(solved(*inputs)).ravel().tolist()
         ]
@@ -654,19 +653,19 @@ class TestPairFormReference:
     @pytest.mark.parametrize(
         "gains, message",
         [
-            ([0.3, math.nan, 1.5], r"P\[vac\] = nan outside"),
-            ([0.3, 1.5, math.nan], r"P\[vac\] = 5\.6153\d* outside"),
+            ([0.3, math.nan, 1.5], r"P\[pair AB\] = nan outside"),
+            ([0.3, 1.5, math.nan], r"P\[pair A\] = 4\.5435\d* outside"),
         ],
         ids=["nan-first", "out-of-range-first"],
     )
     def test_gate_raises_the_first_failing_column(self, gains, message):
-        # the general table's gate, with the general table's messages
+        # the general table's gate, naming the failing entry by the pair's labels
         with pytest.raises(ProbabilityConsistencyError, match=message):
-            pair_table(np.array(gains), 0.7, 0.3, 0.0)
+            pair_probabilities(np.array(gains), 0.7, 0.3, 0.0)
 
     def test_every_entry_within_1e_9_relative_to_80_db(self):
-        # the general table at theta = 0 against the pair products in exact
-        # arithmetic, down to 120 dB (measured worst: 1.4e-15)
+        # the general table at theta = 0 against the products of the pair's
+        # entries in exact arithmetic, down to 120 dB (measured worst: 1.4e-15)
         inputs = np.broadcast_arrays(
             np.reshape(DEEP_GAINS, (-1, 1, 1, 1)),
             np.reshape([transmittance_from_db(x) for x in DEEP_LOSS1_DB], (-1, 1, 1)),
@@ -676,7 +675,8 @@ class TestPairFormReference:
         table = np.array(outcome_probability_array(*inputs, 0.0))
         worst = 0.0
         for index in np.ndindex(inputs[0].shape):
-            exact = pair_table(*(Fraction(v[index].item()) for v in inputs))
+            pair = pair_probabilities(*(Fraction(v[index].item()) for v in inputs))
+            exact = [pair[a] * pair[b] for a, b in map(pair_masks, CANONICAL_PATTERNS)]
             for value, reference in zip(table[(slice(None), *index)].tolist(), exact):
                 if reference:
                     worst = max(worst, abs(float((Fraction(value) - reference) / reference)))
@@ -706,6 +706,23 @@ class TestEveryEntryExact:
             worst = max(worst, worst_relative(table[(slice(None), *index)].tolist(), exact))
         assert worst <= EXACT_REL
 
+    def test_four_fold_entry_within_2_eps_over_g_squared_near_pi_4(self):
+        # near pi/4 the four-fold click's g^4 term cancels, and P_1111 keeps
+        # a relative error within 2 eps / g^2, which passes EXACT_REL below
+        # g of about 0.02; every other entry stays within EXACT_REL. Measured
+        # worst: 1.17 eps / g^2 (g = 0.05, pi/4 +- 1e-3), 7.3e-9 at pi/4 and
+        # g = 1e-4, the other entries 8.1e-16.
+        four_fold = CANONICAL_PATTERNS.index(pat("1111"))
+        eps = np.finfo(float).eps
+        for theta in (math.pi / 4 - 1e-3, math.pi / 4, math.pi / 4 + 1e-3):
+            for g in (0.05, 0.02, 1e-2, 1e-3, 1e-4):
+                table = outcome_probability_array(g, 0.8, 0.5, 0.0, theta)
+                exact = outcome_probabilities_exact(g, 0.8, 0.5, theta, 0.0)
+                errors = [abs(float((Fraction(value) - reference) / reference))
+                          for value, reference in zip(table, exact)]
+                assert errors.pop(four_fold) <= 2 * eps / (g * g)
+                assert max(errors) <= EXACT_REL
+
 
 #: A literal grid at theta = 0, where cos and sin are exact and no libm call
 #: enters: g up to 0.97, tau2 down to 1e-12, three dark counts.
@@ -716,12 +733,10 @@ PINNED_GRID = (
     (0.0, 6.25e-7, 1e-3),
 )
 #: sha256 of the float.hex of every entry: one array call, then one
-#: one-point call per grid point. The tables as they gave them before their
-#: back substitution was shared; the pair's four entries as they gave them
-#: while the 16-entry theta = 0 table was still their products.
+#: one-point call per grid point. The general table's entries are pinned
+#: directly; the pair's four pin the theta = 0 products built from them.
 PINNED_DIGESTS = {
     "pair_probabilities": "0dfbd65d24cfb4f14af536672a5918514a1d1846b3c5d9db3570941b11ae379e",
-    "pair_table": "54e927e4c70fc927bdc97abd7690d67961e328383ef5b1dab658d0f780a95f0e",
     "outcome_probability_array": "6703e56ea25e0a59fe6c891c8d2a869d32b61e3176505744c6ba90dfbdfc62cc",
 }
 
@@ -730,7 +745,6 @@ PINNED_DIGESTS = {
 def test_tables_keep_their_bits_at_theta_zero(name):
     table = {
         "pair_probabilities": pair_probabilities,
-        "pair_table": pair_table,
         "outcome_probability_array": lambda *point: outcome_probability_array(*point, 0.0),
     }[name]
     points = list(itertools.product(*PINNED_GRID))

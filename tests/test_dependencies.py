@@ -115,7 +115,7 @@ def test_guard_flags_the_closed_form():
 
 def test_detects_package_imports():
     assert package_modules(ast.parse("from . import analytic, params")) == {"analytic", "params"}
-    assert package_modules(ast.parse("from hbepp_link.analytic import pair_table")) == {"analytic"}
+    assert package_modules(ast.parse("from hbepp_link.analytic import pair_probabilities")) == {"analytic"}
     assert package_modules(ast.parse("import hbepp_link.keyrate as k")) == {"keyrate"}
     assert package_modules(ast.parse("from hbepp_link import SourceParams")) == {"hbepp_link"}
     assert package_modules(ast.parse("import numpy\nfrom fractions import Fraction")) == set()

@@ -18,7 +18,6 @@ from hbepp_link import (
     qber_and_sift,
 )
 from hbepp_link import keyrate
-from hbepp_link.analytic import pair_table
 from hbepp_link.cli import run_subcommand
 from hbepp_link.config import parse_config
 from hbepp_link.keyrate import (
@@ -166,9 +165,10 @@ class TestPairForms:
     """``keyrate._qber_and_sift``: one closed form per model in one pair's
     four probabilities, in place of the fold of the 16-entry table."""
 
-    def test_forms_are_the_exact_fold_of_the_pair_table(self):
+    def test_forms_are_the_exact_fold_of_the_theta_zero_table(self):
         # with Fraction inputs every step is exact, so each form equals the
-        # fold of pair_table's 16 exact entries by _FOLDS' exact weights
+        # fold of tests/exact.py's 16 exact theta = 0 entries by _FOLDS'
+        # exact weights
         rng = np.random.default_rng(53)
         points = [(0.4, 0.7, 1e-3, 6.25e-7), (0.9, 1.0, 0.5, 0.0), (0.05, 0.5, 1e-12, 0.0),
                   (0.0, 0.7, 0.01, 0.0), (0.0, 0.7, 0.01, 1e-3)]
@@ -179,7 +179,7 @@ class TestPairForms:
         ]
         for point in points:
             point = tuple(Fraction(float(v)) for v in point)
-            table = pair_table(*point)
+            table = outcome_probabilities_exact(*point[:3], 0.0, point[3])
             for model in PostprocessingModel:
                 n_pp, n_pm, n_mp, n_mm = (sum(Fraction(weight) * table[index]
                                               for index, weight in cell)
@@ -891,7 +891,7 @@ def deep_loss_limit(g, tau1):
     """lim (R_sift / tau2, QBER) as tau2 -> 0 without dark counts, squash
     model. Arithmetic only, so a complex ``g`` gives complex-step slopes.
 
-    At d = 0 the pair table's p(0, 1) and p(1, 1) carry a factor tau2 and
+    At d = 0 the pair's p(0, 1) and p(1, 1) carry a factor tau2 and
     p(0, 0), p(1, 0) tend to Bob-blind values. With c = 1 - g^2, x = g^2
     and D_a = c + x tau1, per tau2 to first order:
 
@@ -976,7 +976,7 @@ class TestDeepLoss:
     def test_grid_without_dark_counts_raises_nowhere(self):
         # Summed from 81 signed inclusion-exclusion terms, a same-sign
         # coincidence rounds below 0 on 21 of these 81 channels and
-        # binary_entropy rejects the QBER; the pair table subtracts nothing,
+        # binary_entropy rejects the QBER; the pair's forms subtract nothing,
         # so every scan gain's QBER lies in [0, 1] and no search raises.
         grid = np.linspace(*G_BRACKET, 256)
         for loss1_db in (0.0, 1.6, 3.0):

@@ -16,7 +16,7 @@ from hbepp_link import (
     outcome_probabilities,
     postprocess,
 )
-from hbepp_link.analytic import outcome_probability_array, pair_table
+from hbepp_link.analytic import outcome_probability_array
 from hbepp_link.keyrate import _qber_and_sift, qber_and_sift
 from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
 from hbepp_link.postprocess import (
@@ -183,7 +183,7 @@ class TestFold:
         tau2, dark = np.array([[1e-3], [0.3]]), np.array([[6.25e-7], [1e-3]])
         rng = np.random.default_rng(19)
         tables = [
-            pair_table(g, 0.7, tau2, dark),
+            outcome_probability_array(g, 0.7, tau2, dark, 0.0),
             outcome_probability_array(g, 0.7, tau2, dark, 0.7),
             rng.uniform(size=(16, 64)) * 10.0 ** -rng.uniform(0.0, 320.0, (16, 64)),
         ]
