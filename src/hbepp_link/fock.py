@@ -20,19 +20,20 @@ axis per party, and the blocks lie end to end, row-major, in one flat
 array (block n starts at the sum of (m+1)^2 over m < n). The axes are
 coordinates in the real Schur basis Q_n of the rotation generator on n
 photons, not Fock occupations. A basis rotation turns independent planes
-of that basis, so rotating is 2 x 2 mixing of paired rows and of paired
-columns: one multiply-add over the flat array per party, with each entry's
-plane partner gathered, and nothing for a party turned by exactly zero.
-The only matrix products are the two per block that return to Fock
-amplitudes, Q_n X_n Q_n^T, before squaring. Squaring keeps the pair
-support: the photon-number distribution is an (n, i, j) array of
-O(n_max^3) entries, never the dense (n_max+1)^4 grid over the four mode
-occupations. Loss and readout act on each detector mode independently, so
-each is a Markov kernel over one mode's photon number. The squared
-distribution holds no kernel (the identity), loss composes its binomial
-matrix into Alice's and Bob's kernels, and the readout composes
-the threshold matrix into them and contracts the result with the support
-mass, so the thinned distribution is never stored.
+of that basis, so rotating is 2 x 2 mixing of paired rows: one
+multiply-add over the flat array per party, with each entry's plane
+partner gathered (Bob's columns are the rows of the transposed blocks),
+and nothing for a party turned by exactly zero. The only matrix products
+are the two per block that return to Fock amplitudes, Q_n X_n Q_n^T,
+before squaring; the Q_n are in the one cached per-truncation table.
+Squaring keeps the pair support: the photon-number distribution is an
+(n, i, j) array of O(n_max^3) entries, never the dense (n_max+1)^4 grid
+over the four mode occupations. Loss and readout act on each detector
+mode independently, so each is a Markov kernel over one mode's photon
+number. The squared distribution holds no kernel (the identity), loss
+composes its binomial matrix into Alice's and Bob's kernels, and the
+readout composes the threshold matrix into them and contracts the result
+with the support mass, so the thinned distribution is never stored.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ def truncation_error_bound(g: float, n_max: int) -> float:
     return (n_max + 2) * x ** (n_max + 1) - (n_max + 1) * x ** (n_max + 2)
 
 
-@functools.lru_cache(maxsize=None)
 def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Real Schur basis of the polarization rotation on n photons.
 
@@ -83,8 +83,8 @@ def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the orthogonal Q = sqrt(2) [x_1 .. x_p, y_1 .. y_p], with the
     null vector of J (even entries only, times (-1)^(k/2)) as the last
     column when n is even, and the integer rates lambda_1 .. lambda_p of
-    its p = (n+1) // 2 planes. Cached by n alone: one entry per photon
-    number up to the largest truncation used.
+    its p = (n+1) // 2 planes. Not cached: ``_truncation`` keeps each Q_n
+    of its truncation.
     """
     off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))
     values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
@@ -97,10 +97,7 @@ def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2 == 0:
         columns.append(vectors[:, planes : planes + 1] * sign)
     q = np.hstack(columns)
-    rates = np.rint(values[n + 1 - planes :]).astype(np.intp)
-    for array in (q, rates):
-        array.flags.writeable = False
-    return q, rates
+    return q, np.rint(values[n + 1 - planes :]).astype(np.intp)
 
 
 def _offset(n: int) -> int:
@@ -121,18 +118,20 @@ class _Truncation(NamedTuple):
     holds (-1)^(n-m) at (m, n-m), with no factorial evaluated. Block n is
     Q_n^T B Q_n.
 
-    ``planes`` turns the planes of all blocks at once: one ``(rate,
-    repeats, partner)`` triple per party, rows for Alice, columns for Bob.
-    Each line of a block (a row or a column) turns at its plane's rate;
-    ``rate`` indexes that turn in the tables cos(rate theta) and
-    sin(rate theta) for rates 0 .. size-1, each followed by its copy with
-    the sine negated: x lines read +sin, y lines -sin (offset by ``size``),
-    and a null line rate 0. A row's entries share its turn, so Alice's
-    ``rate`` holds one entry per row, to be repeated ``repeats`` times (the
-    row's length) along the flat layout; Bob's holds one per entry of the
-    flat layout, and his ``repeats`` is None. ``partner`` is the flat index
-    of each entry's counterpart in the other line of its plane (the entry
-    itself on a null line).
+    ``bases`` holds Q_n for each n (see ``_schur_basis``).
+
+    ``planes`` turns the planes of Alice's rows in all blocks at once, as
+    one ``(rate, repeats, partner)`` triple. Each row of a block turns at
+    its plane's rate; ``rate`` indexes that turn in the tables
+    cos(rate theta) and sin(rate theta) for rates 0 .. size-1, each
+    followed by its copy with the sine negated: x rows read +sin, y rows
+    -sin (offset by ``size``), and a null row rate 0. A row's entries share
+    its turn, so ``rate`` holds one entry per row, to be repeated
+    ``repeats`` times (the row's length) along the flat layout.
+    ``partner`` is the flat index of each entry's counterpart in the other
+    row of its plane (the entry itself on a null row). ``transpose`` is the
+    flat index of each entry's mirror (r, c) -> (c, r) in its block: Bob's
+    columns are the rows of the transposed blocks.
 
     ``comb[n, k]`` is C(n, k) (zero for k > n), exact before the float
     cast, and ``lost[n, k]`` the number lost, max(n - k, 0). ``rest[n, i]``
@@ -141,7 +140,9 @@ class _Truncation(NamedTuple):
     """
 
     source: np.ndarray
-    planes: tuple[tuple, tuple]
+    bases: tuple[np.ndarray, ...]
+    planes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    transpose: np.ndarray
     comb: np.ndarray
     lost: np.ndarray
     rest: np.ndarray
@@ -151,36 +152,35 @@ class _Truncation(NamedTuple):
 def _truncation(size: int) -> _Truncation:
     """The tables of pair numbers 0 .. size-1, in one pass over the photon
     numbers, read-only. Cached for the last truncation only."""
-    source, row_rate, row_partner, col_rate, col_partner = [], [], [], [], []
+    source, bases, row_rate, partner, transpose = [], [], [], [], []
     for n in range(size):
         q, rates = _schur_basis(n)
+        bases.append(q)
         m = np.arange(n + 1)[:, None]
         # row m of B Q is (-1)^(n-m) times row n-m of Q
         source.append((q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel())
         planes = len(rates)
         line_rate = np.zeros(n + 1, dtype=np.intp)
         line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
-        other = np.arange(n + 1)  # the other line of the same plane
+        other = np.arange(n + 1)  # the other row of the same plane
         other[:planes] += planes
         other[planes : 2 * planes] -= planes
         row, col = np.indices((n + 1, n + 1))
         row_rate.append(line_rate)
-        row_partner.append((_offset(n) + (n + 1) * other[row] + col).ravel())
-        col_rate.append(line_rate[col].ravel())
-        col_partner.append((_offset(n) + (n + 1) * row + other[col]).ravel())
+        partner.append((_offset(n) + (n + 1) * other[row] + col).ravel())
+        transpose.append((_offset(n) + (n + 1) * col + row).ravel())
     lengths = np.arange(1, size + 1)
-    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), np.concatenate(row_partner))
-    cols = (np.concatenate(col_rate), None, np.concatenate(col_partner))
+    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), np.concatenate(partner))
     comb = np.array(
         [[math.comb(n, k) for k in range(size)] for n in range(size)], dtype=float
     )
     n = np.arange(size)
     gap = n[:, None] - n[None, :]
     table = _Truncation(
-        np.concatenate(source), (rows, cols), comb, np.maximum(gap, 0),
-        np.where(gap >= 0, gap, size),
+        np.concatenate(source), tuple(bases), rows, np.concatenate(transpose), comb,
+        np.maximum(gap, 0), np.where(gap >= 0, gap, size),
     )
-    for array in (table.source, *rows, cols[0], cols[2], table.comb, table.lost, table.rest):
+    for array in (table.source, *bases, *rows, table.transpose, comb, table.lost, table.rest):
         array.flags.writeable = False
     return table
 
@@ -282,27 +282,28 @@ def rotate_modes(
     In the Schur basis the rotation turns each plane of Alice's rows by
     theta1 times its rate and each plane of Bob's columns by theta2 times
     its rate, which mixes paired rows and paired columns 2 x 2; one cosine
-    and one sine per angle and rate serve every pair number. A turn by
-    exactly zero is the identity and is skipped. Acts within each
-    pair-number block (the rotation conserves photon number per party) and
-    preserves the norm.
+    and one sine per angle and rate serve every pair number. Bob's columns
+    turn as the rows of the blocks transposed by ``_Truncation.transpose``,
+    then transposed back. A turn by exactly zero is the identity and is
+    skipped. Acts within each pair-number block (the rotation conserves
+    photon number per party) and preserves the norm.
     """
-    size = state.n_max + 1
+    table = _truncation(state.n_max + 1)
+    rate, repeats, partner = table.planes
     flat = state.amplitudes
-    for theta, (rate, repeats, partner) in zip((theta1, theta2), _truncation(size).planes):
+    for theta, bob in ((theta1, False), (theta2, True)):
         if theta == 0.0:
             continue
-        phase = theta * np.arange(size)
+        if bob:  # his columns are the rows of the transposed blocks
+            flat = flat.take(table.transpose)
+        phase = theta * np.arange(len(table.bases))
         cos, sin = np.cos(phase), np.sin(phase)
-        turned = np.concatenate((cos, cos)).take(rate)
-        mixed = np.concatenate((sin, -sin)).take(rate)
-        if repeats is not None:  # one turn per row, spread along it
-            turned = np.repeat(turned, repeats)
-            mixed = np.repeat(mixed, repeats)
+        turned = np.repeat(np.concatenate((cos, cos)).take(rate), repeats)
+        mixed = np.repeat(np.concatenate((sin, -sin)).take(rate), repeats)
         turned *= flat
         mixed *= flat.take(partner)
         turned += mixed
-        flat = turned
+        flat = turned.take(table.transpose) if bob else turned
     return TruncatedPairState(flat, state.n_max)
 
 
@@ -314,8 +315,7 @@ def photon_number_distribution(state: TruncatedPairState) -> JointPhotonDistribu
     """
     size = state.n_max + 1
     probs = np.zeros((size, size, size))
-    for n, block in enumerate(state.blocks):
-        q = _schur_basis(n)[0]
+    for n, (block, q) in enumerate(zip(state.blocks, _truncation(size).bases)):
         np.matmul(q @ block, q.T, out=probs[n, : n + 1, : n + 1])
     return JointPhotonDistribution(np.square(probs, out=probs))
 

@@ -25,10 +25,11 @@ gives, bit for bit, and a one-point call returns a Python float.
 ``_CLAMPED``, as the rate inside is clamped to 0.0 either way.
 
 The gain search takes a (tau1, tau2, dark count) row per channel and
-makes three array calls with every row in each: a scan of ``G_BRACKET``,
-a five-gain stencil around the scan's guess of each peak, and the gain the
-stencil places the peak at. A guess is the maximum of a quartic through
-five rates, in +, -, * and /, so no numpy code path moves the optimum's bits.
+makes three steps, each split into array calls of at most
+``_ROWS_PER_CALL`` gains: a scan of ``G_BRACKET``, a five-gain stencil
+around the scan's guess of each peak, and the gain the stencil places the
+peak at. A guess is the maximum of a quartic through five rates, in +, -,
+* and /, so no numpy code path moves the optimum's bits.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -54,10 +55,10 @@ _GRID_POINTS = 256
 _STENCIL = 1.0 + 1e-3 * np.arange(-2.0, 3.0)
 
 #: Gains per array call at most, in whole channels: 4 scan rows with the
-#: fixed-gain column, 1,028 gains, peak near 0.19 MB of numpy temporaries
+#: fixed-gain column, 1,028 gains, peak near 0.185 MB of numpy temporaries
 #: on the pair-form chain (tracemalloc; the pair's nine entries, its four
 #: stacked probabilities, the forms and the lane columns at the grid's
-#: shape), and a 26-loss scan, in 7 calls, 0.22 MB.
+#: shape), and a 26-loss scan, in 7 calls, 0.23 MB.
 _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
 
 
@@ -247,14 +248,16 @@ def _scan_grid(grid_points: int) -> np.ndarray:
 
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
-    ``lanes``, in three array calls: the scan, with the gains ``fixed`` as
-    columns it does not read; then, for each lane whose best scan rate is
-    positive and not at a bracket end, the stencil ``g0 * _STENCIL`` around
-    ``_peak``'s guess g0, and the stencil's guess g1. A lane keeps g1 if it
-    lies strictly inside the scan bracket and its rate is no lower than the
-    best scan rate. Rates do not depend on what else a call holds, so each
-    lane is its one-lane search bit for bit. Returns the results and the
-    rates at ``fixed``, a (lanes, len(fixed)) array."""
+    ``lanes``, in three steps, each split by ``_secure_rates`` into array
+    calls of at most ``_ROWS_PER_CALL`` gains: the scan, with the gains
+    ``fixed`` as columns it does not read; then, for each lane whose best
+    scan rate is positive and not at a bracket end, the stencil
+    ``g0 * _STENCIL`` around ``_peak``'s guess g0, and the stencil's guess
+    g1. A lane keeps g1 if it lies strictly inside the scan bracket and its
+    rate is no lower than the best scan rate. Rates do not depend on what
+    else a call holds, so each lane is its one-lane search bit for bit.
+    Returns the results and the rates at ``fixed``, a (lanes, len(fixed))
+    array."""
     scan = np.empty((len(lanes), grid_points + len(fixed)))
     scan[:, :grid_points] = _scan_grid(grid_points)
     scan[:, grid_points:] = fixed
@@ -325,10 +328,11 @@ def passive_performance(
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
     ``l2_range_db``. The optimizations of all losses run as one search,
-    each loss a lane of the same three array calls, and the fixed
-    source's gain rides the search's scan call as one more column, so the
-    fixed-brightness rate of each loss is the one-point
-    ``secure_rate(*qber_and_sift(source, channel))`` bit for bit.
+    each loss a lane of the same three steps, each split into array calls
+    of at most ``_ROWS_PER_CALL`` gains, and the fixed source's gain rides
+    the search's scan as one more column, so the fixed-brightness rate of
+    each loss is the one-point ``secure_rate(*qber_and_sift(source,
+    channel))`` bit for bit.
     """
     if source.g <= 0.0:
         raise ValueError(f"fixed source gain must be > 0, got {source.g}")

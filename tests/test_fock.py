@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,20 @@ class TestRotateModes:
                 )
                 assert np.max(np.abs(rotated.fock_block(n) - expected)) <= 1e-13
 
+    @pytest.mark.parametrize("theta", [0.4, -1.3])
+    def test_bob_turns_as_alice_on_the_transposed_blocks(self, theta):
+        # Bob's columns are Alice's rows of the transposed blocks, bit for bit
+        rng = np.random.default_rng(7)
+        state = schur_state([rng.normal(size=(n + 1, n + 1)) for n in range(13)])
+
+        def transposed(state):
+            blocks = [block.T.ravel() for block in state.blocks]
+            return TruncatedPairState(np.concatenate(blocks), state.n_max)
+
+        bob = rotate_modes(state, 0.0, theta)
+        alice = transposed(rotate_modes(transposed(state), theta, 0.0))
+        assert np.array_equal(bob.amplitudes, alice.amplitudes)
+
     def test_zero_angles_identity(self):
         state = build_state(0.5, 8)
         rotated = rotate_modes(state, 0.0, 0.0)
@@ -538,9 +553,9 @@ class TestPipeline:
         assert staged.values == oracle.values
 
     def test_truncation_cache_holds_one_truncation(self):
-        # the one other cache is keyed by one photon number, not a truncation
+        # the module's one cache: the Schur bases live in its table
         cached = {name for name, value in vars(fock).items() if hasattr(value, "cache_info")}
-        assert cached == {"_schur_basis", "_truncation"}
+        assert cached == {"_truncation"}
 
         def oracle(n_max):
             oracle_probabilities(
@@ -553,6 +568,20 @@ class TestPipeline:
         misses = fock._truncation.cache_info().misses
         oracle(9)  # the last truncation is the one kept
         assert fock._truncation.cache_info().misses == misses
+
+    def test_truncation_at_n_max_100_holds_under_12_mb(self):
+        # 32 bytes per amplitude (the source, the bases, the partner and
+        # transpose indices) over 348,551 amplitudes, plus the O(n_max^2)
+        # tables: 11.5 MB measured
+        fock._truncation.cache_clear()
+        tracemalloc.start()
+        try:
+            table = fock._truncation(101)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table.bases) == 101
+        assert held <= 12_000_000
 
 
 #: A literal grid (n_max, g, tau1, tau2, d, theta1, theta2) for the oracle:
@@ -646,10 +675,25 @@ def per_entry_tables() -> tuple:
     )
 
 
+@functools.cache
+def turned_oracle_tables() -> tuple:
+    """The oracle's table at each point of ``PER_ENTRY_POINTS`` with both
+    parties turned 0.9 further, theta1 = theta + 0.9 and theta2 = 0.9: the
+    same relative angle, so the same exact table."""
+    return tuple(
+        oracle_probabilities(
+            SourceParams(g), ChannelParams(tau1, tau2, dark),
+            MeasurementAngles(theta + 0.9, 0.9), n_max=40,
+        ).values
+        for g, tau1, tau2, dark, theta in PER_ENTRY_POINTS
+    )
+
+
 def worst_relative(values, references, exact) -> float:
     """Largest |value - reference| / reference over the entries whose exact
     value is nonzero. Where it is 0, both must be within 1e-32 of it: the
-    oracle's rotation leaves up to 7e-34 there."""
+    oracle's rotation leaves up to 7e-34 there at theta2 = 0 and 4.9e-33
+    with both parties turned."""
     worst = 0.0
     for value, reference, exact_value in zip(values, references, exact):
         if exact_value == 0:
@@ -669,6 +713,14 @@ class TestPerEntryAgainstOracle:
         # measured worst: 3.5e-15
         worst = max(
             worst_relative(oracle, exact, exact) for oracle, exact in per_entry_tables()
+        )
+        assert worst <= 1e-13
+
+    def test_turned_oracle_entries_within_1e_13_of_exact(self):
+        # Bob's rotation entry by entry (measured worst: 3.3e-15)
+        worst = max(
+            worst_relative(turned, exact, exact)
+            for turned, (_, exact) in zip(turned_oracle_tables(), per_entry_tables())
         )
         assert worst <= 1e-13
 

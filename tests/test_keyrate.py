@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +305,16 @@ class TestOptimizeGain:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             optimize_gain(reference_channel(20.0), grid_points=100)
+
+    def test_readme_library_use_block_runs(self):
+        # README's "Library use" example, run as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library use\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        names = {}
+        exec(block, names)
+        assert names["best"].found
+        assert names["best"].g_opt == pytest.approx(0.30928, abs=5e-6)
 
 
 class TestPassivePerformance:
@@ -873,7 +884,7 @@ class TestArrayCalls:
         assert stepped == 396
 
     def test_4x256_call_peaks_under_1_mb(self):
-        # the figure in _ROWS_PER_CALL's comment: about 0.18 MB of numpy
+        # the figure in _ROWS_PER_CALL's comment: about 0.185 MB of numpy
         # temporaries for 4 rows of 256 gains
         lanes = keyrate._lanes([reference_channel(loss) for loss in (20.0, 30.0, 40.0, 45.0)])
         grid = np.linspace(np.full(4, G_BRACKET[0]), np.full(4, G_BRACKET[1]), 256, axis=1)
