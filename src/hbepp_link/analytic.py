@@ -187,16 +187,26 @@ def _table(g, tau1, tau2, dark_count, theta):
 
 
 def _checked(table, labels=PATTERN_LABELS):
-    """``table``, probabilities stacked on a first axis (a list of Python
-    floats for one point), once every entry lies in
+    """``table``, probabilities stacked on a first axis (one point's list,
+    or a 1-D array, which becomes that list), once every entry lies in
     [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE] and their sum, left to
     right, is 1 within ``_NORMALIZATION_TOL``; a NaN fails both. Otherwise
     the first failing column in row-major order raises the
     ``ProbabilityConsistencyError`` a one-point call at it would raise,
     naming an out-of-range entry by its label in ``labels``."""
+    if not isinstance(table, list) and table.ndim == 1:
+        table = table.tolist()
+    if isinstance(table, list):  # one point, gated in Python
+        total = left_to_right_sum(table)
+        check_range(labels, table)
+        if not abs(total - 1.0) <= _NORMALIZATION_TOL:
+            raise ProbabilityConsistencyError(
+                f"pattern probabilities sum to {float(total)!r}, expected 1"
+            )
+        return table
     # one reduction adds the rows of a C-ordered table in order, as the loop
     # does, once each row holds more than one element; a row of one element
-    # (a one-point table) numpy would add pairwise
+    # numpy would add pairwise
     total = (np.add.reduce(table, axis=0, initial=-0.0) if table.size > len(table)
              else left_to_right_sum(table))
     ok = np.asarray(abs(total - 1.0) <= _NORMALIZATION_TOL)
@@ -212,7 +222,7 @@ def _checked(table, labels=PATTERN_LABELS):
             f"pattern probabilities sum to {float(np.asarray(total)[column])!r}, "
             "expected 1"
         )
-    return table.tolist() if table.ndim == 1 else table
+    return table
 
 
 def outcome_probability_array(g, tau1, tau2, dark_count, theta):
@@ -235,11 +245,12 @@ def pair_probabilities(g, tau1, tau2, dark_count):
     literals only: ``g``, ``tau1``, ``tau2`` and ``dark_count`` may be
     floats, numpy arrays that broadcast together, or ``Fraction``s, which
     give exact entries. Four Python floats (or ``Fraction``s) for one
-    point, one array stacked on a first axis for arrays.
+    point, one array stacked on a first axis for arrays. Python floats
+    stay out of numpy: their list goes to the gate as it is.
     """
     p = _pair(g, tau1, tau2)
-    return _checked(np.array([p[0] * v for v in _solve(p, _TWO_MODES, dark_count)]),
-                    _PAIR_LABELS)
+    table = [p[0] * v for v in _solve(p, _TWO_MODES, dark_count)]
+    return _checked(table if type(table[0]) is float else np.array(table), _PAIR_LABELS)
 
 
 def outcome_probabilities(

@@ -151,14 +151,20 @@ class _Truncation(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _truncation(size: int) -> _Truncation:
     """The tables of pair numbers 0 .. size-1, in one pass over the photon
-    numbers, read-only. Cached for the last truncation only."""
-    source, bases, row_rate, partner, transpose = [], [], [], [], []
+    numbers, read-only. Cached for the last truncation only. The flat
+    tables are allocated whole and each block is written into its
+    ``_offset`` slice, so building holds little beyond the tables kept."""
+    bases, row_rate = [], []
+    source = np.empty(_offset(size))
+    partner = np.empty(source.size, dtype=np.intp)
+    transpose = np.empty(source.size, dtype=np.intp)
     for n in range(size):
         q, rates = _schur_basis(n)
         bases.append(q)
+        block = slice(_offset(n), _offset(n + 1))
         m = np.arange(n + 1)[:, None]
         # row m of B Q is (-1)^(n-m) times row n-m of Q
-        source.append((q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel())
+        source[block] = (q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel()
         planes = len(rates)
         line_rate = np.zeros(n + 1, dtype=np.intp)
         line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
@@ -167,17 +173,17 @@ def _truncation(size: int) -> _Truncation:
         other[planes : 2 * planes] -= planes
         row, col = np.indices((n + 1, n + 1))
         row_rate.append(line_rate)
-        partner.append((_offset(n) + (n + 1) * other[row] + col).ravel())
-        transpose.append((_offset(n) + (n + 1) * col + row).ravel())
+        partner[block] = (_offset(n) + (n + 1) * other[row] + col).ravel()
+        transpose[block] = (_offset(n) + (n + 1) * col + row).ravel()
     lengths = np.arange(1, size + 1)
-    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), np.concatenate(partner))
+    rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), partner)
     comb = np.array(
         [[math.comb(n, k) for k in range(size)] for n in range(size)], dtype=float
     )
     n = np.arange(size)
     gap = n[:, None] - n[None, :]
     table = _Truncation(
-        np.concatenate(source), tuple(bases), rows, np.concatenate(transpose), comb,
+        source, tuple(bases), rows, transpose, comb,
         np.maximum(gap, 0), np.where(gap >= 0, gap, size),
     )
     for array in (table.source, *bases, *rows, table.transpose, comb, table.lost, table.rest):

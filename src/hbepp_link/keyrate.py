@@ -19,17 +19,23 @@ probabilities (``analytic.pair_probabilities``, with the general table's
 range and normalization gate) and forms each model's two sums from them
 in closed form, every term nonnegative, accurate however deep the loss.
 ``binary_entropy`` and ``secure_rate`` take floats or
-arrays on one path: an array element is the float the one-point call
-gives, bit for bit, and a one-point call returns a Python float.
-``secure_rate`` takes the entropy only of error rates outside
-``_CLAMPED``, as the rate inside is clamped to 0.0 either way.
+arrays: an array element is the float the one-point call gives, bit for
+bit, and a one-point call returns a Python float. Python floats stay
+out of numpy from the pair's four probabilities to the secure rate,
+where numpy's fixed cost per call (about 75 µs for the chain) would
+outweigh the arithmetic. ``secure_rate`` takes the entropy only of
+error rates outside ``_CLAMPED``, as the rate inside is clamped to 0.0
+either way.
 
 The gain search takes a (tau1, tau2, dark count) row per channel and
-makes three steps, each split into array calls of at most
-``_ROWS_PER_CALL`` gains: a scan of ``G_BRACKET``, a five-gain stencil
-around the scan's guess of each peak, and the gain the stencil places the
-peak at. A guess is the maximum of a quartic through five rates, in +, -,
-* and /, so no numpy code path moves the optimum's bits.
+makes three steps: a scan of ``G_BRACKET``, a five-gain stencil around
+the scan's guess of each peak, and the gain the stencil places the peak
+at. A step of at most ``_FLOAT_GAINS`` gains (the stencil and the last
+gain of one or two channels) runs the one-point chain per gain on
+floats, about 6 µs each; a larger one runs as array calls of at most
+``_ROWS_PER_CALL`` gains. The two meet near 13 gains. A guess is the
+maximum of a quartic through five rates, in +, -, * and / with its sums
+taken left to right, so no numpy code path moves the optimum's bits.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -45,6 +51,7 @@ import numpy as np
 
 from .analytic import pair_probabilities
 from .params import ChannelParams, SourceParams, transmittance_from_db
+from .patterns import left_to_right_sum
 from .postprocess import PostprocessingModel, share
 
 #: Gains scanned by ``optimize_gain`` and their default number.
@@ -60,6 +67,12 @@ _STENCIL = 1.0 + 1e-3 * np.arange(-2.0, 3.0)
 #: stacked probabilities, the forms and the lane columns at the grid's
 #: shape), and a 26-loss scan, in 7 calls, 0.23 MB.
 _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
+#: Gains per call at most that go one by one on Python floats: about 6 µs
+#: a gain there, against about 75 µs a call plus 0.14 µs a gain on arrays,
+#: so the two meet near 13 gains (timeit, best of 9, 2 vCPU Xeon, numpy
+#: 2.4.6). The stencil and last gain of one or two lanes go on floats; a
+#: scan, and a 26-loss sweep's stencil and last gain, on arrays.
+_FLOAT_GAINS = 12
 
 
 #: Error rates strictly between these bounds have H2 > 1/2 + 2e-4 (the
@@ -72,10 +85,10 @@ _CLAMPED = (0.1101, 0.8899)
 _TINY = float(np.finfo(float).tiny)
 #: Rows c1 to c4 of 12 p'(x) = c1 + c2 x + c3 x^2 + c4 x^3, for the quartic p
 #: through rates f(-2) to f(2) at evenly spaced gains, x in grid steps: the
-#: weights of the five rates.
+#: weights of the five rates, stored with the rates on the first axis.
 _QUARTIC = np.array([
     [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1], [-3, 6, 0, -6, 3], [2, -8, 12, -8, 2],
-], dtype=float)[:, :, None]
+], dtype=float).T[:, :, None]
 
 
 def _entropy(eps: np.ndarray, clamped: tuple[float, float]) -> np.ndarray:
@@ -158,7 +171,20 @@ def secure_rate(eps, r_sift):
     ``max(0.0, v)`` does, also at -0.0 and NaN. The entropy is evaluated
     only outside ``_CLAMPED``: inside it, 1.0 stands in for H2, which makes
     the rate -r_sift <= 0 (or NaN), clamped to 0.0 as the true H2 is.
+    Two Python floats take the same steps in Python, without numpy.
     """
+    if type(eps) is float and type(r_sift) is float:
+        if r_sift < 0.0:
+            raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"error rate must be in [0, 1], got {eps}")
+        if eps == 0.0 or eps == 1.0:
+            entropy = 0.0
+        elif _CLAMPED[0] < eps < _CLAMPED[1]:
+            entropy = 1.0
+        else:
+            entropy = -(eps * math.log2(eps)) - (1.0 - eps) * math.log2(1.0 - eps)
+        return max(0.0, r_sift * (1.0 - 2.0 * entropy))
     eps, r_sift = np.asarray(eps), np.asarray(r_sift)
     negative = r_sift < 0.0
     if negative.any():
@@ -193,8 +219,16 @@ class OptimizationResult:
 def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """``secure_rate(*qber_and_sift(...))``, squash model, at every element
     of the 2-D ``g``: row i at the channel of row i of ``lanes``, a
-    (tau1, tau2, dark count) row per search. The rows go in calls of at
-    most ``_ROWS_PER_CALL`` gains; elements do not depend on the split."""
+    (tau1, tau2, dark count) row per search. Up to ``_FLOAT_GAINS`` gains
+    go one by one on Python floats, where numpy's fixed cost per call
+    would dominate; more go as arrays, in calls of at most
+    ``_ROWS_PER_CALL`` gains. Elements depend on neither choice: an
+    array element is its one-point call's float, bit for bit."""
+    if g.size <= _FLOAT_GAINS:
+        return np.array([
+            [secure_rate(*_qber_and_sift(x, *lane, PostprocessingModel.SQUASH)) for x in row]
+            for row, lane in zip(g.tolist(), lanes.tolist())
+        ]).reshape(g.shape)
     step = max(1, _ROWS_PER_CALL // g.shape[1])
     rates = np.empty(g.shape)
     # each call takes tau1, tau2 and the dark count at the grid's shape, so
@@ -231,7 +265,8 @@ def _peak(grid: np.ndarray, rates: np.ndarray) -> np.ndarray:
     points = grid.shape[1]
     center = np.minimum(np.maximum(rates.argmax(axis=1), 2), points - 3)
     center += np.arange(0, grid.size, points)  # flat indices
-    c1, c2, c3, c4 = (_QUARTIC * rates.take(center + np.arange(-2, 3)[:, None])).sum(axis=1)
+    five = rates.take(center + np.arange(-2, 3)[:, None])
+    c1, c2, c3, c4 = left_to_right_sum(_QUARTIC * five[:, None])
     x = _uphill(c1, c2)  # the first step, from x = 0
     x += _uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
     at = grid.take(center)
@@ -248,8 +283,7 @@ def _scan_grid(grid_points: int) -> np.ndarray:
 
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
-    ``lanes``, in three steps, each split by ``_secure_rates`` into array
-    calls of at most ``_ROWS_PER_CALL`` gains: the scan, with the gains
+    ``lanes``, in three ``_secure_rates`` calls: the scan, with the gains
     ``fixed`` as columns it does not read; then, for each lane whose best
     scan rate is positive and not at a bracket end, the stencil
     ``g0 * _STENCIL`` around ``_peak``'s guess g0, and the stencil's guess
@@ -328,11 +362,10 @@ def passive_performance(
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
     ``l2_range_db``. The optimizations of all losses run as one search,
-    each loss a lane of the same three steps, each split into array calls
-    of at most ``_ROWS_PER_CALL`` gains, and the fixed source's gain rides
-    the search's scan as one more column, so the fixed-brightness rate of
-    each loss is the one-point ``secure_rate(*qber_and_sift(source,
-    channel))`` bit for bit.
+    each loss a lane of the same three ``_secure_rates`` calls, and the
+    fixed source's gain rides the search's scan as one more column, so
+    the fixed-brightness rate of each loss is the one-point
+    ``secure_rate(*qber_and_sift(source, channel))`` bit for bit.
     """
     if source.g <= 0.0:
         raise ValueError(f"fixed source gain must be > 0, got {source.g}")

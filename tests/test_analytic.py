@@ -532,6 +532,36 @@ class TestOutcomeProbabilityArray:
             columns[:, k] = good
         assert np.array(outcome_probability_array(g, 0.5, 0.2, 1e-4, 0.1)).shape == (16, 5)
 
+    def test_one_point_gate_raises_as_its_column(self, monkeypatch):
+        # a one-point table is gated in Python: each failure of the columns
+        # above raises the array gate's message, as does a sum off by 2e-12
+        # on ``Fraction``s; 0.4e-12 off passes
+        good = list(outcome_probabilities(
+            SourceParams(0.3), ChannelParams(0.5, 0.2, 1e-4), MeasurementAngles(0.1, 0.0)
+        ).values)
+        for index, value in ((1, -1.1e-12), (2, math.nan), (0, good[0] + 2e-12),
+                             (0, good[0] + 0.4e-12)):
+            point = list(good)
+            point[index] = value
+            columns = np.array([point, good]).T
+            outcomes = []
+            for table in (np.array(point), columns):
+                monkeypatch.setattr(analytic, "_table", lambda *args, table=table: table)
+                try:
+                    outcomes.append(outcome_probability_array(0.3, 0.5, 0.2, 1e-4, 0.1))
+                except ProbabilityConsistencyError as exc:
+                    outcomes.append(str(exc))
+            if isinstance(outcomes[0], str):
+                assert outcomes[0] == outcomes[1]
+            else:
+                assert [type(v) for v in outcomes[0]] == [float] * 16
+                assert outcomes[0] == point
+        exact = [Fraction(v) for v in good]
+        assert analytic._checked(exact) == exact
+        exact[0] += Fraction(2, 10 ** 12)
+        with pytest.raises(ProbabilityConsistencyError, match=r"sum to 1\.00000000000199"):
+            analytic._checked(exact)
+
     def test_gate_total_is_the_left_to_right_sum(self):
         # The gate adds a table's rows in one numpy reduction once each row
         # holds more than one element: numpy adds the rows of a C-ordered

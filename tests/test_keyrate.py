@@ -898,6 +898,86 @@ class TestArrayCalls:
         assert peak <= 1_000_000
 
 
+class TestFloatPath:
+    """The chain's one-point path on Python floats, which the search's
+    small calls take: the array chain's floats, types and errors."""
+
+    def test_small_calls_equal_the_array_chain_bit_for_bit(self, monkeypatch):
+        # random lanes with d = 0 and 80 dB ones among them, and gains at
+        # G_BRACKET's ends: every gain on floats, then every gain on
+        # arrays, gives the same bits; so do calls under the default
+        # cutoff (floats) and over it (arrays)
+        rng = np.random.default_rng(34)
+        count = 300
+        loss2_db = rng.uniform(0.0, 80.0, count)
+        loss2_db[:40] = 80.0
+        lanes = np.column_stack((
+            10.0 ** -rng.uniform(0.0, 0.5, count), 10.0 ** (-loss2_db / 10.0),
+            rng.choice([0.0, 6.25e-7, 1e-5, 1e-3], count),
+        ))
+        lanes[::7, 2] = 0.0
+        g = rng.uniform(*G_BRACKET, (count, 6))
+        g[:, 0], g[:, -1] = G_BRACKET
+        rates = {}
+        for cutoff in (g.size, -1):  # every call on floats, then on arrays
+            monkeypatch.setattr(keyrate, "_FLOAT_GAINS", cutoff)
+            rates[cutoff] = keyrate._secure_rates(g, lanes)
+        assert rates[g.size].tobytes() == rates[-1].tobytes()
+        monkeypatch.undo()
+        for rows, gains in ((1, 1), (1, 5), (2, 1), (2, 5), (2, 6), (13, 1), (3, 5), (26, 5)):
+            part = keyrate._secure_rates(g[:rows, :gains], lanes[:rows])
+            assert part.tobytes() == rates[-1][:rows, :gains].tobytes()
+        # the grid reaches clamped rates, positive ones and error rates in
+        # the band where secure_rate skips the entropy
+        eps = keyrate._qber_and_sift(g, *lanes.T[:, :, None], PostprocessingModel.SQUASH)[0]
+        lo, hi = keyrate._CLAMPED
+        assert ((lo < eps) & (eps < hi)).sum() > 100
+        assert (rates[-1] == 0.0).sum() > 100 and (rates[-1] > 0.0).sum() > 100
+
+    def test_search_calls_on_floats(self, monkeypatch):
+        # one or two lanes: the stencil and the last gain go on floats; the
+        # empty stencil of a search with no key passes through
+        calls = []
+        qber_and_sift = keyrate._qber_and_sift
+
+        def recording(g, *args):
+            calls.append(type(g))
+            return qber_and_sift(g, *args)
+
+        monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
+        optimize_gain(reference_channel(30.0))
+        assert calls == [np.ndarray] + [float] * 6
+        calls.clear()
+        assert not optimize_gain(ChannelParams(tau1=0.5, tau2=1e-6, dark_count=0.2)).found
+        assert calls == [np.ndarray]
+
+    def test_one_point_calls_return_python_floats(self):
+        assert type(secure_rate(0.02, 1e-4)) is float
+        assert type(secure_rate(0.5, 1e-4)) is float  # clamped
+        table = keyrate.pair_probabilities(0.3, 0.7, 1e-3, 6.25e-7)
+        assert [type(v) for v in table] == [float] * 4
+        assert [type(v) for v in keyrate.pair_probabilities(*map(np.array, (0.3, 0.7, 1e-3, 0.0)))
+                ] == [float] * 4
+
+    @pytest.mark.parametrize("eps, r_sift", [
+        (math.nan, 0.3), (-0.1, 0.3), (1.1, 0.3), (0.05, -1e-9), (math.nan, -1e-9),
+        (1.5, -1.0), (-0.0, -0.0), (0.05, math.nan), (0.5, 0.3), (1.0, 0.3),
+    ])
+    def test_secure_rate_raises_as_its_0d_array_call(self, eps, r_sift):
+        assert outcome(secure_rate, eps, r_sift) == outcome(
+            secure_rate, np.array(eps), np.array(r_sift)
+        ) == outcome(plain_secure_rate, eps, r_sift)
+
+    @pytest.mark.parametrize("point", [
+        (math.nan, 0.7, 0.3, 0.0), (1.5, 0.7, 0.3, 0.0), (0.3, 0.7, 0.3, -0.5),
+        (0.3, 0.7, 0.3, 2.0), (0.3, math.nan, 0.3, 0.0), (0.3, 0.7, 0.3, 1e-5),
+    ])
+    def test_pair_probabilities_raises_as_its_0d_array_call(self, point):
+        assert outcome(keyrate.pair_probabilities, *point) == outcome(
+            keyrate.pair_probabilities, *map(np.array, point)
+        )
+
+
 def deep_loss_limit(g, tau1):
     """lim (R_sift / tau2, QBER) as tau2 -> 0 without dark counts, squash
     model. Arithmetic only, so a complex ``g`` gives complex-step slopes.
