@@ -54,7 +54,10 @@ so the table is products of one pair's four probabilities,
 ``pair_probabilities``, which every key rate reads. Both run one back
 substitution and dark-count rule (``_solve``), at four modes and at two,
 pass one range and normalization gate, and return Python floats for one
-point, one array stacked on a first axis for arrays.
+point, one array stacked on a first axis for arrays. The gate's rule and
+messages live in its one-point form: an array that fails the whole-array
+test re-runs that check column by column, so it raises what a one-point
+call at its first failing column raises.
 """
 
 from __future__ import annotations
@@ -191,9 +194,10 @@ def _checked(table, labels=PATTERN_LABELS):
     or a 1-D array, which becomes that list), once every entry lies in
     [-NEGATIVE_TOLERANCE, 1 + NEGATIVE_TOLERANCE] and their sum, left to
     right, is 1 within ``_NORMALIZATION_TOL``; a NaN fails both. Otherwise
-    the first failing column in row-major order raises the
-    ``ProbabilityConsistencyError`` a one-point call at it would raise,
-    naming an out-of-range entry by its label in ``labels``."""
+    a ``ProbabilityConsistencyError`` names an out-of-range entry by its
+    label in ``labels``, or the sum. An array is tested whole; only when
+    that test fails is the one-point check re-run column by column, in
+    row-major order, so the first failing column raises its own message."""
     if not isinstance(table, list) and table.ndim == 1:
         table = table.tolist()
     if isinstance(table, list):  # one point, gated in Python
@@ -209,19 +213,11 @@ def _checked(table, labels=PATTERN_LABELS):
     # numpy would add pairwise
     total = (np.add.reduce(table, axis=0, initial=-0.0) if table.size > len(table)
              else left_to_right_sum(table))
-    ok = np.asarray(abs(total - 1.0) <= _NORMALIZATION_TOL)
-    # the whole table's extremes first; per column only once a check fails
-    if not (ok.all() and table.min(initial=0.0) >= -NEGATIVE_TOLERANCE
+    if not ((abs(total - 1.0) <= _NORMALIZATION_TOL).all()
+            and table.min(initial=0.0) >= -NEGATIVE_TOLERANCE
             and table.max(initial=1.0) <= 1.0 + NEGATIVE_TOLERANCE):
-        ok &= (table.min(axis=0) >= -NEGATIVE_TOLERANCE) & (
-            table.max(axis=0) <= 1.0 + NEGATIVE_TOLERANCE
-        )
-        column = np.unravel_index(np.argmin(ok), ok.shape)
-        check_range(labels, table[(slice(None), *column)].tolist())
-        raise ProbabilityConsistencyError(
-            f"pattern probabilities sum to {float(np.asarray(total)[column])!r}, "
-            "expected 1"
-        )
+        for column in np.ndindex(table.shape[1:]):
+            _checked(table[(slice(None), *column)].tolist(), labels)
     return table
 
 

@@ -270,9 +270,7 @@ def build_state(g: float, n_max: int) -> TruncatedPairState:
     Block n is the unit source block of ``_Truncation.source``, weighted
     by (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1).
     """
-    SourceParams(g)  # checks the gain
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    truncation_error_bound(g, n_max)  # checks the gain and n_max
     size = n_max + 1
     weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
     return TruncatedPairState(

@@ -532,6 +532,32 @@ class TestOutcomeProbabilityArray:
             columns[:, k] = good
         assert np.array(outcome_probability_array(g, 0.5, 0.2, 1e-4, 0.1)).shape == (16, 5)
 
+    def test_gate_raises_the_first_failing_column_of_a_2d_batch(self, monkeypatch):
+        # A (16, 3, 4) table with a sum 2e-12 off at batch (0, 2) and a NaN
+        # at (1, 0): (0, 2) comes first in row-major order and raises its
+        # one-point message, though (1, 0) fails the range check; with (0, 2)
+        # repaired, (1, 0) raises its own.
+        good = list(outcome_probabilities(
+            SourceParams(0.3), ChannelParams(0.5, 0.2, 1e-4), MeasurementAngles(0.1, 0.0)
+        ).values)
+        columns = np.array([good] * 12).T.reshape(16, 3, 4)
+        columns[0, 0, 2] += 2e-12
+        columns[2, 1, 0] = math.nan
+        monkeypatch.setattr(analytic, "_table", lambda *point: columns)
+        total = repr(left_to_right_sum(columns[:, 0, 2].tolist()))
+        g = np.full((3, 4), 0.3)
+        for column, message in (
+            ((0, 2), rf"pattern probabilities sum to {re.escape(total)}, expected 1"),
+            ((1, 0), r"P\[A-\] = nan outside"),
+        ):
+            with pytest.raises(ProbabilityConsistencyError, match=message) as one_point:
+                analytic._checked(columns[(slice(None), *column)].tolist())
+            with pytest.raises(ProbabilityConsistencyError) as batch:
+                outcome_probability_array(g, 0.5, 0.2, 1e-4, 0.1)
+            assert str(batch.value) == str(one_point.value)
+            columns[(slice(None), *column)] = good
+        assert np.array(outcome_probability_array(g, 0.5, 0.2, 1e-4, 0.1)).shape == (16, 3, 4)
+
     def test_one_point_gate_raises_as_its_column(self, monkeypatch):
         # a one-point table is gated in Python: each failure of the columns
         # above raises the array gate's message, as does a sum off by 2e-12
@@ -692,6 +718,25 @@ class TestPairFormReference:
         # the general table's gate, naming the failing entry by the pair's labels
         with pytest.raises(ProbabilityConsistencyError, match=message):
             pair_probabilities(np.array(gains), 0.7, 0.3, 0.0)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (1.5, math.nan, r"P\[pair A\] = 4\.5435\d* outside"),
+            (math.nan, 1.5, r"P\[pair AB\] = nan outside"),
+        ],
+        ids=["out-of-range-first", "nan-first"],
+    )
+    def test_gate_raises_the_first_failing_column_of_a_2d_batch(self, first, second, message):
+        # gains of shape (3, 4) failing at (0, 2) and (1, 0): (0, 2) comes
+        # first in row-major order and raises the one-point call's message
+        gains = np.full((3, 4), 0.3)
+        gains[0, 2], gains[1, 0] = first, second
+        with pytest.raises(ProbabilityConsistencyError, match=message) as one_point:
+            pair_probabilities(first, 0.7, 0.3, 0.0)
+        with pytest.raises(ProbabilityConsistencyError) as batch:
+            pair_probabilities(gains, 0.7, 0.3, 0.0)
+        assert str(batch.value) == str(one_point.value)
 
     def test_every_entry_within_1e_9_relative_to_80_db(self):
         # the general table at theta = 0 against the products of the pair's

@@ -12,6 +12,10 @@ The brute-force oracle (``fock.py``), the exact reference
 package only ``params`` and ``patterns``, never ``analytic`` or a module
 that imports it.
 
+Each error message the package raises is written at one ``raise`` site:
+an array path that must raise what a one-point call raises re-runs the
+one-point check rather than copying its message.
+
 The closed form, what folds it (``analytic``, ``keyrate`` and
 ``postprocess``) and what feeds and prints it (``config`` and ``cli``)
 print the same bytes on every CPU only if their floats come from IEEE
@@ -27,6 +31,7 @@ transcendental is needed, sums added left to right, real floats only).
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,3 +220,68 @@ def test_guard_flags_cpu_dependent_floats():
         ("x[index] * weight + np.take(x, index) + math.hypot(x, y)", []),
     ):
         assert cpu_dependent_floats(ast.parse(snippet)) == found, snippet
+
+
+#: The package's modules, each of whose ``raise`` messages has one site.
+PACKAGE = sorted((ROOT / "src" / "hbepp_link").glob("*.py"))
+
+
+def raise_templates(tree: ast.AST) -> list[tuple[str, int]]:
+    """The message of each ``raise`` whose exception is called with a string
+    or f-string first, as (template, line): its constant parts joined, each
+    formatted value as ``{}``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr):
+            parts = message.values
+        elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+            parts = [message]
+        else:
+            continue
+        template = "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in parts
+        )
+        found.append((template, node.lineno))
+    return found
+
+
+def repeated_templates(sources) -> dict[str, list[str]]:
+    """Each template raised at more than one site of the (name, source)
+    pairs ``sources``, with its sites as name:line in order."""
+    sites = defaultdict(list)
+    for name, source in sources:
+        for template, line in sorted(raise_templates(ast.parse(source)), key=lambda t: t[1]):
+            sites[template].append(f"{name}:{line}")
+    return {template: where for template, where in sites.items() if len(where) > 1}
+
+
+def test_each_raise_message_has_one_site():
+    assert ROOT / "src" / "hbepp_link" / "keyrate.py" in PACKAGE
+    assert repeated_templates((path.name, path.read_text()) for path in PACKAGE) == {}
+
+
+def test_guard_flags_a_repeated_message():
+    source = (ROOT / "src" / "hbepp_link" / "keyrate.py").read_text()
+    lines = source.count("\n")
+    injected = source + "if eps < 0.0:\n    raise ValueError(f'error rate must be in [0, 1], got {eps!r}')\n"
+    repeated = repeated_templates([("keyrate.py", injected)])
+    assert list(repeated) == ["error rate must be in [0, 1], got {}"]
+    assert len(repeated["error rate must be in [0, 1], got {}"]) == 2
+    assert repeated["error rate must be in [0, 1], got {}"][-1] == f"keyrate.py:{lines + 2}"
+    # across modules too, an implicitly joined f-string as one message
+    two = [("a.py", 'raise E(f"sum to {float(t)!r}, expected 1")'),
+           ("b.py", 'raise E(\n    f"sum to {t[c]!r}, "\n    "expected 1"\n)')]
+    assert repeated_templates(two) == {"sum to {}, expected 1": ["a.py:1", "b.py:1"]}
+    for snippet, found in (
+        ('raise ValueError("no key")', [("no key", 1)]),
+        ('raise E(f"{key}: unknown key") from None', [("{}: unknown key", 1)]),
+        ("raise", []),
+        ("raise exc", []),
+        ("raise E(message)", []),
+        ("raise E()", []),
+    ):
+        assert raise_templates(ast.parse(snippet)) == found, snippet

@@ -612,6 +612,23 @@ class TestSecureRateArray:
             with pytest.raises(ValueError, match=r"sifted rate must be >= 0, got -1e-09$"):
                 secure_rate(*args)
 
+    def test_first_failure_in_broadcast_order_raises(self):
+        # eps of shape (3, 1) against sifted rates of shape (1, 2): elements
+        # go in the row-major order of the (3, 2) broadcast, so a negative
+        # sifted rate in column 1 fails at (0, 1), after a bad error rate in
+        # row 0 and before one in row 1; at one element the sifted rate's
+        # message comes first
+        sifted = r"sifted rate must be >= 0, got -1e-09$"
+        error = r"error rate must be in \[0, 1\], got 1\.5$"
+        for eps, r_sift, message in (
+            ([[0.1], [1.5], [0.2]], [[0.3, -1e-9]], sifted),
+            ([[1.5], [0.1], [0.2]], [[0.3, -1e-9]], error),
+            ([[1.5], [0.1], [0.2]], [[-1e-9, 0.3]], sifted),
+            ([[0.1], [0.2], [1.5]], [[0.3, 0.0]], error),
+        ):
+            with pytest.raises(ValueError, match=message):
+                secure_rate(np.array(eps), np.array(r_sift))
+
 
 #: The tests' channel grid: every (loss1_db, loss2_db, dark count) with
 #: loss1_db in (0, 1.6, 3), loss2_db in ``LOSS2_DB`` and the dark count in
