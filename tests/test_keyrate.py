@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -834,6 +835,59 @@ class TestLockstepSearchMatchesReference:
         assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
         assert [r.iterations for r in results] == [0, 0, 1]
         assert results[2].g_opt == pytest.approx(0.3, rel=1e-15)
+
+
+def digest_channels():
+    """26 seeded channels: tau1 at 0 to 3 dB, tau2 at 0 to 80 dB and four
+    dark counts, of which the first four sit at 80 dB and every seventh,
+    two of those among them, has d = 0."""
+    rng = np.random.default_rng(36)
+    loss1_db, loss2_db = rng.uniform(0.0, 3.0, 26), rng.uniform(0.0, 80.0, 26)
+    dark = rng.choice([0.0, 6.25e-7, 1e-5, 1e-3], 26)
+    loss2_db[:4] = 80.0
+    dark[::7], dark[1] = 0.0, 0.0
+    return [ChannelParams.from_db_losses(*point)
+            for point in zip(loss1_db.tolist(), loss2_db.tolist(), dark.tolist())]
+
+
+def search_digest_values():
+    """Every field of the search's results on ``digest_channels``, floats as
+    ``float.hex``: ``optimize_gain`` on each channel, one 26-lane search
+    with two fixed gains, 13 two-loss sweeps and two 26-loss sweeps (at
+    d = 0 and d = 1e-5), every fixed rate and every point field among them.
+    Also returns how many of the 26 one-lane searches found a key."""
+    channels = digest_channels()
+    results = [optimize_gain(channel) for channel in channels]
+    many, fixed_rates = keyrate._search(keyrate._lanes(channels), 256, (0.2, 0.3162))
+    results += many
+    values = [v for r in results
+              for v in (r.g_opt, r.mu_opt, r.secure_rate_at_opt, r.iterations, *r.bracket)]
+    values += fixed_rates.ravel().tolist()
+    rng = np.random.default_rng(136)
+    sweeps = [
+        passive_performance(SourceParams.from_mean_photon_number(rng.uniform(0.01, 0.2)),
+                            channels[i], sorted(rng.uniform(0.0, 80.0, 2).tolist()))
+        for i in range(0, 26, 2)
+    ]
+    sweeps += [passive_performance(SourceParams.from_mean_photon_number(0.1),
+                                   ChannelParams.from_db_losses(1.6, 0.0, dark),
+                                   np.linspace(0.0, 80.0, 26).tolist()) for dark in (0.0, 1e-5)]
+    for sweep in sweeps:
+        values += [v for p in sweep.points for v in (
+            p.loss2_db, p.secure_rate_fixed, p.secure_rate_optimal, p.mu_opt, p.ratio)]
+        values.append(sweep.min_ratio)
+    text = " ".join(v.hex() if isinstance(v, float) else repr(v) for v in values)
+    return text, sum(r.found for r in results[:26])
+
+
+#: sha256 of ``search_digest_values``' text.
+SEARCH_DIGEST = "228f1bb6e1c0650853d5bc42f985180ff7a302dfde90acc0f84a4c0f99c9ef0c"
+
+
+def test_search_keeps_its_bits():
+    text, found = search_digest_values()
+    assert 0 < found < 26  # lanes with a key and lanes without one
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_DIGEST
 
 
 class TestArrayCalls:
