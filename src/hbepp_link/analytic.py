@@ -200,19 +200,14 @@ def _checked(table, labels=PATTERN_LABELS):
     row-major order, so the first failing column raises its own message."""
     if not isinstance(table, list) and table.ndim == 1:
         table = table.tolist()
+    total = left_to_right_sum(table)
     if isinstance(table, list):  # one point, gated in Python
-        total = left_to_right_sum(table)
         check_range(labels, table)
         if not abs(total - 1.0) <= _NORMALIZATION_TOL:
             raise ProbabilityConsistencyError(
                 f"pattern probabilities sum to {float(total)!r}, expected 1"
             )
         return table
-    # one reduction adds the rows of a C-ordered table in order, as the loop
-    # does, once each row holds more than one element; a row of one element
-    # numpy would add pairwise
-    total = (np.add.reduce(table, axis=0, initial=-0.0) if table.size > len(table)
-             else left_to_right_sum(table))
     if not ((abs(total - 1.0) <= _NORMALIZATION_TOL).all()
             and table.min(initial=0.0) >= -NEGATIVE_TOLERANCE
             and table.max(initial=1.0) <= 1.0 + NEGATIVE_TOLERANCE):

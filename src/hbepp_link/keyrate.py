@@ -29,15 +29,14 @@ outweigh the arithmetic. ``secure_rate`` takes the entropy only of
 error rates outside ``_CLAMPED``, as the rate inside is clamped to 0.0
 either way.
 
-The gain search takes a (tau1, tau2, dark count) row per channel and
-makes three steps: a scan of ``G_BRACKET``, a five-gain stencil around
-the scan's guess of each peak, and the gain the stencil places the peak
-at. A step of at most ``_FLOAT_GAINS`` gains (the stencil and the last
-gain of one or two channels) runs the one-point chain per gain on
-floats, about 6 µs each; a larger one runs as array calls of at most
-``_ROWS_PER_CALL`` gains. The two meet near 13 gains. A guess is the
-maximum of a quartic through five rates, in +, -, * and / with its sums
-taken left to right, so no numpy code path moves the optimum's bits.
+The gain search takes a (tau1, tau2, dark count) row per channel. One
+array call scans ``G_BRACKET`` for every channel, split into calls of at
+most ``_ROWS_PER_CALL`` gains. Then each channel goes on Python floats: a
+five-gain stencil around the scan's guess of its peak and the gain the
+stencil places the peak at, each rate the one-point chain's, about 6 µs
+a gain. A guess is the maximum of a quartic through five rates, in +, -,
+* and / with its sums taken left to right, so no numpy code path moves
+the optimum's bits.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -61,7 +60,7 @@ G_BRACKET = (1e-3, 0.95)
 _GRID_POINTS = 256
 #: The stencil around the scan's guess g0 of a peak: the five gains
 #: g0 (1 + 1e-3 k), k = -2 to 2, as factors of g0.
-_STENCIL = 1.0 + 1e-3 * np.arange(-2.0, 3.0)
+_STENCIL = tuple(1.0 + 1e-3 * k for k in (-2.0, -1.0, 0.0, 1.0, 2.0))
 
 #: Gains per array call at most, in whole channels: 4 scan rows with the
 #: fixed-gain column, 1,028 gains, peak near 0.185 MB of numpy temporaries
@@ -69,12 +68,6 @@ _STENCIL = 1.0 + 1e-3 * np.arange(-2.0, 3.0)
 #: stacked probabilities, the forms and the lane columns at the grid's
 #: shape), and a 26-loss scan, in 7 calls, 0.23 MB.
 _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
-#: Gains per call at most that go one by one on Python floats: about 6 µs
-#: a gain there, against about 75 µs a call plus 0.14 µs a gain on arrays,
-#: so the two meet near 13 gains (timeit, best of 9, 2 vCPU Xeon, numpy
-#: 2.4.6). The stencil and last gain of one or two lanes go on floats; a
-#: scan, and a 26-loss sweep's stencil and last gain, on arrays.
-_FLOAT_GAINS = 12
 
 
 #: Error rates strictly between these bounds have H2 > 1/2 + 2e-4 (the
@@ -87,10 +80,8 @@ _CLAMPED = (0.1101, 0.8899)
 _TINY = float(np.finfo(float).tiny)
 #: Rows c1 to c4 of 12 p'(x) = c1 + c2 x + c3 x^2 + c4 x^3, for the quartic p
 #: through rates f(-2) to f(2) at evenly spaced gains, x in grid steps: the
-#: weights of the five rates, stored with the rates on the first axis.
-_QUARTIC = np.array([
-    [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1], [-3, 6, 0, -6, 3], [2, -8, 12, -8, 2],
-], dtype=float).T[:, :, None]
+#: weights of the five rates.
+_QUARTIC = ((1, -8, 0, 8, -1), (-1, 16, -30, 16, -1), (-3, 6, 0, -6, 3), (2, -8, 12, -8, 2))
 
 
 def _h2(eps: float, clamped: tuple[float, float]) -> float:
@@ -149,7 +140,9 @@ def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
     form per model, every term nonnegative. The same-sign two-fold
     coincidences are 2 q1 q2 and the opposite-sign ones 2 q0 q3, which is
     all that discard keeps; squash adds the events with a double click,
-    q0^2 and 2 q0 (q1 + q2), half of each to the same-sign cells.
+    q0^2 and 2 q0 (q1 + q2), half of each to the same-sign cells. The
+    squash total and QBER are Ma, Fung & Lo's gain Q and error rate E for
+    two independent squeezers (PRA 76, 012307, 2007), exactly.
     """
     q0, q1, q2, q3 = pair_probabilities(g, tau1, tau2, dark_count)
     cross = 2 * q1 * q2
@@ -205,7 +198,7 @@ def secure_rate(eps, r_sift):
 class OptimizationResult:
     """Outcome of the gain search; ``g_opt`` is None when the secure rate
     vanished over the whole scan. ``g_opt`` is the stencil's peak where
-    ``_search`` keeps it, with ``iterations`` 1, else the best scan gain,
+    ``_optimum`` keeps it, with ``iterations`` 1, else the best scan gain,
     with ``iterations`` 0. ``secure_rate_at_opt`` is the rate at ``g_opt``,
     and ``bracket`` is the scan's: the best scan gain's two grid neighbours."""
 
@@ -223,16 +216,9 @@ class OptimizationResult:
 def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """``secure_rate(*qber_and_sift(...))``, squash model, at every element
     of the 2-D ``g``: row i at the channel of row i of ``lanes``, a
-    (tau1, tau2, dark count) row per search. Up to ``_FLOAT_GAINS`` gains
-    go one by one on Python floats, where numpy's fixed cost per call
-    would dominate; more go as arrays, in calls of at most
-    ``_ROWS_PER_CALL`` gains. Elements depend on neither choice: an
-    array element is its one-point call's float, bit for bit."""
-    if g.size <= _FLOAT_GAINS:
-        return np.array([
-            [secure_rate(*_qber_and_sift(x, *lane, PostprocessingModel.SQUASH)) for x in row]
-            for row, lane in zip(g.tolist(), lanes.tolist())
-        ]).reshape(g.shape)
+    (tau1, tau2, dark count) row per search, in array calls of at most
+    ``_ROWS_PER_CALL`` gains. An element is its one-point call's float,
+    bit for bit, whatever else its call holds."""
     step = max(1, _ROWS_PER_CALL // g.shape[1])
     rates = np.empty(g.shape)
     # each call takes tau1, tau2 and the dark count at the grid's shape, so
@@ -248,36 +234,53 @@ def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _best(grid: np.ndarray, rates: np.ndarray):
-    """Each row's best gain in ``grid``, its rate, and its two grid
-    neighbours as its bracket."""
-    best = rates.argmax(axis=1)
-    at = np.arange(0, rates.size, rates.shape[1]) + best  # flat indices
-    below, above = at - (best > 0), at + (best < rates.shape[1] - 1)
-    return grid.take(at), rates.take(at), grid.take(below), grid.take(above)
-
-
-def _uphill(slope: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+def _uphill(slope: float, curvature: float) -> float:
     """Newton's step towards a maximum, at most 1 in size: uphill by 1 where
     the curve is not concave enough, and 0 where it is flat."""
-    return slope / np.maximum(np.maximum(-curvature, abs(slope)), _TINY)
+    return slope / max(max(-curvature, abs(slope)), _TINY)
 
 
-def _peak(grid: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Each row's peak gain: the maximum of the quartic through the five
-    rates around the row's best on its evenly spaced ``grid``, by two
-    guarded Newton steps from the middle of the five. On 620 random channels
-    it came within 1.8e-6 relative of the true peak from the 256-gain scan,
-    and within 2.5e-12 from a stencil 1e-3 of that guess apart."""
-    points = grid.shape[1]
-    center = np.minimum(np.maximum(rates.argmax(axis=1), 2), points - 3)
-    center += np.arange(0, grid.size, points)  # flat indices
-    five = rates.take(center + np.arange(-2, 3)[:, None])
-    c1, c2, c3, c4 = left_to_right_sum(_QUARTIC * five[:, None])
+def _peak(five: list[float], at: float, above: float) -> float:
+    """The maximum of the quartic through the five rates ``five`` at evenly
+    spaced gains, the middle one at ``at`` and the next at ``above``, by two
+    guarded Newton steps from the middle. On 620 random channels it came
+    within 1.8e-6 relative of the true peak from the 256-gain scan, and
+    within 2.5e-12 from a stencil 1e-3 of that guess apart."""
+    c1, c2, c3, c4 = (left_to_right_sum([w * f for w, f in zip(row, five)]) for row in _QUARTIC)
     x = _uphill(c1, c2)  # the first step, from x = 0
     x += _uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
-    at = grid.take(center)
-    return at + x * (grid.take(center + 1) - at)
+    return at + x * (above - at)
+
+
+def _chain(g: float, lane: list[float]) -> float:
+    """The one-point squash secure rate at gain ``g`` on the lane's channel."""
+    return secure_rate(*_qber_and_sift(g, *lane, PostprocessingModel.SQUASH))
+
+
+def _optimum(rates: list[float], grid: list[float], lane: list[float]) -> OptimizationResult:
+    """One lane's search after its scan: ``rates`` at the scan's gains
+    ``grid``, and the lane's (tau1, tau2, dark count). The best scan gain
+    and its two grid neighbours, the bracket; if its rate is positive and
+    not at a bracket end, the stencil ``g0 * _STENCIL`` around ``_peak``'s
+    guess g0 from the five scan rates around it, and the stencil's guess
+    g1, each rate the one-point chain's. The lane keeps g1 if it lies
+    strictly inside the bracket and its rate is no lower than the best
+    scan rate."""
+    best = rates.index(max(rates))
+    g, rate = grid[best], rates[best]
+    if rate <= 0.0:
+        return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+    bracket = grid[best - (best > 0)], grid[best + (best < len(grid) - 1)]
+    steps = 0
+    if bracket[0] < g < bracket[1]:
+        center = min(max(best, 2), len(grid) - 3)
+        g0 = _peak(rates[center - 2:center + 3], grid[center], grid[center + 1])
+        stencil = [g0 * k for k in _STENCIL]
+        g1 = _peak([_chain(x, lane) for x in stencil], stencil[2], stencil[3])
+        rate1 = _chain(g1, lane)
+        if bracket[0] < g1 < bracket[1] and rate1 >= rate:
+            g, rate, steps = g1, rate1, 1
+    return OptimizationResult(g, SourceParams(g).mean_photon_number(), rate, steps, bracket)
 
 
 @functools.lru_cache(maxsize=1)
@@ -290,33 +293,18 @@ def _scan_grid(grid_points: int) -> np.ndarray:
 
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
-    ``lanes``, in three ``_secure_rates`` calls: the scan, with the gains
-    ``fixed`` as columns it does not read; then, for each lane whose best
-    scan rate is positive and not at a bracket end, the stencil
-    ``g0 * _STENCIL`` around ``_peak``'s guess g0, and the stencil's guess
-    g1. A lane keeps g1 if it lies strictly inside the scan bracket and its
-    rate is no lower than the best scan rate. Rates do not depend on what
-    else a call holds, so each lane is its one-lane search bit for bit.
-    Returns the results and the rates at ``fixed``, a (lanes, len(fixed))
-    array."""
+    ``lanes``: one ``_secure_rates`` call scans every lane, with the gains
+    ``fixed`` as columns it does not read, then ``_optimum`` takes each
+    lane on Python floats. Returns the results and the rates at ``fixed``,
+    a (lanes, len(fixed)) array."""
+    grid = _scan_grid(grid_points)
     scan = np.empty((len(lanes), grid_points + len(fixed)))
-    scan[:, :grid_points] = _scan_grid(grid_points)
+    scan[:, :grid_points] = grid
     scan[:, grid_points:] = fixed
     rates = _secure_rates(scan, lanes)
-    g, rate, lo, hi = _best(scan[:, :grid_points], rates[:, :grid_points])
-    inside = np.nonzero((rate > 0.0) & (lo < g) & (g < hi))[0]
-    stencil = _peak(scan[inside, :grid_points], rates[inside, :grid_points])[:, None] * _STENCIL
-    peak = _peak(stencil, _secure_rates(stencil, lanes[inside]))
-    peak_rate = _secure_rates(peak[:, None], lanes[inside])[:, 0]
-    keep = (lo[inside] < peak) & (peak < hi[inside]) & (peak_rate >= rate[inside])
-    g[inside[keep]], rate[inside[keep]] = peak[keep], peak_rate[keep]
-    iterations = np.bincount(inside[keep], minlength=len(lanes))
-    results = [
-        OptimizationResult(g_opt, SourceParams(g_opt).mean_photon_number(), r, steps, (low, high))
-        if r > 0.0 else OptimizationResult(None, None, 0.0, 0, G_BRACKET)
-        for g_opt, r, steps, low, high
-        in zip(g.tolist(), rate.tolist(), iterations.tolist(), lo.tolist(), hi.tolist())
-    ]
+    gains = grid.tolist()
+    results = [_optimum(row[:grid_points], gains, lane)
+               for row, lane in zip(rates.tolist(), lanes.tolist())]
     return results, rates[:, grid_points:]
 
 
@@ -354,7 +342,6 @@ class PassivePoint:
 
 @dataclass(frozen=True, slots=True)
 class PassivePerformanceSweep:
-    source: SourceParams
     points: tuple[PassivePoint, ...]
     min_ratio: float | None
 
@@ -369,10 +356,10 @@ def passive_performance(
     ``channel_base`` supplies Alice's transmittance and the dark-count
     rate; Bob's transmittance is recomputed from each loss value in
     ``l2_range_db``. The optimizations of all losses run as one search,
-    each loss a lane of the same three ``_secure_rates`` calls, and the
-    fixed source's gain rides the search's scan as one more column, so
-    the fixed-brightness rate of each loss is the one-point
-    ``secure_rate(*qber_and_sift(source, channel))`` bit for bit.
+    each loss a lane of its scan, and the fixed source's gain rides the
+    scan as one more column, so the fixed-brightness rate of each loss is
+    the one-point ``secure_rate(*qber_and_sift(source, channel))`` bit for
+    bit.
     """
     if source.g <= 0.0:
         raise ValueError(f"fixed source gain must be > 0, got {source.g}")
@@ -387,4 +374,4 @@ def passive_performance(
         for loss2_db, opt, fixed_rate in zip(l2_range_db, optima, fixed_rates[:, 0].tolist())
     )
     ratios = [point.ratio for point in points if point.ratio is not None]
-    return PassivePerformanceSweep(source, points, min(ratios) if ratios else None)
+    return PassivePerformanceSweep(points, min(ratios) if ratios else None)

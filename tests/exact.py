@@ -82,3 +82,26 @@ def pair_marginals(table) -> list:
     for pattern, value in zip(CANONICAL_PATTERNS, table):
         q[pair_masks(pattern)[0]] += value
     return q
+
+
+def squash_gain_and_error(g, tau1, tau2, dark_count) -> tuple[Fraction, Fraction]:
+    """The gain Q (both parties click) and error rate E of Ma, Fung & Lo,
+    "Quantum key distribution with entangled photon sources", PRA 76,
+    012307 (2007), from the photon-number statistics of two independent
+    squeezers, with lambda = g^2 / (1 - g^2) and K = (1 - d)^2:
+
+        Q   = 1 - K / (1 + tau1 lambda)^2 - K / (1 + tau2 lambda)^2 + K^2 / D^2
+        E Q = Q / 2 - K tau1 tau2 lambda (1 + lambda)
+                      / ((1 + tau1 lambda) (1 + tau2 lambda) D)
+
+    with D = 1 + tau1 lambda + tau2 lambda - tau1 tau2 lambda, in exact
+    arithmetic. A double click is squashed to a random bit, so Q and E are
+    the squash model's coincidence probability and QBER."""
+    g, tau1, tau2, dark_count = (Fraction(v) for v in (g, tau1, tau2, dark_count))
+    lam = g * g / (1 - g * g)
+    keep = (1 - dark_count) ** 2
+    alice, bob = 1 + tau1 * lam, 1 + tau2 * lam
+    both = alice + tau2 * lam - tau1 * tau2 * lam
+    gain = 1 - keep / alice ** 2 - keep / bob ** 2 + keep ** 2 / both ** 2
+    errors = gain / 2 - keep * tau1 * tau2 * lam * (1 + lam) / (alice * bob * both)
+    return gain, errors / gain

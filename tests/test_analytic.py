@@ -588,25 +588,6 @@ class TestOutcomeProbabilityArray:
         with pytest.raises(ProbabilityConsistencyError, match=r"sum to 1\.00000000000199"):
             analytic._checked(exact)
 
-    def test_gate_total_is_the_left_to_right_sum(self):
-        # The gate adds a table's rows in one numpy reduction once each row
-        # holds more than one element: numpy adds the rows of a C-ordered
-        # table in order, so the total is the loop's, bit for bit, signed
-        # zeros included (the first column of each table is +-0.0 only). A
-        # one-point table keeps the loop: there numpy would add pairwise.
-        rng = np.random.default_rng(25)
-        shapes = [(16, 2), (16, 3), (16, 7), (16, 2, 1), (16, 1, 2), (16, 5, 1),
-                  (16, 2, 32), (16, 1, 128), (16, 8, 128), (16, 4, 257)]
-        for shape in shapes:
-            first = (slice(None),) + (0,) * (len(shape) - 1)
-            for _ in range(200):
-                table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 3, shape)
-                table[rng.random(shape) < 0.1] = 0.0
-                table[rng.random(shape) < 0.1] = -0.0
-                table[first] = rng.choice([0.0, -0.0], 16)
-                total = np.add.reduce(table, axis=0, initial=-0.0)
-                assert total.tobytes() == left_to_right_sum(table).tobytes()
-
 
 #: Deep-loss grid at theta = 0: every nonzero entry to 1e-9 relative.
 DEEP_GAINS = (0.05, 0.1, 0.3, 0.5, 0.9)

@@ -33,7 +33,7 @@ from hbepp_link.params import transmittance_from_db
 from hbepp_link.patterns import ProbabilityConsistencyError
 from hbepp_link.postprocess import ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, _FOLDS, coincidences
 
-from exact import outcome_probabilities_exact
+from exact import outcome_probabilities_exact, squash_gain_and_error
 
 #: Reference downlink: 1.6 dB on Alice's arm, dark counts per detector per mode.
 REFERENCE_TAU1 = transmittance_from_db(1.6)
@@ -210,6 +210,24 @@ class TestPairForms:
         with pytest.raises(ProbabilityConsistencyError, match=message):
             keyrate._qber_and_sift(gains[1], 0.7, 0.3, 0.0, model)
 
+    def test_squash_form_is_ma_fung_lo(self):
+        # an outside anchor: with Fraction inputs the squash chain's total,
+        # 2 R_sift, is Ma, Fung & Lo's gain Q and its QBER their E, exactly,
+        # without dark counts, with few and with many
+        rng = np.random.default_rng(11)
+        points = [(0.4, 0.7, 1e-3, 6.25e-7), (0.9, 1.0, 1.0, 0.0), (0.05, 0.5, 1e-8, 0.0),
+                  (1e-3, 1.0, 1e-8, 1e-2), (0.95, 0.2, 0.5, 1e-5)]
+        for dark in (0.0, 3.7e-5, 1e-2):
+            points += [
+                (rng.uniform(1e-3, 0.95), 10.0 ** -rng.uniform(0.0, 1.0),
+                 10.0 ** -rng.uniform(0.0, 8.0), rng.uniform(0.0, dark))
+                for _ in range(20)
+            ]
+        for point in points:
+            point = tuple(Fraction(float(v)) for v in point)
+            eps, r_sift = keyrate._qber_and_sift(*point, PostprocessingModel.SQUASH)
+            assert (2 * r_sift, eps) == squash_gain_and_error(*point)
+
 
 class TestSecureRate:
     def test_error_free_keeps_sifted_rate(self):
@@ -286,14 +304,13 @@ class TestOptimizeGain:
         # stencil gain can beat it by rounding, as the maximum is flat to
         # far below the stencil's spacing, but by at most 1e-14 relative.
         evaluated = []
-        secure_rates = keyrate._secure_rates
 
-        def recording(g, lanes):
-            rates = secure_rates(g, lanes)
-            evaluated.extend(rates.ravel().tolist())
+        def recording(eps, r_sift):
+            rates = secure_rate(eps, r_sift)
+            evaluated.extend(np.ravel(rates).tolist())
             return rates
 
-        monkeypatch.setattr(keyrate, "_secure_rates", recording)
+        monkeypatch.setattr(keyrate, "secure_rate", recording)
         for loss2_db in (20.0, 25.0, 45.0, 52.5):
             evaluated.clear()
             channel = reference_channel(loss2_db)
@@ -347,27 +364,27 @@ class TestPassivePerformance:
             passive_performance(SourceParams(0.0), reference_channel(20.0), [20.0])
 
     def test_fixed_brightness_rides_the_scan_call(self, monkeypatch):
-        # the scan with the fixed gain as a 257th column, then the
-        # five-gain stencil and the gain it places; each fixed rate is the
-        # one-point chain's float
+        # the scan, the search's one array call, with the fixed gain as a
+        # 257th column; each fixed rate is the one-point chain's float
         grids = record_grids(monkeypatch)
         source, losses = SourceParams.from_mean_photon_number(0.1), [25.0, 40.0]
         sweep = passive_performance(source, reference_channel(20.0), losses)
-        assert [grid.shape for grid in grids] == [(2, 257), (2, 5), (2, 1)]
+        assert [grid.shape for grid in grids] == [(2, 257)]
+        assert grids[0][:, 256].tolist() == [source.g] * 2
         assert [p.secure_rate_fixed.hex() for p in sweep.points] == [
             secure_rate(*qber_and_sift(source, reference_channel(loss))).hex()
             for loss in losses
         ]
-        # no losses: three empty calls and an empty sweep
+        # no losses: one empty call and an empty sweep
         grids.clear()
         sweep = passive_performance(source, reference_channel(20.0), [])
-        assert [grid.shape for grid in grids] == [(0, 257), (0, 5), (0, 1)]
+        assert [grid.shape for grid in grids] == [(0, 257)]
         assert (sweep.points, sweep.min_ratio) == ((), None)
 
 
 def record_grids(monkeypatch):
-    """The list of the gain grids of every ``keyrate._secure_rates`` call
-    from here on."""
+    """The list of the gain grids of every ``keyrate._secure_rates`` call,
+    the search's array calls, from here on."""
     grids = []
     secure_rates = keyrate._secure_rates
 
@@ -377,6 +394,21 @@ def record_grids(monkeypatch):
 
     monkeypatch.setattr(keyrate, "_secure_rates", recording)
     return grids
+
+
+def record_gains(monkeypatch, chain=None):
+    """The list of the gains of every ``keyrate._qber_and_sift`` call from
+    here on, an array or a float each; ``chain`` (by default the package's)
+    answers the calls."""
+    gains = []
+    chain = chain or keyrate._qber_and_sift
+
+    def recording(g, *args):
+        gains.append(g)
+        return chain(g, *args)
+
+    monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
+    return gains
 
 
 def exact(value):
@@ -762,11 +794,22 @@ OPTIMA = {
 G_OPT_REL = 1e-12
 
 
-def bracket_end_rates(g, lanes):
-    """Stand-in rate curves: rising in g where tau2 = 1, falling where
-    tau2 = 0.5, a parabola with its maximum at g = 0.3 otherwise."""
-    tau2 = lanes[:, 1:2]  # column 1 is tau2
-    return np.select([tau2 == 1.0, tau2 == 0.5], [g, 1.0 - g], 1.0 - (g - 0.3) ** 2)
+#: The 101st of the 256 scan gains, where a stand-in rate curve spikes.
+SPIKE = np.linspace(*G_BRACKET, 256)[100].item()
+
+
+def stand_in_chain(g, tau1, tau2, dark_count, model):
+    """Stand-in (QBER, sifted rate) for ``keyrate._qber_and_sift``, on arrays
+    and on floats: no errors, so the secure rate is the sifted rate. It
+    rises in g where tau2 = 1 and falls where tau2 = 0.5; where tau2 = 1/8
+    it is 1 at ``SPIKE``, 0.9 above and 0.1 below; where tau2 = 1/16 it is
+    min(g, 0.5); otherwise a parabola with its maximum at g = 0.3."""
+    r_sift = np.select(
+        [tau2 == 1.0, tau2 == 0.5, tau2 == 0.125, tau2 == 0.0625],
+        [g, 1.0 - g, np.where(g == SPIKE, 1.0, np.where(g > SPIKE, 0.9, 0.1)), np.minimum(g, 0.5)],
+        1.0 - (g - 0.3) ** 2,
+    )
+    return 0.0 * g, r_sift
 
 
 class TestLockstepSearchMatchesReference:
@@ -824,17 +867,28 @@ class TestLockstepSearchMatchesReference:
         # clamping: rising in g where tau2 = 1, falling where tau2 = 0.5.
         # The maximum is the bracket end itself, and the search returns it
         # with no step. A third lane, tau2 = 0.25, peaks at g = 0.3, which
-        # the stencil places to rounding; each lane is its one-lane search.
-        monkeypatch.setattr(keyrate, "_secure_rates", bracket_end_rates)
-        channels = [ChannelParams(1.0, 1.0), ChannelParams(1.0, 0.5), ChannelParams(1.0, 0.25)]
+        # the stencil places to rounding. A spike on a step, tau2 = 1/8,
+        # leads the stencil to a gain whose rate is lower than the best
+        # scan rate, so the search keeps the best scan gain. On a plateau,
+        # tau2 = 1/16, the first of the equal best scan rates sets the
+        # bracket. Each lane is its one-lane search. The curves stand in
+        # for the scan's array call and for the stencil's and last gain's
+        # one-point calls alike.
+        gains = record_gains(monkeypatch, stand_in_chain)
+        channels = [ChannelParams(1.0, tau2) for tau2 in (1.0, 0.5, 0.25, 0.125, 0.0625)]
         results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
+        assert [np.shape(g) for g in gains] == [(4, 256), (1, 256)] + [()] * 18
         for channel, result in zip(channels, results):
             alone = keyrate._search(keyrate._lanes([channel]), 256, ())[0][0]
             assert exact_result(result) == exact_result(alone)
         assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
         assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
-        assert [r.iterations for r in results] == [0, 0, 1]
+        assert [r.iterations for r in results] == [0, 0, 1, 0, 1]
         assert results[2].g_opt == pytest.approx(0.3, rel=1e-15)
+        assert (results[3].g_opt, results[3].secure_rate_at_opt) == (SPIKE, 1.0)
+        grid = np.linspace(*G_BRACKET, 256).tolist()
+        first = next(i for i, g in enumerate(grid) if g >= 0.5)
+        assert results[4].bracket == (grid[first - 1], grid[first + 1])
 
 
 def digest_channels():
@@ -891,67 +945,72 @@ def test_search_keeps_its_bits():
 
 
 class TestArrayCalls:
-    """What the search hands the chain: its three grids and their memory."""
+    """What the search hands the chain: one array call for the scan, its
+    memory, and one-point calls for each lane's stencil and last gain."""
 
     def test_search_grids(self, monkeypatch):
         # the 256-gain scan of G_BRACKET, the stencil g0 * _STENCIL around
-        # the scan's guess g0, and the stencil's guess, which is g_opt
-        grids = record_grids(monkeypatch)
+        # the scan's guess g0 from the five scan rates around its best, and
+        # the stencil's guess, which is g_opt
+        gains = record_gains(monkeypatch)
         channel = reference_channel(30.0)
         result = optimize_gain(channel)
-        scan, stencil, last = grids
+        scan, stencil, last = gains[0], gains[1:6], gains[6:]
         assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
         # the scan's gains are built once per grid size, read-only
         assert keyrate._scan_grid(256) is keyrate._scan_grid(256)
         assert not keyrate._scan_grid(256).flags.writeable
-        lanes = keyrate._lanes([channel])
-        g0 = keyrate._peak(scan, keyrate._secure_rates(scan, lanes))
-        assert stencil.tobytes() == (g0[:, None] * keyrate._STENCIL).tobytes()
-        g1 = keyrate._peak(stencil, keyrate._secure_rates(stencil, lanes))
-        assert last.tolist() == [g1.tolist()] == [[result.g_opt]]
+        assert np.array(keyrate._STENCIL).tobytes() == (1.0 + 1e-3 * np.arange(-2.0, 3.0)).tobytes()
+        grid = scan[0].tolist()
+        rates = keyrate._secure_rates(scan, keyrate._lanes([channel]))[0].tolist()
+        best = int(np.argmax(rates))
+        assert 2 <= best <= 253
+        g0 = keyrate._peak(rates[best - 2:best + 3], grid[best], grid[best + 1])
+        assert stencil == [g0 * k for k in keyrate._STENCIL]
+        lane = [channel.tau1, channel.tau2, channel.dark_count]
+        g1 = keyrate._peak([keyrate._chain(x, lane) for x in stencil], stencil[2], stencil[3])
+        assert last == [g1] == [result.g_opt]
 
     def test_optimize_gain_call_shapes(self, monkeypatch):
-        # one channel: the 256-gain scan, the five-gain stencil and the
-        # gain it places
+        # one channel: one array call, the 256-gain scan; then the five-gain
+        # stencil and the gain it places, one gain per one-point call
         grids = record_grids(monkeypatch)
+        gains = record_gains(monkeypatch)
         optimize_gain(reference_channel(30.0))
-        assert [grid.shape for grid in grids] == [(1, 256), (1, 5), (1, 1)]
+        assert [grid.shape for grid in grids] == [(1, 256)]
+        assert [np.shape(g) for g in gains] == [(1, 256)] + [()] * 6
 
     def test_default_sweep_call_shapes(self, monkeypatch):
         # the CLI's default 26-loss sweep: _secure_rates splits the scan,
         # with its fixed-gain column, into chain calls of 4 rows, each at
-        # most _ROWS_PER_CALL gains; the stencil and the last gain of all
-        # 26 lanes fit one call each
-        calls = []
-        qber_and_sift = keyrate._qber_and_sift
-
-        def recording(g, *args):
-            calls.append(g.shape)
-            return qber_and_sift(g, *args)
-
-        monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
+        # most _ROWS_PER_CALL gains; then each of the 26 lanes, all with a
+        # key, takes six one-point calls
+        gains = record_gains(monkeypatch)
         run_subcommand("sweep", parse_config(""))
-        assert calls == [(4, 257)] * 6 + [(2, 257), (26, 5), (26, 1)]
-        assert max(rows * gains for rows, gains in calls) <= keyrate._ROWS_PER_CALL
+        calls = [np.shape(g) for g in gains]
+        assert calls == [(4, 257)] * 6 + [(2, 257)] + [()] * (26 * 6)
+        assert max(math.prod(shape) for shape in calls) <= keyrate._ROWS_PER_CALL
 
-    def test_seeded_two_loss_sweeps_make_three_calls(self, monkeypatch):
-        # sweeps drawn as the passive-sweep benchmark draws them: the scan
-        # with the fixed gain, then the stencil and the last gain of the
-        # lanes with a key: 396 of these 400 lanes, the other 4 have none
+    def test_seeded_two_loss_sweeps_make_one_array_call(self, monkeypatch):
+        # sweeps drawn as the passive-sweep benchmark draws them: one array
+        # call, the scan with the fixed gain, then the stencil and the last
+        # gain of each lane with a key on floats: 396 of these 400 lanes,
+        # the other 4 have none
         rng = np.random.default_rng(25)
-        grids = record_grids(monkeypatch)
+        gains = record_gains(monkeypatch)
         stepped = 0
         for _ in range(200):
             mu = math.exp(rng.uniform(math.log(0.01), math.log(0.2)))
             base = ChannelParams.from_db_losses(
                 rng.uniform(0.0, 3.0), 0.0, math.exp(rng.uniform(math.log(1e-7), math.log(1e-5)))
             )
-            grids.clear()
+            gains.clear()
             passive_performance(SourceParams.from_mean_photon_number(mu), base,
                                 sorted(rng.uniform(20.0, 45.0, 2).tolist()))
-            assert [grid.shape[1] for grid in grids] == [257, 5, 1]
-            assert grids[0].shape[0] == 2 and grids[1].shape[0] == grids[2].shape[0]
-            stepped += grids[1].shape[0]
+            assert np.shape(gains[0]) == (2, 257)
+            assert [type(g) for g in gains[1:]] == [float] * (len(gains) - 1)
+            assert (len(gains) - 1) % 6 == 0
+            stepped += (len(gains) - 1) // 6
         assert stepped == 396
 
     def test_4x256_call_peaks_under_1_mb(self):
@@ -970,14 +1029,14 @@ class TestArrayCalls:
 
 
 class TestFloatPath:
-    """The chain's one-point path on Python floats, which the search's
-    small calls take: the array chain's floats, types and errors."""
+    """The chain's one-point path on Python floats, which each lane's
+    stencil and last gain take: the array chain's floats, types and
+    errors."""
 
-    def test_small_calls_equal_the_array_chain_bit_for_bit(self, monkeypatch):
+    def test_one_point_chain_equals_the_array_chain_bit_for_bit(self):
         # random lanes with d = 0 and 80 dB ones among them, and gains at
-        # G_BRACKET's ends: every gain on floats, then every gain on
-        # arrays, gives the same bits; so do calls under the default
-        # cutoff (floats) and over it (arrays)
+        # G_BRACKET's ends: the one-point chain at every gain gives the bits
+        # of _secure_rates' element, and so do array calls of any size
         rng = np.random.default_rng(34)
         count = 300
         loss2_db = rng.uniform(0.0, 80.0, count)
@@ -989,38 +1048,30 @@ class TestFloatPath:
         lanes[::7, 2] = 0.0
         g = rng.uniform(*G_BRACKET, (count, 6))
         g[:, 0], g[:, -1] = G_BRACKET
-        rates = {}
-        for cutoff in (g.size, -1):  # every call on floats, then on arrays
-            monkeypatch.setattr(keyrate, "_FLOAT_GAINS", cutoff)
-            rates[cutoff] = keyrate._secure_rates(g, lanes)
-        assert rates[g.size].tobytes() == rates[-1].tobytes()
-        monkeypatch.undo()
+        rates = keyrate._secure_rates(g, lanes)
+        one_point = [[keyrate._chain(x, lane) for x in row]
+                     for row, lane in zip(g.tolist(), lanes.tolist())]
+        assert [type(v) for row in one_point for v in row] == [float] * g.size
+        assert np.array(one_point).tobytes() == rates.tobytes()
         for rows, gains in ((1, 1), (1, 5), (2, 1), (2, 5), (2, 6), (13, 1), (3, 5), (26, 5)):
             part = keyrate._secure_rates(g[:rows, :gains], lanes[:rows])
-            assert part.tobytes() == rates[-1][:rows, :gains].tobytes()
+            assert part.tobytes() == rates[:rows, :gains].tobytes()
         # the grid reaches clamped rates, positive ones and error rates in
         # the band where secure_rate skips the entropy
         eps = keyrate._qber_and_sift(g, *lanes.T[:, :, None], PostprocessingModel.SQUASH)[0]
         lo, hi = keyrate._CLAMPED
         assert ((lo < eps) & (eps < hi)).sum() > 100
-        assert (rates[-1] == 0.0).sum() > 100 and (rates[-1] > 0.0).sum() > 100
+        assert (rates == 0.0).sum() > 100 and (rates > 0.0).sum() > 100
 
     def test_search_calls_on_floats(self, monkeypatch):
-        # one or two lanes: the stencil and the last gain go on floats; the
-        # empty stencil of a search with no key passes through
-        calls = []
-        qber_and_sift = keyrate._qber_and_sift
-
-        def recording(g, *args):
-            calls.append(type(g))
-            return qber_and_sift(g, *args)
-
-        monkeypatch.setattr(keyrate, "_qber_and_sift", recording)
+        # the stencil and the last gain go on floats; a search with no key
+        # makes only its scan
+        gains = record_gains(monkeypatch)
         optimize_gain(reference_channel(30.0))
-        assert calls == [np.ndarray] + [float] * 6
-        calls.clear()
+        assert [type(g) for g in gains] == [np.ndarray] + [float] * 6
+        gains.clear()
         assert not optimize_gain(ChannelParams(tau1=0.5, tau2=1e-6, dark_count=0.2)).found
-        assert calls == [np.ndarray]
+        assert [type(g) for g in gains] == [np.ndarray]
 
     def test_one_point_calls_return_python_floats(self):
         assert type(secure_rate(0.02, 1e-4)) is float
