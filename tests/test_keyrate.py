@@ -796,6 +796,18 @@ G_OPT_REL = 1e-12
 
 #: The 101st of the 256 scan gains, where a stand-in rate curve spikes.
 SPIKE = np.linspace(*G_BRACKET, 256)[100].item()
+#: The first five of the 256 scan gains, and a stand-in curve's rates there:
+#: the best is the second, and the quartic through the five peaks 1.43
+#: steps past the third, outside the bracket.
+LOBE_GRID = np.linspace(*G_BRACKET, 256)[:5]
+LOBE_RATES = (0.9, 1.0, 0.5, 0.9, 0.0)
+
+
+def side_lobe(g):
+    """``LOBE_RATES`` at ``LOBE_GRID``, a lobe of 2.0 strictly between its
+    fourth and fifth gains, which the scan does not see, and 0 elsewhere."""
+    return np.select([g == x for x in LOBE_GRID] + [(LOBE_GRID[3] < g) & (g < LOBE_GRID[4])],
+                     [*LOBE_RATES, 2.0], 0.0)
 
 
 def stand_in_chain(g, tau1, tau2, dark_count, model):
@@ -803,10 +815,12 @@ def stand_in_chain(g, tau1, tau2, dark_count, model):
     and on floats: no errors, so the secure rate is the sifted rate. It
     rises in g where tau2 = 1 and falls where tau2 = 0.5; where tau2 = 1/8
     it is 1 at ``SPIKE``, 0.9 above and 0.1 below; where tau2 = 1/16 it is
-    min(g, 0.5); otherwise a parabola with its maximum at g = 0.3."""
+    min(g, 0.5); where tau2 = 1/32 it is ``side_lobe``; otherwise a parabola
+    with its maximum at g = 0.3."""
     r_sift = np.select(
-        [tau2 == 1.0, tau2 == 0.5, tau2 == 0.125, tau2 == 0.0625],
-        [g, 1.0 - g, np.where(g == SPIKE, 1.0, np.where(g > SPIKE, 0.9, 0.1)), np.minimum(g, 0.5)],
+        [tau2 == 1.0, tau2 == 0.5, tau2 == 0.125, tau2 == 0.0625, tau2 == 0.03125],
+        [g, 1.0 - g, np.where(g == SPIKE, 1.0, np.where(g > SPIKE, 0.9, 0.1)), np.minimum(g, 0.5),
+         side_lobe(g)],
         1.0 - (g - 0.3) ** 2,
     )
     return 0.0 * g, r_sift
@@ -871,24 +885,29 @@ class TestLockstepSearchMatchesReference:
         # leads the stencil to a gain whose rate is lower than the best
         # scan rate, so the search keeps the best scan gain. On a plateau,
         # tau2 = 1/16, the first of the equal best scan rates sets the
-        # bracket. Each lane is its one-lane search. The curves stand in
-        # for the scan's array call and for the stencil's and last gain's
-        # one-point calls alike.
+        # bracket. A side lobe, tau2 = 1/32, leads the stencil outside the
+        # bracket to a higher rate, and the search keeps the best scan gain.
+        # Each lane is its one-lane search. The curves stand in for the
+        # scan's array call and for the stencil's and last gain's one-point
+        # calls alike.
         gains = record_gains(monkeypatch, stand_in_chain)
-        channels = [ChannelParams(1.0, tau2) for tau2 in (1.0, 0.5, 0.25, 0.125, 0.0625)]
+        channels = [ChannelParams(1.0, tau2) for tau2 in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)]
         results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
-        assert [np.shape(g) for g in gains] == [(4, 256), (1, 256)] + [()] * 18
+        assert [np.shape(g) for g in gains] == [(4, 256), (2, 256)] + [()] * 24
+        assert 2.0 in [float(side_lobe(g)) for g in gains[-6:]]  # the stencil's lobe rates
         for channel, result in zip(channels, results):
             alone = keyrate._search(keyrate._lanes([channel]), 256, ())[0][0]
             assert exact_result(result) == exact_result(alone)
         assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
         assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
-        assert [r.iterations for r in results] == [0, 0, 1, 0, 1]
+        assert [r.iterations for r in results] == [0, 0, 1, 0, 1, 0]
         assert results[2].g_opt == pytest.approx(0.3, rel=1e-15)
         assert (results[3].g_opt, results[3].secure_rate_at_opt) == (SPIKE, 1.0)
         grid = np.linspace(*G_BRACKET, 256).tolist()
         first = next(i for i, g in enumerate(grid) if g >= 0.5)
         assert results[4].bracket == (grid[first - 1], grid[first + 1])
+        assert (results[5].g_opt, results[5].secure_rate_at_opt) == (grid[1], 1.0)
+        assert results[5].bracket == (grid[0], grid[2])
 
 
 def digest_channels():
