@@ -18,16 +18,16 @@ Every rate here is at relative angle 0, so it reads one pair's four
 probabilities (``analytic.pair_probabilities``, with the general table's
 range and normalization gate) and forms each model's two sums from them
 in closed form, every term nonnegative, accurate however deep the loss.
-``binary_entropy`` and ``secure_rate`` take floats or arrays: an array
-element is the float the one-point call gives, bit for bit, and a
-one-point call returns a Python float. Each check is written once, in
-the one-point form; an array that fails its whole-array test re-runs it
-element by element, in row-major order, to raise. Python floats stay
-out of numpy from the pair's four probabilities to the secure rate,
-where numpy's fixed cost per call (about 75 µs for the chain) would
-outweigh the arithmetic. ``secure_rate`` takes the entropy only of
-error rates outside ``_CLAMPED``, as the rate inside is clamped to 0.0
-either way.
+``secure_rate`` takes floats or arrays: an array element is the float
+the one-point call gives, bit for bit, and a one-point call returns a
+Python float. Each check is written once, in the one-point form; an
+array that fails its one whole-array test re-runs it element by element,
+in row-major order, to raise. Python floats stay out of numpy from the
+pair's four probabilities to the secure rate, where numpy's fixed cost
+per call (about 75 µs for the chain) would outweigh the arithmetic.
+``secure_rate`` owns the package's one binary entropy, ``_h2`` on floats
+and ``_entropy`` on arrays, and takes it only of error rates outside
+``_CLAMPED``, as the rate inside is clamped to 0.0 either way.
 
 The gain search takes a (tau1, tau2, dark count) row per channel. One
 array call scans ``G_BRACKET`` for every channel, split into calls of at
@@ -84,49 +84,33 @@ _TINY = float(np.finfo(float).tiny)
 _QUARTIC = ((1, -8, 0, 8, -1), (-1, 16, -30, 16, -1), (-3, 6, 0, -6, 3), (2, -8, 12, -8, 2))
 
 
-def _h2(eps: float, clamped: tuple[float, float]) -> float:
-    """H2 of the float ``eps`` with its check, as ``binary_entropy`` gives it,
-    but 1.0 where ``clamped[0] < eps < clamped[1]`` (empty when reversed)."""
+def _h2(eps: float) -> float:
+    """Shannon entropy H2 of the float error rate ``eps``, H2(0) = H2(1) = 0,
+    with its check, but 1.0 strictly inside ``_CLAMPED``. Each log is
+    Python's ``math.log2``, since ``np.log2`` rounds differently on about
+    one input in 1,000."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"error rate must be in [0, 1], got {eps}")
     if eps == 0.0 or eps == 1.0:
         return 0.0
-    if clamped[0] < eps < clamped[1]:
+    if _CLAMPED[0] < eps < _CLAMPED[1]:
         return 1.0
     return -(eps * math.log2(eps)) - (1.0 - eps) * math.log2(1.0 - eps)
 
 
-def _entropy(eps: np.ndarray, clamped: tuple[float, float]) -> np.ndarray:
-    """``_h2`` of each element of the array ``eps``, both logs of every
-    evaluated element in one pass over one array. If an element lies
-    outside [0, 1], ``_h2`` re-runs element by element, in row-major
-    order, to raise."""
-    if not ((eps >= 0.0) & (eps <= 1.0)).all():
-        for e in eps.ravel().tolist():
-            _h2(e, clamped)
+def _entropy(eps: np.ndarray) -> np.ndarray:
+    """``_h2`` of each element of the array ``eps``, every element in
+    [0, 1] (``secure_rate`` has checked), both logs of every evaluated
+    element in one pass over one array."""
     interior = (eps > 0.0) & (eps < 1.0)
     entropy = np.array(interior, dtype=float)  # 0.0 at eps = 0 and 1, where H2 is 0
-    logged = interior & ((eps <= clamped[0]) | (eps >= clamped[1]))
+    logged = interior & ((eps <= _CLAMPED[0]) | (eps >= _CLAMPED[1]))
     e = eps[logged]
     terms = np.concatenate((e, 1.0 - e))
     products = terms * np.fromiter(map(math.log2, terms.tolist()), float, terms.size)
     # -(e log2 e) is -e log2 e bit for bit: IEEE products are sign-symmetric
     entropy[logged] = -products[:e.size] - products[e.size:]
     return entropy
-
-
-def binary_entropy(eps):
-    """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0.
-
-    A float, or an array element by element (a float when ``eps`` is not
-    an array). The first error rate outside [0, 1] in row-major order, NaN
-    included, raises. Each element with 0 < eps < 1 takes Python's
-    ``math.log2``, since ``np.log2`` rounds differently on about one input
-    in 1,000; the rest is IEEE arithmetic, so an element is the float its
-    one-point call gives, bit for bit.
-    """
-    entropy = _entropy(np.asarray(eps), (1.0, 0.0))
-    return entropy if entropy.ndim else float(entropy)
 
 
 def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
@@ -173,9 +157,10 @@ def secure_rate(eps, r_sift):
 
     Floats, or arrays that broadcast together, element by element (a float
     when neither is an array). A negative sifted rate, then an error rate
-    outside [0, 1], raises; an array call that fails re-runs the one-point
-    call per element, in row-major order, to raise the first failure's
-    message. ``np.where`` clamps as ``max(0.0, v)`` does, also at -0.0 and
+    outside [0, 1] (NaN included), raises. An array call tests both at one
+    gate; if it fails, the one-point call re-runs per element, in
+    row-major order, to raise the first failure's message.
+    ``np.where`` clamps as ``max(0.0, v)`` does, also at -0.0 and
     NaN. The entropy is evaluated only outside ``_CLAMPED``: inside it,
     1.0 stands in for H2, which makes the rate -r_sift <= 0 (or NaN),
     clamped to 0.0 as the true H2 is. Two Python floats take the same
@@ -184,12 +169,12 @@ def secure_rate(eps, r_sift):
     if type(eps) is float and type(r_sift) is float:
         if r_sift < 0.0:
             raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
-        return max(0.0, r_sift * (1.0 - 2.0 * _h2(eps, _CLAMPED)))
+        return max(0.0, r_sift * (1.0 - 2.0 * _h2(eps)))
     eps, r_sift = np.asarray(eps), np.asarray(r_sift)
-    if (r_sift < 0.0).any():
+    if (r_sift < 0.0).any() or not ((eps >= 0.0) & (eps <= 1.0)).all():
         for e, r in np.broadcast(eps, r_sift):
             secure_rate(float(e), float(r))
-    rate = r_sift * (1.0 - 2.0 * _entropy(eps, _CLAMPED))
+    rate = r_sift * (1.0 - 2.0 * _entropy(eps))
     rate = np.where(rate > 0.0, rate, 0.0)
     return rate if rate.ndim else float(rate)
 

@@ -14,7 +14,9 @@ that imports it.
 
 Each error message the package raises is written at one ``raise`` site:
 an array path that must raise what a one-point call raises re-runs the
-one-point check rather than copying its message.
+one-point check rather than copying its message. Each public function of
+the package is used by the package or the benchmark: one that only its
+tests call is dead code.
 
 The closed form, what folds it (``analytic``, ``keyrate`` and
 ``postprocess``) and what feeds and prints it (``config`` and ``cli``)
@@ -285,3 +287,67 @@ def test_guard_flags_a_repeated_message():
         ("raise E()", []),
     ):
         assert raise_templates(ast.parse(snippet)) == found, snippet
+
+
+#: Where a public function of the package may be used: the package itself
+#: and the benchmark, which imports it by name.
+USERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def referenced_name(node: ast.AST) -> str | None:
+    """The identifier ``node`` refers to: a name, an attribute, an imported
+    name or a string that is an identifier (``__all__``, ``getattr``)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        return node.value
+    return None
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every identifier ``tree`` refers to, except a module-level function's
+    references to its own name inside its own definition."""
+    found = set()
+    for statement in tree.body:
+        own = statement.name if isinstance(statement, FUNCTIONS) else None
+        found.update(name for node in ast.walk(statement)
+                     if (name := referenced_name(node)) is not None and name != own)
+    return found
+
+
+def unused_functions(package, users) -> list[str]:
+    """The public module-level functions of the (module, source) pairs
+    ``package``, as module.function, that no source of ``users`` refers to."""
+    used = set().union(*(references(ast.parse(source)) for source in users))
+    return [f"{module}.{statement.name}"
+            for module, source in package
+            for statement in ast.parse(source).body
+            if isinstance(statement, FUNCTIONS)
+            and not statement.name.startswith("_") and statement.name not in used]
+
+
+def test_every_public_function_is_used():
+    assert ROOT / "bench" / "run.py" in USERS
+    package = [(path.stem, path.read_text()) for path in PACKAGE]
+    assert unused_functions(package, [path.read_text() for path in USERS]) == []
+
+
+def test_guard_flags_an_unused_function():
+    keyrate = ROOT / "src" / "hbepp_link" / "keyrate.py"
+    # a function that only calls itself is unused
+    orphan = keyrate.read_text() + "\n\ndef orphan(n):\n    return orphan(n - 1) if n else 0\n"
+    package = [(path.stem, orphan if path == keyrate else path.read_text()) for path in PACKAGE]
+    users = [orphan if path == keyrate else path.read_text() for path in USERS]
+    assert unused_functions(package, users) == ["keyrate.orphan"]
+    for user in ("orphan(3)", "keyrate.orphan", "from .keyrate import orphan as o",
+                 "from hbepp_link.keyrate import orphan", "__all__ = ['orphan']"):
+        assert unused_functions(package, users + [user]) == [], user
+    # private and nested functions, and methods, are not checked
+    for snippet in ("def _helper(): pass", "def f():\n    def inner(): pass\n\nf()",
+                    "class C:\n    def method(self): pass\n\nC"):
+        assert unused_functions([("m", snippet)], [snippet]) == [], snippet

@@ -25,7 +25,6 @@ from hbepp_link.config import parse_config
 from hbepp_link.keyrate import (
     G_BRACKET,
     OptimizationResult,
-    binary_entropy,
     passive_performance,
     secure_rate,
 )
@@ -50,8 +49,8 @@ def reference_channel(loss2_db: float) -> ChannelParams:
 
 def plain_binary_entropy(eps: float) -> float:
     """Shannon entropy H2 of a binary variable, H2(0) = H2(1) = 0: the
-    plain-float rule, with its check, that the package's float-or-array
-    ``binary_entropy`` must equal, element by element, bit for bit."""
+    plain-float rule, with its check and without the package's clamp band,
+    that ``plain_secure_rate`` applies."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"error rate must be in [0, 1], got {eps}")
     if eps == 0.0 or eps == 1.0:
@@ -68,36 +67,45 @@ def plain_secure_rate(eps: float, r_sift: float) -> float:
 
 
 class TestBinaryEntropy:
+    """The package's one binary entropy, read through ``secure_rate`` as
+    R_sift (1 - 2 H2(eps)), clamped at zero."""
+
     def test_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
+        # H2(0) = H2(1) = 0: the whole sifted rate is key
+        assert secure_rate(0.0, 0.37) == secure_rate(1.0, 0.37) == 0.37
+        assert secure_rate(np.array([0.0, 1.0]), 0.37).tolist() == [0.37, 0.37]
 
     def test_maximum(self):
-        assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
+        # H2(1/2) = 1, the maximum, leaves no key: +0.0, at one point and
+        # in an array
+        for rate in (secure_rate(0.5, 1.0), secure_rate(np.array([0.5]), 1.0)[0]):
+            assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
 
     def test_symmetry(self):
-        for eps in (0.05, 0.2, 0.4):
-            assert binary_entropy(eps) == pytest.approx(
-                binary_entropy(1.0 - eps), abs=1e-14
+        for eps in (0.01, 0.05, 0.1):
+            assert secure_rate(eps, 1.0) == pytest.approx(
+                secure_rate(1.0 - eps, 1.0), abs=1e-14
             )
 
     def test_half_entropy_error_rate(self):
-        # bisection for the eps with H2(eps) = 1/2, then check the rounded value
+        # bisection for the eps where the key runs out, H2(eps) = 1/2
         lo, hi = 1e-9, 0.5
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if binary_entropy(mid) < 0.5:
+            if secure_rate(mid, 1.0) > 0.0:
                 lo = mid
             else:
                 hi = mid
         root = 0.5 * (lo + hi)
         assert root == pytest.approx(0.11002786443836, abs=1e-11)
-        assert binary_entropy(0.11003) == pytest.approx(0.5, abs=1e-4)
+        # 1 - 2 H2(0.1), H2 to 60 digits in decimal: 0.0620088128214375575
+        assert secure_rate(0.1, 1.0) == pytest.approx(0.0620088128214375575, abs=1e-15)
 
     @pytest.mark.parametrize("eps", [-0.01, 1.01, math.nan])
     def test_domain(self, eps):
-        with pytest.raises(ValueError):
-            binary_entropy(eps)
+        for eps_value in (eps, np.array([0.1, eps])):
+            with pytest.raises(ValueError, match=r"error rate must be in \[0, 1\]"):
+                secure_rate(eps_value, 0.3)
 
 
 class TestQberAndSift:
@@ -527,7 +535,8 @@ class TestOneChainMatchesReference:
         for model in PostprocessingModel:
             assert [type(v) for v in qber_and_sift(source, channel, model)] == [float, float]
         assert type(secure_rate(*qber_and_sift(source, channel))) is float
-        assert type(binary_entropy(0.3)) is float
+        # at H2's ends, with its logs and in the clamp band
+        assert [type(secure_rate(eps, 0.1)) for eps in (0.0, 0.05, 0.3)] == [float] * 3
 
 
 class TestSecureRateArray:
@@ -578,13 +587,16 @@ class TestSecureRateArray:
         assert [secure_rate(e, r).hex() for e, r in zip(eps.tolist(), r_sift.tolist())] == [
             r.hex() for r in one_point
         ]
-        # the entropy alone, also on 2,000 uniform error rates: np.log2 in
-        # place of math.log2 changes 4 of them (numpy 2.4 on x86-64)
-        entropy_eps = eps_values + np.random.default_rng(43).uniform(size=2000).tolist()
-        entropies = binary_entropy(np.reshape(entropy_eps, (-1, 8)))
-        assert [h.hex() for h in entropies.ravel().tolist()] == [
-            plain_binary_entropy(e).hex() for e in entropy_eps
-        ] == [binary_entropy(e).hex() for e in entropy_eps]
+        # the entropy on 20,000 uniform error rates outside keyrate._CLAMPED,
+        # each of which takes both logs, at a sifted rate of 1: np.log2 in
+        # place of math.log2 changes 35 of their rates (numpy 2.4 on x86-64)
+        rng = np.random.default_rng(43)
+        lo, hi = keyrate._CLAMPED
+        logged = rng.uniform(0.0, lo, 10_000).tolist() + rng.uniform(hi, 1.0, 10_000).tolist()
+        rates = secure_rate(np.reshape(logged, (-1, 8)), 1.0)
+        assert [r.hex() for r in rates.ravel().tolist()] == [
+            plain_secure_rate(e, 1.0).hex() for e in logged
+        ] == [secure_rate(e, 1.0).hex() for e in logged]
         assert one_point.count(0.0) > 8 and all(
             math.copysign(1.0, r) == 1.0 for r in one_point if r == 0.0
         )
@@ -1147,7 +1159,7 @@ def deep_loss_limit(g, tau1):
 def deep_loss_rate(g: float, tau1: float) -> float:
     """lim R_sec / tau2 as tau2 -> 0 without dark counts."""
     r_sift, eps = deep_loss_limit(g, tau1)
-    return r_sift * (1.0 - 2.0 * binary_entropy(eps))
+    return r_sift * (1.0 - 2.0 * plain_binary_entropy(eps))
 
 
 def deep_loss_optimum(tau1: float) -> float:
@@ -1159,7 +1171,7 @@ def deep_loss_optimum(tau1: float) -> float:
 
     def slope(g: float) -> float:
         r_sift, eps = deep_loss_limit(complex(g, step), tau1)
-        h = binary_entropy(eps.real)
+        h = plain_binary_entropy(eps.real)
         return (r_sift.imag / step * (1.0 - 2.0 * h)
                 - 2.0 * r_sift.real * math.log2((1.0 - eps.real) / eps.real) * eps.imag / step)
 
@@ -1208,7 +1220,7 @@ class TestDeepLoss:
     def test_grid_without_dark_counts_raises_nowhere(self):
         # Summed from 81 signed inclusion-exclusion terms, a same-sign
         # coincidence rounds below 0 on 21 of these 81 channels and
-        # binary_entropy rejects the QBER; the pair's forms subtract nothing,
+        # secure_rate rejects the QBER; the pair's forms subtract nothing,
         # so every scan gain's QBER lies in [0, 1] and no search raises.
         grid = np.linspace(*G_BRACKET, 256)
         for loss1_db in (0.0, 1.6, 3.0):
