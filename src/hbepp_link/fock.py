@@ -17,23 +17,26 @@ that matter are therefore consumed by the basis rotation, and tracking
 State layout: the source emits equal photon numbers into Alice's and Bob's
 arms, so the amplitudes of pair number n form an (n+1) x (n+1) block, one
 axis per party, and the blocks lie end to end, row-major, in one flat
-array (block n starts at the sum of (m+1)^2 over m < n). The axes are
-coordinates in the real Schur basis Q_n of the rotation generator on n
-photons, not Fock occupations. A basis rotation turns independent planes
-of that basis, so rotating is 2 x 2 mixing of paired rows: one
-multiply-add over the flat array per party, with each entry's plane
-partner gathered (Bob's columns are the rows of the transposed blocks),
-and nothing for a party turned by exactly zero. The only matrix products
-are the two per block that return to Fock amplitudes, Q_n X_n Q_n^T,
-before squaring; the Q_n are in the one cached per-truncation table.
-Squaring keeps the pair support: the photon-number distribution is an
-(n, i, j) array of O(n_max^3) entries, never the dense (n_max+1)^4 grid
-over the four mode occupations. Loss and readout act on each detector
-mode independently, so each is a Markov kernel over one mode's photon
-number. The squared distribution holds no kernel (the identity), loss
-composes its binomial matrix into Alice's and Bob's kernels, and the
-readout composes the threshold matrix into them and contracts the result
-with the support mass, so the thinned distribution is never stored.
+array (block n starts at the sum of (m+1)^2 over m < n). Alice's axis
+holds coordinates in the real Schur basis Q_n of the rotation generator
+on n photons; Bob's holds Fock occupations. A basis rotation turns
+independent planes of the Schur basis, so Alice's turn is 2 x 2 mixing of
+paired rows: one multiply-add over the flat array, with each entry's
+plane partner gathered, and nothing for an angle of exactly zero. Up to
+squaring, the matrix products are one per block, Q_n X_n, that returns
+Alice's axis to Fock amplitudes, and two more per block for a turned
+Bob: his axis goes to his Schur basis (X_n Q_n, written transposed, so
+that his columns are rows), turns as Alice's rows do, and comes back
+(X_n Q_n^T). At theta2 = 0 his axis is left as it is. The Q_n are in the
+one cached per-truncation table. Squaring keeps the pair support: the
+photon-number distribution is an (n, i, j) array of O(n_max^3) entries,
+never the dense (n_max+1)^4 grid over the four mode occupations. Loss
+and readout act on each detector mode independently, so each is a Markov
+kernel over one mode's photon number. The squared distribution holds no
+kernel (the identity), loss composes its binomial matrix into Alice's
+and Bob's kernels, and the readout composes the threshold matrix into
+them and contracts the result with the support mass, so the thinned
+distribution is never stored.
 """
 
 from __future__ import annotations
@@ -108,15 +111,16 @@ def _offset(n: int) -> int:
 class _Truncation(NamedTuple):
     """The angle- and parameter-independent tables of one truncation.
 
-    ``source`` is the pair source at unit weight per pair number, flat, in
-    the Schur basis. The n-pair component is the n-th power of the
-    antisymmetric pair creation operator (a1H+ a2V+ - a1V+ a2H+) applied to
-    vacuum, normalized by n! sqrt(n+1). Expanding the power binomially,
+    ``source`` is the pair source at unit weight per pair number, flat,
+    with Alice's axis in the Schur basis and Bob's in Fock occupations. The
+    n-pair component is the n-th power of the antisymmetric pair creation
+    operator (a1H+ a2V+ - a1V+ a2H+) applied to vacuum, normalized by
+    n! sqrt(n+1). Expanding the power binomially,
     term m carries C(n, m) (-1)^(n-m) and raises the (1H, 1V, 2H, 2V)
     occupations to (m, n-m, n-m, m), which contributes sqrt(m!^2 (n-m)!^2)
     on vacuum. Since C(n, m) m! (n-m)! / n! = 1 exactly, the Fock block B
     holds (-1)^(n-m) at (m, n-m), with no factorial evaluated. Block n is
-    Q_n^T B Q_n.
+    Q_n^T B, whose column c is (-1)^c times row n - c of Q_n: no product.
 
     ``bases`` holds Q_n for each n (see ``_schur_basis``).
 
@@ -129,9 +133,7 @@ class _Truncation(NamedTuple):
     its turn, so ``rate`` holds one entry per row, to be repeated
     ``repeats`` times (the row's length) along the flat layout.
     ``partner`` is the flat index of each entry's counterpart in the other
-    row of its plane (the entry itself on a null row). ``transpose`` is the
-    flat index of each entry's mirror (r, c) -> (c, r) in its block: Bob's
-    columns are the rows of the transposed blocks.
+    row of its plane (the entry itself on a null row).
 
     ``comb[n, k]`` is C(n, k) (zero for k > n), exact before the float
     cast, and ``lost[n, k]`` the number lost, max(n - k, 0). ``rest[n, i]``
@@ -142,7 +144,6 @@ class _Truncation(NamedTuple):
     source: np.ndarray
     bases: tuple[np.ndarray, ...]
     planes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    transpose: np.ndarray
     comb: np.ndarray
     lost: np.ndarray
     rest: np.ndarray
@@ -157,24 +158,21 @@ def _truncation(size: int) -> _Truncation:
     bases, row_rate = [], []
     source = np.empty(_offset(size))
     partner = np.empty(source.size, dtype=np.intp)
-    transpose = np.empty(source.size, dtype=np.intp)
     for n in range(size):
         q, rates = _schur_basis(n)
         bases.append(q)
         block = slice(_offset(n), _offset(n + 1))
-        m = np.arange(n + 1)[:, None]
-        # row m of B Q is (-1)^(n-m) times row n-m of Q
-        source[block] = (q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])).ravel()
+        c = np.arange(n + 1)[:, None]
+        # row c of B^T Q is (-1)^c times row n-c of Q
+        source[block] = (np.where(c % 2 == 0, 1.0, -1.0) * q[::-1]).T.ravel()
         planes = len(rates)
         line_rate = np.zeros(n + 1, dtype=np.intp)
         line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
         other = np.arange(n + 1)  # the other row of the same plane
         other[:planes] += planes
         other[planes : 2 * planes] -= planes
-        row, col = np.indices((n + 1, n + 1))
         row_rate.append(line_rate)
-        partner[block] = (_offset(n) + (n + 1) * other[row] + col).ravel()
-        transpose[block] = (_offset(n) + (n + 1) * col + row).ravel()
+        partner[block] = (_offset(n) + (n + 1) * other[:, None] + np.arange(n + 1)).ravel()
     lengths = np.arange(1, size + 1)
     rows = (np.concatenate(row_rate), np.repeat(lengths, lengths), partner)
     comb = np.array(
@@ -183,10 +181,10 @@ def _truncation(size: int) -> _Truncation:
     n = np.arange(size)
     gap = n[:, None] - n[None, :]
     table = _Truncation(
-        source, tuple(bases), rows, transpose, comb,
+        source, tuple(bases), rows, comb,
         np.maximum(gap, 0), np.where(gap >= 0, gap, size),
     )
-    for array in (table.source, *bases, *rows, table.transpose, comb, table.lost, table.rest):
+    for array in (table.source, *bases, *rows, comb, table.lost, table.rest):
         array.flags.writeable = False
     return table
 
@@ -197,11 +195,11 @@ class TruncatedPairState:
 
     ``amplitudes`` holds the blocks end to end, row-major: block n is the
     (n+1) x (n+1) run starting at the sum of (m+1)^2 over m < n, and
-    ``blocks`` are views of those runs. ``blocks[n][r, c]`` is the
-    coefficient of column r of Q_n on Alice's side and column c of Q_n on
-    Bob's (see ``_schur_basis``). In the Fock basis, ``fock_block(n)[i, j]``
-    is the amplitude of i photons in Alice's first mode (n - i in her
-    second) and j photons in Bob's first mode (n - j in his second). Before
+    ``blocks`` are views of those runs. ``blocks[n][r, j]`` is the
+    coefficient of column r of Q_n on Alice's side (see ``_schur_basis``)
+    and of j photons in Bob's first mode (n - j in his second). In the Fock
+    basis, ``fock_block(n)[i, j]`` is the amplitude of i photons in Alice's
+    first mode (n - i in her second) and j photons in Bob's first mode. Before
     rotation the first modes are the H polarizations; after rotation they
     are the ``+`` analysis modes.
     """
@@ -229,9 +227,8 @@ class TruncatedPairState:
         return float(self.amplitudes @ self.amplitudes)
 
     def fock_block(self, n: int) -> np.ndarray:
-        """Fock amplitudes of pair number n: Q_n blocks[n] Q_n^T."""
-        q = _schur_basis(n)[0]
-        return q @ self.blocks[n] @ q.T
+        """Fock amplitudes of pair number n: Q_n blocks[n]."""
+        return _schur_basis(n)[0] @ self.blocks[n]
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,11 +265,12 @@ def build_state(g: float, n_max: int) -> TruncatedPairState:
     """Pair-source state truncated at ``n_max`` pairs, in the H/V bases.
 
     Block n is the unit source block of ``_Truncation.source``, weighted
-    by (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1).
+    by (1-g^2) sqrt(n+1) g^n over its norm sqrt(n+1). The powers are taken
+    on Python floats, so they do not depend on numpy's SIMD loops.
     """
     truncation_error_bound(g, n_max)  # checks the gain and n_max
     size = n_max + 1
-    weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
+    weights = (1.0 - g * g) * np.array([g**n for n in range(size)])
     return TruncatedPairState(
         _truncation(size).source * np.repeat(weights, np.arange(1, size + 1) ** 2), n_max
     )
@@ -284,51 +282,74 @@ def rotate_modes(
     """Re-express the state in analysis bases rotated by theta1 and theta2.
 
     In the Schur basis the rotation turns each plane of Alice's rows by
-    theta1 times its rate and each plane of Bob's columns by theta2 times
-    its rate, which mixes paired rows and paired columns 2 x 2; one cosine
-    and one sine per angle and rate serve every pair number. Bob's columns
-    turn as the rows of the blocks transposed by ``_Truncation.transpose``,
-    then transposed back. A turn by exactly zero is the identity and is
-    skipped. Acts within each pair-number block (the rotation conserves
-    photon number per party) and preserves the norm.
+    theta1 times its rate, which mixes paired rows 2 x 2; one cosine and
+    one sine per angle and rate serve every pair number. Bob's axis is
+    taken to his Schur basis, where his columns are the rows of the
+    transposed blocks, turned by theta2 as Alice's rows are, and taken
+    back to Fock occupations. A turn by exactly zero is the identity and is
+    skipped, with no product for Bob. Acts within each pair-number block
+    (the rotation conserves photon number per party) and preserves the
+    norm.
     """
     table = _truncation(state.n_max + 1)
-    rate, repeats, partner = table.planes
-    flat = state.amplitudes
-    for theta, bob in ((theta1, False), (theta2, True)):
-        if theta == 0.0:
-            continue
-        if bob:  # his columns are the rows of the transposed blocks
-            flat = flat.take(table.transpose)
-        phase = theta * np.arange(len(table.bases))
-        cos, sin = np.cos(phase), np.sin(phase)
-        turned = np.repeat(np.concatenate((cos, cos)).take(rate), repeats)
-        mixed = np.repeat(np.concatenate((sin, -sin)).take(rate), repeats)
-        turned *= flat
-        mixed *= flat.take(partner)
-        turned += mixed
-        flat = turned.take(table.transpose) if bob else turned
+    flat = _turn(table, state.amplitudes, theta1)
+    if theta2 != 0.0:
+        flat = _bob_basis(table, _turn(table, _bob_basis(table, flat, False), theta2), True)
     return TruncatedPairState(flat, state.n_max)
+
+
+def _turn(table: _Truncation, flat: np.ndarray, theta: float) -> np.ndarray:
+    """Each plane of the blocks' rows turned by theta times its rate: 2 x 2
+    mixing of paired rows over the flat layout; ``flat`` itself at 0."""
+    if theta == 0.0:
+        return flat
+    rate, repeats, partner = table.planes
+    phase = theta * np.arange(len(table.bases))
+    cos, sin = np.cos(phase), np.sin(phase)
+    turned = np.repeat(np.concatenate((cos, cos)).take(rate), repeats)
+    mixed = np.repeat(np.concatenate((sin, -sin)).take(rate), repeats)
+    turned *= flat
+    mixed *= flat.take(partner)
+    turned += mixed
+    return turned
+
+
+def _bob_basis(table: _Truncation, flat: np.ndarray, back: bool) -> np.ndarray:
+    """Per block, Q_n^T X_n^T: Bob's axis in his Schur basis, as the rows of
+    the transposed block. If ``back``, X_n^T Q_n^T: such rows back to his
+    Fock occupations, as columns. One product per block either way."""
+    out = np.empty_like(flat)
+    for n, q in enumerate(table.bases):
+        block = slice(_offset(n), _offset(n + 1))
+        x = flat[block].reshape(n + 1, n + 1)
+        left, right = (x.T, q.T) if back else (q.T, x.T)
+        np.matmul(left, right, out=out[block].reshape(n + 1, n + 1))
+    return out
 
 
 def photon_number_distribution(state: TruncatedPairState) -> JointPhotonDistribution:
     """Squared Fock amplitudes on the pair support (n, i, j).
 
-    Each block's Fock amplitudes Q_n X_n Q_n^T are written into its slice
-    of the (n, i, j) array, which is then squared in place.
+    Each block's Fock amplitudes Q_n X_n, one product per block, are
+    written into its slice of the (n, i, j) array, which is then squared in
+    place.
     """
     size = state.n_max + 1
     probs = np.zeros((size, size, size))
     for n, (block, q) in enumerate(zip(state.blocks, _truncation(size).bases)):
-        np.matmul(q @ block, q.T, out=probs[n, : n + 1, : n + 1])
+        np.matmul(q, block, out=probs[n, : n + 1, : n + 1])
     return JointPhotonDistribution(np.square(probs, out=probs))
 
 
 def _binomial_thinning(n_max: int, tau: float) -> np.ndarray:
-    """Transition matrix T[n, k] = C(n, k) tau^k (1-tau)^(n-k): k of n survive."""
+    """Transition matrix T[n, k] = C(n, k) tau^k (1-tau)^(n-k): k of n survive.
+
+    The powers are taken on Python floats, as in ``build_state``.
+    """
     table = _truncation(n_max + 1)  # C(n, k) = 0 where k > n
-    n = np.arange(n_max + 1)
-    return table.comb * tau ** n * ((1.0 - tau) ** n).take(table.lost)
+    kept = np.array([tau**k for k in range(n_max + 1)])
+    lost = np.array([(1.0 - tau) ** k for k in range(n_max + 1)])
+    return table.comb * kept * lost.take(table.lost)
 
 
 def _then(kernel: np.ndarray | None, step: np.ndarray) -> np.ndarray:

@@ -88,12 +88,20 @@ def reference_source_block(g: float, n: int) -> np.ndarray:
 
 
 def schur_state(fock_blocks) -> TruncatedPairState:
-    """A state given by its Fock-basis blocks, in the Schur basis Q_n."""
-    blocks = [
-        fock._schur_basis(n)[0].T @ block @ fock._schur_basis(n)[0]
-        for n, block in enumerate(fock_blocks)
-    ]
+    """A state given by its Fock-basis blocks, in the state's coordinates:
+    Alice's axis in the Schur basis Q_n, Bob's in Fock occupations."""
+    blocks = [fock._schur_basis(n)[0].T @ block for n, block in enumerate(fock_blocks)]
     return TruncatedPairState(np.concatenate([b.ravel() for b in blocks]), len(blocks) - 1)
+
+
+def bob_basis(state: TruncatedPairState, back: bool) -> TruncatedPairState:
+    """Per block, Q_n^T X_n^T = (X_n Q_n)^T: Bob's axis to his Schur basis,
+    as rows; or, if ``back``, X_n^T Q_n^T: such rows back to Fock columns."""
+    blocks = []
+    for n, block in enumerate(state.blocks):
+        q = fock._schur_basis(n)[0]
+        blocks.append(block.T @ q.T if back else q.T @ block.T)
+    return TruncatedPairState(np.concatenate([b.ravel() for b in blocks]), state.n_max)
 
 
 def rotated_fock_blocks(size: int, theta1: float, theta2: float) -> list[np.ndarray]:
@@ -283,17 +291,19 @@ class TestRotateModes:
 
     @pytest.mark.parametrize("theta", [0.4, -1.3])
     def test_bob_turns_as_alice_on_the_transposed_blocks(self, theta):
-        # Bob's columns are Alice's rows of the transposed blocks, bit for bit
+        # Bob's Fock occupations go to his Schur basis (X Q_n), where his
+        # columns turn as Alice's rows of the transposed blocks, and come
+        # back (X Q_n^T): bit for bit
         rng = np.random.default_rng(7)
-        state = schur_state([rng.normal(size=(n + 1, n + 1)) for n in range(13)])
-
-        def transposed(state):
-            blocks = [block.T.ravel() for block in state.blocks]
-            return TruncatedPairState(np.concatenate(blocks), state.n_max)
-
+        fock_blocks = [rng.normal(size=(n + 1, n + 1)) for n in range(13)]
+        state = schur_state(fock_blocks)
         bob = rotate_modes(state, 0.0, theta)
-        alice = transposed(rotate_modes(transposed(state), theta, 0.0))
-        assert np.array_equal(bob.amplitudes, alice.amplitudes)
+        turned = rotate_modes(bob_basis(state, back=False), theta, 0.0)
+        assert np.array_equal(bob.amplitudes, bob_basis(turned, back=True).amplitudes)
+        # in Fock blocks: Bob's turn of F is Alice's turn of F^T, transposed
+        mirrored = rotate_modes(schur_state([block.T for block in fock_blocks]), theta, 0.0)
+        for n in range(13):
+            assert np.max(np.abs(bob.fock_block(n) - mirrored.fock_block(n).T)) <= 1e-13
 
     def test_zero_angles_identity(self):
         state = build_state(0.5, 8)
@@ -497,22 +507,53 @@ class TestElementwiseForms:
 
     @pytest.mark.parametrize("g,n_max", [(0.0, 0), (0.37, 6), (0.7, 40)])
     def test_build_state_is_the_weighted_unit_blocks(self, g, n_max):
+        # block n is (1-g^2) g^n Q_n^T B_n, g^n on Python floats; B_n has
+        # one nonzero per column, so the product adds only exact zeros
         state = build_state(g, n_max)
-        weights = (1.0 - g * g) * g ** np.arange(n_max + 1.0)
         for n, block in enumerate(state.blocks):
             q = fock._schur_basis(n)[0]
-            m = np.arange(n + 1)[:, None]
-            unit = q.T @ (np.where((n - m) % 2 == 0, 1.0, -1.0) * q[::-1])
-            assert np.array_equal(block, weights[n] * unit)
+            m = np.arange(n + 1)
+            unit = np.zeros((n + 1, n + 1))
+            unit[m, n - m] = np.where((n - m) % 2 == 0, 1.0, -1.0)
+            assert np.array_equal(block, ((1.0 - g * g) * g**n) * (q.T @ unit))
 
     @pytest.mark.parametrize("tau", [1e-6, 0.3, 0.999, 1.0])
     @pytest.mark.parametrize("n_max", [0, 6, 40])
     def test_thinning_is_the_two_dimensional_power(self, n_max, tau):
-        n = np.arange(n_max + 1)
-        lost = np.maximum(n[:, None] - n[None, :], 0)
-        comb = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
-        expected = comb * tau ** n[None, :] * (1.0 - tau) ** lost
+        # entry by entry on Python floats, in the kernel's order of products
+        expected = [
+            [math.comb(a, b) * tau**b * (1.0 - tau) ** max(a - b, 0) for b in range(n_max + 1)]
+            for a in range(n_max + 1)
+        ]
         assert np.array_equal(fock._binomial_thinning(n_max, tau), expected)
+
+    @pytest.mark.parametrize("theta2", [0.0, -1.3])
+    @pytest.mark.parametrize("n_max", [0, 6, 40])
+    def test_square_is_one_product_per_block(self, n_max, theta2):
+        state = rotate_modes(build_state(0.55, n_max), 0.8, theta2)
+        probs = photon_number_distribution(state).probs
+        for n, block in enumerate(state.blocks):
+            q = fock._schur_basis(n)[0]
+            assert np.array_equal(probs[n, : n + 1, : n + 1], np.square(q @ block))
+            assert not probs[n, n + 1 :].any() and not probs[n, :, n + 1 :].any()
+
+    @pytest.mark.parametrize("theta", [0.4, -1.3])
+    def test_alice_turn_leaves_bobs_axis_untouched(self, theta):
+        # at theta2 = 0 no product touches Bob's Fock occupations: each of
+        # his columns turns alone, so reversing them commutes bit for bit
+        rng = np.random.default_rng(17)
+        state = schur_state([rng.normal(size=(n + 1, n + 1)) for n in range(13)])
+
+        def reversed_columns(state):
+            blocks = [block[:, ::-1].ravel() for block in state.blocks]
+            return TruncatedPairState(np.concatenate(blocks), state.n_max)
+
+        turned = rotate_modes(state, theta, 0.0)
+        assert np.array_equal(
+            rotate_modes(reversed_columns(state), theta, 0.0).amplitudes,
+            reversed_columns(turned).amplitudes,
+        )
+        assert not np.array_equal(turned.amplitudes, state.amplitudes)
 
     @pytest.mark.parametrize("outcomes", [1, 2])
     @pytest.mark.parametrize("n_max", [0, 6, 40])
@@ -570,11 +611,11 @@ class TestPipeline:
         assert fock._truncation.cache_info().misses == misses
 
     def test_truncation_at_n_max_100_holds_under_12_mb(self):
-        # 32 bytes per amplitude (the source, the bases, the partner and
-        # transpose indices) over 348,551 amplitudes, plus the O(n_max^2)
-        # tables: 11.5 MB measured. Building it peaks at 11.8 MB, as the
-        # flat tables are filled in place, so the peak bound leaves room
-        # for one block's temporaries, not for a second copy of the tables.
+        # 24 bytes per amplitude (the source, the bases and the partner
+        # indices) over 348,551 amplitudes, plus the O(n_max^2) tables:
+        # 8.7 MB measured. Building it peaks at 8.9 MB, as the flat tables
+        # are filled in place, so the peak bound leaves room for one
+        # block's temporaries, not for a second copy of the tables.
         fock._truncation.cache_clear()
         tracemalloc.start()
         try:
@@ -599,10 +640,12 @@ ORACLE_PINNED_GRID = (
     (0.0, -1.3),
 )
 #: sha256 of the float.hex of every oracle entry over the grid, in grid
-#: order, as the oracle gave them with one cache per per-truncation table.
+#: order, as the oracle gave them with Bob's axis in Fock occupations.
 #: Like the oracle-check golden, it holds for the LAPACK, BLAS and libm that
-#: numpy links: eigh, matmul, cos and sin set the last bits.
-ORACLE_PINNED_DIGEST = "66ec4a42adac6eaf15c8369666637efb57cd6399a64c01e7c38c3842478960c3"
+#: numpy links: eigh and matmul set the last bits, and numpy's SIMD loops
+#: do not (the powers are taken on Python floats, and np.cos and np.sin
+#: match math.cos and math.sin with numpy's AVX-512 loops on or off).
+ORACLE_PINNED_DIGEST = "218d647328f8fb36deb29a898f53aa09978edd27524813163b6b881b428ba52f"
 
 
 def test_oracle_keeps_its_bits():
@@ -695,7 +738,7 @@ def turned_oracle_tables() -> tuple:
 def worst_relative(values, references, exact) -> float:
     """Largest |value - reference| / reference over the entries whose exact
     value is nonzero. Where it is 0, both must be within 1e-32 of it: the
-    oracle's rotation leaves up to 7e-34 there at theta2 = 0 and 4.9e-33
+    oracle's rotation leaves up to 2.9e-34 there at theta2 = 0 and 3.3e-33
     with both parties turned."""
     worst = 0.0
     for value, reference, exact_value in zip(values, references, exact):
@@ -713,14 +756,14 @@ class TestPerEntryAgainstOracle:
     closed forms where an absolute deviation cannot see the small entries."""
 
     def test_oracle_entries_within_1e_13_of_exact(self):
-        # measured worst: 3.5e-15
+        # measured worst: 2.6e-15
         worst = max(
             worst_relative(oracle, exact, exact) for oracle, exact in per_entry_tables()
         )
         assert worst <= 1e-13
 
     def test_turned_oracle_entries_within_1e_13_of_exact(self):
-        # Bob's rotation entry by entry (measured worst: 3.3e-15)
+        # Bob's rotation entry by entry (measured worst: 3.7e-15)
         worst = max(
             worst_relative(turned, exact, exact)
             for turned, (_, exact) in zip(turned_oracle_tables(), per_entry_tables())
@@ -730,7 +773,7 @@ class TestPerEntryAgainstOracle:
     def test_pair_entries_within_1e_12_of_oracle_marginals(self):
         # the pair's four entries against the theta = 0 oracle table's
         # marginals, each a sum over the other pair's four states
-        # (measured worst: 1.2e-15)
+        # (measured worst: 9.7e-16)
         worst = max(
             worst_relative(pair_probabilities(g, tau1, tau2, dark), pair_marginals(oracle),
                            pair_marginals(exact))
@@ -741,7 +784,7 @@ class TestPerEntryAgainstOracle:
         assert worst <= 1e-12
 
     def test_general_table_entries_within_1e_12_of_oracle(self):
-        # measured worst: 1.6e-14, at theta = pi/4
+        # measured worst: 1.7e-14, at theta = pi/4
         worst = max(
             worst_relative(outcome_probability_array(*point), oracle, exact)
             for point, (oracle, exact) in zip(PER_ENTRY_POINTS, per_entry_tables())

@@ -16,13 +16,17 @@ float, ``math.ulp(value)``, of a reference computed from the same inputs:
   ``exact.outcome_probabilities_exact`` at the inputs that
   ``ScenarioConfig.inputs`` gives the case's ``--set`` list;
 * the CHSH goldens: S of the exact tables at the four angle differences,
-  each folded and combined in ``Fraction``s.
+  each folded and combined in ``Fraction``s;
+* the optimum goldens (``optimize``, and ``mu_opt`` and ``rsec_opt`` of the
+  sweeps): the maximum of the exact squash secure rate, whose gain is
+  found by bisecting the sign of the exact rate's slope.
 
 A later change that moves a golden on purpose cites these bounds instead of
 measuring the moved cells by hand. Stdlib only: ``fractions`` and
 ``decimal``.
 """
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,6 +35,7 @@ import numpy as np
 import pytest
 
 from hbepp_link.config import SWEEP_VARIABLES, parse_config
+from hbepp_link.params import transmittance_from_db
 from hbepp_link.postprocess import (
     ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, PostprocessingModel, _FOLDS,
 )
@@ -69,6 +74,14 @@ def fold(table, model: PostprocessingModel) -> list[Fraction]:
             for cell in _FOLDS[model]]
 
 
+@functools.cache
+def ln2() -> Decimal:
+    """ln 2 to ``DIGITS`` digits."""
+    with localcontext() as context:
+        context.prec = DIGITS
+        return Decimal(2).ln()
+
+
 def h2(eps: Fraction) -> Decimal:
     """H2(eps) to ``DIGITS`` digits; 0 at eps = 0 and 1."""
     if eps in (0, 1):
@@ -76,7 +89,7 @@ def h2(eps: Fraction) -> Decimal:
     with localcontext() as context:
         context.prec = DIGITS
         e = Decimal(eps.numerator) / Decimal(eps.denominator)
-        return -(e * e.ln() + (1 - e) * (1 - e).ln()) / Decimal(2).ln()
+        return -(e * e.ln() + (1 - e) * (1 - e).ln()) / ln2()
 
 
 def secure(eps: Fraction, r_sift: Fraction) -> Decimal:
@@ -196,3 +209,76 @@ def test_chsh_golden_is_exact(case):
                  for w, value, reference in zip(worst, cells, references)]
     assert len(rows) == {"chsh": 50, "chsh-discard": 60}[case]
     assert all(map(Fraction.__le__, worst, CHSH_ULPS[case])), [float(w) for w in worst]
+
+
+#: Half the width of the central difference R(g + h) - R(g - h) whose sign
+#: is taken as the slope's: 2^-100, far below the bisection's last width.
+SLOPE_STEP = Fraction(1, 2**100)
+
+
+def exact_optimum(lo: float, hi: float, channel) -> Fraction:
+    """The gain of the exact squash secure rate's maximum inside (lo, hi),
+    which must hold a sign change of the rate's slope, to within 2^-60:
+    bisection on the sign of ``SLOPE_STEP``'s central difference. At
+    ``DIGITS`` digits that sign holds down to widths near 1e-30."""
+
+    def rising(g: Fraction) -> bool:
+        return (exact_key_rates(PostprocessingModel.SQUASH, g + SLOPE_STEP, *channel)[2]
+                > exact_key_rates(PostprocessingModel.SQUASH, g - SLOPE_STEP, *channel)[2])
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    assert rising(lo) and not rising(hi)
+    while hi - lo > Fraction(1, 2**60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    return (lo + hi) / 2
+
+
+def optimum_errors(g_opt: float, mu_opt: float, rate: float, lo: float, hi: float,
+                   channel) -> tuple[Fraction, Fraction, Fraction]:
+    """The printed gain's and brightness's relative errors against the exact
+    optimum in (lo, hi), and the printed rate's error in ulps against the
+    exact rate there."""
+    g = exact_optimum(lo, hi, channel)
+    mu = g * g / (1 - g * g)
+    reference = exact_key_rates(PostprocessingModel.SQUASH, g, *channel)[2]
+    return (abs(Fraction(g_opt) - g) / g, abs(Fraction(mu_opt) - mu) / mu,
+            ulps(rate, reference))
+
+
+def test_optimize_golden_is_exact():
+    # measured worst: g_opt 2.5e-13 and mu_opt 5.5e-13 relative,
+    # secure_rate_at_opt 2.2 ulps; the optimum inside the printed bracket
+    settings, _, _ = read_golden("optimize")
+    channel = [float(settings[key]) for key in ("tau1", "tau2", "dark_count")]
+    g_err, mu_err, rate_ulps = optimum_errors(
+        float(settings["g_opt"]), float(settings["mu_opt"]),
+        float(settings["secure_rate_at_opt[bits/mode]"]),
+        float(settings["bracket_lo"]), float(settings["bracket_hi"]), channel,
+    )
+    assert g_err <= 4.9e-13 and mu_err <= 1.0e-12 and rate_ulps <= 4, (
+        float(g_err), float(mu_err), float(rate_ulps))
+
+
+#: Per sweep golden, the bound on mu_opt's relative error and on rsec_opt's
+#: error in ulps. Measured worst (each optimum within 1e-6 of the printed
+#: gain): 6.4e-13, 2.2 and 8.7e-13, 11.0.
+SWEEP_OPTIMUM_BOUNDS = {"sweep": (1.2e-12, 4), "sweep-headline": (1.7e-12, 22)}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_OPTIMUM_BOUNDS))
+def test_sweep_optima_are_exact(case):
+    settings, header, rows = read_golden(case)
+    assert header[2:4] == ["mu_opt[pairs/mode]", "rsec_opt[bits/mode]"]
+    tau1, dark_count = float(settings["tau1"]), float(settings["dark_count"])
+    worst = [Fraction(0)] * 2
+    for row in rows:
+        loss2_db, _, mu_opt, rate, _ = map(float, row)
+        g_opt = math.sqrt(mu_opt / (1.0 + mu_opt))  # the optimum lies within 1e-6 of it
+        _, mu_err, rate_ulps = optimum_errors(
+            g_opt, mu_opt, rate, g_opt * (1 - 1e-6), g_opt * (1 + 1e-6),
+            (tau1, transmittance_from_db(loss2_db), dark_count),
+        )
+        worst = [max(worst[0], mu_err), max(worst[1], rate_ulps)]
+    assert len(rows) == {"sweep": 2, "sweep-headline": 26}[case]
+    assert all(map(Fraction.__le__, worst, SWEEP_OPTIMUM_BOUNDS[case])), [float(w) for w in worst]
