@@ -99,15 +99,18 @@ def _plan(weights):
     """``_solve``'s plan at ``len(weights)`` modes, D(T)'s entry (row, col) at
     sum((2 col bit - row bit) weight) over silence bitmasks: the all-silent
     row's diagonal entry; the other rows by clicks, then mask, each with its
-    diagonal entry and (entry, column) terms; each mode's (silent, clicked) masks."""
+    diagonal entry, its first (entry, column) term and the rest, in column
+    order (every row but the all-silent one has the all-silent column); each
+    mode's (silent, clicked) masks."""
     masks = range(1 << len(weights))
 
     def entry(row, col):
         return sum((2 * (col >> m & 1) - (row >> m & 1)) * w for m, w in enumerate(weights))
 
     rows = sorted(masks[:-1], key=lambda row: (-bin(row).count("1"), row))
-    solve = [(row, entry(row, row), [(entry(row, col), col) for col in masks[row + 1:]
-                                     if col & row == row]) for row in rows]
+    terms = [[(entry(row, col), col) for col in masks[row + 1:] if col & row == row]
+             for row in rows]
+    solve = [(row, entry(row, row), first, rest) for row, (first, *rest) in zip(rows, terms)]
     dark = [[(mask | 1 << m, mask) for mask in masks if not mask >> m & 1]
             for m in range(len(weights))]  # bit 0 first: the order sets the last bit
     return entry(masks[-1], masks[-1]), solve, dark
@@ -116,11 +119,18 @@ def _plan(weights):
 def _solve(entries, plan, dark_count):
     """y of D(T) y = e_(all silent) by silence bitmask, then each mode's
     dark-count rule: ``plan`` on ``entries`` and ``dark_count``, Python floats
-    (or ``Fraction``s) at one point, array rows otherwise, alike per element."""
+    (or ``Fraction``s) at one point, array rows otherwise, alike per element.
+    Each row's terms add left to right, first term first, as
+    ``left_to_right_sum`` adds them, but in an inline loop: a generator
+    through that function would take about as long as the rest of a
+    one-point solve."""
     last, rows, dark = plan
     y = [1 / entries[last]] * (len(rows) + 1)  # each row but the last solved below
-    for row, diagonal, terms in rows:
-        y[row] = -left_to_right_sum(entries[e] * y[col] for e, col in terms) / entries[diagonal]
+    for row, diagonal, (e, col), terms in rows:
+        total = entries[e] * y[col]
+        for e, col in terms:
+            total = total + entries[e] * y[col]  # not +=: a later term may be wider
+        y[row] = -total / entries[diagonal]
     keep = 1 - dark_count
     for pairs in dark:
         for silent, clicked in pairs:

@@ -31,12 +31,13 @@ and ``_entropy`` on arrays, and takes it only of error rates outside
 
 The gain search takes a (tau1, tau2, dark count) row per channel. One
 array call scans ``G_BRACKET`` for every channel, split into calls of at
-most ``_ROWS_PER_CALL`` gains. Then each channel goes on Python floats: a
-five-gain stencil around the scan's guess of its peak and the gain the
-stencil places the peak at, each rate the one-point chain's, about 6 µs
-a gain. A guess is the maximum of a quartic through five rates, in +, -,
-* and / with its sums taken left to right, so no numpy code path moves
-the optimum's bits.
+most ``_ROWS_PER_CALL`` gains, and one ``argmax`` over the scan finds
+each channel's best scan gain. Then each channel goes on Python floats:
+the five scan rates around its best gain, a five-gain stencil around the
+scan's guess of its peak and the gain the stencil places the peak at,
+each rate the one-point chain's, about 5 µs a gain. A guess is the
+maximum of a quartic through five rates, in +, -, * and / written out
+left to right, so no numpy code path moves the optimum's bits.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -52,7 +53,6 @@ import numpy as np
 
 from .analytic import pair_probabilities
 from .params import ChannelParams, SourceParams, transmittance_from_db
-from .patterns import left_to_right_sum
 from .postprocess import PostprocessingModel, share
 
 #: Gains scanned by ``optimize_gain`` and their default number.
@@ -78,10 +78,6 @@ _CLAMPED = (0.1101, 0.8899)
 #: The smallest positive normal float: ``_uphill`` divides by no less, so
 #: a flat window gives a step of 0, not 0 / 0.
 _TINY = float(np.finfo(float).tiny)
-#: Rows c1 to c4 of 12 p'(x) = c1 + c2 x + c3 x^2 + c4 x^3, for the quartic p
-#: through rates f(-2) to f(2) at evenly spaced gains, x in grid steps: the
-#: weights of the five rates.
-_QUARTIC = ((1, -8, 0, 8, -1), (-1, 16, -30, 16, -1), (-3, 6, 0, -6, 3), (2, -8, 12, -8, 2))
 
 
 def _h2(eps: float) -> float:
@@ -230,8 +226,17 @@ def _peak(five: list[float], at: float, above: float) -> float:
     spaced gains, the middle one at ``at`` and the next at ``above``, by two
     guarded Newton steps from the middle. On 620 random channels it came
     within 1.8e-6 relative of the true peak from the 256-gain scan, and
-    within 2.5e-12 from a stencil 1e-3 of that guess apart."""
-    c1, c2, c3, c4 = (left_to_right_sum([w * f for w, f in zip(row, five)]) for row in _QUARTIC)
+    within 2.5e-12 from a stencil 1e-3 of that guess apart.
+
+    12 p'(x) = c1 + c2 x + c3 x^2 + c4 x^3 for the quartic p through rates
+    f0 to f4, x in grid steps from the middle. Each c is its five weighted
+    rates added left to right; a weight of 0 adds nothing to a sum of rates,
+    which are +0.0 or positive and finite, and a - b is a + (-b) bit for bit."""
+    f0, f1, f2, f3, f4 = five
+    c1 = f0 - 8.0 * f1 + 8.0 * f3 - f4
+    c2 = -f0 + 16.0 * f1 - 30.0 * f2 + 16.0 * f3 - f4
+    c3 = -3.0 * f0 + 6.0 * f1 - 6.0 * f3 + 3.0 * f4
+    c4 = 2.0 * f0 - 8.0 * f1 + 12.0 * f2 - 8.0 * f3 + 2.0 * f4
     x = _uphill(c1, c2)  # the first step, from x = 0
     x += _uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
     return at + x * (above - at)
@@ -242,24 +247,28 @@ def _chain(g: float, lane: list[float]) -> float:
     return secure_rate(*_qber_and_sift(g, *lane, PostprocessingModel.SQUASH))
 
 
-def _optimum(rates: list[float], grid: list[float], lane: list[float]) -> OptimizationResult:
+def _optimum(best: int, rates: np.ndarray, grid: tuple[float, ...],
+             lane: list[float]) -> OptimizationResult:
     """One lane's search after its scan: ``rates`` at the scan's gains
-    ``grid``, and the lane's (tau1, tau2, dark count). The best scan gain
-    and its two grid neighbours, the bracket; if its rate is positive and
-    not at a bracket end, the stencil ``g0 * _STENCIL`` around ``_peak``'s
-    guess g0 from the five scan rates around it, and the stencil's guess
-    g1, each rate the one-point chain's. The lane keeps g1 if it lies
-    strictly inside the bracket and its rate is no lower than the best
-    scan rate."""
-    best = rates.index(max(rates))
-    g, rate = grid[best], rates[best]
+    ``grid`` (and at any gains after them), ``best`` the index of the first
+    best scan rate, and the lane's (tau1, tau2, dark count). Only the five
+    scan rates around the best gain, clamped into the grid, become Python
+    floats. The best scan gain and its two grid neighbours, the bracket; if
+    its rate is positive and not at a bracket end, the stencil
+    ``g0 * _STENCIL`` around ``_peak``'s guess g0 from those five rates,
+    and the stencil's guess g1, each rate the one-point chain's. The lane
+    keeps g1 if it lies strictly inside the bracket and its rate is no
+    lower than the best scan rate."""
+    center = min(max(best, 2), len(grid) - 3)
+    five = rates[center - 2:center + 3].tolist()
+    rate = five[best - center + 2]
     if rate <= 0.0:
         return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+    g = grid[best]
     bracket = grid[best - (best > 0)], grid[best + (best < len(grid) - 1)]
     steps = 0
     if bracket[0] < g < bracket[1]:
-        center = min(max(best, 2), len(grid) - 3)
-        g0 = _peak(rates[center - 2:center + 3], grid[center], grid[center + 1])
+        g0 = _peak(five, grid[center], grid[center + 1])
         stencil = [g0 * k for k in _STENCIL]
         g1 = _peak([_chain(x, lane) for x in stencil], stencil[2], stencil[3])
         rate1 = _chain(g1, lane)
@@ -276,20 +285,28 @@ def _scan_grid(grid_points: int) -> np.ndarray:
     return grid
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_gains(grid_points: int) -> tuple[float, ...]:
+    """``_scan_grid``'s gains as Python floats."""
+    return tuple(_scan_grid(grid_points).tolist())
+
+
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     """``optimize_gain`` for every (tau1, tau2, dark count) row of
     ``lanes``: one ``_secure_rates`` call scans every lane, with the gains
-    ``fixed`` as columns it does not read, then ``_optimum`` takes each
-    lane on Python floats. Returns the results and the rates at ``fixed``,
-    a (lanes, len(fixed)) array."""
-    grid = _scan_grid(grid_points)
+    ``fixed`` as columns it does not read. One ``argmax`` finds each
+    lane's best scan gain, the first of equal best rates, as
+    ``list.index(max(...))`` would (the clamp leaves no NaN), and
+    ``_optimum`` takes each lane on from there. Returns the results and
+    the rates at ``fixed``, a (lanes, len(fixed)) array."""
     scan = np.empty((len(lanes), grid_points + len(fixed)))
-    scan[:, :grid_points] = grid
+    scan[:, :grid_points] = _scan_grid(grid_points)
     scan[:, grid_points:] = fixed
     rates = _secure_rates(scan, lanes)
-    gains = grid.tolist()
-    results = [_optimum(row[:grid_points], gains, lane)
-               for row, lane in zip(rates.tolist(), lanes.tolist())]
+    best = rates[:, :grid_points].argmax(axis=1).tolist()
+    gains = _scan_gains(grid_points)
+    results = [_optimum(b, row, gains, lane)
+               for b, row, lane in zip(best, rates, lanes.tolist())]
     return results, rates[:, grid_points:]
 
 

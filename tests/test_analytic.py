@@ -780,6 +780,95 @@ class TestEveryEntryExact:
                 assert max(errors) <= EXACT_REL
 
 
+def reference_solve(entries, weights, dark):
+    """D(T) y = e_(all silent) solved from its definition at
+    ``len(weights)`` modes: entry (row, col) of D(T) at
+    sum((2 col bit - row bit) weight), the rows with more silent modes
+    first, each row's terms in column order added by ``left_to_right_sum``;
+    then each mode's dark-count rule, bit 0 first."""
+    full = (1 << len(weights)) - 1
+
+    def entry(row, col):
+        return sum((2 * (col >> m & 1) - (row >> m & 1)) * w for m, w in enumerate(weights))
+
+    y = [None] * full + [1 / entries[entry(full, full)]]
+    for row in sorted(range(full), key=lambda row: -bin(row).count("1")):
+        terms = [entries[entry(row, col)] * y[col]
+                 for col in range(row + 1, full + 1) if col & row == row]
+        y[row] = -left_to_right_sum(terms) / entries[entry(row, row)]
+    for m in range(len(weights)):
+        for low in (mask for mask in range(full + 1) if not mask >> m & 1):
+            high = low | 1 << m
+            y[low], y[high] = y[low] + dark * y[high], y[high] * (1 - dark)
+    return y
+
+
+class TestSolveReference:
+    """``analytic._solve``, whose rows add their terms in an inline loop,
+    against ``reference_solve``, which adds them with ``left_to_right_sum``:
+    bit for bit at two and four modes, on floats, on arrays and exactly on
+    ``Fraction``s."""
+
+    @staticmethod
+    def four_mode_entries(g, tau1, tau2, theta):
+        # D(T) at the table's cross weight min(c^2, s^2)
+        c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+        return list(analytic._system(*np.broadcast_arrays(g, tau1, tau2, np.minimum(c2, s2))))
+
+    @staticmethod
+    def assert_same(solved, reference):
+        assert len(solved) == len(reference)
+        for value, expected in zip(solved, reference):
+            assert np.shape(value) == np.shape(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+    def test_floats(self):
+        rng = np.random.default_rng(39)
+        for _ in range(200):
+            g, tau1 = rng.uniform(0.0, 0.97), rng.uniform(1e-6, 1.0)
+            tau2 = 10.0 ** -rng.uniform(0.0, 12.0)
+            dark = float(rng.choice([0.0, 6.25e-7, 1e-3, rng.uniform(0.0, 0.5)]))
+            two = analytic._pair(*(float(v) for v in (g, tau1, tau2)))
+            solved = analytic._solve(two, analytic._TWO_MODES, dark)
+            assert [type(v) for v in solved] == [float] * 4
+            self.assert_same(solved, reference_solve(two, (1, 3), dark))
+            four = [v.item() for v in self.four_mode_entries(g, tau1, tau2, rng.uniform(0.0, 3.2))]
+            solved = analytic._solve(four, analytic._FOUR_MODES, dark)
+            assert [type(v) for v in solved] == [float] * 16
+            self.assert_same(solved, reference_solve(four, (27, 9, 3, 1), dark))
+
+    def test_arrays(self):
+        # (2, 257) arrays as the scan passes them, and one pair whose gain is
+        # a (2, 1) column, so the entries of a row differ in shape
+        rng = np.random.default_rng(40)
+        g, tau1 = rng.uniform(0.0, 0.97, (2, 257)), rng.uniform(1e-6, 1.0, (2, 257))
+        tau2 = 10.0 ** -rng.uniform(0.0, 12.0, (2, 257))
+        dark = rng.choice([0.0, 6.25e-7, 1e-3], (2, 257))
+        for two in (analytic._pair(g, tau1, tau2), analytic._pair(g[:, :1], tau1, tau2)):
+            solved = analytic._solve(two, analytic._TWO_MODES, dark)
+            assert {np.shape(v) for v in solved} == {(2, 257)}
+            self.assert_same(solved, reference_solve(two, (1, 3), dark))
+        four = self.four_mode_entries(g, tau1, tau2, rng.uniform(0.0, 3.2, (2, 257)))
+        solved = analytic._solve(four, analytic._FOUR_MODES, dark)
+        assert {np.shape(v) for v in solved} == {(2, 257)}
+        self.assert_same(solved, reference_solve(four, (27, 9, 3, 1), dark))
+
+    @pytest.mark.parametrize("point", [
+        (0.4, 0.7, 1e-3, 6.25e-7), (0.9, 1.0, 0.5, 1e-3), (0.05, 0.5, 1e-12, 0.0),
+    ])
+    def test_fractions(self, point):
+        g, tau1, tau2, dark = map(Fraction, point)
+        two = analytic._pair(g, tau1, tau2)
+        solved = analytic._solve(two, analytic._TWO_MODES, dark)
+        assert [type(v) for v in solved] == [Fraction] * 4
+        assert solved == reference_solve(two, (1, 3), dark)
+        # D(T) at theta = 0: the pairing product of the pair's entries
+        four = [two[first] * two[second] for first, second in zip(*analytic._PAIRING)]
+        solved = analytic._solve(four, analytic._FOUR_MODES, dark)
+        assert [type(v) for v in solved] == [Fraction] * 16
+        assert solved == reference_solve(four, (27, 9, 3, 1), dark)
+
+
 #: A literal grid at theta = 0, where cos and sin are exact and no libm call
 #: enters: g up to 0.97, tau2 down to 1e-12, three dark counts.
 PINNED_GRID = (

@@ -10,14 +10,18 @@ whose bytes change and prints each with its count of changed lines.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
+import math
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from hbepp_link.cli import main
+from hbepp_link.cli import main, run_subcommand
+from hbepp_link.config import parse_config
 
 DATA = Path(__file__).resolve().parent / "data" / "cli"
 
@@ -75,6 +79,41 @@ def test_stdout_matches_golden(case):
     code, out, err = _stdout(CASES[case])
     assert code == 0 and err == ""
     assert out.encode() == (DATA / f"{case}.txt").read_bytes()
+
+
+def sweep_digest_configs():
+    """100 two-loss ``sweep`` configs, drawn as the passive-sweep benchmark
+    draws its seeded ops: mu log-uniform in [0.01, 0.2], Alice's loss
+    uniform in [0, 3] dB, the dark count log-uniform in [1e-7, 1e-5] and
+    two sorted Bob losses uniform in [20, 45] dB."""
+    rng = random.Random(39)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    configs = []
+    for _ in range(100):
+        mu, loss1, dark = log_uniform(0.01, 0.2), rng.uniform(0.0, 3.0), log_uniform(1e-7, 1e-5)
+        start, stop = sorted(rng.uniform(20.0, 45.0) for _ in range(2))
+        configs.append(parse_config(
+            f"source.mu = {mu!r}\nchannel.loss1_db = {loss1!r}\ndetector.dark_count = {dark!r}\n"
+            f"sweep.variable = loss2_db\nsweep.start = {start!r}\nsweep.stop = {stop!r}\n"
+            "sweep.steps = 2\n"
+        ))
+    return configs
+
+
+#: sha256 of the stdout of ``run_subcommand("sweep", ...)`` on every config of
+#: ``sweep_digest_configs``, joined in order.
+SWEEP_DIGEST = "edccc11b106d8e5e33ff91a19b1a5467cbd462ee519447de1383bee22e11ded3"
+
+
+def test_seeded_sweeps_keep_their_bytes():
+    # the bytes of the passive-sweep benchmark's op path, which the twelve
+    # golden files reach in only two sweeps
+    text = "".join(run_subcommand("sweep", cfg) for cfg in sweep_digest_configs())
+    assert text.count("\n") == 100 * 8
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
 
 
 if __name__ == "__main__":

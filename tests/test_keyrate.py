@@ -29,7 +29,7 @@ from hbepp_link.keyrate import (
     secure_rate,
 )
 from hbepp_link.params import transmittance_from_db
-from hbepp_link.patterns import ProbabilityConsistencyError
+from hbepp_link.patterns import ProbabilityConsistencyError, left_to_right_sum
 from hbepp_link.postprocess import ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, _FOLDS, coincidences
 
 from exact import outcome_probabilities_exact, squash_gain_and_error
@@ -920,6 +920,109 @@ class TestLockstepSearchMatchesReference:
         assert results[4].bracket == (grid[first - 1], grid[first + 1])
         assert (results[5].g_opt, results[5].secure_rate_at_opt) == (grid[1], 1.0)
         assert results[5].bracket == (grid[0], grid[2])
+
+
+class TestBestScanGain:
+    """How ``_search`` picks each lane's best scan gain, on stand-in scan
+    rates in place of ``_secure_rates``: as ``list.index(max(...))`` picked
+    it, the first of equal maxima; no key on an all-zero row; and a maximum
+    at a bracket end kept without the stencil. The stand-in one-point chain
+    rates every stencil gain 0.0, so a lane with a stencil keeps its best
+    scan gain too, and the chain's calls count the stencils."""
+
+    @staticmethod
+    def search(monkeypatch, rows):
+        rows = np.array(rows, dtype=float)
+        monkeypatch.setattr(keyrate, "_secure_rates", lambda g, lanes: rows)
+        chain = []
+        monkeypatch.setattr(keyrate, "_chain", lambda g, lane: chain.append(g) or 0.0)
+        lanes = keyrate._lanes([reference_channel(30.0)] * len(rows))
+        return keyrate._search(lanes, 256, ())[0], chain
+
+    @staticmethod
+    def kept(best, rate):
+        grid = np.linspace(*G_BRACKET, 256).tolist()
+        bracket = grid[max(best - 1, 0)], grid[min(best + 1, 255)]
+        return OptimizationResult(grid[best], SourceParams(grid[best]).mean_photon_number(),
+                                  rate, 0, bracket)
+
+    def test_repeated_maximum_keeps_the_first(self, monkeypatch):
+        rows = np.zeros((3, 256))
+        rows[0, [100, 150]] = 0.5  # apart
+        rows[1, [100, 101]] = 0.5  # adjacent
+        rows[2, [0, 200]] = 0.5  # the first at the bracket's lower end
+        results, chain = self.search(monkeypatch, rows)
+        assert [exact_result(r) for r in results] == [
+            exact_result(self.kept(100, 0.5)), exact_result(self.kept(100, 0.5)),
+            exact_result(self.kept(0, 0.5)),
+        ]
+        assert len(chain) == 2 * 6  # two stencils and last gains, none at the end
+
+    def test_all_zero_row_has_no_key(self, monkeypatch):
+        results, chain = self.search(monkeypatch, np.zeros((2, 256)))
+        no_key = OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+        assert [exact_result(r) for r in results] == [exact_result(no_key)] * 2
+        assert chain == []
+
+    def test_maximum_at_either_bracket_end_without_the_stencil(self, monkeypatch):
+        rising, falling = np.linspace(0.0, 1.0, 256), np.linspace(1.0, 0.0, 256)
+        results, chain = self.search(monkeypatch, [rising, falling])
+        assert [exact_result(r) for r in results] == [
+            exact_result(self.kept(255, 1.0)), exact_result(self.kept(0, 1.0)),
+        ]
+        assert results[0].g_opt == results[0].bracket[1] == G_BRACKET[1]
+        assert results[1].g_opt == results[1].bracket[0] == G_BRACKET[0]
+        assert chain == []
+
+    def test_random_rows_pick_as_list_index_of_max(self, monkeypatch):
+        # rates from a handful of values, so ties, zeros and maxima at the
+        # ends are common: every lane keeps list.index(max(row))
+        rng = np.random.default_rng(39)
+        rows = rng.choice([0.0, 0.0, 1e-300, 5e-324, 0.25, 0.5], (300, 256))
+        rows[::3] = np.where(rows[::3] == 0.5, 0.0, rows[::3])
+        rows[::7] = 0.0
+        results, _ = self.search(monkeypatch, rows)
+        for row, result in zip(rows.tolist(), results):
+            best = row.index(max(row))
+            expected = (self.kept(best, row[best]) if row[best] > 0.0
+                        else OptimizationResult(None, None, 0.0, 0, G_BRACKET))
+            assert exact_result(result) == exact_result(expected)
+        assert 0 < sum(r.found for r in results) < 300
+
+
+#: The weights of rates f0 to f4 in c1 to c4 of 12 p'(x) = c1 + c2 x +
+#: c3 x^2 + c4 x^3, for the quartic p through five rates at evenly spaced
+#: gains, x in grid steps from the middle.
+QUARTIC = ((1, -8, 0, 8, -1), (-1, 16, -30, 16, -1), (-3, 6, 0, -6, 3), (2, -8, 12, -8, 2))
+
+
+def reference_peak(five, at, above):
+    """``keyrate._peak`` with each coefficient the left-to-right sum of its
+    ``QUARTIC`` row's weighted rates."""
+    c1, c2, c3, c4 = (left_to_right_sum([w * f for w, f in zip(row, five)]) for row in QUARTIC)
+    x = keyrate._uphill(c1, c2)
+    x += keyrate._uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
+    return at + x * (above - at)
+
+
+def test_peak_is_the_weighted_sums_left_to_right():
+    # 10,000 random five-rate windows at scan and stencil spacings: smooth
+    # peaks, noise, zeros, subnormal rates and flat windows
+    rng = np.random.default_rng(39)
+    count = 10_000
+    x = np.arange(-2.0, 3.0)
+    smooth = 1e-4 * (1.0 - 0.01 * (x - rng.uniform(-3.0, 3.0, (count, 1))) ** 2)
+    windows = np.where(rng.random((count, 1)) < 0.5, smooth,
+                       rng.uniform(0.0, 1.0, (count, 5)) * 10.0 ** -rng.uniform(0.0, 320.0, (count, 5)))
+    windows[rng.random((count, 5)) < 0.1] = 0.0
+    windows[rng.random((count, 5)) < 0.05] = 5e-324
+    windows[::50] = windows[::50, :1]  # flat
+    windows[::97] = 0.0
+    at = rng.uniform(*G_BRACKET, count)
+    above = np.where(rng.random(count) < 0.5, at * 1.001, at + (G_BRACKET[1] - G_BRACKET[0]) / 255)
+    assert (windows == 0.0).any() and ((windows > 0.0) & (windows < np.finfo(float).tiny)).any()
+    for five, a, b in zip(windows.tolist(), at.tolist(), above.tolist()):
+        assert keyrate._peak(five, a, b).hex() == reference_peak(five, a, b).hex()
 
 
 def digest_channels():
