@@ -188,11 +188,20 @@ def _system(g, tau1, tau2, weight):
 
 def _table(g, tau1, tau2, dark_count, theta):
     """The 16 pattern probabilities in canonical order, unchecked, stacked on
-    a first axis over the inputs' broadcast shape; ``_SWAPPED`` where c^2 < s^2."""
-    trig = np.array([(math.cos(t), math.sin(t)) for t in np.ravel(theta).tolist()])
-    c2, s2 = (trig * trig).T.reshape((2,) + np.shape(theta))  # one cos and sin per angle
+    a first axis over the inputs' broadcast shape; ``_SWAPPED`` where c^2 < s^2.
+    One ``math.cos`` and ``math.sin`` per angle: a 0-d ``theta`` forms c^2,
+    s^2, the weight min(c^2, s^2) and the swap test in Python floats, an
+    array of angles as arrays, with the same bits per element."""
+    if np.ndim(theta) == 0:
+        c, s = math.cos(theta), math.sin(theta)
+        c2, s2 = c * c, s * s
+        weight = min(c2, s2)
+    else:
+        trig = np.array([(math.cos(t), math.sin(t)) for t in np.ravel(theta).tolist()])
+        c2, s2 = (trig * trig).T.reshape((2,) + np.shape(theta))
+        weight = np.minimum(c2, s2)
     g, tau1, tau2, dark_count, _ = np.broadcast_arrays(g, tau1, tau2, dark_count, theta)
-    det = _system(g, tau1, tau2, np.minimum(c2, s2))
+    det = _system(g, tau1, tau2, weight)
     if det.ndim == 1:  # one point: Python floats
         det, dark_count = det.tolist(), float(dark_count)
     y = np.array(_solve(list(det), _FOUR_MODES, dark_count))

@@ -96,7 +96,8 @@ class ChannelParams:
 
 @dataclass(frozen=True, slots=True)
 class MeasurementAngles:
-    """Polarization analysis angles (radians) of the two parties.
+    """Polarization analysis angles (radians) of the two parties, both
+    finite.
 
     All click statistics depend on theta1 and theta2 only through the
     relative angle theta1 - theta2; both are kept so callers can express
@@ -105,6 +106,11 @@ class MeasurementAngles:
 
     theta1: float
     theta2: float
+
+    def __post_init__(self) -> None:
+        for name in ("theta1", "theta2"):
+            if not math.isfinite(angle := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {angle}")
 
     def relative(self) -> float:
         return self.theta1 - self.theta2

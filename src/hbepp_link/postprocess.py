@@ -11,8 +11,8 @@ can be formed. Two conventions are implemented:
   event is dropped. Post-selecting this way biases the reconstructed
   correlations and can push the CHSH value past the quantum bound.
 
-``fold`` is one rule for 16 floats and for stacked arrays: a gather of
-weighted terms per model, each cell's terms added left to right.
+``fold`` is one loop for 16 floats and for stacked arrays: each cell's
+weighted terms added left to right, Python floats in and out at one point.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .analytic import outcome_probability_array
 from .params import ChannelParams, SourceParams
-from .patterns import CANONICAL_PATTERNS, ProbabilityTable, left_to_right_sum
+from .patterns import CANONICAL_PATTERNS, ProbabilityTable
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -89,21 +87,19 @@ _FOLDS = {
 }
 
 
-#: ``_FOLDS`` as (index, weight) arrays of shape (terms, cells): every cell
-#: of a model has as many terms, 4 for squash and 1 for discard.
-_GATHERS = {model: (np.array(cells)[..., 0].T.astype(int), np.array(cells)[..., 1].T)
-            for model, cells in _FOLDS.items()}
-
-
 def fold(values, model: PostprocessingModel) -> CoincidenceCounts:
     """The cells ++, +-, -+, -- from the 16 pattern probabilities in
     canonical order: 16 floats (Python floats back), or arrays of one shape
-    stacked or in a sequence. One gather, ``weight * table[index]``, forms
-    every term; each cell adds its terms left to right, from the first."""
-    table = np.asarray(values)
-    index, weight = _GATHERS[model]
-    cells = left_to_right_sum(weight.reshape(index.shape + (1,) * (table.ndim - 1)) * table[index])
-    return CoincidenceCounts(*(cells.tolist() if cells.ndim == 1 else cells))
+    stacked or in a sequence (arrays back). Each cell adds its ``_FOLDS``
+    terms, ``weight * values[index]``, left to right from the first, in one
+    loop for floats and arrays alike."""
+    cells = []
+    for (index, weight), *rest in _FOLDS[model]:
+        total = weight * values[index]
+        for index, weight in rest:
+            total = total + weight * values[index]
+        cells.append(total)
+    return CoincidenceCounts(*cells)
 
 
 def coincidences(

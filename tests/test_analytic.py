@@ -420,11 +420,18 @@ def worst_relative(values, exact_values) -> float:
 
 
 class TestOutcomeProbabilityArray:
-    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 2.0, "per-column"])
+    @pytest.mark.parametrize(
+        "theta", [0.0, 0.3, math.pi / 4, 2.0, "per-column", "per-column-edges"]
+    )
     def test_columns_equal_scalar_tables_bit_for_bit(self, theta):
         # every column is the package's one-point table in Python floats, bit
         # for bit, and within EXACT_REL of the exact table entry by entry;
-        # "per-column" draws each column's angle over (-pi, pi)
+        # "per-column" draws each column's angle over (-pi, pi), so the array
+        # angle path meets the 0-d one; "per-column-edges" puts each edge
+        # angle (pi/4 and its float neighbours, where the swap test turns;
+        # signed zeros; a large angle) in a column with d = 0 and one with
+        # d > 0, and draws the rest over [-10, 10]; at 22.776546738526 the
+        # floats c^2 and s^2 are equal, so both paths must break the tie alike
         rng = np.random.default_rng(29)
         g = rng.uniform(0.0, 0.95, 64)
         tau1 = rng.uniform(1e-6, 1.0, 64)
@@ -432,6 +439,14 @@ class TestOutcomeProbabilityArray:
         dark = rng.choice([0.0, 6.25e-7, 1e-3], 64)
         if theta == "per-column":
             theta = rng.uniform(-math.pi, math.pi, 64)
+        elif theta == "per-column-edges":
+            quarter = math.pi / 4
+            edges = [quarter, math.nextafter(quarter, 0.0), math.nextafter(quarter, 1.0),
+                     -quarter, 3 * quarter, math.pi / 2, 0.0, -0.0, 1e3,
+                     float.fromhex("0x1.6c6cbc45dc8dep+4")]
+            theta = rng.uniform(-10.0, 10.0, 64)
+            theta[np.flatnonzero(dark == 0.0)[:len(edges)]] = edges
+            theta[np.flatnonzero(dark > 0.0)[:len(edges)]] = edges
         table = np.array(outcome_probability_array(g, tau1, tau2, dark, theta))
         assert table.shape == (16, 64)
         worst = 0.0

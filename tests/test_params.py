@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hbepp_link import ChannelParams, MeasurementAngles, SourceParams
+from hbepp_link import (
+    ChannelParams,
+    MeasurementAngles,
+    SourceParams,
+    oracle_probabilities,
+    outcome_probabilities,
+)
 from hbepp_link.params import (
     db_from_transmittance,
     gain_from_mean_photon,
@@ -109,3 +115,14 @@ class TestChannelParams:
 def test_relative_angle():
     angles = MeasurementAngles(math.radians(45.0), math.radians(22.5))
     assert angles.relative() == pytest.approx(math.radians(22.5), abs=1e-15)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["theta1", "theta2"])
+def test_non_finite_angle_is_named_before_any_table(field, value):
+    # a non-finite angle stops where the angles are built, named, before
+    # the closed form's math.cos or the oracle's turn can meet it
+    angles = {"theta1": 0.3, "theta2": 0.0} | {field: value}
+    for probabilities in (outcome_probabilities, oracle_probabilities):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            probabilities(SourceParams(0.3), ChannelParams(0.5, 0.5), MeasurementAngles(**angles))

@@ -18,7 +18,7 @@ from hbepp_link import (
 )
 from hbepp_link.analytic import outcome_probability_array
 from hbepp_link.keyrate import _qber_and_sift, qber_and_sift
-from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern
+from hbepp_link.patterns import CANONICAL_PATTERNS, ClickPattern, left_to_right_sum
 from hbepp_link.postprocess import (
     ALICE_CHSH_ANGLES,
     BOB_CHSH_ANGLES,
@@ -163,22 +163,10 @@ class TestFold:
                 assert [v.hex() for v in one] == [eps[index].item().hex(),
                                                   r_sift[index].item().hex()]
 
-    @staticmethod
-    def python_fold(values, model):
-        """The cells of ``_FOLDS[model]`` from 16 Python floats: each cell's
-        (index, weight) terms added left to right, from the first term."""
-        cells = []
-        for (index, weight), *rest in _FOLDS[model]:
-            total = weight * values[index]
-            for index, weight in rest:
-                total = total + weight * values[index]
-            cells.append(total)
-        return cells
-
-    def test_one_gather_rule_equals_the_python_fold_bit_for_bit(self):
+    def test_fold_adds_each_cell_left_to_right_bit_for_bit(self):
         # (2, 256) scan tables at angle 0 and 0.7, and 64 random rows from
         # 1 down to subnormals, where halving rounds; every column, and its
-        # one-point call, is the Python fold of its 16 floats
+        # one-point call, is each cell's _FOLDS terms added left to right
         g = np.linspace([1e-3, 1e-3], [0.95, 0.95], 256, axis=1)
         tau2, dark = np.array([[1e-3], [0.3]]), np.array([[6.25e-7], [1e-3]])
         rng = np.random.default_rng(19)
@@ -193,7 +181,10 @@ class TestFold:
                 assert all(cell.shape == values.shape[1:] for cell in counts)
                 for column in np.ndindex(values.shape[1:]):
                     one = values[(slice(None), *column)].tolist()
-                    reference = [v.hex() for v in self.python_fold(one, model)]
+                    reference = [
+                        left_to_right_sum(weight * one[index] for index, weight in cell).hex()
+                        for cell in _FOLDS[model]
+                    ]
                     assert [float(cell[column]).hex() for cell in counts] == reference
                     point = fold(one, model)
                     assert [type(v) for v in point] == [float] * 4
