@@ -11,8 +11,6 @@ self-describing ``key = value`` text.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import math
 import os
@@ -58,13 +56,10 @@ def _kv_block(title: str, lines: list[str]) -> str:
 
 
 def _csv_output(preamble: list[str], header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    for line in preamble:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(value) for value in row] for row in rows)
-    return buf.getvalue()
+    """CSV as joined lines: no cell holds a comma, quote or line break."""
+    lines = [*(f"# {line}" for line in preamble), ",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _rate(cfg: ScenarioConfig) -> tuple[float, str]:

@@ -111,7 +111,8 @@ def _boolean(key: str, text: str) -> bool:
 
 
 def _check_transmittance(loss_db: float) -> None:
-    # Losses beyond ~3200 dB underflow to tau = 0, which no channel accepts.
+    # Losses beyond about 3076.5 dB give a subnormal tau, or 0, which no
+    # channel accepts.
     db_from_transmittance(transmittance_from_db(loss_db))
 
 
@@ -135,7 +136,7 @@ class _Key(NamedTuple):
 
 _REAL = _number(float, "(-inf, inf)")
 _LOSS = _number(float, "[0, inf)", _check_transmittance)
-_TAU = _number(float, "(0, 1]")
+_TAU = _number(float, "(0, 1]", db_from_transmittance)
 
 #: Every config key, in ``to_text`` order; the sweep keys come last, as
 #: variable, start, stop, steps.

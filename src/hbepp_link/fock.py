@@ -22,11 +22,11 @@ holds coordinates in the real Schur basis Q_n of the rotation generator
 on n photons; Bob's holds Fock occupations. A basis rotation turns
 independent planes of the Schur basis, so Alice's turn is 2 x 2 mixing of
 paired rows: one multiply-add over the flat array, with each entry's
-plane partner gathered, and nothing for an angle of exactly zero. Up to
-squaring, the matrix products are one per block, Q_n X_n, that returns
-Alice's axis to Fock amplitudes, and two more per block for a turned
-Bob: his axis goes to his Schur basis (X_n Q_n, written transposed, so
-that his columns are rows), turns as Alice's rows do, and comes back
+plane partner gathered, at any angle, zero included. Up to squaring,
+the matrix products are one per block, Q_n X_n, that returns Alice's
+axis to Fock amplitudes, and two more per block for a turned Bob: his
+axis goes to his Schur basis (X_n Q_n, written transposed, so that his
+columns are rows), turns as Alice's rows do, and comes back
 (X_n Q_n^T). At theta2 = 0 his axis is left as it is. The Q_n are in the
 one cached per-truncation table. Squaring keeps the pair support: the
 photon-number distribution is an (n, i, j) array of O(n_max^3) entries,
@@ -216,19 +216,16 @@ class TruncatedPairState:
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        blocks, start = [], 0
-        for n in range(self.n_max + 1):
-            stop = start + (n + 1) * (n + 1)
-            blocks.append(self.amplitudes[start:stop].reshape(n + 1, n + 1))
-            start = stop
-        return tuple(blocks)
+        return tuple(self.amplitudes[_offset(n):_offset(n + 1)].reshape(n + 1, n + 1)
+                     for n in range(self.n_max + 1))
 
     def norm_squared(self) -> float:
         return float(self.amplitudes @ self.amplitudes)
 
     def fock_block(self, n: int) -> np.ndarray:
-        """Fock amplitudes of pair number n: Q_n blocks[n]."""
-        return _schur_basis(n)[0] @ self.blocks[n]
+        """Fock amplitudes of pair number n: Q_n blocks[n], with the Q_n
+        of the cached truncation."""
+        return _truncation(self.n_max + 1).bases[n] @ self.blocks[n]
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,10 +283,10 @@ def rotate_modes(
     one sine per angle and rate serve every pair number. Bob's axis is
     taken to his Schur basis, where his columns are the rows of the
     transposed blocks, turned by theta2 as Alice's rows are, and taken
-    back to Fock occupations. A turn by exactly zero is the identity and is
-    skipped, with no product for Bob. Acts within each pair-number block
-    (the rotation conserves photon number per party) and preserves the
-    norm.
+    back to Fock occupations. Alice turns at every angle; Bob's turn by
+    exactly zero, the identity, is skipped with its two products per
+    block. Acts within each pair-number block (the rotation conserves
+    photon number per party) and preserves the norm.
     """
     table = _truncation(state.n_max + 1)
     flat = _turn(table, state.amplitudes, theta1)
@@ -300,9 +297,7 @@ def rotate_modes(
 
 def _turn(table: _Truncation, flat: np.ndarray, theta: float) -> np.ndarray:
     """Each plane of the blocks' rows turned by theta times its rate: 2 x 2
-    mixing of paired rows over the flat layout; ``flat`` itself at 0."""
-    if theta == 0.0:
-        return flat
+    mixing of paired rows over the flat layout."""
     rate, repeats, partner = table.planes
     phase = theta * np.arange(len(table.bases))
     cos, sin = np.cos(phase), np.sin(phase)

@@ -278,17 +278,12 @@ def _optimum(best: int, rates: np.ndarray, grid: tuple[float, ...],
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_grid(grid_points: int) -> np.ndarray:
-    """``grid_points`` gains evenly over ``G_BRACKET``, read-only."""
+def _scan_grid(grid_points: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """``grid_points`` gains evenly over ``G_BRACKET``, read-only, and the
+    same gains as Python floats."""
     grid = np.linspace(*G_BRACKET, grid_points)
     grid.flags.writeable = False
-    return grid
-
-
-@functools.lru_cache(maxsize=1)
-def _scan_gains(grid_points: int) -> tuple[float, ...]:
-    """``_scan_grid``'s gains as Python floats."""
-    return tuple(_scan_grid(grid_points).tolist())
+    return grid, tuple(grid.tolist())
 
 
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
@@ -299,12 +294,12 @@ def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
     ``list.index(max(...))`` would (the clamp leaves no NaN), and
     ``_optimum`` takes each lane on from there. Returns the results and
     the rates at ``fixed``, a (lanes, len(fixed)) array."""
+    grid, gains = _scan_grid(grid_points)
     scan = np.empty((len(lanes), grid_points + len(fixed)))
-    scan[:, :grid_points] = _scan_grid(grid_points)
+    scan[:, :grid_points] = grid
     scan[:, grid_points:] = fixed
     rates = _secure_rates(scan, lanes)
     best = rates[:, :grid_points].argmax(axis=1).tolist()
-    gains = _scan_gains(grid_points)
     results = [_optimum(b, row, gains, lane)
                for b, row, lane in zip(best, rates, lanes.tolist())]
     return results, rates[:, grid_points:]

@@ -6,8 +6,10 @@ Conventions:
 * ``g`` is the nonlinear gain of the down-conversion source, ``g = tanh(gamma)``
   with ``gamma`` the squeezing parameter; the mean pair number per temporal
   mode is ``mu = g**2 / (1 - g**2) = sinh(artanh(g))**2``.
-* Channel transmittances ``tau`` are linear power ratios in (0, 1]; losses in
-  dB convert via ``tau = 10**(-L/10)``.
+* Channel transmittances ``tau`` are linear power ratios in (0, 1], and
+  normal floats: at least ``sys.float_info.min`` (a loss of about
+  3076.5 dB), as a subnormal tau has lost the bits the click statistics
+  need. Losses in dB convert via ``tau = 10**(-L/10)``.
 * ``dark_count`` is the probability that a detector clicks on vacuum within
   one temporal mode.
 """
@@ -15,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -35,11 +38,16 @@ def transmittance_from_db(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
+def _transmittance(name: str, tau: float) -> float:
+    """``tau`` if it is a transmittance: a normal float in (0, 1]."""
+    if not sys.float_info.min <= tau <= 1.0:
+        raise ValueError(f"{name} must be in [{sys.float_info.min!r}, 1], got {tau}")
+    return tau
+
+
 def db_from_transmittance(tau: float) -> float:
     """Attenuation in dB for a linear transmittance ``tau``."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"transmittance must be in (0, 1], got {tau}")
-    return -10.0 * math.log10(tau)
+    return -10.0 * math.log10(_transmittance("transmittance", tau))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +82,8 @@ class ChannelParams:
     dark_count: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau1 <= 1.0:
-            raise ValueError(f"tau1 must be in (0, 1], got {self.tau1}")
-        if not 0.0 < self.tau2 <= 1.0:
-            raise ValueError(f"tau2 must be in (0, 1], got {self.tau2}")
+        _transmittance("tau1", self.tau1)
+        _transmittance("tau2", self.tau2)
         if not 0.0 <= self.dark_count < 1.0:
             raise ValueError(
                 f"dark_count must be in [0, 1), got {self.dark_count}"

@@ -377,6 +377,11 @@ class TestProbabilityTable:
         with pytest.raises(ProbabilityConsistencyError):
             ProbabilityTable(tuple(values))
 
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_rejects_a_table_of_another_length(self, length):
+        with pytest.raises(ValueError, match=rf"^expected 16 entries, got {length}$"):
+            ProbabilityTable((1.0 / length,) * length)
+
     def test_clamps_rounding_negatives_on_output(self):
         values = [0.0] * 16
         values[0] = 1.0

@@ -415,6 +415,27 @@ class TestErrorsAndIO:
         assert code == 2 and out == ""
         assert err.startswith(f"hbepp-link: error: {key}")
 
+    @pytest.mark.parametrize("name, setting", [
+        ("chsh", "channel.loss2_db=3200"),
+        ("probs", "channel.tau2=1e-320"),
+    ])
+    def test_subnormal_transmittance_exits_2(self, capsys, name, setting):
+        # a subnormal tau2 (1e-320) has lost bits the click statistics
+        # need: the run stops before any table, naming the key
+        code, out, err = run(capsys, name, "--set", setting)
+        assert code == 2 and out == ""
+        assert err.startswith(f"hbepp-link: error: {setting.split('=')[0]}: ")
+
+    def test_loss_just_above_the_floor_runs(self, capsys):
+        # 3075 dB keeps tau2 normal, and S has long reached its deep-loss
+        # limit: the 3000 dB values to within 1e-12
+        values = []
+        for loss in (3000, 3075):
+            code, out, _ = run(capsys, "chsh", "--set", f"channel.loss2_db={loss}")
+            assert code == 0
+            values.append([[float(cell) for cell in row[2:]] for row in csv_rows(out)[1]])
+        assert np.max(np.abs(np.subtract(*values))) <= 1e-12
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "probs", "--config", "/nonexistent/path.cfg")
         assert code == 2 and "error" in err

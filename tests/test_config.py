@@ -70,6 +70,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel"):
             parse_config("channel.tau2 = 0.0\n")
 
+    def test_boolean_names_its_choices(self):
+        message = r"^output\.per_second: expected true/false, got 'maybe'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config("output.per_second = maybe\n")
+
+    def test_subnormal_transmittance_named(self):
+        # a tau below the least normal float, given or from a loss of
+        # 3200 dB (1e-320), is refused where its key is parsed
+        floor = r"transmittance must be in \[2\.2250738585072014e-308, 1\]"
+        for text, key in (("channel.tau2 = 1e-320", "channel.tau2"),
+                          ("channel.loss2_db = 3200", "channel.loss2_db"),
+                          ("channel.loss1_db = 3076.6", "channel.loss1_db")):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: {floor}, got "):
+                parse_config(text)
+        tau2 = parse_config("channel.loss2_db = 3076.5").channel_params().tau2
+        assert tau2 >= 2.2250738585072014e-308
+
     def test_truncation_bounded(self):
         # parsed only: the oracle is never run at these sizes here
         assert parse_config("oracle.n_max = 200\n").n_max == 200
@@ -298,7 +315,8 @@ def test_sweep_point_substitution(variable):
     ("g", 1.5, r"source\.g: expected a finite number in \[0, 1\), got '1\.5'"),
     ("tau2", 1.5, r"channel\.tau2: expected a finite number in \(0, 1\], got '1\.5'"),
     ("dark_count", 1.2, r"detector\.dark_count: expected .* got '1\.2'"),
-    ("loss2_db", 4000.0, r"channel\.loss2_db: transmittance must be in \(0, 1\], got 0\.0"),
+    ("loss2_db", 4000.0,
+     r"channel\.loss2_db: transmittance must be in \[2\.2250738585072014e-308, 1\], got 0\.0"),
 ], ids=["g", "tau2", "dark_count", "loss2_db"])
 def test_swept_values_are_checked_where_they_become_inputs(variable, stop, message):
     # a config built without parse_config skips its sweep check; the swept

@@ -383,6 +383,11 @@ class TestDistributionAndLoss:
         assert np.array_equal(lossy.alice, np.eye(11))
         assert np.array_equal(lossy.bob, np.eye(11))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2, 2)])
+    def test_distribution_needs_three_axes(self, shape):
+        with pytest.raises(ValueError, match=rf"^probs must have 3 axes, got {len(shape)}$"):
+            JointPhotonDistribution(np.zeros(shape))
+
     def test_single_photon_bernoulli(self):
         # kernel row m: where m photons emitted into one mode end up
         lossy = apply_loss(JointPhotonDistribution(np.zeros((2, 2, 2))), 0.3, 0.9)

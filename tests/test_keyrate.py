@@ -1091,9 +1091,6 @@ class TestArrayCalls:
         result = optimize_gain(channel)
         scan, stencil, last = gains[0], gains[1:6], gains[6:]
         assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
-        # the scan's gains are built once per grid size, read-only
-        assert keyrate._scan_grid(256) is keyrate._scan_grid(256)
-        assert not keyrate._scan_grid(256).flags.writeable
         assert np.array(keyrate._STENCIL).tobytes() == (1.0 + 1e-3 * np.arange(-2.0, 3.0)).tobytes()
         grid = scan[0].tolist()
         rates = keyrate._secure_rates(scan, keyrate._lanes([channel]))[0].tolist()
@@ -1104,6 +1101,18 @@ class TestArrayCalls:
         lane = [channel.tau1, channel.tau2, channel.dark_count]
         g1 = keyrate._peak([keyrate._chain(x, lane) for x in stencil], stencil[2], stencil[3])
         assert last == [g1] == [result.g_opt]
+
+    def test_scan_grid_is_built_once_read_only_with_its_floats(self):
+        # one cache holds the scan's gains per grid size: the array the
+        # scan reads, read-only, and the same gains as Python floats
+        keyrate._scan_grid.cache_clear()
+        grid, gains = first = keyrate._scan_grid(256)
+        assert keyrate._scan_grid(256) is first
+        assert keyrate._scan_grid.cache_info().misses == 1
+        assert not grid.flags.writeable
+        assert type(gains) is tuple
+        assert [g.hex() for g in gains] == [g.hex() for g in grid.tolist()]
+        assert all(type(g) is float for g in gains)
 
     def test_optimize_gain_call_shapes(self, monkeypatch):
         # one channel: one array call, the 256-gain scan; then the five-gain

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ class TestChannelParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
+
+    def test_subnormal_transmittance_refused(self):
+        # the least normal float is the smallest transmittance: below it
+        # tau has lost bits the click statistics need
+        floor = sys.float_info.min
+        interval = r"must be in \[2\.2250738585072014e-308, 1\], got 1e-320$"
+        with pytest.raises(ValueError, match=f"^tau2 {interval}"):
+            ChannelParams(0.7, 1e-320)
+        with pytest.raises(ValueError, match=f"^tau1 {interval}"):
+            ChannelParams(1e-320, 0.7)
+        with pytest.raises(ValueError, match=f"^transmittance {interval}"):
+            db_from_transmittance(1e-320)
+        assert ChannelParams(floor, floor).tau2 == floor
+        assert db_from_transmittance(floor) == pytest.approx(3076.526, abs=1e-3)
 
 
 def test_relative_angle():
