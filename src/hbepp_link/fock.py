@@ -27,8 +27,9 @@ the matrix products are one per block, Q_n X_n, that returns Alice's
 axis to Fock amplitudes, and two more per block for a turned Bob: his
 axis goes to his Schur basis (X_n Q_n, written transposed, so that his
 columns are rows), turns as Alice's rows do, and comes back
-(X_n Q_n^T). At theta2 = 0 his axis is left as it is. The Q_n are in the
-one cached per-truncation table. Squaring keeps the pair support: the
+(X_n Q_n^T). At theta2 = 0 his axis is left as it is. The one cached
+per-truncation table holds only what the stages read, such as the Q_n
+and one "rest of n" index. Squaring keeps the pair support: the
 photon-number distribution is an (n, i, j) array of O(n_max^3) entries,
 never the dense (n_max+1)^4 grid over the four mode occupations. Loss
 and readout act on each detector mode independently, so each is a Markov
@@ -66,7 +67,7 @@ def truncation_error_bound(g: float, n_max: int) -> float:
     return (n_max + 2) * x ** (n_max + 1) - (n_max + 1) * x ** (n_max + 2)
 
 
-def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _schur_basis(n: int) -> np.ndarray:
     """Real Schur basis of the polarization rotation on n photons.
 
     In the basis (k, n-k) of the two analysis modes the rotation is
@@ -83,14 +84,14 @@ def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     u x + w y to (c u + s w, c w - s u), with c, s the cosine and sine of
     theta lambda: the rotation turns each plane (x, y) by its own angle.
 
-    Returns the orthogonal Q = sqrt(2) [x_1 .. x_p, y_1 .. y_p], with the
-    null vector of J (even entries only, times (-1)^(k/2)) as the last
-    column when n is even, and the integer rates lambda_1 .. lambda_p of
-    its p = (n+1) // 2 planes. Not cached: ``_truncation`` keeps each Q_n
-    of its truncation.
+    Returns the orthogonal Q = sqrt(2) [x_1 .. x_p, y_1 .. y_p], its
+    p = (n+1) // 2 planes in ascending rate (1, 3, .., n or 2, 4, .., n),
+    with the null vector of J (even entries only, times (-1)^(k/2)) as the
+    last column when n is even. Not cached: ``_truncation`` keeps each Q_n
+    of its truncation and counts their rates.
     """
     off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))
-    values, vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    vectors = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))[1]
     planes = (n + 1) // 2
     k = np.arange(n + 1)[:, None]
     sign = np.where(k % 4 < 2, 1.0, -1.0)  # (-1)^(k // 2)
@@ -99,8 +100,7 @@ def _schur_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     columns = [np.where(even, turning, 0.0), np.where(even, 0.0, -turning)]
     if n % 2 == 0:
         columns.append(vectors[:, planes : planes + 1] * sign)
-    q = np.hstack(columns)
-    return q, np.rint(values[n + 1 - planes :]).astype(np.intp)
+    return np.hstack(columns)
 
 
 def _offset(n: int) -> int:
@@ -136,16 +136,15 @@ class _Truncation(NamedTuple):
     row of its plane (the entry itself on a null row).
 
     ``comb[n, k]`` is C(n, k) (zero for k > n), exact before the float
-    cast, and ``lost[n, k]`` the number lost, max(n - k, 0). ``rest[n, i]``
-    is n - i for i <= n, else ``size``: the photons in the second mode of
-    a pair when the first holds i of n.
+    cast. ``rest[n, i]`` is n - i for i <= n, else ``size``: the photons
+    in the second mode of a pair when the first holds i of n, or lost when
+    i of n are kept, with ``size`` picking a zero appended to a table.
     """
 
     source: np.ndarray
     bases: tuple[np.ndarray, ...]
     planes: tuple[np.ndarray, np.ndarray, np.ndarray]
     comb: np.ndarray
-    lost: np.ndarray
     rest: np.ndarray
 
 
@@ -159,13 +158,14 @@ def _truncation(size: int) -> _Truncation:
     source = np.empty(_offset(size))
     partner = np.empty(source.size, dtype=np.intp)
     for n in range(size):
-        q, rates = _schur_basis(n)
+        q = _schur_basis(n)
         bases.append(q)
         block = slice(_offset(n), _offset(n + 1))
         c = np.arange(n + 1)[:, None]
         # row c of B^T Q is (-1)^c times row n-c of Q
         source[block] = (np.where(c % 2 == 0, 1.0, -1.0) * q[::-1]).T.ravel()
-        planes = len(rates)
+        planes = (n + 1) // 2
+        rates = np.arange(n + 2 - 2 * planes, n + 1, 2)  # of Q_n's planes, ascending
         line_rate = np.zeros(n + 1, dtype=np.intp)
         line_rate[: 2 * planes] = np.concatenate((rates, rates + size))
         other = np.arange(n + 1)  # the other row of the same plane
@@ -180,11 +180,8 @@ def _truncation(size: int) -> _Truncation:
     )
     n = np.arange(size)
     gap = n[:, None] - n[None, :]
-    table = _Truncation(
-        source, tuple(bases), rows, comb,
-        np.maximum(gap, 0), np.where(gap >= 0, gap, size),
-    )
-    for array in (table.source, *bases, *rows, comb, table.lost, table.rest):
+    table = _Truncation(source, tuple(bases), rows, comb, np.where(gap >= 0, gap, size))
+    for array in (table.source, *bases, *rows, comb, table.rest):
         array.flags.writeable = False
     return table
 
@@ -198,10 +195,10 @@ class TruncatedPairState:
     ``blocks`` are views of those runs. ``blocks[n][r, j]`` is the
     coefficient of column r of Q_n on Alice's side (see ``_schur_basis``)
     and of j photons in Bob's first mode (n - j in his second). In the Fock
-    basis, ``fock_block(n)[i, j]`` is the amplitude of i photons in Alice's
-    first mode (n - i in her second) and j photons in Bob's first mode. Before
-    rotation the first modes are the H polarizations; after rotation they
-    are the ``+`` analysis modes.
+    basis, entry [i, j] of Q_n ``blocks[n]`` is the amplitude of i photons in
+    Alice's first mode (n - i in her second) and j photons in Bob's first
+    mode. Before rotation the first modes are the H polarizations; after
+    rotation they are the ``+`` analysis modes.
     """
 
     amplitudes: np.ndarray
@@ -219,14 +216,6 @@ class TruncatedPairState:
         return tuple(self.amplitudes[_offset(n):_offset(n + 1)].reshape(n + 1, n + 1)
                      for n in range(self.n_max + 1))
 
-    def norm_squared(self) -> float:
-        return float(self.amplitudes @ self.amplitudes)
-
-    def fock_block(self, n: int) -> np.ndarray:
-        """Fock amplitudes of pair number n: Q_n blocks[n], with the Q_n
-        of the cached truncation."""
-        return _truncation(self.n_max + 1).bases[n] @ self.blocks[n]
-
 
 @dataclass(frozen=True, slots=True)
 class JointPhotonDistribution:
@@ -239,7 +228,8 @@ class JointPhotonDistribution:
     ``alice[m, k]`` (``bob[m, k]``) is the probability that m photons emitted
     into one of Alice's (Bob's) modes are k photons at its detector, the
     same for both of the party's modes. None, the default, is the identity:
-    no photon lost, and no matrix built or multiplied.
+    no photon lost, and no matrix built or multiplied. The readout alone
+    contracts the mass with the kernels (``_read_out``).
     """
 
     probs: np.ndarray
@@ -253,9 +243,6 @@ class JointPhotonDistribution:
     @property
     def n_max(self) -> int:
         return self.probs.shape[0] - 1
-
-    def total(self) -> float:
-        return float(_read_out(self, np.ones((self.n_max + 1, 1))).sum())
 
 
 def build_state(g: float, n_max: int) -> TruncatedPairState:
@@ -339,12 +326,13 @@ def photon_number_distribution(state: TruncatedPairState) -> JointPhotonDistribu
 def _binomial_thinning(n_max: int, tau: float) -> np.ndarray:
     """Transition matrix T[n, k] = C(n, k) tau^k (1-tau)^(n-k): k of n survive.
 
-    The powers are taken on Python floats, as in ``build_state``.
+    The powers are taken on Python floats, as in ``build_state``; the
+    (1-tau) powers are gathered through ``_Truncation.rest`` (zero past n).
     """
     table = _truncation(n_max + 1)  # C(n, k) = 0 where k > n
     kept = np.array([tau**k for k in range(n_max + 1)])
-    lost = np.array([(1.0 - tau) ** k for k in range(n_max + 1)])
-    return table.comb * kept * lost.take(table.lost)
+    lost = np.array([(1.0 - tau) ** k for k in range(n_max + 1)] + [0.0])
+    return table.comb * kept * lost.take(table.rest)
 
 
 def _then(kernel: np.ndarray | None, step: np.ndarray) -> np.ndarray:
@@ -369,7 +357,7 @@ def _both_modes(kernel: np.ndarray) -> np.ndarray:
     """P[n, i, K x + y] = kernel[i, x] kernel[n-i, y]: i and n-i photons emitted.
 
     K is the number of outcomes per mode (the columns of ``kernel``); the
-    entries with i > n read an appended zero row of the kernel. The
+    entries with i > n read an appended zero row through ``rest``. The
     products run with the photon-number axis innermost, a broadcast that
     numpy loops over quickly, and are then copied into the C-contiguous
     (n, i, K x + y) layout that ``_read_out`` multiplies.

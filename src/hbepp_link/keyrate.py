@@ -318,7 +318,9 @@ def optimize_gain(
     A scan of ``G_BRACKET`` at ``grid_points`` gains keeps the best gain's
     two neighbours as the bracket (the secure-rate curve is smooth but not
     provably unimodal, so the scan guards against missing side lobes); a
-    five-gain stencil around the scan's guess of the peak places it. It is
+    five-gain stencil around the scan's guess of the peak places it. Near
+    the key cutoff a key window narrower than a scan step holds one scan
+    gain, and the result can then be a window edge (ROADMAP item 14). It is
     the one-channel case of ``_search``, as ``passive_performance`` runs it.
     """
     if grid_points < 200:
