@@ -14,30 +14,24 @@ Conventions (standard BBM92 with a singlet source):
   equal bit/phase error rates: R_sec = R_sift (1 - 2 H2(eps)), clamped at
   zero.
 
-Every rate here is at relative angle 0, so it reads one pair's four
-probabilities (``analytic.pair_probabilities``, with the general table's
-range and normalization gate) and forms each model's two sums from them
-in closed form, every term nonnegative, accurate however deep the loss.
-``secure_rate`` takes floats or arrays: an array element is the float
-the one-point call gives, bit for bit, and a one-point call returns a
-Python float. Each check is written once, in the one-point form; an
-array that fails its one whole-array test re-runs it element by element,
-in row-major order, to raise. Python floats stay out of numpy from the
-pair's four probabilities to the secure rate, where numpy's fixed cost
-per call (about 75 µs for the chain) would outweigh the arithmetic.
-``secure_rate`` owns the package's one binary entropy, ``_h2`` on floats
-and ``_entropy`` on arrays, and takes it only of error rates outside
-``_CLAMPED``, as the rate inside is clamped to 0.0 either way.
+Every rate reads one pair's four probabilities at relative angle 0
+(``analytic.pair_probabilities``, with the table's range and
+normalization gate) and forms each model's two sums in closed form, every
+term nonnegative, accurate however deep the loss. ``secure_rate`` takes
+floats or arrays: an array element is the one-point call's float, bit for
+bit, and a one-point call stays on Python floats, where numpy's fixed
+cost per call would outweigh the arithmetic. Each check is written once,
+in the one-point form, which an array that fails its whole-array test
+re-runs element by element to raise. The binary entropy, ``_h2`` on
+floats and ``_entropy`` on arrays, is taken only outside ``_CLAMPED``.
 
-The gain search takes a (tau1, tau2, dark count) row per channel. One
-array call scans ``G_BRACKET`` for every channel, split into calls of at
-most ``_ROWS_PER_CALL`` gains, and one ``argmax`` over the scan finds
-each channel's best scan gain. Then each channel goes on Python floats:
-the five scan rates around its best gain, a five-gain stencil around the
-scan's guess of its peak and the gain the stencil places the peak at,
-each rate the one-point chain's, about 5 µs a gain. A guess is the
-maximum of a quartic through five rates, in +, -, * and / written out
-left to right, so no numpy code path moves the optimum's bits.
+The gain search scans ``G_BRACKET`` for every channel in one array call
+(in calls of at most ``_ROWS_PER_CALL`` gains); one ``argmax`` finds each
+channel's best scan gain, and its grid neighbours are the bracket. On
+Python floats, the optimum is then the root of the rate's slope in the
+bracket, each slope one ``_tangent``, exact to rounding; the rate at the
+root is the one-point chain's. A channel with no positive scan rate is
+tested at its QBER's minimum.
 
 All rates are per temporal mode; per-second display is a CLI concern.
 """
@@ -51,16 +45,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import pair_probabilities
+from .analytic import _pair, _plan, _solve, pair_probabilities
 from .params import ChannelParams, SourceParams, transmittance_from_db
 from .postprocess import PostprocessingModel, share
 
 #: Gains scanned by ``optimize_gain`` and their default number.
 G_BRACKET = (1e-3, 0.95)
 _GRID_POINTS = 256
-#: The stencil around the scan's guess g0 of a peak: the five gains
-#: g0 (1 + 1e-3 k), k = -2 to 2, as factors of g0.
-_STENCIL = tuple(1.0 + 1e-3 * k for k in (-2.0, -1.0, 0.0, 1.0, 2.0))
 
 #: Gains per array call at most, in whole channels: 4 scan rows with the
 #: fixed-gain column, 1,028 gains, peak near 0.185 MB of numpy temporaries
@@ -75,16 +66,19 @@ _ROWS_PER_CALL = 4 * (_GRID_POINTS + 1)
 #: ``secure_rate`` clamps the rate to 0.0 without evaluating the entropy.
 _CLAMPED = (0.1101, 0.8899)
 
-#: The smallest positive normal float: ``_uphill`` divides by no less, so
-#: a flat window gives a step of 0, not 0 / 0.
-_TINY = float(np.finfo(float).tiny)
+#: One pair's D(T) with a third mode that carries a derivative: the block
+#: system [[D, D'], [0, D]] [y'; y] = [0; e], whose entries are D's with the
+#: third mode in state 0 or 1 and those of D' in state 2 (Opitz's formula at a
+#: double node), so one back substitution gives y and its derivative y'.
+#: The third mode is no detector, so it has no dark-count rule.
+_TANGENT = _plan((1, 3, 9))
+_TANGENT = (*_TANGENT[:2], _TANGENT[2][:2])
 
 
 def _h2(eps: float) -> float:
-    """Shannon entropy H2 of the float error rate ``eps``, H2(0) = H2(1) = 0,
-    with its check, but 1.0 strictly inside ``_CLAMPED``. Each log is
-    Python's ``math.log2``, since ``np.log2`` rounds differently on about
-    one input in 1,000."""
+    """H2 of the float error rate ``eps``, with its check, but 1.0 inside
+    ``_CLAMPED``. Each log is ``math.log2``, since ``np.log2`` rounds
+    differently on about one input in 1,000."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"error rate must be in [0, 1], got {eps}")
     if eps == 0.0 or eps == 1.0:
@@ -110,28 +104,29 @@ def _entropy(eps: np.ndarray) -> np.ndarray:
 
 
 def _qber_and_sift(g, tau1, tau2, dark_count, model: PostprocessingModel):
-    """(QBER, sifted rate) at matched bases: eps = (n_pp + n_mm) / total and
-    R_sift = total / 2, with (0, 0) where no coincidences survive
-    post-processing. Inputs as for ``analytic.pair_probabilities``: floats,
-    arrays that broadcast together, or ``Fraction``s, which give exact rates.
+    """(QBER, sifted rate) at matched bases, eps = (n_pp + n_mm) / total and
+    R_sift = total / 2, (0, 0) where no coincidence survives; inputs as for
+    ``analytic.pair_probabilities`` (``Fraction``s give exact rates)."""
+    q = pair_probabilities(g, tau1, tau2, dark_count)
+    same, total = _forms(q, q, model)
+    return share(same, total), total / 2
+
+
+def _forms(u, v, model: PostprocessingModel):
+    """The same-sign and all coincidences at u = v = q, one pair's table,
+    bilinear in (u, v): their slope is ``_forms(q', q)`` + ``_forms(q, q')``.
 
     A pattern's probability is q[m1] q[m2], m1 the state of the pair
     (a+, b-) and m2 of (a-, b+), so ``postprocess.fold`` reduces to one
-    form per model, every term nonnegative. The same-sign two-fold
-    coincidences are 2 q1 q2 and the opposite-sign ones 2 q0 q3, which is
-    all that discard keeps; squash adds the events with a double click,
-    q0^2 and 2 q0 (q1 + q2), half of each to the same-sign cells. The
-    squash total and QBER are Ma, Fung & Lo's gain Q and error rate E for
-    two independent squeezers (PRA 76, 012307, 2007), exactly.
-    """
-    q0, q1, q2, q3 = pair_probabilities(g, tau1, tau2, dark_count)
-    cross = 2 * q1 * q2
+    form per model. The same-sign two-folds are 2 q1 q2 and the
+    opposite-sign ones 2 q0 q3, all that discard keeps; squash adds the
+    double clicks, q0^2 and 2 q0 (q1 + q2), half to the same-sign cells,
+    which is Ma, Fung & Lo's gain Q and error rate E (PRA 76, 012307)."""
+    cross = 2 * u[1] * v[2]
     if model is PostprocessingModel.SQUASH:
-        same = q0 * (q0 / 2 + q1 + q2) + cross
-        total = q0 * (q0 + 2 * (q1 + q2 + q3)) + cross
-    else:
-        same, total = cross, cross + 2 * q0 * q3
-    return share(same, total), total / 2
+        return (u[0] * (v[0] / 2 + v[1] + v[2]) + cross,
+                u[0] * (v[0] + 2 * (v[1] + v[2] + v[3])) + cross)
+    return cross, cross + 2 * u[0] * v[3]
 
 
 def qber_and_sift(
@@ -149,19 +144,13 @@ def qber_and_sift(
 
 
 def secure_rate(eps, r_sift):
-    """Secure rate from QBER and sifted rate, clamped at zero.
-
-    Floats, or arrays that broadcast together, element by element (a float
-    when neither is an array). A negative sifted rate, then an error rate
-    outside [0, 1] (NaN included), raises. An array call tests both at one
-    gate; if it fails, the one-point call re-runs per element, in
-    row-major order, to raise the first failure's message.
-    ``np.where`` clamps as ``max(0.0, v)`` does, also at -0.0 and
-    NaN. The entropy is evaluated only outside ``_CLAMPED``: inside it,
-    1.0 stands in for H2, which makes the rate -r_sift <= 0 (or NaN),
-    clamped to 0.0 as the true H2 is. Two Python floats take the same
-    steps in Python, without numpy.
-    """
+    """Secure rate from QBER and sifted rate, clamped at zero: floats, or
+    arrays that broadcast together (a float when neither is an array). A
+    negative sifted rate, then an error rate outside [0, 1] (NaN included)
+    raises, an array's first failure in row-major order. ``np.where``
+    clamps as ``max(0.0, v)`` does, also at -0.0 and NaN. Inside
+    ``_CLAMPED`` 1.0 stands in for H2, and the rate clamps to 0.0 as with
+    the true H2."""
     if type(eps) is float and type(r_sift) is float:
         if r_sift < 0.0:
             raise ValueError(f"sifted rate must be >= 0, got {r_sift}")
@@ -177,11 +166,10 @@ def secure_rate(eps, r_sift):
 
 @dataclass(frozen=True, slots=True)
 class OptimizationResult:
-    """Outcome of the gain search; ``g_opt`` is None when the secure rate
-    vanished over the whole scan. ``g_opt`` is the stencil's peak where
-    ``_optimum`` keeps it, with ``iterations`` 1, else the best scan gain,
-    with ``iterations`` 0. ``secure_rate_at_opt`` is the rate at ``g_opt``,
-    and ``bracket`` is the scan's: the best scan gain's two grid neighbours."""
+    """Outcome of the gain search: ``g_opt`` None (``bracket`` then
+    ``G_BRACKET``) where no gain gives a key, else the root of the rate's
+    slope in ``bracket`` or a best scan gain at a grid end; ``iterations``
+    counts the tangents (slope evaluations) taken."""
 
     g_opt: float | None
     mu_opt: float | None
@@ -194,52 +182,24 @@ class OptimizationResult:
         return self.g_opt is not None
 
 
-def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """``secure_rate(*qber_and_sift(...))``, squash model, at every element
-    of the 2-D ``g``: row i at the channel of row i of ``lanes``, a
-    (tau1, tau2, dark count) row per search, in array calls of at most
-    ``_ROWS_PER_CALL`` gains. An element is its one-point call's float,
-    bit for bit, whatever else its call holds."""
+def _secure_rates(g: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squash secure rates and QBERs at every element of the 2-D ``g``, row
+    i on row i of ``lanes`` (tau1, tau2, dark count), in calls of at most
+    ``_ROWS_PER_CALL`` gains: each element the one-point call's, bit for bit."""
     step = max(1, _ROWS_PER_CALL // g.shape[1])
-    rates = np.empty(g.shape)
+    rates, qbers = np.empty(g.shape), np.empty(g.shape)
     # each call takes tau1, tau2 and the dark count at the grid's shape, so
     # no operation broadcasts a (rows, 1) column: broadcasting gives the same
     # bits but runs about 8% slower, a (2, 257) scan in 153-166 us against
     # 142-152 us (two runs, each the median of 16 alternating rounds; 2-vCPU
     # Xeon, numpy 2.4.6)
     for i in range(0, len(lanes), step):
-        rates[i:i + step] = secure_rate(*_qber_and_sift(
+        qbers[i:i + step], r_sift = _qber_and_sift(
             g[i:i + step], *np.repeat(lanes[i:i + step].T[:, :, None], g.shape[1], axis=2),
             PostprocessingModel.SQUASH,
-        ))
-    return rates
-
-
-def _uphill(slope: float, curvature: float) -> float:
-    """Newton's step towards a maximum, at most 1 in size: uphill by 1 where
-    the curve is not concave enough, and 0 where it is flat."""
-    return slope / max(max(-curvature, abs(slope)), _TINY)
-
-
-def _peak(five: list[float], at: float, above: float) -> float:
-    """The maximum of the quartic through the five rates ``five`` at evenly
-    spaced gains, the middle one at ``at`` and the next at ``above``, by two
-    guarded Newton steps from the middle. On 620 random channels it came
-    within 1.8e-6 relative of the true peak from the 256-gain scan, and
-    within 2.5e-12 from a stencil 1e-3 of that guess apart.
-
-    12 p'(x) = c1 + c2 x + c3 x^2 + c4 x^3 for the quartic p through rates
-    f0 to f4, x in grid steps from the middle. Each c is its five weighted
-    rates added left to right; a weight of 0 adds nothing to a sum of rates,
-    which are +0.0 or positive and finite, and a - b is a + (-b) bit for bit."""
-    f0, f1, f2, f3, f4 = five
-    c1 = f0 - 8.0 * f1 + 8.0 * f3 - f4
-    c2 = -f0 + 16.0 * f1 - 30.0 * f2 + 16.0 * f3 - f4
-    c3 = -3.0 * f0 + 6.0 * f1 - 6.0 * f3 + 3.0 * f4
-    c4 = 2.0 * f0 - 8.0 * f1 + 12.0 * f2 - 8.0 * f3 + 2.0 * f4
-    x = _uphill(c1, c2)  # the first step, from x = 0
-    x += _uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
-    return at + x * (above - at)
+        )
+        rates[i:i + step] = secure_rate(qbers[i:i + step], r_sift)
+    return rates, qbers
 
 
 def _chain(g: float, lane: list[float]) -> float:
@@ -247,34 +207,85 @@ def _chain(g: float, lane: list[float]) -> float:
     return secure_rate(*_qber_and_sift(g, *lane, PostprocessingModel.SQUASH))
 
 
-def _optimum(best: int, rates: np.ndarray, grid: tuple[float, ...],
+def _tangent(g: float, lane: list[float], slopes: tuple) -> tuple[float, float]:
+    """(E', R') in g on the lane's channel, squash model: E = S/T the QBER
+    and R = T/2 (1 - 2 H2(E)) the unclamped rate, S and T the same-sign and
+    all coincidences, so R' = T'/2 + S' log2(E) + (T' - S') log2(1 - E).
+
+    ``_pair``'s p(g) is kappa p(0) + g^2 p(1), kappa = 1 - g^2, so p/kappa is
+    affine in mu = g^2/kappa with slope p(1); the table q = kappa y (y the
+    solution on p) then has dq/dmu = kappa^2 y', y' the solution's slope on
+    p with slope entries p(1) (``slopes``, the lane's at every gain), and
+    dq/dg = 2 g y'. It is Squire & Trapp's complex step (SIAM Rev. 40, 1998)
+    carried as a block, in real floats; E is ``_qber_and_sift``'s, bit for bit."""
+    tau1, tau2, dark_count = lane
+    p = _pair(g, tau1, tau2)
+    y, kappa = _solve(p + p + slopes, _TANGENT, dark_count), p[0]
+    q, slope = [kappa * y[4], kappa * y[5], kappa * y[6], kappa * y[7]], y[:4]
+    same, total = _forms(q, q, PostprocessingModel.SQUASH)
+    (same1, total1), (same2, total2) = (_forms(slope, q, PostprocessingModel.SQUASH),
+                                        _forms(q, slope, PostprocessingModel.SQUASH))
+    eps, d_same, d_total = same / total, same1 + same2, total1 + total2
+    d_eps = (d_same - eps * d_total) / total
+    d_rate = d_total / 2 + d_same * math.log2(eps) + (d_total - d_same) * math.log2(1.0 - eps)
+    return d_eps * 2.0 * g, d_rate * 2.0 * g
+
+
+def _root(slope, lo: float, hi: float, g: float, curvature: float) -> tuple[float, int]:
+    """The root of ``slope`` in (lo, hi), where it falls through 0, and the
+    number of calls: a secant from ``g`` with first slope ``curvature``.
+    Each call narrows the sign bracket, and a step out of it, or from a
+    slope not below 0, bisects it; a step within 4 ulps of g ends it."""
+    d, calls = slope(g), 1
+    while d:
+        lo, hi = (g, hi) if d > 0.0 else (lo, g)
+        near = 4.0 * math.ulp(g)
+        step = g - d / curvature if curvature < 0.0 else math.inf
+        if not (lo < step < hi or abs(step - g) <= near):
+            step = 0.5 * (lo + hi)
+        if abs(step - g) <= near:
+            return step, calls
+        d_step, calls = slope(step), calls + 1
+        curvature = (d_step - d) / (step - g)
+        g, d = step, d_step
+    return g, calls
+
+
+def _parabola(values: np.ndarray, i: int, grid: tuple[float, ...]) -> tuple[float, ...]:
+    """``_root``'s bracket and start: grid[i]'s grid neighbours, and the
+    parabola's vertex and curvature through ``values`` at the three."""
+    f0, f1, f2 = values[i - 1:i + 2].tolist()
+    half, bend = (grid[i + 1] - grid[i - 1]) / 2, f0 - 2.0 * f1 + f2
+    vertex = grid[i] + half * (f0 - f2) / (2.0 * bend) if bend < 0.0 else grid[i]
+    return grid[i - 1], grid[i + 1], vertex, bend / (half * half)
+
+
+def _optimum(best: int, rates: np.ndarray, qbers: np.ndarray, grid: tuple[float, ...],
              lane: list[float]) -> OptimizationResult:
-    """One lane's search after its scan: ``rates`` at the scan's gains
-    ``grid`` (and at any gains after them), ``best`` the index of the first
-    best scan rate, and the lane's (tau1, tau2, dark count). Only the five
-    scan rates around the best gain, clamped into the grid, become Python
-    floats. The best scan gain and its two grid neighbours, the bracket; if
-    its rate is positive and not at a bracket end, the stencil
-    ``g0 * _STENCIL`` around ``_peak``'s guess g0 from those five rates,
-    and the stencil's guess g1, each rate the one-point chain's. The lane
-    keeps g1 if it lies strictly inside the bracket and its rate is no
-    lower than the best scan rate."""
-    center = min(max(best, 2), len(grid) - 3)
-    five = rates[center - 2:center + 3].tolist()
-    rate = five[best - center + 2]
-    if rate <= 0.0:
-        return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
-    g = grid[best]
-    bracket = grid[best - (best > 0)], grid[best + (best < len(grid) - 1)]
-    steps = 0
-    if bracket[0] < g < bracket[1]:
-        g0 = _peak(five, grid[center], grid[center + 1])
-        stencil = [g0 * k for k in _STENCIL]
-        g1 = _peak([_chain(x, lane) for x in stencil], stencil[2], stencil[3])
-        rate1 = _chain(g1, lane)
-        if bracket[0] < g1 < bracket[1] and rate1 >= rate:
-            g, rate, steps = g1, rate1, 1
-    return OptimizationResult(g, SourceParams(g).mean_photon_number(), rate, steps, bracket)
+    """One lane's search after its scan: ``best`` the first best rate's index
+    in ``rates`` (``qbers`` the QBERs) at ``grid`` and after. A best rate at
+    a grid end is the result; else the rate's slope's root in the bracket,
+    from the scan's parabola. With no positive rate, a key lies only at the
+    QBER's minimum (its slope's root around the lowest interior scan QBER),
+    and the rate's slope's root between it and the next scan gain."""
+    calls, last, slopes = 0, len(grid) - 1, _pair(1.0, lane[0], lane[1])
+    if rates[best] <= 0.0:
+        low = int(qbers[:last + 1].argmin())
+        if not 0 < low < last:
+            return OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+        g, calls = _root(lambda x: -_tangent(x, lane, slopes)[0], *_parabola(-qbers, low, grid))
+        if _chain(g, lane) <= 0.0:
+            return OptimizationResult(None, None, 0.0, calls, G_BRACKET)
+        start = g, grid[low + (g >= grid[low])], g, 0.0
+    elif 0 < best < last:
+        start = _parabola(rates, best, grid)
+    else:
+        g = grid[best]
+        return OptimizationResult(g, SourceParams(g).mean_photon_number(), float(rates[best]),
+                                  0, (grid[max(best - 1, 0)], grid[min(best + 1, last)]))
+    g, more = _root(lambda x: _tangent(x, lane, slopes)[1], *start)
+    return OptimizationResult(g, SourceParams(g).mean_photon_number(), _chain(g, lane),
+                              calls + more, start[:2])
 
 
 @functools.lru_cache(maxsize=1)
@@ -287,21 +298,19 @@ def _scan_grid(grid_points: int) -> tuple[np.ndarray, tuple[float, ...]]:
 
 
 def _search(lanes: np.ndarray, grid_points: int, fixed: Sequence[float]):
-    """``optimize_gain`` for every (tau1, tau2, dark count) row of
-    ``lanes``: one ``_secure_rates`` call scans every lane, with the gains
-    ``fixed`` as columns it does not read. One ``argmax`` finds each
-    lane's best scan gain, the first of equal best rates, as
-    ``list.index(max(...))`` would (the clamp leaves no NaN), and
-    ``_optimum`` takes each lane on from there. Returns the results and
-    the rates at ``fixed``, a (lanes, len(fixed)) array."""
+    """``optimize_gain`` for every (tau1, tau2, dark count) row of ``lanes``
+    in one ``_secure_rates`` scan, with the gains ``fixed`` as extra
+    columns; one ``argmax`` takes the first of equal best rates (the clamp
+    leaves no NaN). Returns the results and the (lanes, len(fixed)) rates
+    at ``fixed``."""
     grid, gains = _scan_grid(grid_points)
     scan = np.empty((len(lanes), grid_points + len(fixed)))
     scan[:, :grid_points] = grid
     scan[:, grid_points:] = fixed
-    rates = _secure_rates(scan, lanes)
+    rates, qbers = _secure_rates(scan, lanes)
     best = rates[:, :grid_points].argmax(axis=1).tolist()
-    results = [_optimum(b, row, gains, lane)
-               for b, row, lane in zip(best, rates, lanes.tolist())]
+    results = [_optimum(b, row, qber_row, gains, lane)
+               for b, row, qber_row, lane in zip(best, rates, qbers, lanes.tolist())]
     return results, rates[:, grid_points:]
 
 
@@ -313,16 +322,12 @@ def _lanes(channels: Sequence[ChannelParams]) -> np.ndarray:
 def optimize_gain(
     channel: ChannelParams, grid_points: int = _GRID_POINTS
 ) -> OptimizationResult:
-    """Gain maximizing the secure rate for a given channel.
-
-    A scan of ``G_BRACKET`` at ``grid_points`` gains keeps the best gain's
-    two neighbours as the bracket (the secure-rate curve is smooth but not
-    provably unimodal, so the scan guards against missing side lobes); a
-    five-gain stencil around the scan's guess of the peak places it. Near
-    the key cutoff a key window narrower than a scan step holds one scan
-    gain, and the result can then be a window edge (ROADMAP item 14). It is
-    the one-channel case of ``_search``, as ``passive_performance`` runs it.
-    """
+    """Gain maximizing the secure rate for a given channel: the root of the
+    rate's slope between the best of ``grid_points`` scan gains' neighbours.
+    The scan guards against side lobes; that the rate has one maximum and
+    the QBER one minimum is checked on the tests' channels, not proven. A
+    scan with no key is tested at the QBER's minimum, which finds a key
+    window narrower than a scan step. ``_search``'s one-channel case."""
     if grid_points < 200:
         raise ValueError(f"grid_points must be >= 200, got {grid_points}")
     return _search(_lanes([channel]), grid_points, ())[0][0]
@@ -350,16 +355,11 @@ def passive_performance(
     channel_base: ChannelParams,
     l2_range_db: Sequence[float],
 ) -> PassivePerformanceSweep:
-    """Secure-rate ratio of a source fixed at ``source`` to the per-loss optimum.
-
-    ``channel_base`` supplies Alice's transmittance and the dark-count
-    rate; Bob's transmittance is recomputed from each loss value in
-    ``l2_range_db``. The optimizations of all losses run as one search,
-    each loss a lane of its scan, and the fixed source's gain rides the
-    scan as one more column, so the fixed-brightness rate of each loss is
-    the one-point ``secure_rate(*qber_and_sift(source, channel))`` bit for
-    bit.
-    """
+    """Secure-rate ratio of a source fixed at ``source`` to the per-loss
+    optimum, ``channel_base`` giving Alice's transmittance and the dark
+    count, each loss in ``l2_range_db`` Bob's. All losses run as one search,
+    and the fixed gain rides its scan as one more column, each rate the
+    one-point ``secure_rate(*qber_and_sift(source, channel))``, bit for bit."""
     if source.g <= 0.0:
         raise ValueError(f"fixed source gain must be > 0, got {source.g}")
     lanes = _lanes([

@@ -266,6 +266,15 @@ class TestOptimizeAndSweep:
         )
         assert 0.05 <= float(lines["mu_opt"]) <= 0.2
 
+    def test_key_narrower_than_a_scan_step(self, capsys):
+        # at 53.519 dB no scan gain has a key; the search finds the key at
+        # the QBER's minimum and prints its optimum
+        code, out, err = run(capsys, "optimize", "--set", "channel.loss2_db=53.519")
+        assert code == 0, err
+        lines = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+        assert lines["g_opt"] != "undefined" and lines["mu_opt"] != "undefined"
+        assert float(lines["secure_rate_at_opt[bits/mode]"]) > 0.0
+
     def test_deep_loss_without_dark_counts(self, capsys):
         code, _, err = run(
             capsys, "optimize", "--set", "channel.loss2_db=90",

@@ -105,7 +105,7 @@ def sweep_digest_configs():
 
 #: sha256 of the stdout of ``run_subcommand("sweep", ...)`` on every config of
 #: ``sweep_digest_configs``, joined in order.
-SWEEP_DIGEST = "edccc11b106d8e5e33ff91a19b1a5467cbd462ee519447de1383bee22e11ded3"
+SWEEP_DIGEST = "bb470c12b7f35aa9eeee4ed0b208505d4107540c1c702c8a824bc4526c133fe4"
 
 
 def test_seeded_sweeps_keep_their_bytes():

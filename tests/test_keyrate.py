@@ -29,10 +29,11 @@ from hbepp_link.keyrate import (
     secure_rate,
 )
 from hbepp_link.params import transmittance_from_db
-from hbepp_link.patterns import ProbabilityConsistencyError, left_to_right_sum
+from hbepp_link.patterns import ProbabilityConsistencyError
 from hbepp_link.postprocess import ALICE_CHSH_ANGLES, BOB_CHSH_ANGLES, _FOLDS, coincidences
 
 from exact import outcome_probabilities_exact, squash_gain_and_error
+from test_golden_accuracy import exact_optimum
 
 #: Reference downlink: 1.6 dB on Alice's arm, dark counts per detector per mode.
 REFERENCE_TAU1 = transmittance_from_db(1.6)
@@ -308,9 +309,9 @@ class TestOptimizeGain:
         assert type(result.iterations) is int
 
     def test_result_is_the_rate_at_g_opt(self, monkeypatch):
-        # secure_rate_at_opt is the one-point chain's float at g_opt. A
-        # stencil gain can beat it by rounding, as the maximum is flat to
-        # far below the stencil's spacing, but by at most 1e-14 relative.
+        # secure_rate_at_opt is the one-point chain's float at g_opt, and no
+        # rate the search evaluates (the scan's and the root's) exceeds it,
+        # also where the key window is narrower than a scan step
         evaluated = []
 
         def recording(eps, r_sift):
@@ -319,14 +320,14 @@ class TestOptimizeGain:
             return rates
 
         monkeypatch.setattr(keyrate, "secure_rate", recording)
-        for loss2_db in (20.0, 25.0, 45.0, 52.5):
+        for loss2_db in (20.0, 25.0, 45.0, 52.5, 53.5189):
             evaluated.clear()
             channel = reference_channel(loss2_db)
             result = optimize_gain(channel)
             assert result.secure_rate_at_opt.hex() == plain_secure_rate(
                 *qber_and_sift(SourceParams(result.g_opt), channel)
             ).hex()
-            assert max(evaluated) <= result.secure_rate_at_opt * (1.0 + 1e-14)
+            assert max(evaluated) <= result.secure_rate_at_opt
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -543,22 +544,22 @@ class TestSecureRateArray:
     def test_rows_equal_scalar_chain_bit_for_bit(self):
         # the scan grid of nine channels: every element is the one-point
         # qber_and_sift with the plain-float secure_rate, down to the last
-        # bit, and every 17th gain's QBER and sifted rate is within
-        # QBER_SIFT_REL of exact
+        # bit, and so is every QBER the scan returns; every 17th gain's QBER
+        # and sifted rate is within QBER_SIFT_REL of exact
         grid = np.linspace(*G_BRACKET, 256)
         channels = [
             ChannelParams.from_db_losses(1.6, loss2_db, dark)
             for dark in (0.0, 6.25e-7, 1e-5)
             for loss2_db in (0.0, 30.0, 45.0)
         ]
-        rates = keyrate._secure_rates(np.broadcast_to(grid, (9, 256)), keyrate._lanes(channels))
+        rates, qbers = keyrate._secure_rates(np.broadcast_to(grid, (9, 256)),
+                                             keyrate._lanes(channels))
         worst = 0.0
-        for channel, row in zip(channels, rates.tolist()):
-            scalar = [
-                plain_secure_rate(*qber_and_sift(SourceParams(g), channel))
-                for g in grid
-            ]
+        for channel, row, qber_row in zip(channels, rates.tolist(), qbers.tolist()):
+            points = [qber_and_sift(SourceParams(g), channel) for g in grid]
+            scalar = [plain_secure_rate(*point) for point in points]
             assert [r.hex() for r in row] == [r.hex() for r in scalar]
+            assert [e.hex() for e in qber_row] == [eps.hex() for eps, _ in points]
             for g in grid[::17].tolist():
                 args = (SourceParams(g), channel, PostprocessingModel.SQUASH)
                 worst = max(
@@ -802,16 +803,17 @@ OPTIMA = {
 }
 
 #: Relative error bound of ``g_opt`` against ``OPTIMA``. Measured worst:
-#: 4.6e-13 on the grid.
+#: 1.1e-15 on the grid.
 G_OPT_REL = 1e-12
 
 
+#: The 256 scan gains as Python floats.
+GRID = np.linspace(*G_BRACKET, 256).tolist()
 #: The 101st of the 256 scan gains, where a stand-in rate curve spikes.
-SPIKE = np.linspace(*G_BRACKET, 256)[100].item()
+SPIKE = GRID[100]
 #: The first five of the 256 scan gains, and a stand-in curve's rates there:
-#: the best is the second, and the quartic through the five peaks 1.43
-#: steps past the third, outside the bracket.
-LOBE_GRID = np.linspace(*G_BRACKET, 256)[:5]
+#: the best is the second, and a lobe lies past the bracket.
+LOBE_GRID = np.array(GRID[:5])
 LOBE_RATES = (0.9, 1.0, 0.5, 0.9, 0.0)
 
 
@@ -838,6 +840,16 @@ def stand_in_chain(g, tau1, tau2, dark_count, model):
     return 0.0 * g, r_sift
 
 
+def stand_in_tangent(g, lane):
+    """Stand-in (E', R') for ``keyrate._tangent`` on ``stand_in_chain``'s
+    curves, by the lane's tau2: the parabola's slope where tau2 = 1/4;
+    falling through the spike's bracket where tau2 = 1/8; rising below 0.5
+    and flat above on the plateau, tau2 = 1/16; rising towards the side
+    lobe, tau2 = 1/32. The end curves never take a tangent."""
+    slopes = {0.25: -2.0 * (g - 0.3), 0.125: -1.0, 0.0625: float(g < 0.5), 0.03125: 1.0}
+    return 0.0, slopes[lane[1]]
+
+
 class TestLockstepSearchMatchesReference:
     """The array search against the reference optima ``OPTIMA``: the found
     set and scan bracket bit for bit, and ``g_opt`` within ``G_OPT_REL`` of
@@ -847,12 +859,12 @@ class TestLockstepSearchMatchesReference:
     @staticmethod
     def assert_optimum(result, expected):
         if expected is None:
-            no_key = OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+            no_key = OptimizationResult(None, None, 0.0, result.iterations, G_BRACKET)
             assert exact_result(result) == exact_result(no_key)
             return
         lo, hi, g_exact = expected
         assert exact(result.bracket) == (lo, hi)
-        assert result.iterations == 1
+        assert result.iterations >= 1
         assert abs(Fraction(result.g_opt) / Fraction(g_exact) - 1) <= G_OPT_REL
 
     @pytest.mark.parametrize("dark", [0.0, 6.25e-7, 1e-5])
@@ -892,137 +904,270 @@ class TestLockstepSearchMatchesReference:
         # below g = 0.95), so stand-in rate curves check the search's
         # clamping: rising in g where tau2 = 1, falling where tau2 = 0.5.
         # The maximum is the bracket end itself, and the search returns it
-        # with no step. A third lane, tau2 = 0.25, peaks at g = 0.3, which
-        # the stencil places to rounding. A spike on a step, tau2 = 1/8,
-        # leads the stencil to a gain whose rate is lower than the best
-        # scan rate, so the search keeps the best scan gain. On a plateau,
+        # with no tangent. A third lane, tau2 = 0.25, peaks at g = 0.3,
+        # which the root of its slope places to rounding. A spike on a step,
+        # tau2 = 1/8, and a side lobe past the bracket, tau2 = 1/32, have
+        # slopes that keep one sign over the bracket: the root runs to the
+        # bracket's end, every tangent strictly inside it. On a plateau,
         # tau2 = 1/16, the first of the equal best scan rates sets the
-        # bracket. A side lobe, tau2 = 1/32, leads the stencil outside the
-        # bracket to a higher rate, and the search keeps the best scan gain.
-        # Each lane is its one-lane search. The curves stand in for the
-        # scan's array call and for the stencil's and last gain's one-point
-        # calls alike.
+        # bracket. Each lane is its one-lane search. The curves stand in for
+        # the scan's array call and the root's one-point call alike.
         gains = record_gains(monkeypatch, stand_in_chain)
+        tangents = []
+        monkeypatch.setattr(keyrate, "_tangent",
+                            lambda g, lane, slopes: tangents.append(g) or stand_in_tangent(g, lane))
         channels = [ChannelParams(1.0, tau2) for tau2 in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)]
         results, _ = keyrate._search(keyrate._lanes(channels), 256, ())
-        assert [np.shape(g) for g in gains] == [(4, 256), (2, 256)] + [()] * 24
-        assert 2.0 in [float(side_lobe(g)) for g in gains[-6:]]  # the stencil's lobe rates
+        assert [np.shape(g) for g in gains] == [(4, 256), (2, 256)] + [()] * 4
+        for result in results[2:]:
+            lo, hi = result.bracket
+            assert lo < result.g_opt < hi
+        assert 2.0 not in [float(side_lobe(g)) for g in tangents]
+        assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
+        assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
+        assert [r.iterations for r in results[:3]] == [0, 0, 2]
+        assert results[2].g_opt == pytest.approx(0.3, rel=1e-15)
+        assert results[3].bracket == (GRID[99], GRID[101])
+        assert results[3].g_opt - GRID[99] <= 4.0 * math.ulp(GRID[99])
+        first = next(i for i, g in enumerate(GRID) if g >= 0.5)
+        assert results[4].bracket == (GRID[first - 1], GRID[first + 1])
+        assert results[5].bracket == (GRID[0], GRID[2])
+        assert GRID[2] - results[5].g_opt <= 4.0 * math.ulp(GRID[2])
         for channel, result in zip(channels, results):
             alone = keyrate._search(keyrate._lanes([channel]), 256, ())[0][0]
             assert exact_result(result) == exact_result(alone)
-        assert results[0].bracket[1] == results[0].g_opt == G_BRACKET[1]
-        assert results[1].bracket[0] == results[1].g_opt == G_BRACKET[0]
-        assert [r.iterations for r in results] == [0, 0, 1, 0, 1, 0]
-        assert results[2].g_opt == pytest.approx(0.3, rel=1e-15)
-        assert (results[3].g_opt, results[3].secure_rate_at_opt) == (SPIKE, 1.0)
-        grid = np.linspace(*G_BRACKET, 256).tolist()
-        first = next(i for i, g in enumerate(grid) if g >= 0.5)
-        assert results[4].bracket == (grid[first - 1], grid[first + 1])
-        assert (results[5].g_opt, results[5].secure_rate_at_opt) == (grid[1], 1.0)
-        assert results[5].bracket == (grid[0], grid[2])
 
 
 class TestBestScanGain:
-    """How ``_search`` picks each lane's best scan gain, on stand-in scan
-    rates in place of ``_secure_rates``: as ``list.index(max(...))`` picked
-    it, the first of equal maxima; no key on an all-zero row; and a maximum
-    at a bracket end kept without the stencil. The stand-in one-point chain
-    rates every stencil gain 0.0, so a lane with a stencil keeps its best
-    scan gain too, and the chain's calls count the stencils."""
+    """How ``_search`` takes each lane on from its best scan gain, on stand-in scan
+    rates and QBERs in place of ``_secure_rates`` and stand-in tangents and
+    one-point rates: the first of equal maxima sets the bracket; a maximum
+    at a bracket end is the result, with no tangent; the root never leaves
+    its bracket; a row with no positive rate has a key only where the
+    one-point rate at the QBER's minimum is positive. Every lane is its
+    one-lane search, bit for bit."""
 
     @staticmethod
-    def search(monkeypatch, rows):
+    def search(monkeypatch, rows, qbers=None, tangent=lambda g: (0.0, 0.0), rate=0.0):
+        """``_search`` on the stand-in scan ``rows`` (and ``qbers``, by
+        default the row's negatives), each lane its own row, with
+        ``tangent(g)`` and ``rate`` standing in for every lane's tangent
+        and one-point rate. Returns the results, each as its one-lane
+        search, and the gains of every tangent and one-point call."""
         rows = np.array(rows, dtype=float)
-        monkeypatch.setattr(keyrate, "_secure_rates", lambda g, lanes: rows)
-        chain = []
-        monkeypatch.setattr(keyrate, "_chain", lambda g, lane: chain.append(g) or 0.0)
-        lanes = keyrate._lanes([reference_channel(30.0)] * len(rows))
-        return keyrate._search(lanes, 256, ())[0], chain
+        qbers = -rows if qbers is None else np.array(qbers, dtype=float)
+        # lane i's tau2 is (i + 1) / 1024, which picks its row
+        monkeypatch.setattr(keyrate, "_secure_rates", lambda g, lanes: (
+            rows[np.rint(lanes[:, 1] * 1024).astype(int) - 1],
+            qbers[np.rint(lanes[:, 1] * 1024).astype(int) - 1]))
+        calls = {"tangent": [], "rate": []}
+        monkeypatch.setattr(keyrate, "_tangent",
+                            lambda g, lane, slopes: calls["tangent"].append(g) or tangent(g))
+        monkeypatch.setattr(keyrate, "_chain", lambda g, lane: calls["rate"].append(g) or rate)
+        lanes = keyrate._lanes([ChannelParams(1.0, (i + 1) / 1024) for i in range(len(rows))])
+        results = keyrate._search(lanes, 256, ())[0]
+        for i, result in enumerate(results):
+            alone = keyrate._search(lanes[i:i + 1], 256, ())[0][0]
+            assert exact_result(result) == exact_result(alone)
+        for gains in calls.values():
+            del gains[len(gains) // 2:]  # the one-lane searches repeat every call
+        return results, calls
 
     @staticmethod
-    def kept(best, rate):
-        grid = np.linspace(*G_BRACKET, 256).tolist()
-        bracket = grid[max(best - 1, 0)], grid[min(best + 1, 255)]
-        return OptimizationResult(grid[best], SourceParams(grid[best]).mean_photon_number(),
-                                  rate, 0, bracket)
+    def at_end(best, rate):
+        return OptimizationResult(GRID[best], SourceParams(GRID[best]).mean_photon_number(),
+                                  rate, 0, (GRID[max(best - 1, 0)], GRID[min(best + 1, 255)]))
 
     def test_repeated_maximum_keeps_the_first(self, monkeypatch):
+        # a slope of 0 at the first tangent, the parabola's vertex, ends
+        # each root there
         rows = np.zeros((3, 256))
-        rows[0, [100, 150]] = 0.5  # apart
-        rows[1, [100, 101]] = 0.5  # adjacent
+        rows[0, [100, 150]] = 0.5  # apart: the vertex is the best gain
+        rows[1, [100, 101]] = 0.5  # adjacent: the vertex is half a half-step above
         rows[2, [0, 200]] = 0.5  # the first at the bracket's lower end
-        results, chain = self.search(monkeypatch, rows)
-        assert [exact_result(r) for r in results] == [
-            exact_result(self.kept(100, 0.5)), exact_result(self.kept(100, 0.5)),
-            exact_result(self.kept(0, 0.5)),
-        ]
-        assert len(chain) == 2 * 6  # two stencils and last gains, none at the end
+        results, calls = self.search(monkeypatch, rows, rate=0.25)
+        half = (GRID[101] - GRID[99]) / 2
+        assert calls["tangent"] == calls["rate"] == [GRID[100], GRID[100] + half / 2]
+        assert [r.bracket for r in results] == [(GRID[99], GRID[101])] * 2 + [(GRID[0], GRID[1])]
+        assert [r.iterations for r in results] == [1, 1, 0]
+        assert [r.secure_rate_at_opt for r in results] == [0.25, 0.25, 0.5]
+        assert exact_result(results[2]) == exact_result(self.at_end(0, 0.5))
 
-    def test_all_zero_row_has_no_key(self, monkeypatch):
-        results, chain = self.search(monkeypatch, np.zeros((2, 256)))
-        no_key = OptimizationResult(None, None, 0.0, 0, G_BRACKET)
-        assert [exact_result(r) for r in results] == [exact_result(no_key)] * 2
-        assert chain == []
-
-    def test_maximum_at_either_bracket_end_without_the_stencil(self, monkeypatch):
+    def test_maximum_at_either_bracket_end_without_a_tangent(self, monkeypatch):
         rising, falling = np.linspace(0.0, 1.0, 256), np.linspace(1.0, 0.0, 256)
-        results, chain = self.search(monkeypatch, [rising, falling])
+        results, calls = self.search(monkeypatch, [rising, falling])
         assert [exact_result(r) for r in results] == [
-            exact_result(self.kept(255, 1.0)), exact_result(self.kept(0, 1.0)),
+            exact_result(self.at_end(255, 1.0)), exact_result(self.at_end(0, 1.0)),
         ]
         assert results[0].g_opt == results[0].bracket[1] == G_BRACKET[1]
         assert results[1].g_opt == results[1].bracket[0] == G_BRACKET[0]
-        assert chain == []
+        assert calls == {"tangent": [], "rate": []}
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0, math.nan])
+    def test_root_never_leaves_its_bracket(self, monkeypatch, slope):
+        # a slope of one sign over the whole bracket, or none at all: the
+        # root runs to one end (to the lower one where no slope compares),
+        # by bisection at the last, and every tangent lies strictly inside
+        # the bracket
+        row = np.zeros(256)
+        row[99:102] = (0.5, 1.0, 0.25)
+        results, calls = self.search(monkeypatch, [row], tangent=lambda g: (0.0, slope), rate=1.0)
+        lo, hi = results[0].bracket
+        assert (lo, hi) == (GRID[99], GRID[101])
+        assert all(lo < g < hi for g in calls["tangent"] + calls["rate"])
+        end = hi if slope > 0.0 else lo
+        assert abs(results[0].g_opt - end) <= 8.0 * math.ulp(end)
+        assert results[0].iterations == len(calls["tangent"]) > 1
+
+    #: A stand-in QBER minimum a little above the 121st scan gain, the
+    #: scan's QBERs with it, and a tangent whose E' vanishes there and R'
+    #: 1e-3 above it.
+    QBER_LOW = GRID[120] + 1e-4
+    QBERS = (np.array(GRID) - QBER_LOW) ** 2
+
+    @staticmethod
+    def low_tangent(g):
+        return g - TestBestScanGain.QBER_LOW, TestBestScanGain.QBER_LOW + 1e-3 - g
+
+    def test_all_zero_row_has_no_key(self, monkeypatch):
+        # a one-point rate of 0 at the QBER's minimum: no key, after the
+        # root of E' around the lowest scan QBER and one one-point rate
+        # there; with the lowest scan QBER at a grid end, no key with no
+        # tangent and no one-point rate
+        m = self.QBER_LOW
+        results, calls = self.search(monkeypatch, np.zeros((2, 256)), [self.QBERS] * 2,
+                                     tangent=self.low_tangent)
+        no_key = OptimizationResult(None, None, 0.0, results[0].iterations, G_BRACKET)
+        assert [exact_result(r) for r in results] == [exact_result(no_key)] * 2
+        assert len(calls["tangent"]) == 2 * results[0].iterations > 0
+        assert all(GRID[119] < g < GRID[121] for g in calls["tangent"])
+        assert len(calls["rate"]) == 2
+        assert all(abs(g - m) <= 4.0 * math.ulp(m) for g in calls["rate"])
+        results, calls = self.search(monkeypatch, np.zeros((2, 256)),
+                                     [np.linspace(0.3, 0.5, 256), np.linspace(0.5, 0.3, 256)])
+        no_key = OptimizationResult(None, None, 0.0, 0, G_BRACKET)
+        assert [exact_result(r) for r in results] == [exact_result(no_key)] * 2
+        assert calls == {"tangent": [], "rate": []}
+
+    def test_all_zero_row_with_a_key_at_the_qber_minimum(self, monkeypatch):
+        # a positive one-point rate at the QBER's minimum m: R's root is
+        # taken between m and the next scan gain
+        m = self.QBER_LOW
+        results, _ = self.search(monkeypatch, np.zeros((1, 256)), [self.QBERS],
+                                 tangent=self.low_tangent, rate=1e-9)
+        lo, hi = results[0].bracket
+        assert abs(lo - m) <= 4.0 * math.ulp(m) and hi == GRID[121]
+        assert results[0].g_opt == pytest.approx(m + 1e-3, rel=1e-14)
+        assert results[0].secure_rate_at_opt == 1e-9
 
     def test_random_rows_pick_as_list_index_of_max(self, monkeypatch):
         # rates from a handful of values, so ties, zeros and maxima at the
-        # ends are common: every lane keeps list.index(max(row))
+        # ends are common: every lane keeps list.index(max(row)) and its two
+        # grid neighbours, and no row without a positive rate finds a key
         rng = np.random.default_rng(39)
         rows = rng.choice([0.0, 0.0, 1e-300, 5e-324, 0.25, 0.5], (300, 256))
         rows[::3] = np.where(rows[::3] == 0.5, 0.0, rows[::3])
         rows[::7] = 0.0
-        results, _ = self.search(monkeypatch, rows)
+        results, _ = self.search(monkeypatch, rows, qbers=rng.uniform(0.2, 0.5, (300, 256)))
         for row, result in zip(rows.tolist(), results):
             best = row.index(max(row))
-            expected = (self.kept(best, row[best]) if row[best] > 0.0
-                        else OptimizationResult(None, None, 0.0, 0, G_BRACKET))
-            assert exact_result(result) == exact_result(expected)
+            assert result.found == (row[best] > 0.0)
+            if not result.found:
+                continue
+            assert result.bracket == (GRID[max(best - 1, 0)], GRID[min(best + 1, 255)])
+            if best in (0, 255):
+                assert exact_result(result) == exact_result(self.at_end(best, row[best]))
+            else:
+                assert result.bracket[0] < result.g_opt < result.bracket[1]
         assert 0 < sum(r.found for r in results) < 300
 
 
-#: The weights of rates f0 to f4 in c1 to c4 of 12 p'(x) = c1 + c2 x +
-#: c3 x^2 + c4 x^3, for the quartic p through five rates at evenly spaced
-#: gains, x in grid steps from the middle.
-QUARTIC = ((1, -8, 0, 8, -1), (-1, 16, -30, 16, -1), (-3, 6, 0, -6, 3), (2, -8, 12, -8, 2))
+#: The default channel's losses just past the scan's key cutoff: keys at
+#: the first three, narrower than a scan step, and none at the last.
+NEAR_CUTOFF_DB = (53.519, 53.51905, 53.5191, 53.5192)
 
 
-def reference_peak(five, at, above):
-    """``keyrate._peak`` with each coefficient the left-to-right sum of its
-    ``QUARTIC`` row's weighted rates."""
-    c1, c2, c3, c4 = (left_to_right_sum([w * f for w, f in zip(row, five)]) for row in QUARTIC)
-    x = keyrate._uphill(c1, c2)
-    x += keyrate._uphill(c1 + x * (c2 + x * (c3 + x * c4)), c2 + x * (2.0 * c3 + x * (3.0 * c4)))
-    return at + x * (above - at)
+def turns(values):
+    """Each change of direction along ``values``: 2.0 where they stop
+    falling and rise, -2.0 where they stop rising and fall."""
+    signs = np.sign(np.diff(values))
+    changes = np.diff(signs[signs != 0])
+    return changes[changes != 0].tolist()
 
 
-def test_peak_is_the_weighted_sums_left_to_right():
-    # 10,000 random five-rate windows at scan and stencil spacings: smooth
-    # peaks, noise, zeros, subnormal rates and flat windows
-    rng = np.random.default_rng(39)
-    count = 10_000
-    x = np.arange(-2.0, 3.0)
-    smooth = 1e-4 * (1.0 - 0.01 * (x - rng.uniform(-3.0, 3.0, (count, 1))) ** 2)
-    windows = np.where(rng.random((count, 1)) < 0.5, smooth,
-                       rng.uniform(0.0, 1.0, (count, 5)) * 10.0 ** -rng.uniform(0.0, 320.0, (count, 5)))
-    windows[rng.random((count, 5)) < 0.1] = 0.0
-    windows[rng.random((count, 5)) < 0.05] = 5e-324
-    windows[::50] = windows[::50, :1]  # flat
-    windows[::97] = 0.0
-    at = rng.uniform(*G_BRACKET, count)
-    above = np.where(rng.random(count) < 0.5, at * 1.001, at + (G_BRACKET[1] - G_BRACKET[0]) / 255)
-    assert (windows == 0.0).any() and ((windows > 0.0) & (windows < np.finfo(float).tiny)).any()
-    for five, a, b in zip(windows.tolist(), at.tolist(), above.tolist()):
-        assert keyrate._peak(five, a, b).hex() == reference_peak(five, a, b).hex()
+def test_qber_and_rate_are_unimodal():
+    # The search assumes each channel's QBER has at most one turning point
+    # over G_BRACKET, a minimum, and its positive rates are one run of gains
+    # that rises to one maximum and falls: so the scan's best gain brackets
+    # the optimum, and a scan with no key brackets the QBER's minimum.
+    # Checked on a 20,001-gain grid, on the tests' channel grid and on the
+    # default channel just inside and past the key cutoff.
+    grid = np.linspace(*G_BRACKET, 20_001)
+    channels = [ChannelParams.from_db_losses(loss1_db, loss2_db, dark)
+                for loss1_db, loss2_db, dark in OPTIMA]
+    channels += [reference_channel(loss2_db) for loss2_db in (53.5189, *NEAR_CUTOFF_DB)]
+    windows = 0
+    for channel in channels:
+        eps, r_sift = keyrate._qber_and_sift(grid, channel.tau1, channel.tau2,
+                                             channel.dark_count, PostprocessingModel.SQUASH)
+        assert turns(eps) in ([], [2.0]), channel  # none, or one from falling to rising
+        rate = secure_rate(eps, r_sift)
+        key = np.flatnonzero(rate > 0.0)
+        if key.size:
+            windows += 1
+            assert key[-1] - key[0] + 1 == key.size, channel
+            assert turns(rate[key]) in ([], [-2.0]), channel
+    assert windows == sum(v is not None for v in OPTIMA.values()) + 4
+
+
+class TestNearTheCutoff:
+    """The default channel where its key window is narrower than the scan's
+    step (3.7e-3 in g): the optimum is the root of the rate's slope, at most
+    ``test_optimize_golden_is_exact``'s 4.9e-13 from the exact optimum, and
+    its rate the window's maximum, also where no scan gain has a key."""
+
+    @staticmethod
+    def assert_exact_optimum(result, channel):
+        g = result.g_opt
+        exact = exact_optimum(g * (1 - 1e-6), g * (1 + 1e-6),
+                              (channel.tau1, channel.tau2, channel.dark_count))
+        assert abs(Fraction(g) - exact) / exact <= 4.9e-13
+        lane = [channel.tau1, channel.tau2, channel.dark_count]
+        dense = max(keyrate._chain(x, lane) for x in np.linspace(0.9 * g, 1.1 * g, 2001).tolist())
+        assert result.secure_rate_at_opt >= dense * (1.0 - 1e-15)
+
+    def test_one_scan_gain_in_the_window(self):
+        # one scan gain, 0.02333, has a key: the bracket holds the window,
+        # [0.02016, 0.02357], and the search returns its maximum, not its edge
+        channel = reference_channel(53.5189)
+        result = optimize_gain(channel)
+        assert result.bracket == (GRID[5], GRID[7])
+        assert result.g_opt == pytest.approx(0.0219318, abs=1e-7)
+        assert result.secure_rate_at_opt == pytest.approx(4.580426e-14, rel=1e-6)
+        self.assert_exact_optimum(result, channel)
+
+    @pytest.mark.parametrize("loss2_db, rate", zip(NEAR_CUTOFF_DB, (2.33e-14, 1.21e-14, 9.3e-16)))
+    def test_key_between_two_scan_gains(self, loss2_db, rate):
+        # every scan rate is 0; the key lies at the QBER's minimum, the
+        # bracket's lower end, and the optimum below the next scan gain
+        channel = reference_channel(loss2_db)
+        assert keyrate._secure_rates(np.array([GRID]), keyrate._lanes([channel]))[0].max() == 0.0
+        result = optimize_gain(channel)
+        assert result.secure_rate_at_opt == pytest.approx(rate, rel=0.01)
+        lo, hi = result.bracket
+        assert hi == GRID[6] and lo < result.g_opt < hi
+        lane = [channel.tau1, channel.tau2, channel.dark_count]
+        d_eps = keyrate._tangent(lo, lane, keyrate._pair(1.0, *lane[:2]))[0]
+        eps = keyrate._qber_and_sift(lo, *lane, PostprocessingModel.SQUASH)[0]
+        assert abs(d_eps) <= 1e-12 * eps / lo
+        self.assert_exact_optimum(result, channel)
+
+    def test_no_key_past_the_cutoff(self):
+        channel = reference_channel(NEAR_CUTOFF_DB[-1])
+        result = optimize_gain(channel)
+        assert not result.found and result.iterations > 0
+        lane = [channel.tau1, channel.tau2, channel.dark_count]
+        assert max(keyrate._chain(x, lane) for x in np.linspace(0.02, 0.024, 4001).tolist()) == 0.0
 
 
 def digest_channels():
@@ -1069,7 +1214,7 @@ def search_digest_values():
 
 
 #: sha256 of ``search_digest_values``' text.
-SEARCH_DIGEST = "228f1bb6e1c0650853d5bc42f985180ff7a302dfde90acc0f84a4c0f99c9ef0c"
+SEARCH_DIGEST = "585b2a367b6671363767cc30de81062939b92b2453a1b7eaf149d2db9a9715de"
 
 
 def test_search_keeps_its_bits():
@@ -1080,27 +1225,29 @@ def test_search_keeps_its_bits():
 
 class TestArrayCalls:
     """What the search hands the chain: one array call for the scan, its
-    memory, and one-point calls for each lane's stencil and last gain."""
+    memory, and one one-point call for each lane's rate at its root."""
 
     def test_search_grids(self, monkeypatch):
-        # the 256-gain scan of G_BRACKET, the stencil g0 * _STENCIL around
-        # the scan's guess g0 from the five scan rates around its best, and
-        # the stencil's guess, which is g_opt
+        # the 256-gain scan of G_BRACKET; the first tangent at the vertex of
+        # the parabola through the three scan rates around the best, every
+        # tangent inside the bracket; and one one-point rate, at g_opt
         gains = record_gains(monkeypatch)
+        tangents = []
+        tangent = keyrate._tangent
+        monkeypatch.setattr(keyrate, "_tangent",
+                            lambda g, lane, slopes: tangents.append(g) or tangent(g, lane, slopes))
         channel = reference_channel(30.0)
         result = optimize_gain(channel)
-        scan, stencil, last = gains[0], gains[1:6], gains[6:]
+        scan, last = gains
         assert scan.tobytes() == np.linspace(*G_BRACKET, 256)[None].tobytes()
-        assert np.array(keyrate._STENCIL).tobytes() == (1.0 + 1e-3 * np.arange(-2.0, 3.0)).tobytes()
-        grid = scan[0].tolist()
-        rates = keyrate._secure_rates(scan, keyrate._lanes([channel]))[0].tolist()
+        rates = keyrate._secure_rates(scan, keyrate._lanes([channel]))[0][0].tolist()
         best = int(np.argmax(rates))
-        assert 2 <= best <= 253
-        g0 = keyrate._peak(rates[best - 2:best + 3], grid[best], grid[best + 1])
-        assert stencil == [g0 * k for k in keyrate._STENCIL]
-        lane = [channel.tau1, channel.tau2, channel.dark_count]
-        g1 = keyrate._peak([keyrate._chain(x, lane) for x in stencil], stencil[2], stencil[3])
-        assert last == [g1] == [result.g_opt]
+        f0, f1, f2 = rates[best - 1:best + 2]
+        half = (GRID[best + 1] - GRID[best - 1]) / 2
+        assert tangents[0] == GRID[best] + half * (f0 - f2) / (2.0 * (f0 - 2.0 * f1 + f2))
+        assert all(GRID[best - 1] < g < GRID[best + 1] for g in tangents)
+        assert len(tangents) == result.iterations == 4
+        assert last == result.g_opt
 
     def test_scan_grid_is_built_once_read_only_with_its_floats(self):
         # one cache holds the scan's gains per grid size: the array the
@@ -1115,46 +1262,46 @@ class TestArrayCalls:
         assert all(type(g) is float for g in gains)
 
     def test_optimize_gain_call_shapes(self, monkeypatch):
-        # one channel: one array call, the 256-gain scan; then the five-gain
-        # stencil and the gain it places, one gain per one-point call
+        # one channel: one array call, the 256-gain scan; then one
+        # one-point call, the rate at the root (the tangents do not call
+        # the chain)
         grids = record_grids(monkeypatch)
         gains = record_gains(monkeypatch)
         optimize_gain(reference_channel(30.0))
         assert [grid.shape for grid in grids] == [(1, 256)]
-        assert [np.shape(g) for g in gains] == [(1, 256)] + [()] * 6
+        assert [np.shape(g) for g in gains] == [(1, 256), ()]
 
     def test_default_sweep_call_shapes(self, monkeypatch):
         # the CLI's default 26-loss sweep: _secure_rates splits the scan,
         # with its fixed-gain column, into chain calls of 4 rows, each at
         # most _ROWS_PER_CALL gains; then each of the 26 lanes, all with a
-        # key, takes six one-point calls
+        # key, takes one one-point call
         gains = record_gains(monkeypatch)
         run_subcommand("sweep", parse_config(""))
         calls = [np.shape(g) for g in gains]
-        assert calls == [(4, 257)] * 6 + [(2, 257)] + [()] * (26 * 6)
+        assert calls == [(4, 257)] * 6 + [(2, 257)] + [()] * 26
         assert max(math.prod(shape) for shape in calls) <= keyrate._ROWS_PER_CALL
 
     def test_seeded_two_loss_sweeps_make_one_array_call(self, monkeypatch):
         # sweeps drawn as the passive-sweep benchmark draws them: one array
-        # call, the scan with the fixed gain, then the stencil and the last
-        # gain of each lane with a key on floats: 396 of these 400 lanes,
-        # the other 4 have none
+        # call, the scan with the fixed gain, then one one-point call on
+        # floats for each lane with a key (396 of these 400 lanes) and one
+        # for each without, at its QBER's minimum, which holds no key
         rng = np.random.default_rng(25)
         gains = record_gains(monkeypatch)
-        stepped = 0
+        found = 0
         for _ in range(200):
             mu = math.exp(rng.uniform(math.log(0.01), math.log(0.2)))
             base = ChannelParams.from_db_losses(
                 rng.uniform(0.0, 3.0), 0.0, math.exp(rng.uniform(math.log(1e-7), math.log(1e-5)))
             )
             gains.clear()
-            passive_performance(SourceParams.from_mean_photon_number(mu), base,
-                                sorted(rng.uniform(20.0, 45.0, 2).tolist()))
+            sweep = passive_performance(SourceParams.from_mean_photon_number(mu), base,
+                                        sorted(rng.uniform(20.0, 45.0, 2).tolist()))
             assert np.shape(gains[0]) == (2, 257)
-            assert [type(g) for g in gains[1:]] == [float] * (len(gains) - 1)
-            assert (len(gains) - 1) % 6 == 0
-            stepped += (len(gains) - 1) // 6
-        assert stepped == 396
+            assert [type(g) for g in gains[1:]] == [float] * 2
+            found += sum(p.mu_opt is not None for p in sweep.points)
+        assert found == 396
 
     def test_4x256_call_peaks_under_1_mb(self):
         # the figure in _ROWS_PER_CALL's comment: about 0.185 MB of numpy
@@ -1172,9 +1319,8 @@ class TestArrayCalls:
 
 
 class TestFloatPath:
-    """The chain's one-point path on Python floats, which each lane's
-    stencil and last gain take: the array chain's floats, types and
-    errors."""
+    """The chain's one-point path on Python floats, which each lane's rate
+    at its root takes: the array chain's floats, types and errors."""
 
     def test_one_point_chain_equals_the_array_chain_bit_for_bit(self):
         # random lanes with d = 0 and 80 dB ones among them, and gains at
@@ -1191,14 +1337,15 @@ class TestFloatPath:
         lanes[::7, 2] = 0.0
         g = rng.uniform(*G_BRACKET, (count, 6))
         g[:, 0], g[:, -1] = G_BRACKET
-        rates = keyrate._secure_rates(g, lanes)
+        rates, qbers = keyrate._secure_rates(g, lanes)
         one_point = [[keyrate._chain(x, lane) for x in row]
                      for row, lane in zip(g.tolist(), lanes.tolist())]
         assert [type(v) for row in one_point for v in row] == [float] * g.size
         assert np.array(one_point).tobytes() == rates.tobytes()
         for rows, gains in ((1, 1), (1, 5), (2, 1), (2, 5), (2, 6), (13, 1), (3, 5), (26, 5)):
             part = keyrate._secure_rates(g[:rows, :gains], lanes[:rows])
-            assert part.tobytes() == rates[:rows, :gains].tobytes()
+            assert part[0].tobytes() == rates[:rows, :gains].tobytes()
+            assert part[1].tobytes() == qbers[:rows, :gains].tobytes()
         # the grid reaches clamped rates, positive ones and error rates in
         # the band where secure_rate skips the entropy
         eps = keyrate._qber_and_sift(g, *lanes.T[:, :, None], PostprocessingModel.SQUASH)[0]
@@ -1207,11 +1354,15 @@ class TestFloatPath:
         assert (rates == 0.0).sum() > 100 and (rates > 0.0).sum() > 100
 
     def test_search_calls_on_floats(self, monkeypatch):
-        # the stencil and the last gain go on floats; a search with no key
-        # makes only its scan
+        # the rate at the root goes on floats, and so does the rate at the
+        # QBER's minimum of a search whose scan has no key; a search whose
+        # lowest scan QBER is at a grid end makes only its scan
         gains = record_gains(monkeypatch)
         optimize_gain(reference_channel(30.0))
-        assert [type(g) for g in gains] == [np.ndarray] + [float] * 6
+        assert [type(g) for g in gains] == [np.ndarray, float]
+        gains.clear()
+        assert not optimize_gain(reference_channel(53.5192)).found
+        assert [type(g) for g in gains] == [np.ndarray, float]
         gains.clear()
         assert not optimize_gain(ChannelParams(tau1=0.5, tau2=1e-6, dark_count=0.2)).found
         assert [type(g) for g in gains] == [np.ndarray]
@@ -1241,6 +1392,52 @@ class TestFloatPath:
         assert outcome(keyrate.pair_probabilities, *point) == outcome(
             keyrate.pair_probabilities, *map(np.array, point)
         )
+
+
+def exact_slopes(g, tau1, tau2, dark_count):
+    """(E', R', E / g, T') at gain ``g`` from ``tests/exact.py``'s squash
+    gain T and error rate E, S = E T: T' and S' by a central difference of
+    half-width 2^-60 in ``Fraction``s (off by about 1e-36), and R' as
+    T'/2 + S' log2(E) + (T' - S') log2(1 - E) with E rounded to a float for
+    the logs."""
+    def forms(x):
+        gain, error = squash_gain_and_error(x, tau1, tau2, dark_count)
+        return error * gain, gain
+
+    g, h = Fraction(g), Fraction(1, 2**60)
+    (same_hi, total_hi), (same_lo, total_lo) = forms(g + h), forms(g - h)
+    d_same, d_total = (same_hi - same_lo) / (2 * h), (total_hi - total_lo) / (2 * h)
+    same, total = forms(g)
+    eps = same / total
+    logs = [Fraction(math.log2(e)) for e in (float(eps), float(1 - eps))]
+    d_rate = d_total / 2 + d_same * logs[0] + (d_total - d_same) * logs[1]
+    return (d_same - eps * d_total) / total, d_rate, eps / g, d_total
+
+
+#: Error bounds of ``keyrate._tangent``'s E' in units of E / g and of its R'
+#: in units of T', against ``exact_slopes``. Measured worst on the points
+#: below: 4.6e-15 and 1.4e-15.
+TANGENT_ERROR = (1e-14, 5e-15)
+
+
+def test_tangent_is_the_exact_slope():
+    # random gains and channels, d = 0 and deep loss among them, and the
+    # default channel at the 53.519 dB cutoff: each slope within
+    # TANGENT_ERROR of the exact one
+    rng = np.random.default_rng(43)
+    points = [(float(rng.uniform(*G_BRACKET)), transmittance_from_db(rng.uniform(0.0, 3.0)),
+               transmittance_from_db(rng.uniform(0.0, 80.0)),
+               float(rng.choice([0.0, 6.25e-7, 1e-5, 1e-3]))) for _ in range(300)]
+    points += [(g, REFERENCE_TAU1, transmittance_from_db(53.519), REFERENCE_DARK)
+               for g in (0.0215, 0.0218, 0.0219)]
+    worst = [Fraction(0)] * 2
+    for g, *lane in points:
+        d_eps, d_rate, eps_scale, rate_scale = exact_slopes(g, *lane)
+        tangent = keyrate._tangent(g, lane, keyrate._pair(1.0, *lane[:2]))
+        assert [type(v) for v in tangent] == [float, float]
+        worst = [max(worst[0], abs(Fraction(tangent[0]) - d_eps) / eps_scale),
+                 max(worst[1], abs(Fraction(tangent[1]) - d_rate) / rate_scale)]
+    assert all(map(Fraction.__le__, worst, TANGENT_ERROR)), [float(w) for w in worst]
 
 
 def deep_loss_limit(g, tau1):
@@ -1321,6 +1518,18 @@ class TestDeepLoss:
         mu_star, _ = self.limit()
         result = optimize_gain(ChannelParams(REFERENCE_TAU1, transmittance_from_db(60.0)))
         assert result.mu_opt == pytest.approx(mu_star, rel=1e-4)
+
+    def test_optimum_at_3000_db_is_the_limit(self):
+        # tau2 = 1e-300: rates near 1e-302 and slopes near 1e-301, every
+        # one a normal float; the root lies inside its bracket, at the limit
+        mu_star, _ = self.limit()
+        for loss1_db in (0.0, 1.6, 3.0):
+            result = optimize_gain(ChannelParams.from_db_losses(loss1_db, 3000.0, 0.0))
+            assert result.found and result.secure_rate_at_opt > 0.0
+            assert result.bracket[0] < result.g_opt < result.bracket[1]
+        assert result.iterations > 0
+        result = optimize_gain(ChannelParams.from_db_losses(1.6, 3000.0, 0.0))
+        assert result.mu_opt == pytest.approx(mu_star, rel=1e-14)
 
     def test_fixed_brightness_ratio_at_120_db_is_the_limit_ratio(self):
         _, ratio = self.limit()
